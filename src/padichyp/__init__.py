@@ -3,7 +3,6 @@ character-sum, q-series and combinatorial machinery needed to verify its
 congruences with truncated classical series."""
 
 from .characters import (
-    BinomialTable,
     Character,
     char_binomial_scaled,
     char_value,
@@ -11,7 +10,6 @@ from .characters import (
     greene_series_scaled,
 )
 from .combinatorics import (
-    HarmonicCache,
     apery,
     bin_harmonic_id1,
     bin_harmonic_id2,
@@ -19,13 +17,10 @@ from .combinatorics import (
     lemma_P_sum,
     lemma_PQ_expected,
     lemma_Q_sum,
-    power_sum_check,
 )
 from .gamma import (
-    GammaSweepTable,
     g1,
     g2,
-    gamma_batch,
     gamma_p,
     gamma_shift,
     lemma_check_gamma_suite,
@@ -51,15 +46,14 @@ from .report import CongruenceReport
 __version__ = "0.1.0"
 
 __all__ = [
-    "BinomialTable", "Character", "CongruenceReport", "GArguments",
-    "GammaSweepTable", "HarmonicCache", "HypParams", "PadicValue",
+    "Character", "CongruenceReport", "GArguments", "HypParams", "PadicValue",
     "PrecisionError", "QSeries", "RunConfig", "apery", "bin_harmonic_id1",
     "bin_harmonic_id2", "char_binomial_scaled", "char_value",
     "characters_for_arguments", "congruent_mod", "eta_product", "g1", "g2",
-    "g_function", "gamma_batch", "gamma_coeffs", "gamma_p", "gamma_shift",
+    "g_function", "gamma_coeffs", "gamma_p", "gamma_shift",
     "greene_series_scaled", "harmonic", "lemma_P_sum", "lemma_PQ_expected",
     "lemma_Q_sum", "lemma_check_gamma_suite", "padic_add", "padic_inv",
-    "padic_mul", "padic_neg", "power_sum_check", "rational_to_padic", "rep",
+    "padic_mul", "padic_neg", "rational_to_padic", "rep",
     "rising_factorial", "run_config", "rv_form_coeffs", "s_factor",
     "teichmuller", "theorem26_sign", "truncated_hyp", "truncated_hyp_exact",
 ]

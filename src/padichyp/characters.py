@@ -91,10 +91,6 @@ class Character:
             raise ValueError(f"no character of order {d} for p={p}")
         return cls(p, power * ((p - 1) // d))
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.exponent == 0
-
     def __mul__(self, other: "Character") -> "Character":
         if self.prime != other.prime:
             raise ValueError("mixed primes")
@@ -122,20 +118,6 @@ def char_value(chi: Character, x: int, N: int) -> PadicValue:
     return PadicValue(chi.prime, 0, r, N)
 
 
-@dataclass(frozen=True)
-class BinomialTable:
-    """beta(A chi, B chi) for every character chi of F_p*, at fixed (A, B).
-
-    entries[e] is the residue mod p^N for chi = wbar^e.
-    """
-
-    prime: int
-    precision: int
-    a_exponent: int
-    b_exponent: int
-    entries: tuple[int, ...]
-
-
 def _beta_residue(p: int, ea: int, eb: int, N: int) -> int:
     """beta(wbar^ea, wbar^eb) = wbar^eb(-1) * sum_x wbar^ea(x) wbar^(-eb)(1-x)."""
     _, dlog = _dlog_table(p)
@@ -157,15 +139,15 @@ def char_binomial_scaled(A: Character, B: Character, N: int) -> PadicValue:
     return PadicValue.from_residue(r, A.prime, N)
 
 
-def binomial_table(A: Character, B: Character, N: int) -> BinomialTable:
+def binomial_table(A: Character, B: Character, N: int) -> tuple[int, ...]:
+    """beta(A chi, B chi) mod p^N for every chi = wbar^e, indexed by e."""
     if A.prime != B.prime:
         raise ValueError("mixed primes")
     p = A.prime
-    entries = tuple(
+    return tuple(
         _beta_residue(p, (A.exponent + e) % (p - 1), (B.exponent + e) % (p - 1), N)
         for e in range(p - 1)
     )
-    return BinomialTable(p, N, A.exponent, B.exponent, entries)
 
 
 def greene_series_scaled(top, bottom, x: int, N: int) -> PadicValue:
@@ -195,7 +177,7 @@ def greene_series_scaled(top, bottom, x: int, N: int) -> PadicValue:
     for e in range(order):
         term = pw[(-e * dlog[x]) % order]
         for t in tables:
-            term = term * t.entries[e] % pN
+            term = term * t[e] % pN
         total += term
     total = total * pow(order, -1, pN) % pN
     n = len(bottom)

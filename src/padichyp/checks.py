@@ -1,10 +1,10 @@
 """Named, reproducible congruence checks over prime ranges.
 
-Each check_* function verifies one family of claims and returns a list of
-CongruenceReport.  Prime admissibility (the congruence-class preconditions of
-the theorems) is encoded once, in ADMISSIBLE, and every run reports the
-primes it skipped rather than silently narrowing a range.  Default grids and
-moduli reproduce the shipped acceptance suite exactly.
+Each claim family is one entry of the CLAIMS registry: admissibility (the
+congruence-class preconditions of the theorems), accepted parameters, default
+grid, prime range and modulus, and checker.  Planning, validation, check-all
+and the CLI all read it.  Every run reports the primes it skipped rather than
+silently narrowing a range; the defaults reproduce the acceptance suite.
 """
 
 from __future__ import annotations
@@ -12,17 +12,18 @@ from __future__ import annotations
 import math
 import random
 import time
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from . import combinatorics as comb
 from .characters import Character, characters_for_arguments, greene_series_scaled
-from .gamma import gamma_p, gamma_shift, g1, g2, lemma_check_gamma_suite, rep
+from .gamma import (default_x_grid, g1, g2, gamma_p, gamma_shift,
+                    lemma_check_gamma_suite, rep, set_sweep_bound)
 from .gfunction import GArguments, g_function, s_factor, theorem26_sign
 from .hyp import HypParams, truncated_hyp
-from .padic import PadicValue, rational_to_padic
+from .padic import PRIME_BOUND, PadicValue, check_prime, rational_to_padic
 from .qseries import gamma_coeffs, hecke_bound_ok, rv_form_coeffs
 from .report import CongruenceReport, sort_reports
 
@@ -30,6 +31,9 @@ DEFAULT_SEED = 20260810
 
 # guard digit on top of the asserted modulus, everywhere
 GUARD = 1
+
+# every claim parameter the CLI can pass; each claim accepts a subset
+PARAMS = ("d", "d2", "r", "args")
 
 
 def primes_in(lo: int, hi: int) -> list[int]:
@@ -56,52 +60,44 @@ def _thm27_class_ok(p: int, d: int, r: int) -> bool:
     return False
 
 
-# claim -> predicate(p, params); domain is odd primes not dividing parameters
-ADMISSIBLE = {
-    "prop2.2": lambda p, q: all(p % d == 1 for d in q["d"]),
-    "thm2.3": lambda p, q: all(
-        p % Fraction(a).denominator == 1 for a in str(q["args"]).split(",")),
-    "thm2.4": lambda p, q: p % q["d"] != 0 and _pm1(p, q["d"]),
-    "thm2.5": lambda p, q: p % q["d"] != 0 and _pm1(p, q["d"]),
-    "thm2.6": lambda p, q: math.gcd(p, q["d1"] * q["d2"]) == 1
-    and _pm1(p, q["d1"]) and _pm1(p, q["d2"]),
-    "thm2.7": lambda p, q: math.gcd(p, q["d"]) == 1
-    and _thm27_class_ok(p, q["d"], q["r"]),
-    "beukers": lambda p, q: True,
-    "ao": lambda p, q: True,
-    "conj1.3": lambda p, q: p != 5,
-    "lemmas": lambda p, q: p >= 7,
-}
+def _truncated(args, p: int, N: int) -> PadicValue:
+    """{n+1}F_n(args; 1, ..., 1 | 1) truncated at p - 1, mod p^N."""
+    bottom = (Fraction(1),) * (len(args) - 1)
+    return truncated_hyp(HypParams(tuple(args), bottom, Fraction(1), p - 1), p, N)
 
 
-def admissible_primes(claim: str, params: dict, lo: int, hi: int):
-    """(admissible, skipped) odd primes in [lo, hi] for the claim."""
-    pred = ADMISSIBLE[claim]
-    ok, skipped = [], []
-    for p in primes_in(lo, hi):
-        if p == 2:
-            continue
-        (ok if pred(p, params) else skipped).append(p)
-    return ok, skipped
+def parse_args(text: str) -> list[Fraction]:
+    """G-function arguments m1/d1,...: at least two, each strictly inside (0, 1)."""
+    try:
+        args = [Fraction(a) for a in str(text).split(",")]
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"--args wants fractions m1/d1,m2/d2,...; got {text!r}") from None
+    if len(args) < 2:
+        raise ValueError("--args needs at least two fractions")
+    for a in args:
+        if not 0 < a < 1:
+            raise ValueError(f"argument {a} is not strictly inside (0, 1)")
+    return args
 
 
-def default_args_for_dlist(ds) -> list[Fraction]:
-    """Canonical numerators for a d-list: cycle 1..d-1 within equal-d groups."""
-    seen: Counter = Counter()
-    out = []
-    for d in ds:
-        k = seen[d] % (d - 1) + 1
-        seen[d] += 1
-        out.append(Fraction(k, d))
-    return out
+def _pair(d: int) -> list[Fraction]:
+    if d < 2:
+        raise ValueError(f"d={d}: need d >= 2")
+    return [Fraction(1, d), Fraction(d - 1, d)]
 
 
-def _ones(n: int) -> list[Fraction]:
-    return [Fraction(1)] * n
+def _thm23_args(q: dict) -> list[Fraction]:
+    args = parse_args(q["args"])
+    if sum(args) < len(args) - 2:
+        raise ValueError("theorem 2.3 requires the argument sum to be >= n - 1")
+    return args
 
 
-def _fmt_args(args) -> str:
-    return ",".join(str(Fraction(a)) for a in args)
+def _thm27_args(q: dict) -> list[Fraction]:
+    d, r = q["d"], q["r"]
+    if not (2 <= r <= d - 2 and math.gcd(r, d) == 1):
+        raise ValueError(f"d={d}, r={r}: need 2 <= r <= d-2 with gcd(r, d) = 1")
+    return [Fraction(1, d), Fraction(r, d), Fraction(d - r, d), Fraction(d - 1, d)]
 
 
 # ---------------------------------------------------------------------------
@@ -109,12 +105,10 @@ def _fmt_args(args) -> str:
 # ---------------------------------------------------------------------------
 
 
-def check_prop22(d_list, primes, mod_power: int = 4, args=None) -> list[CongruenceReport]:
+def check_prop22(args, primes, mod_power: int = 4) -> list[CongruenceReport]:
     """G function against the scaled Gaussian series, exactly mod p^mod_power."""
-    d_list = list(d_list)
-    if args is None:
-        args = default_args_for_dlist(d_list)
     args = [Fraction(a) for a in args]
+    params = {"d": [a.denominator for a in args], "args": ",".join(map(str, args))}
     n = len(args) - 1
     N = mod_power + GUARD
     out = []
@@ -122,97 +116,31 @@ def check_prop22(d_list, primes, mod_power: int = 4, args=None) -> list[Congruen
         lhs = g_function(GArguments(p, tuple(args), N))
         top = characters_for_arguments(args, p)
         rhs = greene_series_scaled(top, [Character.trivial(p)] * n, 1, N)
-        out.append(CongruenceReport.from_sides(
-            "prop2.2", p, {"d": d_list, "args": _fmt_args(args)}, mod_power, lhs, rhs))
+        out.append(CongruenceReport.from_sides("prop2.2", p, params, mod_power, lhs, rhs))
     return out
 
 
-def check_thm23(args, primes, mod_power: int = 2) -> list[CongruenceReport]:
-    """G = truncated series + delta * p mod p^2, delta active only when the
-    argument sum equals n - 1."""
+def check_g_vs_trunc(claim: str, params: dict, args, primes,
+                     k: int) -> list[CongruenceReport]:
+    """The Theorem 2.3 shape shared by Theorems 2.3-2.7 and the
+    Rodriguez-Villegas framework row:
+
+        G(args)_p = truncated series + s(p) p [sum(args) = n - 1]  (mod p^k),
+
+    with s(p) = prod Gamma_p(1 - a) over the arguments."""
     args = [Fraction(a) for a in args]
     n = len(args) - 1
     S = sum(args)
     if S < n - 1:
         raise ValueError("theorem requires the argument sum to be >= n - 1")
-    N = mod_power + GUARD
+    N = k + GUARD
     out = []
     for p in primes:
         lhs = g_function(GArguments(p, tuple(args), N))
-        trunc = truncated_hyp(HypParams(tuple(args), tuple(_ones(n)), Fraction(1), p - 1), p, N)
+        rhs = _truncated(args, p, N)
         if S == n - 1:
-            delta = s_factor([1 - a for a in args], p, N)
-            rhs = trunc + delta * rational_to_padic(p, p, N)
-        else:
-            rhs = trunc
-        out.append(CongruenceReport.from_sides(
-            "thm2.3", p, {"args": _fmt_args(args), "S": str(S)}, mod_power, lhs, rhs))
-    return out
-
-
-def _trunc_plus_sp(args, p: int, N: int, s: PadicValue) -> PadicValue:
-    trunc = truncated_hyp(
-        HypParams(tuple(args), tuple(_ones(len(args) - 1)), Fraction(1), p - 1), p, N)
-    return trunc + s * rational_to_padic(p, p, N)
-
-
-def check_thm24(d: int, primes, mod_power: int = 2) -> list[CongruenceReport]:
-    args = [Fraction(1, d), Fraction(d - 1, d)]
-    N = mod_power + GUARD
-    out = []
-    for p in primes:
-        lhs = g_function(GArguments(p, tuple(args), N))
-        rhs = truncated_hyp(HypParams(tuple(args), (Fraction(1),), Fraction(1), p - 1), p, N)
-        out.append(CongruenceReport.from_sides(
-            "thm2.4", p, {"d": d}, mod_power, lhs, rhs))
-    return out
-
-
-def check_thm25(d: int, primes, mod_power: int = 2) -> list[CongruenceReport]:
-    args = [Fraction(1, 2), Fraction(1, d), Fraction(d - 1, d)]
-    N = mod_power + GUARD
-    out = []
-    for p in primes:
-        lhs = g_function(GArguments(p, tuple(args), N))
-        rhs = truncated_hyp(
-            HypParams(tuple(args), (Fraction(1), Fraction(1)), Fraction(1), p - 1), p, N)
-        out.append(CongruenceReport.from_sides(
-            "thm2.5", p, {"d": d}, mod_power, lhs, rhs))
-    return out
-
-
-def check_thm26(d1: int, d2: int, primes, mod_power: int = 3) -> list[CongruenceReport]:
-    """mod p^3 congruence with the s(p)*p correction; also asserts the two
-    s(p) expressions (gamma product and floor sign) agree."""
-    args = [Fraction(1, d1), Fraction(d1 - 1, d1), Fraction(1, d2), Fraction(d2 - 1, d2)]
-    N = mod_power + GUARD
-    out = []
-    for p in primes:
-        s_gamma = s_factor(args, p, N)
-        sign = theorem26_sign(p, d1, d2)
-        out.append(CongruenceReport.from_sides(
-            "thm2.6-sign", p, {"d1": d1, "d2": d2, "sign": sign}, N,
-            s_gamma, rational_to_padic(sign, p, N)))
-        lhs = g_function(GArguments(p, tuple(args), N))
-        rhs = _trunc_plus_sp(args, p, N, s_gamma)
-        out.append(CongruenceReport.from_sides(
-            "thm2.6", p, {"d1": d1, "d2": d2}, mod_power, lhs, rhs))
-    return out
-
-
-def check_thm27(d: int, r: int, primes, mod_power: int = 3,
-                claim: str = "thm2.7") -> list[CongruenceReport]:
-    if not (2 <= r <= d - 2 and math.gcd(r, d) == 1):
-        raise ValueError("need 2 <= r <= d-2 with gcd(r, d) = 1")
-    args = [Fraction(1, d), Fraction(r, d), Fraction(d - r, d), Fraction(d - 1, d)]
-    N = mod_power + GUARD
-    out = []
-    for p in primes:
-        s = s_factor(args, p, N)
-        lhs = g_function(GArguments(p, tuple(args), N))
-        rhs = _trunc_plus_sp(args, p, N, s)
-        out.append(CongruenceReport.from_sides(
-            claim, p, {"d": d, "r": r}, mod_power, lhs, rhs))
+            rhs = rhs + s_factor([1 - a for a in args], p, N) * rational_to_padic(p, p, N)
+        out.append(CongruenceReport.from_sides(claim, p, params, k, lhs, rhs))
     return out
 
 
@@ -250,7 +178,7 @@ def check_ao(primes) -> list[CongruenceReport]:
         eps = Character.trivial(p)
         series = greene_series_scaled([phi] * 4, [eps] * 3, 1, N)
         series_minus_p = series - rational_to_padic(p, p, N)
-        trunc = truncated_hyp(HypParams(tuple(half), tuple(_ones(3)), Fraction(1), p - 1), p, N)
+        trunc = _truncated(half, p, N)
         out.append(CongruenceReport.from_sides(
             "thm1.1", p, {}, 2, trunc, series_minus_p))
         g = table.coefficient(p)
@@ -275,11 +203,12 @@ def check_rv(primes, mod_power: int = 3) -> list[CongruenceReport]:
     for p in primes:
         if p == 5:
             raise ValueError("p = 5 is excluded")
-        trunc = truncated_hyp(HypParams(tuple(args), tuple(_ones(3)), Fraction(1), p - 1), p, N)
+        trunc = _truncated(args, p, N)
         c = table.coefficient(p)
         out.append(CongruenceReport.from_sides(
             "conj1.3", p, {"c": c}, mod_power, trunc, rational_to_padic(c, p, N)))
-        out.extend(check_thm27(5, 2, [p], mod_power, claim="conj1.3-framework"))
+        out.extend(check_g_vs_trunc(
+            "conj1.3-framework", {"d": 5, "r": 2}, args, [p], mod_power))
     return out
 
 
@@ -336,8 +265,6 @@ def check_lemma_pq(p: int, seed: int = DEFAULT_SEED) -> list[CongruenceReport]:
 def check_gamma_properties(p: int) -> list[CongruenceReport]:
     """Props 3.1-3.2, Cors 3.4-3.5, the Taylor law and the shift formula,
     over the standard denominator-grid of x values."""
-    from .gamma import default_x_grid
-
     N = 4
     out = []
     xs = default_x_grid(p)
@@ -440,125 +367,154 @@ def check_bin_harmonic_ids(seed: int = DEFAULT_SEED) -> list[CongruenceReport]:
     return out
 
 
-def check_lemma_suites(primes, seed: int = DEFAULT_SEED,
-                       include_rational_ids: bool = True) -> list[CongruenceReport]:
-    """Everything in criterion 9: the section-3 grids for each prime plus the
-    prime-independent rational identities."""
+def check_lemma_suites(primes, seed: int = DEFAULT_SEED) -> list[CongruenceReport]:
+    """The section-3 grids of criterion 9 for each prime."""
     out = []
     for p in primes:
         out.extend(lemma_check_gamma_suite(p))
         out.extend(check_gamma_properties(p))
         out.extend(check_power_sums(p))
         out.extend(check_lemma_pq(p, seed))
-    if include_rational_ids:
-        out.extend(check_bin_harmonic_ids(seed))
     return out
 
 
 # ---------------------------------------------------------------------------
-# task plans (what check-all runs; same grids as the acceptance suite)
+# the claim registry, planning and the runner
 # ---------------------------------------------------------------------------
 
-PROP22_SHAPES = [(2, 2), (3, 3), (2, 3, 3), (2, 2, 2, 2), (5, 5, 5, 5)]
-THM26_PAIRS = [(2, 2), (2, 3), (3, 4), (2, 5)]
-THM27_PAIRS = [(5, 2), (8, 3), (12, 5)]
-LEMMA_PRIMES = [7, 11, 13]
+
+class Task(NamedTuple):
+    """One unit of work: a claim's checker on one parameter set."""
+
+    claim: str
+    params: dict
+    primes: list[int]
+    mod: int | None
+    seed: int
 
 
-def tasks_for_claim(claim: str, lo: int | None = None, hi: int | None = None,
-                    seed: int = DEFAULT_SEED, **params):
-    """Expand a claim id into (kind, params, primes) tasks plus skipped primes."""
-    tasks, skipped = [], []
+@dataclass(frozen=True)
+class Claim:
+    """One claim family of the registry."""
 
-    def add(kind, q, plo, phi):
-        ok, sk = admissible_primes(kind, q, lo or plo, hi or phi)
-        tasks.extend((kind, q, [p]) for p in ok)
-        skipped.extend((kind, q, p) for p in sk)
+    id: str
+    admissible: Callable[[int, dict], bool]  # (p, params): precondition holds
+    accepts: tuple[str, ...]  # subset of PARAMS; a run gives all of them or none
+    grid: tuple[dict, ...]  # the parameter sets run when none are given
+    primes: tuple[int, int]  # default prime range
+    mod: int | None  # default modulus; None: the checker fixes its moduli
+    check: Callable[[Task, list[Fraction]], list[CongruenceReport]]
+    # the G-function arguments of a parameter set; ValueError on an invalid one
+    args: Callable[[dict], list[Fraction]] = lambda q: []
+    prime_free: bool = False  # also plans one task with no prime
 
-    if claim == "prop2.2":
-        shapes = [tuple(params["d"])] if params.get("d") else PROP22_SHAPES
-        for ds in shapes:
-            q = {"d": list(ds)}
-            if params.get("args"):
-                q["args"] = params["args"]
-            add("prop2.2", q, 7, 61)
-    elif claim == "thm2.3":
-        if not params.get("args"):
-            raise ValueError("thm2.3 needs explicit --args")
-        add("thm2.3", {"args": params["args"]}, 7, 61)
-    elif claim in ("thm2.4", "thm2.5"):
-        ds = [params["d"]] if params.get("d") else [3, 4, 5, 6]
-        for d in ds:
-            add(claim, {"d": d}, 7, 97)
-    elif claim == "thm2.6":
-        pairs = ([(params["d"], params["d2"])]
-                 if params.get("d") and params.get("d2") else THM26_PAIRS)
-        for d1, d2 in pairs:
-            add("thm2.6", {"d1": d1, "d2": d2}, 3, 97)
-    elif claim == "thm2.7":
-        pairs = ([(params["d"], params["r"])]
-                 if params.get("d") and params.get("r") else THM27_PAIRS)
-        for d, r in pairs:
-            add("thm2.7", {"d": d, "r": r}, 3, 97)
-    elif claim == "beukers":
-        add("beukers", {}, 3, 97)
-    elif claim == "ao":
-        add("ao", {}, 7, 61)
-    elif claim == "conj1.3":
-        add("conj1.3", {}, 3, 97)
-    elif claim == "lemmas":
-        ps = primes_in(lo, hi) if lo and hi else LEMMA_PRIMES
-        for p in ps:
-            if p >= 7:
-                tasks.append(("lemmas", {"seed": seed}, [p]))
-            else:
-                skipped.append(("lemmas", {}, p))
-        tasks.append(("rational-ids", {"seed": seed}, []))
-    else:
-        raise ValueError(f"unknown claim id: {claim}")
-    return tasks, skipped
-
-
-def acceptance_tasks(seed: int = DEFAULT_SEED):
-    tasks, skipped = [], []
-    for claim in ("prop2.2", "thm2.4", "thm2.5", "thm2.6", "thm2.7",
-                  "beukers", "ao", "conj1.3", "lemmas"):
-        t, s = tasks_for_claim(claim, seed=seed)
-        tasks.extend(t)
-        skipped.extend(s)
-    return tasks, skipped
+    def plan(self, lo: int | None = None, hi: int | None = None,
+             params: dict | None = None, mod: int | None = None,
+             seed: int = DEFAULT_SEED):
+        """(tasks, skipped) over the primes in [lo, hi], by default the
+        claim's range; raises ValueError on any input it cannot honour."""
+        given = {k: v for k, v in (params or {}).items() if v is not None}
+        for key in given:
+            if key not in self.accepts:
+                raise ValueError(f"{self.id} does not accept --{key}")
+        flags = " and ".join(f"--{k}" for k in self.accepts)
+        if given and len(given) < len(self.accepts):
+            raise ValueError(f"{self.id} takes {flags} together")
+        if not (given or self.grid):
+            raise ValueError(f"{self.id} needs {flags}")
+        grid = [{k: given[k] for k in self.accepts}] if given else self.grid
+        for q in grid:
+            self.args(q)
+        if mod is None:
+            mod = self.mod
+        elif self.mod is None:
+            raise ValueError(f"{self.id} checks fixed moduli and takes no --precision")
+        elif mod < 1:
+            raise ValueError(f"--precision must be >= 1, got {mod}")
+        lo = self.primes[0] if lo is None else lo
+        hi = self.primes[1] if hi is None else hi
+        if lo > hi:
+            raise ValueError(f"empty prime range {lo}..{hi}")
+        if lo == hi:
+            check_prime(lo)
+        elif hi > PRIME_BOUND:
+            raise ValueError(f"prime range {lo}..{hi} exceeds the prime bound {PRIME_BOUND}")
+        tasks, skipped = [], []
+        for q in grid:
+            for p in primes_in(max(lo, 3), hi):
+                if self.admissible(p, q):
+                    tasks.append(Task(self.id, q, [p], mod, seed))
+                else:
+                    skipped.append((self.id, q, p))
+        if not tasks:
+            raise ValueError(f"no prime in {lo}..{hi} satisfies the preconditions of {self.id}")
+        if self.prime_free:
+            tasks.append(Task(self.id, {}, [], mod, seed))
+        return tasks, skipped
 
 
-def run_task(task) -> list[CongruenceReport]:
-    kind, q, primes = task
+def _check_trunc(t: Task, args) -> list[CongruenceReport]:
+    return check_g_vs_trunc(t.claim, t.params, args, t.primes, t.mod)
+
+
+def _check_thm26(t: Task, args) -> list[CongruenceReport]:
+    """Theorem 2.6, plus a companion row: the gamma product s(p) is the floor sign."""
+    d1, d2 = t.params["d"], t.params["d2"]
+    out = check_g_vs_trunc("thm2.6", {"d1": d1, "d2": d2}, args, t.primes, t.mod)
+    N = t.mod + GUARD
+    for p in t.primes:
+        sign = theorem26_sign(p, d1, d2)
+        out.append(CongruenceReport.from_sides(
+            "thm2.6-sign", p, {"d1": d1, "d2": d2, "sign": sign}, N,
+            s_factor(args, p, N), rational_to_padic(sign, p, N)))
+    return out
+
+
+def _denominators_split(p: int, q: dict) -> bool:
+    return all(p % a.denominator == 1 for a in parse_args(q["args"]))
+
+
+# p = +-1 (mod d) with d >= 2 already rules out p | d
+CLAIMS = {c.id: c for c in (
+    Claim("prop2.2", _denominators_split, ("args",),
+          tuple({"args": a} for a in ("1/2,1/2", "1/3,2/3", "1/2,1/3,2/3",
+                                      "1/2,1/2,1/2,1/2", "1/5,2/5,3/5,4/5")),
+          (7, 61), 4, lambda t, args: check_prop22(args, t.primes, t.mod),
+          args=lambda q: parse_args(q["args"])),
+    Claim("thm2.3", _denominators_split, ("args",), (), (7, 61), 2,
+          lambda t, args: check_g_vs_trunc(
+              "thm2.3", {"args": ",".join(map(str, args)), "S": str(sum(args))},
+              args, t.primes, t.mod),
+          args=_thm23_args),
+    Claim("thm2.4", lambda p, q: _pm1(p, q["d"]), ("d",),
+          ({"d": 3}, {"d": 4}, {"d": 5}, {"d": 6}), (7, 97), 2,
+          _check_trunc, args=lambda q: _pair(q["d"])),
+    Claim("thm2.5", lambda p, q: _pm1(p, q["d"]), ("d",),
+          ({"d": 3}, {"d": 4}, {"d": 5}, {"d": 6}), (7, 97), 2,
+          _check_trunc, args=lambda q: [Fraction(1, 2), *_pair(q["d"])]),
+    Claim("thm2.6", lambda p, q: _pm1(p, q["d"]) and _pm1(p, q["d2"]), ("d", "d2"),
+          ({"d": 2, "d2": 2}, {"d": 2, "d2": 3}, {"d": 3, "d2": 4}, {"d": 2, "d2": 5}),
+          (3, 97), 3, _check_thm26, args=lambda q: _pair(q["d"]) + _pair(q["d2"])),
+    Claim("thm2.7", lambda p, q: _thm27_class_ok(p, q["d"], q["r"]), ("d", "r"),
+          ({"d": 5, "r": 2}, {"d": 8, "r": 3}, {"d": 12, "r": 5}), (3, 97), 3,
+          _check_trunc, args=_thm27_args),
+    Claim("beukers", lambda p, q: True, (), ({},), (3, 97), 2,
+          lambda t, _: check_beukers(t.primes, t.mod)),
+    Claim("ao", lambda p, q: True, (), ({},), (7, 61), None,
+          lambda t, _: check_ao(t.primes)),
+    Claim("conj1.3", lambda p, q: p != 5, (), ({},), (3, 97), 3,
+          lambda t, _: check_rv(t.primes, t.mod)),
+    Claim("lemmas", lambda p, q: p >= 7, (), ({},), (7, 13), None,
+          lambda t, _: (check_lemma_suites(t.primes, t.seed) if t.primes
+                        else check_bin_harmonic_ids(t.seed)),
+          prime_free=True),
+)}
+
+
+def run_task(task: Task) -> list[CongruenceReport]:
+    claim = CLAIMS[task.claim]
     t0 = time.perf_counter()
-    if kind == "prop2.2":
-        args = [Fraction(a) for a in q["args"].split(",")] if q.get("args") else None
-        reports = check_prop22(q["d"], primes, q.get("mod", 4), args)
-    elif kind == "thm2.3":
-        reports = check_thm23([Fraction(a) for a in q["args"].split(",")],
-                              primes, q.get("mod", 2))
-    elif kind == "thm2.4":
-        reports = check_thm24(q["d"], primes, q.get("mod", 2))
-    elif kind == "thm2.5":
-        reports = check_thm25(q["d"], primes, q.get("mod", 2))
-    elif kind == "thm2.6":
-        reports = check_thm26(q["d1"], q["d2"], primes, q.get("mod", 3))
-    elif kind == "thm2.7":
-        reports = check_thm27(q["d"], q["r"], primes, q.get("mod", 3))
-    elif kind == "beukers":
-        reports = check_beukers(primes, q.get("mod", 2))
-    elif kind == "ao":
-        reports = check_ao(primes)
-    elif kind == "conj1.3":
-        reports = check_rv(primes, q.get("mod", 3))
-    elif kind == "lemmas":
-        reports = check_lemma_suites(primes, q.get("seed", DEFAULT_SEED),
-                                     include_rational_ids=False)
-    elif kind == "rational-ids":
-        reports = check_bin_harmonic_ids(q.get("seed", DEFAULT_SEED))
-    else:
-        raise ValueError(f"unknown task kind {kind}")
+    reports = claim.check(task, claim.args(task.params))
     dt = (time.perf_counter() - t0) * 1000 / max(len(reports), 1)
     for r in reports:
         r.ms = dt
@@ -588,27 +544,35 @@ class RunConfig:
     p_min: int | None = None
     p_max: int | None = None
     mod_power: int | None = None
-    params: dict = field(default_factory=dict)  # d, d2, r, args overrides
+    params: dict = field(default_factory=dict)  # values for PARAMS
     jobs: int = 1
     seed: int = DEFAULT_SEED
     sweep_bound: int | None = None
 
     def plan(self):
-        if self.claim is None:
-            tasks, skipped = acceptance_tasks(seed=self.seed)
-        else:
-            tasks, skipped = tasks_for_claim(
-                self.claim, self.p_min, self.p_max, seed=self.seed, **self.params)
-        if self.mod_power:
-            tasks = [(k, {**q, "mod": self.mod_power}, ps) for k, q, ps in tasks]
+        """(tasks, skipped); raises ValueError on any input the run cannot honour."""
+        if self.jobs < 1:
+            raise ValueError(f"--jobs must be >= 1, got {self.jobs}")
+        if self.claim is not None:
+            if self.claim not in CLAIMS:
+                raise ValueError(f"unknown claim id: {self.claim}")
+            return CLAIMS[self.claim].plan(self.p_min, self.p_max, self.params,
+                                           self.mod_power, self.seed)
+        if (self.p_min, self.p_max, self.mod_power) != (None, None, None) \
+                or any(v is not None for v in self.params.values()):
+            raise ValueError("check-all takes no prime range, modulus or claim parameter")
+        tasks, skipped = [], []
+        for claim in CLAIMS.values():
+            if claim.grid:  # thm2.3 has no default grid
+                t, s = claim.plan(seed=self.seed)
+                tasks.extend(t)
+                skipped.extend(s)
         return tasks, skipped
 
 
 def run_config(cfg: RunConfig):
     """(reports, skipped) for a config; deterministic for a fixed config."""
     if cfg.sweep_bound:
-        from .gamma import set_sweep_bound
-
         set_sweep_bound(cfg.sweep_bound)
     tasks, skipped = cfg.plan()
     return run_tasks(tasks, cfg.jobs), skipped

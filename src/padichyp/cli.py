@@ -14,14 +14,10 @@ from . import checks
 from .characters import Character, characters_for_arguments, greene_series_scaled
 from .gamma import gamma_p
 from .gfunction import GArguments, g_function
-from .hyp import HypParams, truncated_hyp_exact
+from .hyp import HypParams, truncated_hyp, truncated_hyp_exact
 from .padic import PadicValue, PrecisionError
 from .qseries import eta_product, gamma_coeffs, rv_form_coeffs, write_coefficients_csv
 from .report import reports_to_csv, reports_to_human, reports_to_json
-
-CLAIMS = ["prop2.2", "thm2.3", "thm2.4", "thm2.5", "thm2.6", "thm2.7",
-          "beukers", "ao", "conj1.3", "lemmas"]
-
 
 def _fractions(text: str) -> list[Fraction]:
     return [Fraction(part) for part in text.split(",") if part]
@@ -33,11 +29,17 @@ def _render_value(v: PadicValue) -> str:
     return f"{v.unit} * {v.prime}^{v.valuation} + O({v.prime}^{v.abs_prec})"
 
 
-def _add_common(sp) -> None:
-    sp.add_argument("--p", type=int, help="single prime")
-    sp.add_argument("--p-range", help="inclusive prime range A..B")
-    sp.add_argument("--precision", type=int,
-                    help="override the asserted modulus exponent k")
+def _prime_range(text: str) -> tuple[int, int]:
+    try:
+        lo, hi = text.split("..")
+        return int(lo), int(hi)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"want A..B with integers A, B; got {text!r}")
+
+
+def _add_run_flags(sp) -> None:
+    """Output and run flags, shared by check and check-all."""
     sp.add_argument("--format", choices=["json", "csv", "human"], default="human")
     sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--seed", type=int, default=checks.DEFAULT_SEED)
@@ -45,6 +47,15 @@ def _add_common(sp) -> None:
     sp.add_argument("--timing", action="store_true",
                     help="include wall time in the output (breaks byte-reproducibility)")
     sp.add_argument("--out", help="write the report to FILE instead of stdout")
+
+
+def _add_range_flags(sp) -> None:
+    """Prime range and modulus flags, for check only (check-all runs fixed grids)."""
+    primes = sp.add_mutually_exclusive_group()
+    primes.add_argument("--p", type=int, help="single prime")
+    primes.add_argument("--p-range", type=_prime_range, help="inclusive prime range A..B")
+    sp.add_argument("--precision", type=int,
+                    help="override the asserted modulus exponent k")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -87,26 +98,15 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--csv", help="write n,coefficient rows to FILE")
 
     c = sub.add_parser("check", help="verify one named claim over a prime grid")
-    c.add_argument("claim", choices=CLAIMS)
-    c.add_argument("--d", type=int)
-    c.add_argument("--d2", type=int)
-    c.add_argument("--r", type=int)
-    c.add_argument("--n", type=int, help="accepted for symmetry; inferred from --args")
-    c.add_argument("--args", help="explicit arguments m1/d1,...")
-    _add_common(c)
+    c.add_argument("claim", choices=list(checks.CLAIMS))
+    for name in checks.PARAMS:
+        c.add_argument(f"--{name}", type=str if name == "args" else int)
+    _add_range_flags(c)
+    _add_run_flags(c)
 
     ca = sub.add_parser("check-all", help="run the full acceptance grid")
-    _add_common(ca)
+    _add_run_flags(ca)
     return ap
-
-
-def _parse_range(ns) -> tuple[int | None, int | None]:
-    if ns.p is not None:
-        return ns.p, ns.p
-    if ns.p_range:
-        lo, _, hi = ns.p_range.partition("..")
-        return int(lo), int(hi)
-    return None, None
 
 
 def _emit_reports(reports, skipped, ns) -> int:
@@ -132,19 +132,13 @@ def _emit_reports(reports, skipped, ns) -> int:
     return 0
 
 
-def _run_checks(ns, claim: str | None) -> int:
-    lo, hi = _parse_range(ns)
-    params = {}
-    if claim is not None:
-        params = {"d": ns.d, "d2": ns.d2, "r": ns.r, "args": ns.args}
-    cfg = checks.RunConfig(claim=claim, p_min=lo, p_max=hi,
-                           mod_power=ns.precision, params=params,
-                           jobs=ns.jobs, seed=ns.seed,
-                           sweep_bound=ns.sweep_bound)
-    tasks, _ = cfg.plan()
-    if ns.p is not None and not tasks:
-        raise ValueError(
-            f"p={ns.p} does not satisfy the preconditions of this claim")
+def _run_checks(ns) -> int:
+    cfg = checks.RunConfig(jobs=ns.jobs, seed=ns.seed, sweep_bound=ns.sweep_bound)
+    if ns.command == "check":
+        cfg.claim, cfg.mod_power = ns.claim, ns.precision
+        cfg.p_min, cfg.p_max = (ns.p, ns.p) if ns.p is not None else ns.p_range or (None, None)
+        cfg.params = {name: getattr(ns, name) for name in checks.PARAMS}
+    cfg.plan()  # raises on any usage error before a check runs
     reports, skipped = checks.run_config(cfg)
     if not ns.timing:
         for r in reports:
@@ -180,7 +174,6 @@ def main(argv=None) -> int:
             exact = truncated_hyp_exact(params)
             print(exact)
             if ns.p:
-                from .hyp import truncated_hyp
                 print(_render_value(truncated_hyp(params, ns.p, ns.precision)))
             return 0
         if ns.command == "qexp":
@@ -203,10 +196,8 @@ def main(argv=None) -> int:
                 for n in range(series.offset, series.truncation + 1):
                     print(n, series.coefficient(n))
             return 0
-        if ns.command == "check":
-            return _run_checks(ns, ns.claim)
-        if ns.command == "check-all":
-            return _run_checks(ns, None)
+        if ns.command in ("check", "check-all"):
+            return _run_checks(ns)
     except (ValueError, PrecisionError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

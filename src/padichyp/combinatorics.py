@@ -14,34 +14,22 @@ from .hyp import rising_factorial
 from .padic import PadicValue, check_prime, rational_to_padic
 
 
-class HarmonicCache:
-    """Grow-on-demand prefix table of H^(i)_n = sum_{j<=n} 1/j^i."""
-
-    def __init__(self, order: int):
-        if order < 1:
-            raise ValueError("harmonic order must be >= 1")
-        self.order = order
-        self._table = [Fraction(0)]
-
-    def value(self, n: int) -> Fraction:
-        if n < 0:
-            raise ValueError("harmonic index must be >= 0")
-        t = self._table
-        while len(t) <= n:
-            j = len(t)
-            t.append(t[-1] + Fraction(1, j**self.order))
-        return t[n]
-
-
-_caches: dict[int, HarmonicCache] = {}
+# H^(i)_0, H^(i)_1, ... for each order i, grown on demand
+_caches: dict[int, list[Fraction]] = {}
 
 
 def harmonic(n: int, i: int = 1) -> Fraction:
-    """Generalized harmonic sum H^(i)_n, with H^(i)_0 = 0."""
-    cache = _caches.get(i)
-    if cache is None:
-        cache = _caches[i] = HarmonicCache(i)
-    return cache.value(n)
+    """Generalized harmonic sum H^(i)_n = sum_{j<=n} 1/j^i, with H^(i)_0 = 0."""
+    t = _caches.get(i)
+    if t is None:
+        if i < 1:
+            raise ValueError("harmonic order must be >= 1")
+        t = _caches[i] = [Fraction(0)]
+    if n < 0:
+        raise ValueError("harmonic index must be >= 0")
+    while len(t) <= n:
+        t.append(t[-1] + Fraction(1, len(t) ** i))
+    return t[n]
 
 
 def apery(n: int) -> int:
@@ -51,17 +39,13 @@ def apery(n: int) -> int:
     return sum(math.comb(n + j, j) ** 2 * math.comb(n, j) ** 2 for j in range(n + 1))
 
 
-def power_sum_check(p: int, k: int) -> bool:
-    """sum_{j=1}^{p-1} j^k = -1 mod p when (p-1) | k, else 0 mod p."""
+def _pq_sum(a, p: int, second_order: bool) -> PadicValue:
+    a = tuple(int(x) for x in a)
     check_prime(p)
-    if k < 1:
-        raise ValueError("exponent must be >= 1")
-    s = sum(pow(j, k, p) for j in range(1, p)) % p
-    expected = (p - 1) if k % (p - 1) == 0 else 0
-    return s == expected
-
-
-def _pq_core(a: tuple[int, ...], p: int, second_order: bool) -> Fraction:
+    if any(x < 1 for x in a):
+        raise ValueError("entries must be positive integers")
+    if sum(a) > 2 * (p - 1):
+        raise ValueError("T out of range")
     total = Fraction(0)
     for j in range(p):
         prod = Fraction(1)
@@ -73,7 +57,7 @@ def _pq_core(a: tuple[int, ...], p: int, second_order: bool) -> Fraction:
         else:
             h2 = sum((harmonic(ai + j, 2) - harmonic(j, 2)) for ai in a)
             total += prod * (j * h1 + Fraction(j * j, 2) * (h1 * h1 - h2))
-    return total
+    return rational_to_padic(total, p, 2)
 
 
 def lemma_P_sum(a, p: int) -> PadicValue:
@@ -82,24 +66,12 @@ def lemma_P_sum(a, p: int) -> PadicValue:
     For T = sum(a_i) <= 2(p-1) the value is 0 mod p, except exactly 1 at the
     boundary T = 2(p-1).
     """
-    a = tuple(int(x) for x in a)
-    check_prime(p)
-    if any(x < 1 for x in a):
-        raise ValueError("entries must be positive integers")
-    if sum(a) > 2 * (p - 1):
-        raise ValueError("T out of range")
-    return rational_to_padic(_pq_core(a, p, False), p, 2)
+    return _pq_sum(a, p, False)
 
 
 def lemma_Q_sum(a, p: int) -> PadicValue:
     """Second-derivative companion of :func:`lemma_P_sum`; boundary value -1."""
-    a = tuple(int(x) for x in a)
-    check_prime(p)
-    if any(x < 1 for x in a):
-        raise ValueError("entries must be positive integers")
-    if sum(a) > 2 * (p - 1):
-        raise ValueError("T out of range")
-    return rational_to_padic(_pq_core(a, p, True), p, 2)
+    return _pq_sum(a, p, True)
 
 
 def lemma_PQ_expected(a, p: int) -> tuple[int, int]:

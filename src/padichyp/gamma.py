@@ -33,7 +33,6 @@ test oracle for p >= 7.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -220,36 +219,6 @@ def gamma_p(x, p: int, N: int) -> PadicValue:
     """Gamma_p(x) mod p^N for x in Z_p; always a unit."""
     u = gamma_residue(_as_residue(x, p, N), p, N)
     return PadicValue(p, 0, u, N)
-
-
-@dataclass(frozen=True)
-class GammaSweepTable:
-    """Answers to a batch of gamma queries at fixed (p, N).
-
-    values maps residues to unit residues of Gamma_p; 0 -> 1 and 1 -> p^N - 1
-    are always present as sentinels.
-    """
-
-    prime: int
-    precision: int
-    queries: tuple[int, ...]
-    values: dict[int, int]
-
-    def __getitem__(self, r: int) -> int:
-        return self.values[r]
-
-
-def gamma_batch(queries, p: int, N: int) -> GammaSweepTable:
-    """Evaluate Gamma_p on a set of residues in one shared-table pass."""
-    qs = sorted(set(int(q) for q in queries) | {0, 1})
-    pN = p**N
-    if qs and (qs[0] < 0 or qs[-1] >= pN):
-        raise ValueError("queries must lie in [0, p^N)")
-    values = {r: gamma_residue(r, p, N) for r in qs}
-    for r, u in values.items():
-        if u % p == 0:
-            raise AssertionError(f"gamma value at {r} is not a unit")
-    return GammaSweepTable(p, N, tuple(qs), values)
 
 
 def rep(x, p: int) -> int:

@@ -11,7 +11,7 @@ For arguments m_1/d_1, ..., m_(n+1)/d_(n+1) in (0,1) with d_i coprime to p,
 with <.> the fractional part.  Both m_i/d_i and j/(p-1) lie in [0, 1), so
 every floor is -1 or 0 and the (-p) factor only ever multiplies by 1 or -p;
 the whole sum stays inside Z_p and is computed here in plain residue
-arithmetic mod p^N, with all gamma values served by one batch table.
+arithmetic mod p^N, each distinct gamma value evaluated once.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .gamma import gamma_batch
+from .gamma import gamma_residue
 from .padic import PadicValue, check_prime
 
 
@@ -56,7 +56,7 @@ def g_function(ga: GArguments) -> PadicValue:
     def residue(q: Fraction) -> int:
         return q.numerator * pow(q.denominator, -1, pN) % pN
 
-    # one shared gamma table for every argument of the j-sum
+    # every distinct gamma argument of the j-sum, evaluated once
     queries = set()
     plan = []  # per j: (residue of j/(p-1), [(frac residue, floor)], )
     for j in range(P):
@@ -73,7 +73,7 @@ def g_function(ga: GArguments) -> PadicValue:
         queries.update(r for r, _ in row)
     denom_res = [residue(a) for a in ga.args]
     queries.update(denom_res)
-    table = gamma_batch(queries, p, N)
+    table = {r: gamma_residue(r, p, N) for r in queries}
 
     denom = 1
     for r in denom_res:
@@ -105,13 +105,11 @@ def s_factor(fracs, p: int, N: int) -> PadicValue:
     The theorem instances use [1/d1, (d1-1)/d1, 1/d2, (d2-1)/d2] and
     [1/d, r/d, (d-r)/d, (d-1)/d]; reflection pairs each product into +-1.
     """
-    fracs = [Fraction(f) for f in fracs]
     pN = p**N
-    rs = [f.numerator * pow(f.denominator, -1, pN) % pN for f in fracs]
-    table = gamma_batch(rs, p, N)
     out = 1
-    for r in rs:
-        out = out * table[r] % pN
+    for f in map(Fraction, fracs):
+        r = f.numerator * pow(f.denominator, -1, pN) % pN
+        out = out * gamma_residue(r, p, N) % pN
     return PadicValue.from_residue(out, p, N)
 
 

@@ -9,8 +9,8 @@ finite for zeros produced by cancelling additions.  Keeping the finite bound
 is what makes :func:`congruent_mod` sound: it can never certify a congruence
 past what the inputs actually determine.
 
-Only odd primes are supported, and primes are capped by a configurable bound
-(default 500) so that downstream table builders stay desk-sized.
+Only odd primes are supported, and primes are capped at PRIME_BOUND = 500 so
+that downstream table builders stay desk-sized.
 """
 
 from __future__ import annotations
@@ -20,25 +20,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
-DEFAULT_PRIME_BOUND = 500
-
-_prime_bound = DEFAULT_PRIME_BOUND
+PRIME_BOUND = 500
 
 
 class PrecisionError(ArithmeticError):
     """A computation or comparison was requested past certified precision."""
-
-
-def set_prime_bound(bound: int) -> None:
-    """Raise or lower the largest admissible prime (table-size guard)."""
-    if bound < 3:
-        raise ValueError("prime bound must be at least 3")
-    global _prime_bound
-    _prime_bound = bound
-
-
-def prime_bound() -> int:
-    return _prime_bound
 
 
 def is_odd_prime(p: int) -> bool:
@@ -55,8 +41,8 @@ def is_odd_prime(p: int) -> bool:
 def check_prime(p: int) -> None:
     if not is_odd_prime(p):
         raise ValueError(f"p={p} is not an odd prime")
-    if p > _prime_bound:
-        raise ValueError(f"p={p} exceeds the configured prime bound {_prime_bound}")
+    if p > PRIME_BOUND:
+        raise ValueError(f"p={p} exceeds the prime bound {PRIME_BOUND}")
 
 
 def valuation_of_int(n: int, p: int) -> int:
@@ -141,10 +127,6 @@ class PadicValue:
         if self.valuation < 0:
             raise ValueError("negative valuation has no integer residue")
         return (self.unit * self.prime**self.valuation) % self.prime**k
-
-    def to_rational_digits(self) -> tuple[int | None, int]:
-        """(valuation, unit) pair as serialized in reports."""
-        return self.valuation, self.unit
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if self.is_zero:

@@ -43,22 +43,20 @@ class CongruenceReport:
 
     @classmethod
     def from_sides(cls, claim: str, p: int, params: dict, k: int,
-                   lhs: PadicValue, rhs: PadicValue,
-                   ms: float | None = None) -> "CongruenceReport":
+                   lhs: PadicValue, rhs: PadicValue) -> "CongruenceReport":
         diff = lhs - rhs
         dv = None if diff.is_zero else diff.valuation
         passed = congruent_mod(lhs, rhs, k)
         return cls(claim, p, dict(params), k,
                    lhs.valuation, lhs.unit, rhs.valuation, rhs.unit,
-                   dv, passed, ms)
+                   dv, passed)
 
     @classmethod
-    def exact_rational(cls, claim: str, params: dict, difference,
-                       ms: float | None = None) -> "CongruenceReport":
+    def exact_rational(cls, claim: str, params: dict, difference) -> "CongruenceReport":
         """A claim of exact equality over Q; difference must be 0 to pass."""
         zero = difference == 0
         return cls(claim, 0, dict(params), 0, None, 0, None, 0,
-                   None if zero else -(10**9), zero, ms)
+                   None if zero else -(10**9), zero)
 
     def sort_key(self) -> tuple:
         return (self.claim, self.p,

@@ -5,20 +5,21 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines and timings
 (or via the CLI: `padichyp check-all`).
 """
 
+import hashlib
 import json
 import subprocess
 import sys
 import time
 from collections import Counter
 
-from padichyp import checks
+from padichyp import checks, cli
 from padichyp.combinatorics import apery
 from padichyp.qseries import gamma_coeffs
 
 
 def _run(claim, **kw):
     t0 = time.perf_counter()
-    tasks, skipped = checks.tasks_for_claim(claim, **kw)
+    tasks, skipped = checks.CLAIMS[claim].plan(**kw)
     reports = checks.run_tasks(tasks)
     return reports, skipped, time.perf_counter() - t0
 
@@ -113,11 +114,9 @@ def test_criterion_08_quintic_conjecture_mod_p3():
 
 
 def test_criterion_09_section3_property_suite():
-    t0 = time.perf_counter()
-    reports = checks.check_lemma_suites(checks.LEMMA_PRIMES)
-    dt = time.perf_counter() - t0
+    reports, _, dt = _run("lemmas")
     by_claim = Counter(r.claim for r in reports)
-    for p in checks.LEMMA_PRIMES:
+    for p in (7, 11, 13):
         per_prime = Counter(r.claim for r in reports if r.p == p)
         # full grids for the shifted-gamma families
         assert per_prime["lemma3.9"] > 0 and per_prime["lemma3.13"] > 0
@@ -151,3 +150,17 @@ def test_criterion_10_byte_identical_json_across_jobs():
     assert all(row["pass"] for row in rows)
     dt = time.perf_counter() - t0
     print(f"ACCEPTANCE 10 [determinism --jobs 1 vs 8]: PASS ({dt:.1f}s)")
+
+
+# SHA-256 of `padichyp check-all --format json` at the default seed
+CHECK_ALL_SHA256 = "f8f20ecfaee4b12e788846f4fecbfbeeeffab20957eecbf9b0cc48b6463a46e5"
+
+
+def test_check_all_json_matches_golden_sha(tmp_path):
+    out = tmp_path / "all.json"
+    t0 = time.perf_counter()
+    assert cli.main(["check-all", "--format", "json", "--out", str(out)]) == 0
+    data = out.read_bytes()
+    assert len(json.loads(data)) == 10343
+    assert hashlib.sha256(data).hexdigest() == CHECK_ALL_SHA256
+    print(f"ACCEPTANCE golden check-all SHA-256: PASS ({time.perf_counter() - t0:.1f}s)")

@@ -1,61 +1,79 @@
 """Claim registry: admissibility filters, report schema, runner determinism
 and the CLI surface."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from padichyp import checks
+from padichyp import checks, cli
 from padichyp.padic import valuation_of_int
 from padichyp.report import CSV_COLUMNS, reports_to_csv, reports_to_json
 
 
+def _task(claim, primes, **params):
+    """Reports of one registry task at the claim's default modulus."""
+    mod = checks.CLAIMS[claim].mod
+    return checks.run_task(checks.Task(claim, params, primes, mod, checks.DEFAULT_SEED))
+
+
+def _split(claim, params, lo, hi):
+    """(admissible, skipped) odd primes in [lo, hi], read off the claim's plan."""
+    tasks, skipped = checks.CLAIMS[claim].plan(lo, hi, params)
+    return [t.primes[0] for t in tasks], [s[2] for s in skipped]
+
+
 def test_prime_filter_prop22():
-    ok, skipped = checks.admissible_primes("prop2.2", {"d": [3, 3]}, 7, 61)
+    ok, skipped = _split("prop2.2", {"args": "1/3,2/3"}, 7, 61)
     assert ok == [7, 13, 19, 31, 37, 43, 61]
     assert 11 in skipped
-    ok, _ = checks.admissible_primes("prop2.2", {"d": [5, 5, 5, 5]}, 7, 61)
+    ok, _ = _split("prop2.2", {"args": "1/5,2/5,3/5,4/5"}, 7, 61)
     assert ok == [11, 31, 41, 61]
 
 
 def test_prime_filter_pm1():
-    ok, _ = checks.admissible_primes("thm2.4", {"d": 3}, 7, 30)
+    ok, _ = _split("thm2.4", {"d": 3}, 7, 30)
     assert ok == [7, 11, 13, 17, 19, 23, 29]
-    ok, skipped = checks.admissible_primes("thm2.4", {"d": 5}, 7, 30)
+    ok, skipped = _split("thm2.4", {"d": 5}, 7, 30)
     assert ok == [11, 19, 29]
     assert skipped == [7, 13, 17, 23]
 
 
 def test_prime_filter_thm26_excludes_divisors():
-    ok, _ = checks.admissible_primes("thm2.6", {"d1": 2, "d2": 5}, 3, 97)
+    ok, _ = _split("thm2.6", {"d": 2, "d2": 5}, 3, 97)
     assert ok == [11, 19, 29, 31, 41, 59, 61, 71, 79, 89]
     assert 5 not in ok
 
 
 def test_prime_filter_thm27_quadratic_residue_classes():
     # r^2 = -1 mod 5: every prime coprime to 5 is admissible
-    ok, skipped = checks.admissible_primes("thm2.7", {"d": 5, "r": 2}, 3, 50)
+    ok, skipped = _split("thm2.7", {"d": 5, "r": 2}, 3, 50)
     assert ok == [3, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
     assert skipped == [5]  # p | d is recorded, not silently dropped
     # r^2 = 1 mod 8: all odd primes admissible
-    ok, skipped = checks.admissible_primes("thm2.7", {"d": 8, "r": 3}, 3, 30)
+    ok, skipped = _split("thm2.7", {"d": 8, "r": 3}, 3, 30)
     assert ok == [3, 5, 7, 11, 13, 17, 19, 23, 29] and not skipped
     # r^2 = 4 not +-1 mod 7: only p = +-1 mod 7 runs, others are recorded
-    ok, skipped = checks.admissible_primes("thm2.7", {"d": 7, "r": 2}, 3, 50)
+    ok, skipped = _split("thm2.7", {"d": 7, "r": 2}, 3, 50)
     assert ok == [13, 29, 41, 43]
     assert skipped == [3, 5, 7, 11, 17, 19, 23, 31, 37, 47]
 
 
 def test_prime_filter_conj13_skips_five():
-    ok, skipped = checks.admissible_primes("conj1.3", {}, 3, 20)
+    ok, skipped = _split("conj1.3", {}, 3, 20)
     assert ok == [3, 7, 11, 13, 17, 19]
     assert skipped == [5]
 
 
 def test_default_args_for_dlists():
+    # the prop2.2 default grid: canonical numerators for each d-list shape
     cases = {
         (2, 2): [Fraction(1, 2), Fraction(1, 2)],
         (3, 3): [Fraction(1, 3), Fraction(2, 3)],
@@ -63,16 +81,19 @@ def test_default_args_for_dlists():
         (2, 2, 2, 2): [Fraction(1, 2)] * 4,
         (5, 5, 5, 5): [Fraction(k, 5) for k in (1, 2, 3, 4)],
     }
-    for ds, expect in cases.items():
-        assert checks.default_args_for_dlist(ds) == expect
+    grid = [checks.parse_args(q["args"]) for q in checks.CLAIMS["prop2.2"].grid]
+    assert len(grid) == len(cases)
+    for args, (ds, expect) in zip(grid, cases.items()):
+        assert tuple(a.denominator for a in args) == ds
+        assert args == expect
 
 
 def test_theorem23_delta_branches():
     # two halves: argument sum 1 > n-1 = 0, correction inactive
-    reports = checks.check_thm23([Fraction(1, 2)] * 2, [5, 13])
+    reports = checks.check_g_vs_trunc("thm2.3", {}, [Fraction(1, 2)] * 2, [5, 13], 2)
     assert all(r.passed for r in reports)
     # four halves: argument sum 2 = n-1, correction p * prod(Gamma) required
-    reports = checks.check_thm23([Fraction(1, 2)] * 4, [11])
+    reports = checks.check_g_vs_trunc("thm2.3", {}, [Fraction(1, 2)] * 4, [11], 2)
     assert all(r.passed for r in reports)
     # without the correction the congruence must fail
     from padichyp.gfunction import GArguments, g_function
@@ -86,8 +107,10 @@ def test_theorem23_delta_branches():
 
 
 def test_theorem23_precondition():
-    with pytest.raises(ValueError):
-        checks.check_thm23([Fraction(1, 9)] * 6, [7])  # argument sum < n-1
+    with pytest.raises(ValueError):  # argument sum < n-1
+        checks.check_g_vs_trunc("thm2.3", {}, [Fraction(1, 9)] * 6, [7], 2)
+    with pytest.raises(ValueError):  # rejected when planned, before any check runs
+        checks.CLAIMS["thm2.3"].plan(params={"args": ",".join(["1/9"] * 6)})
 
 
 def test_ao_agrees_with_quartic_halves_route():
@@ -100,7 +123,7 @@ def test_ao_agrees_with_quartic_halves_route():
         series = greene_series_scaled([phi] * 4, [eps] * 3, 1, 5)
         g = g_function(GArguments(p, (Fraction(1, 2),) * 4, 5))
         assert congruent_mod(series, g, 5)
-    reports = checks.check_ao([7, 13]) + checks.check_thm26(2, 2, [7, 13])
+    reports = checks.check_ao([7, 13]) + _task("thm2.6", [7, 13], d=2, d2=2)
     assert all(r.passed for r in reports)
 
 
@@ -115,7 +138,7 @@ def test_beukers_hand_instances():
 
 
 def test_report_schema_and_pass_recomputable():
-    reports = checks.check_thm26(2, 3, [7])
+    reports = _task("thm2.6", [7], d=2, d2=3)
     d = reports[0].to_dict()
     assert list(d.keys()) == ["schema", "claim", "p", "params", "mod_power",
                               "lhs", "rhs", "diff_valuation", "pass", "ms"]
@@ -137,14 +160,14 @@ def test_report_schema_and_pass_recomputable():
 
 
 def test_csv_columns_mirror_schema():
-    reports = checks.check_thm24(3, [7])
+    reports = _task("thm2.4", [7], d=3)
     text = reports_to_csv(reports)
     header = text.splitlines()[0].split(",")
     assert header == CSV_COLUMNS
 
 
 def test_runner_is_deterministic_across_jobs():
-    tasks, _ = checks.tasks_for_claim("thm2.4", 7, 31, d=3)
+    tasks, _ = checks.CLAIMS["thm2.4"].plan(7, 31, {"d": 3})
     serial = checks.run_tasks(tasks, jobs=1)
     parallel = checks.run_tasks(tasks, jobs=2)
     assert reports_to_json(serial) == reports_to_json(parallel)
@@ -162,10 +185,11 @@ def test_run_config_plan_and_override():
 
 
 def test_lemma_tasks_include_rational_identities():
-    tasks, skipped = checks.tasks_for_claim("lemmas")
-    kinds = {t[0] for t in tasks}
-    assert kinds == {"lemmas", "rational-ids"}
-    tasks, skipped = checks.tasks_for_claim("lemmas", 3, 13)
+    tasks, skipped = checks.CLAIMS["lemmas"].plan()
+    assert {t.claim for t in tasks} == {"lemmas"}
+    # one task per prime, then the prime-independent rational identities
+    assert [t.primes for t in tasks] == [[7], [11], [13], []]
+    tasks, skipped = checks.CLAIMS["lemmas"].plan(3, 13)
     assert any(s[2] in (3, 5) for s in skipped)  # p < 7 recorded, not run
 
 
@@ -237,3 +261,132 @@ def test_cli_qexp_csv(tmp_path):
     assert r.returncode == 0
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "n,coefficient" and lines[1] == "1,1"
+
+
+def _main(*argv):
+    """In-process CLI run: (exit code, stdout, stderr); argparse usage errors
+    arrive as SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check", "prop2.2", "--d", "2"], "prop2.2 does not accept --d"),
+    (["check", "thm2.6", "--d", "3"], "thm2.6 takes --d and --d2 together"),
+    (["check", "thm2.7", "--d", "5"], "thm2.7 takes --d and --r together"),
+    (["check", "thm2.4", "--args", "1/2,1/2"], "thm2.4 does not accept --args"),
+    (["check", "beukers", "--d", "3"], "beukers does not accept --d"),
+    (["check", "ao", "--precision", "3"], "takes no --precision"),
+    (["check", "lemmas", "--precision", "3"], "takes no --precision"),
+    (["check", "thm2.4", "--precision", "0"], "--precision must be >= 1"),
+    (["check", "thm2.4", "--p-range", "30..3"], "empty prime range 30..3"),
+    (["check", "thm2.4", "--p-range", "7"], "want A..B"),
+    (["check", "thm2.4", "--p", "9"], "p=9 is not an odd prime"),
+    (["check", "thm2.4", "--p", "503"], "exceeds the prime bound"),
+    (["check", "thm2.4", "--p", "7", "--p-range", "3..9"], "not allowed with"),
+    (["check", "thm2.4", "--jobs", "0"], "--jobs must be >= 1, got 0"),
+    (["check-all", "--jobs", "-4"], "--jobs must be >= 1, got -4"),
+    (["check", "thm2.4", "--n", "2"], "unrecognized arguments: --n"),
+    (["check", "thm2.4", "--d", "1"], "need d >= 2"),
+    (["check", "thm2.4", "--d", "5", "--p-range", "7..7"], "no prime in 7..7 satisfies"),
+    (["check", "thm2.4", "--d", "1000"], "no prime in 7..97 satisfies"),
+    (["check", "thm2.3"], "thm2.3 needs --args"),
+    (["check", "thm2.3", "--args", "1/2,1/0"], "--args wants fractions"),
+    (["check", "thm2.7", "--d", "6", "--r", "2"], "gcd(r, d) = 1"),
+    (["check", "lemmas", "--p", "5"], "no prime in 5..5 satisfies"),
+    (["check-all", "--p", "3"], "unrecognized arguments: --p"),
+    (["check-all", "--p-range", "3..7"], "unrecognized arguments: --p-range"),
+    (["check-all", "--precision", "3"], "unrecognized arguments: --precision"),
+])
+def test_cli_usage_errors_exit_2(argv, message):
+    with patch.object(checks, "run_config") as run:
+        code, _, err = _main(*argv)
+    assert code == 2
+    assert message in err
+    run.assert_not_called()  # rejected when planned, before any check runs
+
+
+def test_cli_prop22_args_give_one_labelled_row():
+    code, out, _ = _main("check", "prop2.2", "--args", "1/2,1/2", "--p", "13",
+                         "--format", "json")
+    assert code == 0
+    rows = json.loads(out)
+    assert [(r["p"], r["params"]) for r in rows] == [(13, {"d": [2, 2], "args": "1/2,1/2"})]
+
+
+ARGS = ["1/2,1/2", "1/3,2/3", "2/4,1/2", "1/2,1/2,1/2,1/2", "1/5,2/5,3/5,4/5",
+        "1/2", "3/2,1/2", ",".join(["1/9"] * 6), "1/0,1/2", "x,1/2"]
+
+
+def _label(claim, q):
+    """The report params a parameter set must produce."""
+    if "args" in q:
+        a = [Fraction(x) for x in q["args"].split(",")]
+        text = ",".join(str(x) for x in a)
+        if claim == "prop2.2":
+            return {"d": [x.denominator for x in a], "args": text}
+        return {"args": text, "S": str(sum(a))}
+    if claim == "thm2.6":
+        return {"d1": q["d"], "d2": q["d2"]}
+    return q
+
+
+@settings(max_examples=60, deadline=None)
+@given(claim=st.sampled_from(list(checks.CLAIMS)),
+       d=st.none() | st.integers(-1, 13), d2=st.none() | st.integers(-1, 13),
+       r=st.none() | st.integers(-1, 13), args=st.none() | st.sampled_from(ARGS),
+       precision=st.none() | st.integers(-1, 4),
+       p=st.sampled_from([3, 5, 7, 9, 11, 13]))
+@example("prop2.2", None, None, None, "2/4,1/3", None, 7)
+@example("thm2.3", None, None, None, "1/2,1/2,1/2,1/2", 1, 13)
+@example("thm2.4", 3, None, None, None, 3, 7)   # fails one power higher: exit 1
+@example("thm2.5", 4, None, None, None, None, 13)
+@example("thm2.6", 3, 4, None, None, 2, 13)
+@example("thm2.7", 8, None, 3, None, None, 11)
+@example("beukers", None, None, None, None, 1, 5)
+@example("ao", None, None, None, None, None, 7)
+@example("conj1.3", None, None, None, None, None, 3)
+@example("lemmas", None, None, None, None, None, 11)
+def test_cli_inputs_exit_2_or_give_labelled_rows(claim, d, d2, r, args, precision, p):
+    c = checks.CLAIMS[claim]
+    requested = {k: v for k, v in (("d", d), ("d2", d2), ("r", r), ("args", args))
+                 if v is not None}
+    argv = ["check", claim, "--p", str(p), "--format", "json"]
+    for k, v in requested.items():
+        argv += [f"--{k}", str(v)]
+    if precision is not None:
+        argv += ["--precision", str(precision)]
+    planned = []
+
+    def plan_only(cfg):
+        tasks, skipped = cfg.plan()
+        planned.extend(tasks)
+        return [], skipped
+
+    with contextlib.ExitStack() as stack:
+        if claim == "lemmas":  # its rational-identity task alone takes seconds
+            stack.enter_context(patch.object(checks, "run_config", plan_only))
+        code, out, err = _main(*argv)
+    if (requested and set(requested) != set(c.accepts)) or p == 9 \
+            or (precision is not None and (c.mod is None or precision < 1)):
+        assert code == 2
+    if code == 2:
+        assert "error" in err
+        return
+    assert code in (0, 1), err
+    if claim == "lemmas":
+        assert [t.primes for t in planned] == [[p], []]
+        return
+    rows = json.loads(out)
+    assert rows and all(row["p"] == p for row in rows)
+    if precision is not None:
+        assert {row["mod_power"] for row in rows} <= {precision, precision + checks.GUARD}
+    expected = [_label(claim, q) for q in ([requested] if requested else c.grid)]
+    for row in rows:
+        if c.accepts and row["claim"] == claim:
+            assert row["params"] in expected, row

@@ -8,7 +8,6 @@ from fractions import Fraction
 import pytest
 
 from padichyp.combinatorics import (
-    HarmonicCache,
     apery,
     bin_harmonic_id1,
     bin_harmonic_id2,
@@ -16,8 +15,8 @@ from padichyp.combinatorics import (
     lemma_P_sum,
     lemma_PQ_expected,
     lemma_Q_sum,
-    power_sum_check,
 )
+from padichyp.checks import check_power_sums
 from padichyp.padic import congruent_mod, rational_to_padic
 
 
@@ -30,9 +29,8 @@ def test_harmonic_values():
 
 def test_harmonic_prefix_property():
     for i in (1, 2, 3):
-        cache = HarmonicCache(i)
         for n in range(1, 40):
-            assert cache.value(n) - cache.value(n - 1) == Fraction(1, n**i)
+            assert harmonic(n, i) - harmonic(n - 1, i) == Fraction(1, n**i)
 
 
 def test_apery_values():
@@ -40,12 +38,16 @@ def test_apery_values():
 
 
 def test_power_sums():
-    assert power_sum_check(5, 4)   # divisible case: sum = -1
-    assert power_sum_check(5, 3)   # generic case: sum = 0
-    assert power_sum_check(3, 2)   # 1 + 4 = 5 = -1 mod 3
+    def passed(p):
+        return {r.params["k"]: r.passed for r in check_power_sums(p)}
+
+    assert passed(5)[4]   # divisible case: sum = -1
+    assert passed(5)[3]   # generic case: sum = 0
+    assert passed(3)[2]   # 1 + 4 = 5 = -1 mod 3
     for p in (7, 11, 13):
-        for k in range(1, 2 * (p - 1) + 1):
-            assert power_sum_check(p, k), (p, k)
+        rows = passed(p)
+        assert sorted(rows) == list(range(1, 2 * (p - 1) + 1))
+        assert all(rows.values()), p
 
 
 def _brute_pq(a, p, second_order):

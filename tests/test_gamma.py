@@ -10,7 +10,6 @@ from padichyp.gamma import (
     default_x_grid,
     g1,
     g2,
-    gamma_batch,
     gamma_p,
     gamma_residue,
     gamma_residue_by_sweep,
@@ -122,23 +121,21 @@ def test_continuity():
 
 
 def test_batch_sentinels_and_consistency():
-    t = gamma_batch([10, 20, 30], 7, 3)
-    assert t[0] == 1 and t[1] == 7**3 - 1
+    assert gamma_residue(0, 7, 3) == 1 and gamma_residue(1, 7, 3) == 7**3 - 1
     rng = random.Random(3)
     qs = [rng.randrange(11**3) for _ in range(20)]
-    t = gamma_batch(qs, 11, 3)
     for r in qs:
-        assert t[r] == gamma_p(r, 11, 3).unit
+        assert gamma_residue(r, 11, 3) == gamma_p(r, 11, 3).unit
 
 
 def test_batch_range_and_bound_errors():
     with pytest.raises(ValueError):
-        gamma_batch([7**3], 7, 3)
+        gamma_residue(7**3, 7, 3)
     old = sweep_bound()
     try:
         set_sweep_bound(100)
         with pytest.raises(Exception):
-            gamma_batch([5], 7, 3)
+            gamma_residue(5, 7, 3)
     finally:
         set_sweep_bound(old)
 
