@@ -10,17 +10,18 @@ silently narrowing a range; the defaults reproduce the acceptance suite.
 from __future__ import annotations
 
 import math
+import os
 import random
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from . import combinatorics as comb
 from .characters import Character, characters_for_arguments, greene_series_scaled
 from .gamma import (default_x_grid, g1, g2, gamma_p, gamma_shift,
-                    lemma_check_gamma_suite, rep, set_sweep_bound)
+                    lemma_check_gamma_suite, rep)
 from .gfunction import GArguments, g_function, s_factor, theorem26_sign
 from .hyp import HypParams, truncated_hyp
 from .padic import PRIME_BOUND, PadicValue, check_prime, rational_to_padic
@@ -60,10 +61,12 @@ def _thm27_class_ok(p: int, d: int, r: int) -> bool:
     return False
 
 
-def _truncated(args, p: int, N: int) -> PadicValue:
-    """{n+1}F_n(args; 1, ..., 1 | 1) truncated at p - 1, mod p^N."""
+@lru_cache(maxsize=None)
+def _truncated(args: tuple, p: int, N: int) -> PadicValue:
+    """{n+1}F_n(args; 1, ..., 1 | 1) truncated at p - 1, mod p^N; cached, since
+    conj1.3 and its framework row share one series per prime."""
     bottom = (Fraction(1),) * (len(args) - 1)
-    return truncated_hyp(HypParams(tuple(args), bottom, Fraction(1), p - 1), p, N)
+    return truncated_hyp(HypParams(args, bottom, Fraction(1), p - 1), p, N)
 
 
 def parse_args(text: str) -> list[Fraction]:
@@ -137,7 +140,7 @@ def check_g_vs_trunc(claim: str, params: dict, args, primes,
     out = []
     for p in primes:
         lhs = g_function(GArguments(p, tuple(args), N))
-        rhs = _truncated(args, p, N)
+        rhs = _truncated(tuple(args), p, N)
         if S == n - 1:
             rhs = rhs + s_factor([1 - a for a in args], p, N) * rational_to_padic(p, p, N)
         out.append(CongruenceReport.from_sides(claim, p, params, k, lhs, rhs))
@@ -172,7 +175,7 @@ def check_ao(primes) -> list[CongruenceReport]:
         return out
     table = gamma_coeffs(max(primes))
     N = 5
-    half = [Fraction(1, 2)] * 4
+    half = (Fraction(1, 2),) * 4
     for p in primes:
         phi = Character.quadratic(p)
         eps = Character.trivial(p)
@@ -198,7 +201,7 @@ def check_rv(primes, mod_power: int = 3) -> list[CongruenceReport]:
     if not primes:
         return out
     table = rv_form_coeffs(max(primes))
-    args = [Fraction(1, 5), Fraction(2, 5), Fraction(3, 5), Fraction(4, 5)]
+    args = (Fraction(1, 5), Fraction(2, 5), Fraction(3, 5), Fraction(4, 5))
     N = mod_power + GUARD
     for p in primes:
         if p == 5:
@@ -513,18 +516,15 @@ CLAIMS = {c.id: c for c in (
 
 def run_task(task: Task) -> list[CongruenceReport]:
     claim = CLAIMS[task.claim]
-    t0 = time.perf_counter()
-    reports = claim.check(task, claim.args(task.params))
-    dt = (time.perf_counter() - t0) * 1000 / max(len(reports), 1)
-    for r in reports:
-        r.ms = dt
-    return reports
+    return claim.check(task, claim.args(task.params))
 
 
 def run_tasks(tasks, jobs: int = 1) -> list[CongruenceReport]:
     """Execute tasks (optionally in a process pool) and return reports in the
-    canonical (claim, prime, params) order, independent of the jobs count."""
-    if jobs <= 1 or len(tasks) <= 1:
+    canonical (claim, prime, params) order, independent of the jobs count.
+    The pool never outnumbers the tasks or the CPUs."""
+    jobs = min(jobs, len(tasks), os.cpu_count() or 1)
+    if jobs <= 1:
         chunks = map(run_task, tasks)
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -547,7 +547,6 @@ class RunConfig:
     params: dict = field(default_factory=dict)  # values for PARAMS
     jobs: int = 1
     seed: int = DEFAULT_SEED
-    sweep_bound: int | None = None
 
     def plan(self):
         """(tasks, skipped); raises ValueError on any input the run cannot honour."""
@@ -572,7 +571,5 @@ class RunConfig:
 
 def run_config(cfg: RunConfig):
     """(reports, skipped) for a config; deterministic for a fixed config."""
-    if cfg.sweep_bound:
-        set_sweep_bound(cfg.sweep_bound)
     tasks, skipped = cfg.plan()
     return run_tasks(tasks, cfg.jobs), skipped

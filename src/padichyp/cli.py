@@ -43,9 +43,6 @@ def _add_run_flags(sp) -> None:
     sp.add_argument("--format", choices=["json", "csv", "human"], default="human")
     sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--seed", type=int, default=checks.DEFAULT_SEED)
-    sp.add_argument("--sweep-bound", type=int)
-    sp.add_argument("--timing", action="store_true",
-                    help="include wall time in the output (breaks byte-reproducibility)")
     sp.add_argument("--out", help="write the report to FILE instead of stdout")
 
 
@@ -111,9 +108,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit_reports(reports, skipped, ns) -> int:
     if ns.format == "json":
-        text = reports_to_json(reports, ns.timing)
+        text = reports_to_json(reports)
     elif ns.format == "csv":
-        text = reports_to_csv(reports, ns.timing)
+        text = reports_to_csv(reports)
     else:
         text = reports_to_human(reports)
     if ns.out:
@@ -133,16 +130,13 @@ def _emit_reports(reports, skipped, ns) -> int:
 
 
 def _run_checks(ns) -> int:
-    cfg = checks.RunConfig(jobs=ns.jobs, seed=ns.seed, sweep_bound=ns.sweep_bound)
+    cfg = checks.RunConfig(jobs=ns.jobs, seed=ns.seed)
     if ns.command == "check":
         cfg.claim, cfg.mod_power = ns.claim, ns.precision
         cfg.p_min, cfg.p_max = (ns.p, ns.p) if ns.p is not None else ns.p_range or (None, None)
         cfg.params = {name: getattr(ns, name) for name in checks.PARAMS}
     cfg.plan()  # raises on any usage error before a check runs
     reports, skipped = checks.run_config(cfg)
-    if not ns.timing:
-        for r in reports:
-            r.ms = None
     return _emit_reports(reports, skipped, ns)
 
 

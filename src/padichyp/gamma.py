@@ -25,9 +25,10 @@ S_i(K) = sum_{k<K} k^i is a Faulhaber polynomial in K.  Everything reduces to
 O(N) arithmetic mod p^N per evaluation after an O(pN) precomputation per
 (p, N), so sweeping to p^N is never required.  The series manipulations are
 p-integral as long as N <= p - 1 (middle coefficients of P vanish mod p since
-P(y) = y^(p-1) - 1 over F_p, and no Bernoulli denominator can contain p);
-primes 3 and 5 fall back to the naive sweep, which doubles as an independent
-test oracle for p >= 7.
+P(y) = y^(p-1) - 1 over F_p, and no Bernoulli denominator can contain p), so
+the path depends on (p, N) alone: the block formula for N <= p - 1, else the
+naive sweep while p^N <= _NAIVE_SWEEP_MAX, else a PrecisionError.  The sweep
+doubles as an independent test oracle for the block formula.
 """
 
 from __future__ import annotations
@@ -45,32 +46,18 @@ from .padic import (
     rational_to_padic,
 )
 
-# Bernoulli numbers B_0..B_12 (B_1 = -1/2 convention), enough for N <= 13.
-_BERNOULLI = (
-    Fraction(1), Fraction(-1, 2), Fraction(1, 6), Fraction(0), Fraction(-1, 30),
-    Fraction(0), Fraction(1, 42), Fraction(0), Fraction(-1, 30), Fraction(0),
-    Fraction(5, 66), Fraction(0), Fraction(-691, 2730),
-)
-
-DEFAULT_SWEEP_BOUND = 10**12
+# the only bound: the naive sweep is the one path whose cost is p^N
 _NAIVE_SWEEP_MAX = 2_000_000
-
-_sweep_bound = DEFAULT_SWEEP_BOUND
 
 # memo of computed values, keyed (p, N) -> {residue: unit}
 _value_cache: dict[tuple[int, int], dict[int, int]] = {}
 
 
-def set_sweep_bound(bound: int) -> None:
-    """Cap p^N for any gamma table build (guards accidental huge requests)."""
-    if bound < 9:
-        raise ValueError("sweep bound too small")
-    global _sweep_bound
-    _sweep_bound = bound
-
-
-def sweep_bound() -> int:
-    return _sweep_bound
+def _modulus(p: int, N: int) -> int:
+    """p^N, for N >= 1 digits."""
+    if N < 1:
+        raise PrecisionError(f"need at least one digit, got N={N}")
+    return p**N
 
 
 def gamma_residue_by_sweep(r: int, p: int, N: int) -> int:
@@ -129,12 +116,16 @@ def _block_data(p: int, N: int):
     for j in range(1, N + 1):
         zj = zj * z % pN
         ell0 = (ell0 + (1 if j % 2 else -1) * zj * pow(j, -1, pN)) % pN
+    # Bernoulli numbers B_0..B_(N-1) (B_1 = -1/2): sum_{j<=m} C(m+1, j) B_j = 0
+    bern = [Fraction(1)]
+    for m in range(1, N):
+        bern.append(-sum(math.comb(m + 1, j) * b for j, b in enumerate(bern)) / (m + 1))
     # Faulhaber: S_i(K) = sum_{k<K} k^i as polynomials in K
     faul = []
     for i in range(1, N):
         coeffs = [Fraction(0)] * (i + 2)
         for j in range(i + 1):
-            coeffs[i + 1 - j] += Fraction(math.comb(i + 1, j)) * _BERNOULLI[j] / (i + 1)
+            coeffs[i + 1 - j] += Fraction(math.comb(i + 1, j)) * bern[j] / (i + 1)
         row = []
         for c in coeffs:
             if c.denominator % p == 0:
@@ -181,28 +172,27 @@ def _gamma_block(r: int, p: int, N: int) -> int:
 def gamma_residue(r: int, p: int, N: int) -> int:
     """Gamma_p(r) mod p^N as a unit residue, for 0 <= r < p^N."""
     check_prime(p)
-    pN = p**N
-    if pN > _sweep_bound:
-        raise PrecisionError(f"p^N = {pN} exceeds the configured sweep bound")
+    pN = _modulus(p, N)
     if not 0 <= r < pN:
         raise ValueError("residue out of range")
     cache = _value_cache.setdefault((p, N), {})
     v = cache.get(r)
     if v is None:
-        if p >= 7 and N <= min(p - 1, len(_BERNOULLI)):
+        if N <= p - 1:
             v = _gamma_block(r, p, N)
         elif pN <= _NAIVE_SWEEP_MAX:
             v = gamma_residue_by_sweep(r, p, N)
         else:
             raise PrecisionError(
-                f"no gamma evaluation path for p={p}, N={N} (p^N too large)"
-            )
+                f"p={p}, N={N}: N > p-1 leaves only the naive sweep, and "
+                f"p^N = {pN} exceeds its bound {_NAIVE_SWEEP_MAX}")
         cache[r] = v
     return v
 
 
 def _as_residue(x, p: int, N: int) -> int:
     """Reduce x (int, Fraction or PadicValue in Z_p) to its residue mod p^N."""
+    pN = _modulus(p, N)
     if isinstance(x, PadicValue):
         if x.prime != p:
             raise ValueError("mixed primes")
@@ -212,7 +202,7 @@ def _as_residue(x, p: int, N: int) -> int:
     q = Fraction(x)
     if q.denominator % p == 0:
         raise ValueError("gamma requires a p-integral argument")
-    return q.numerator * pow(q.denominator, -1, p**N) % p**N
+    return q.numerator * pow(q.denominator, -1, pN) % pN
 
 
 def gamma_p(x, p: int, N: int) -> PadicValue:

@@ -106,6 +106,8 @@ def gamma_coeffs(truncation: int) -> QSeries:
 def rv_form_coeffs(truncation: int) -> QSeries:
     """The weight-4 level-25 combination f1 + 5 f2 + 20 f3 + 25 f4 + 25 f5
     with f_i = eta(z)^(5-i) eta(5z)^4 eta(25z)^(i-1); f_i starts at q^i."""
+    if truncation < 1:
+        raise ValueError("truncation must be >= 1")
     weights = (1, 5, 20, 25, 25)
     total = QSeries(1, [0] * truncation, truncation)
     for i in range(1, 6):

@@ -6,15 +6,15 @@ Schema (version 1):
      diff_valuation, pass, ms}
 
 Exact rational identities (the binomial/harmonic ones) are carried with p = 0
-and mod_power = 0; their pass flag means "identically zero over Q".  The ms
-field is null unless timing was explicitly requested, so that identical runs
-serialize to identical bytes regardless of parallelism or wall clock.
+and mod_power = 0; their pass flag means "identically zero over Q".  Reports
+carry no wall clock: the ms field is always null (reserved in schema 1), so
+identical runs serialize to identical bytes regardless of parallelism.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .padic import PadicValue, congruent_mod
 
@@ -39,7 +39,6 @@ class CongruenceReport:
     rhs_unit: int
     diff_valuation: int | None
     passed: bool
-    ms: float | None = field(default=None, compare=False)
 
     @classmethod
     def from_sides(cls, claim: str, p: int, params: dict, k: int,
@@ -62,7 +61,7 @@ class CongruenceReport:
         return (self.claim, self.p,
                 json.dumps(self.params, sort_keys=True, default=str))
 
-    def to_dict(self, timing: bool = False) -> dict:
+    def to_dict(self) -> dict:
         return {
             "schema": SCHEMA_VERSION,
             "claim": self.claim,
@@ -73,11 +72,11 @@ class CongruenceReport:
             "rhs": {"val": self.rhs_val, "unit": self.rhs_unit},
             "diff_valuation": self.diff_valuation,
             "pass": self.passed,
-            "ms": round(self.ms, 3) if (timing and self.ms is not None) else None,
+            "ms": None,
         }
 
-    def to_csv_row(self, timing: bool = False) -> list:
-        d = self.to_dict(timing)
+    def to_csv_row(self) -> list:
+        d = self.to_dict()
         return [d["schema"], d["claim"], d["p"],
                 json.dumps(d["params"], sort_keys=True, default=str),
                 d["mod_power"],
@@ -90,20 +89,19 @@ class CongruenceReport:
         ps = ",".join(f"{k}={v}" for k, v in self.params.items())
         mod = f"p^{self.mod_power}" if self.mod_power else "exact"
         dv = "oo" if self.diff_valuation is None else self.diff_valuation
-        t = f"  ({self.ms:.1f} ms)" if self.ms is not None else ""
-        return f"[{status}] {self.claim:<18} p={self.p:<3} {mod:<5} v(diff)={dv:<4} {ps}{t}"
+        return f"[{status}] {self.claim:<18} p={self.p:<3} {mod:<5} v(diff)={dv:<4} {ps}"
 
 
 def sort_reports(reports) -> list[CongruenceReport]:
     return sorted(reports, key=CongruenceReport.sort_key)
 
 
-def reports_to_json(reports, timing: bool = False) -> str:
-    rows = [r.to_dict(timing) for r in sort_reports(reports)]
+def reports_to_json(reports) -> str:
+    rows = [r.to_dict() for r in sort_reports(reports)]
     return json.dumps(rows, indent=2, default=str) + "\n"
 
 
-def reports_to_csv(reports, timing: bool = False) -> str:
+def reports_to_csv(reports) -> str:
     import csv
     import io
 
@@ -111,7 +109,7 @@ def reports_to_csv(reports, timing: bool = False) -> str:
     w = csv.writer(buf)
     w.writerow(CSV_COLUMNS)
     for r in sort_reports(reports):
-        w.writerow(r.to_csv_row(timing))
+        w.writerow(r.to_csv_row())
     return buf.getvalue()
 
 

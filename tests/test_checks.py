@@ -1,6 +1,7 @@
 """Claim registry: admissibility filters, report schema, runner determinism
 and the CLI surface."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -302,6 +303,14 @@ def _main(*argv):
     (["check-all", "--p", "3"], "unrecognized arguments: --p"),
     (["check-all", "--p-range", "3..7"], "unrecognized arguments: --p-range"),
     (["check-all", "--precision", "3"], "unrecognized arguments: --precision"),
+    (["check-all", "--sweep-bound", "100"], "unrecognized arguments: --sweep-bound"),
+    (["check", "thm2.4", "--timing"], "unrecognized arguments: --timing"),
+    (["gamma", "1/3", "--p", "7", "--precision", "0"], "need at least one digit, got N=0"),
+    (["gamma", "1/3", "--p", "7", "--precision", "-1"], "need at least one digit, got N=-1"),
+    (["gamma", "1/2", "--p", "7", "--precision", "8"], "N > p-1 leaves only the naive sweep"),
+    (["greene", "--args", "1/2,1/2", "--p", "7", "--precision", "0"],
+     "need at least one digit, got N=0"),
+    (["qexp", "--form", "rv", "--truncation", "0"], "truncation must be >= 1"),
 ])
 def test_cli_usage_errors_exit_2(argv, message):
     with patch.object(checks, "run_config") as run:
@@ -309,6 +318,47 @@ def test_cli_usage_errors_exit_2(argv, message):
     assert code == 2
     assert message in err
     run.assert_not_called()  # rejected when planned, before any check runs
+
+
+def test_check_all_takes_only_the_run_flags():
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = {o for a in sub.choices["check-all"]._actions for o in a.option_strings}
+    assert options - {"-h", "--help"} == {"--format", "--jobs", "--seed", "--out"}
+
+
+def test_worker_pool_is_capped_by_tasks_and_cpus(monkeypatch):
+    sizes = []
+
+    class SerialPool:  # records the pool size and starts no process
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    tasks, _ = checks.CLAIMS["thm2.4"].plan(7, 31, {"d": 3})
+    monkeypatch.setattr(checks, "ProcessPoolExecutor", SerialPool)
+    serial = checks.run_tasks(tasks, jobs=1)
+    for cpus, expected in [(64, [len(tasks)]), (2, [2]), (None, [])]:
+        sizes.clear()
+        monkeypatch.setattr(checks.os, "cpu_count", lambda: cpus)
+        assert checks.run_tasks(tasks, jobs=10_000) == serial
+        assert sizes == expected
+
+
+def test_conj13_builds_one_truncated_series_per_prime():
+    checks._truncated.cache_clear()
+    with patch.object(checks, "truncated_hyp", wraps=checks.truncated_hyp) as trunc:
+        reports = checks.check_rv([7, 11, 13])
+    assert trunc.call_count == 3
+    assert len(reports) == 6 and all(r.passed for r in reports)
 
 
 def test_cli_prop22_args_give_one_labelled_row():

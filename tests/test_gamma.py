@@ -18,14 +18,12 @@ from padichyp.gamma import (
     paired_g1_harmonic,
     paired_gamma_binomial,
     rep,
-    set_sweep_bound,
     shifted_g1_harmonic,
     shifted_g1g2_harmonic,
     shifted_gamma_factorial,
     split_by_rep,
-    sweep_bound,
 )
-from padichyp.padic import PadicValue, congruent_mod, rational_to_padic
+from padichyp.padic import PadicValue, PrecisionError, congruent_mod, rational_to_padic
 
 
 def test_value_at_zero_and_one():
@@ -60,7 +58,7 @@ def test_factorial_formula_at_single_digit():
 
 def test_block_evaluation_matches_sweep_oracle():
     rng = random.Random(7)
-    for p, N in [(7, 2), (7, 5), (11, 3), (13, 4), (13, 5)]:
+    for p, N in [(3, 2), (5, 4), (7, 2), (7, 5), (7, 6), (11, 3), (13, 4), (13, 5)]:
         pN = p**N
         points = {0, 1, 2, p - 1, p, p + 1, pN - 1}
         points.update(rng.randrange(pN) for _ in range(25))
@@ -69,7 +67,7 @@ def test_block_evaluation_matches_sweep_oracle():
 
 
 def test_small_primes_use_sweep_path():
-    # p = 3, 5 have no block path; values must still match the oracle
+    # (3, 4) has N > p - 1 and sweeps; (5, 3) takes the block path
     for p, N in [(3, 4), (5, 3)]:
         for r in range(p**N):
             assert gamma_residue(r, p, N) == gamma_residue_by_sweep(r, p, N)
@@ -131,13 +129,23 @@ def test_batch_sentinels_and_consistency():
 def test_batch_range_and_bound_errors():
     with pytest.raises(ValueError):
         gamma_residue(7**3, 7, 3)
-    old = sweep_bound()
-    try:
-        set_sweep_bound(100)
-        with pytest.raises(Exception):
-            gamma_residue(5, 7, 3)
-    finally:
-        set_sweep_bound(old)
+    # N > p - 1 leaves only the sweep, and 3^14 is past its bound
+    with pytest.raises(PrecisionError, match="naive sweep"):
+        gamma_residue(0, 3, 14)
+    for N in (0, -1):
+        with pytest.raises(PrecisionError, match="at least one digit"):
+            gamma_residue(0, 7, N)
+        with pytest.raises(PrecisionError, match="at least one digit"):
+            gamma_p(Fraction(1, 3), 7, N)
+
+
+def test_block_path_beyond_the_old_bounds():
+    # N = 14 > 13 Bernoulli numbers, and 491^5 > 10^12: both take the block path
+    for p, N in [(17, 14), (491, 5)]:
+        for x in (Fraction(1, 3), Fraction(2, 7), Fraction(1, 2)):
+            gx = gamma_p(x, p, N)
+            assert gamma_p(x + 1, p, N) == -(rational_to_padic(x, p, N) * gx)
+            assert gx * gamma_p(1 - x, p, N) == rational_to_padic((-1) ** rep(x, p), p, N)
 
 
 def test_rep_examples_and_reflection_rule():
