@@ -166,9 +166,10 @@ def main(argv=None) -> int:
                 raise ValueError("give -m or --p to fix the truncation")
             params = HypParams(tuple(top), tuple(bottom), Fraction(ns.z), m)
             exact = truncated_hyp_exact(params)
-            print(exact)
-            if ns.p:
-                print(_render_value(truncated_hyp(params, ns.p, ns.precision)))
+            reduced = truncated_hyp(params, ns.p, ns.precision) if ns.p else None
+            print(exact)  # only once both values are valid: no partial output
+            if reduced is not None:
+                print(_render_value(reduced))
             return 0
         if ns.command == "qexp":
             if ns.form == "gamma":

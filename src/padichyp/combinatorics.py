@@ -1,8 +1,12 @@
 """Harmonic sums, Apery numbers, rising-factorial lemma sums and the
 binomial-coefficient / harmonic-sum identities.
 
-Everything here is exact rational (or integer) arithmetic; congruence
-reduction happens only at the very end where a caller asks for it.
+The kernels run over integers: harmonic prefix sums are scaled by
+L = lcm(1..top index) into integer tables, the C(k-1, n) and c1/c2
+denominators are cleared with one lcm each, and every sum is one integer
+num/den pair.  A Fraction is built only at the API boundary (the identity
+values, and :func:`harmonic`, which the gamma lemma families use); congruence
+reduction happens once, at the end, where a caller asks for it.
 """
 
 from __future__ import annotations
@@ -10,7 +14,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .hyp import rising_factorial
 from .padic import PadicValue, check_prime, rational_to_padic
 
 
@@ -32,6 +35,15 @@ def harmonic(n: int, i: int = 1) -> Fraction:
     return t[n]
 
 
+def _scaled_harmonic(top: int, i: int) -> tuple[int, list[int]]:
+    """(S, t): S = lcm(1..top)^i and t[j] = S * H^(i)_j for j <= top, integers."""
+    L = math.lcm(*range(1, top + 1))
+    t = [0]
+    for u in range(1, top + 1):
+        t.append(t[-1] + (L // u) ** i)
+    return L**i, t
+
+
 def apery(n: int) -> int:
     """A(n) = sum_j C(n+j, j)^2 C(n, j)^2."""
     if n < 0:
@@ -46,18 +58,24 @@ def _pq_sum(a, p: int, second_order: bool) -> PadicValue:
         raise ValueError("entries must be positive integers")
     if sum(a) > 2 * (p - 1):
         raise ValueError("T out of range")
-    total = Fraction(0)
+    # h1 scaled by L, h2 by L^2; (j+1)_a = (j+a)!/j! is an integer
+    L, H1 = _scaled_harmonic(max(a) + p - 1, 1)
+    if second_order:
+        _, H2 = _scaled_harmonic(max(a) + p - 1, 2)
+    scale = 2 * L * L if second_order else L
+    total = 0
     for j in range(p):
-        prod = Fraction(1)
+        prod = 1
         for ai in a:
-            prod *= rising_factorial(j + 1, ai)
-        h1 = sum((harmonic(ai + j, 1) - harmonic(j, 1)) for ai in a)
+            prod *= math.perm(j + ai, ai)
+        h1 = sum(H1[ai + j] for ai in a) - len(a) * H1[j]
         if not second_order:
-            total += prod * (1 + j * h1)
+            total += prod * (L + j * h1)  # scale * prod (1 + j h1)
         else:
-            h2 = sum((harmonic(ai + j, 2) - harmonic(j, 2)) for ai in a)
-            total += prod * (j * h1 + Fraction(j * j, 2) * (h1 * h1 - h2))
-    return rational_to_padic(total, p, 2)
+            h2 = sum(H2[ai + j] for ai in a) - len(a) * H2[j]
+            # scale * prod (j h1 + j^2/2 (h1^2 - h2))
+            total += prod * (2 * L * j * h1 + j * j * (h1 * h1 - h2))
+    return rational_to_padic(Fraction(total, scale), p, 2)
 
 
 def lemma_P_sum(a, p: int) -> PadicValue:
@@ -80,6 +98,29 @@ def lemma_PQ_expected(a, p: int) -> tuple[int, int]:
     return (1, -1) if boundary else (0, 0)
 
 
+def _head(m: int, n: int, L: int, H: list[int]):
+    """(k, w_k, L(1 + k h_k)) for k = 0..n: w_k = C(m+k,k)C(m,k)C(n+k,k)C(n,k),
+    h_k = H_(m+k) + H_(m-k) + H_(n+k) + H_(n-k) - 4H_k, with H = L * H^(1)."""
+    for k in range(n + 1):
+        w = (math.comb(m + k, k) * math.comb(m, k)
+             * math.comb(n + k, k) * math.comb(n, k))
+        yield k, w, L + k * (H[m + k] + H[m - k] + H[n + k] + H[n - k] - 4 * H[k])
+
+
+def _tail(m: int, n: int) -> tuple[int, list[tuple[int, int]]]:
+    """(D, [(k, D t_k)]) for k = n+1..m, t_k = (-1)^(k-n) C(m+k,k)C(m,k)C(n+k,k)/C(k-1,n)
+    and D the lcm of the C(k-1, n), so every D t_k is an integer."""
+    ks = range(n + 1, m + 1)
+    D = math.lcm(*(math.comb(k - 1, n) for k in ks))
+    return D, [(k, (-1) ** (k - n) * math.comb(m + k, k) * math.comb(m, k)
+                * math.comb(n + k, k) * (D // math.comb(k - 1, n))) for k in ks]
+
+
+def _id1_rhs(m: int, n: int) -> int:
+    """The right-hand side (-1)^(m+n) of the first identity."""
+    return (-1) ** (m + n)
+
+
 def bin_harmonic_id1(m: int, n: int) -> Fraction:
     """LHS - RHS of the first binomial/harmonic identity; exactly 0 for m >= n >= 1.
 
@@ -90,18 +131,11 @@ def bin_harmonic_id1(m: int, n: int) -> Fraction:
     """
     if not m >= n >= 1:
         raise ValueError("need m >= n >= 1")
-    total = Fraction(0)
-    for k in range(n + 1):
-        w = (math.comb(m + k, k) * math.comb(m, k)
-             * math.comb(n + k, k) * math.comb(n, k))
-        h = (harmonic(m + k, 1) + harmonic(m - k, 1)
-             + harmonic(n + k, 1) + harmonic(n - k, 1) - 4 * harmonic(k, 1))
-        total += w * (1 + k * h)
-    for k in range(n + 1, m + 1):
-        w = Fraction(math.comb(m + k, k) * math.comb(m, k) * math.comb(n + k, k),
-                     math.comb(k - 1, n))
-        total += (-1) ** (k - n) * w
-    return total - (-1) ** (m + n)
+    L, H = _scaled_harmonic(m + n, 1)
+    head = sum(w * b for _, w, b in _head(m, n, L, H))  # scale L
+    D, tail = _tail(m, n)
+    rest = sum(t for _, t in tail)  # scale D
+    return Fraction(head * D + rest * L - _id1_rhs(m, n) * L * D, L * D)
 
 
 def bin_harmonic_id2(l: int, m: int, n: int, c1, c2) -> Fraction:
@@ -109,21 +143,17 @@ def bin_harmonic_id2(l: int, m: int, n: int, c1, c2) -> Fraction:
     if not (l > m >= n and 2 * n >= l):
         raise ValueError("need l > m >= n >= l/2")
     c1, c2 = Fraction(c1), Fraction(c2)
-    total = Fraction(0)
-    for k in range(n + 1):
-        w = (math.comb(m + k, k) * math.comb(m, k)
-             * math.comb(n + k, k) * math.comb(n, k))
-        h = (harmonic(m + k, 1) + harmonic(m - k, 1)
-             + harmonic(n + k, 1) + harmonic(n - k, 1) - 4 * harmonic(k, 1))
-        lin1 = (c1 * (harmonic(k + n, 1) - harmonic(k + l - n - 1, 1))
-                + c2 * (harmonic(k + m, 1) - harmonic(k + l - m - 1, 1)))
-        lin2 = (c1 * (harmonic(k + n, 2) - harmonic(k + l - n - 1, 2))
-                + c2 * (harmonic(k + m, 2) - harmonic(k + l - m - 1, 2)))
-        total += w * ((1 + k * h) * lin1 - k * lin2)
-    for k in range(n + 1, m + 1):
-        w = Fraction(math.comb(m + k, k) * math.comb(m, k) * math.comb(n + k, k),
-                     math.comb(k - 1, n))
-        lin1 = (c1 * (harmonic(k + n, 1) - harmonic(k + l - n - 1, 1))
-                + c2 * (harmonic(k + m, 1) - harmonic(k + l - m - 1, 1)))
-        total += (-1) ** (k - n) * w * lin1
-    return total
+    B = math.lcm(c1.denominator, c2.denominator)
+    C1, C2 = c1.numerator * (B // c1.denominator), c2.numerator * (B // c2.denominator)
+    L, H1 = _scaled_harmonic(2 * m, 1)
+    _, H2 = _scaled_harmonic(2 * m, 2)
+
+    def lin(H, k):  # B * scale(H) * (c1 (H_(k+n) - H_(k+l-n-1)) + c2 (H_(k+m) - H_(k+l-m-1)))
+        return (C1 * (H[k + n] - H[k + l - n - 1])
+                + C2 * (H[k + m] - H[k + l - m - 1]))
+
+    # w (1 + k h) lin1 - w k lin2, scaled by B L^2
+    head = sum(w * (b * lin(H1, k) - k * lin(H2, k)) for k, w, b in _head(m, n, L, H1))
+    D, tail = _tail(m, n)
+    rest = sum(t * lin(H1, k) for k, t in tail)  # scale B L D
+    return Fraction(head * D + rest * L, B * L * L * D)

@@ -22,8 +22,8 @@ matter, and P(kp)/P(0) lies in 1 + pZ_p, so the complete-block product is
 
 where lambda_i are the coefficients of log(P(y)/P(0)) and
 S_i(K) = sum_{k<K} k^i is a Faulhaber polynomial in K.  Everything reduces to
-O(N) arithmetic mod p^N per evaluation after an O(pN) precomputation per
-(p, N), so sweeping to p^N is never required.  The series manipulations are
+O(N^2) arithmetic mod p^N per evaluation after an O(pN + N^2) precomputation
+per (p, N), so sweeping to p^N is never required.  The series manipulations are
 p-integral as long as N <= p - 1 (middle coefficients of P vanish mod p since
 P(y) = y^(p-1) - 1 over F_p, and no Bernoulli denominator can contain p), so
 the path depends on (p, N) alone: the block formula for N <= p - 1, else the
@@ -74,15 +74,6 @@ def gamma_residue_by_sweep(r: int, p: int, N: int) -> int:
     return acc if r else 1
 
 
-def _poly_mul_trunc(a: list[int], b: list[int], N: int, pN: int) -> list[int]:
-    out = [0] * N
-    for i, ai in enumerate(a):
-        if ai:
-            for k in range(N - i):
-                out[i + k] = (out[i + k] + ai * b[k]) % pN
-    return out
-
-
 @lru_cache(maxsize=None)
 def _block_data(p: int, N: int):
     """Per-(p, N) tables: partial-block polynomials, log coefficients,
@@ -102,14 +93,12 @@ def _block_data(p: int, N: int):
     e0_inv = pow(e0, -1, pN)
     g = [c * e0_inv % pN for c in e]
     g[0] = 0
-    # lam = log(1 + g) as a truncated power series (divisions by j < N <= p-1)
+    # lam = log(1 + g) truncated, from (1 + g) lam' = g':
+    # lam_k = g_k - (1/k) sum_{0<i<k} i lam_i g_(k-i), a unit k < N <= p-1
     lam = [0] * N
-    gj = [1] + [0] * (N - 1)
-    for j in range(1, N):
-        gj = _poly_mul_trunc(gj, g, N, pN)
-        c = pow(j, -1, pN) * (1 if j % 2 else -1)
-        for i in range(N):
-            lam[i] = (lam[i] + c * gj[i]) % pN
+    for k in range(1, N):
+        acc = sum(i * lam[i] * g[k - i] for i in range(1, k))
+        lam[k] = (g[k] - acc * pow(k, -1, pN)) % pN
     # ell0 = log(-e0); -(p-1)! = 1 mod p by Wilson, so the series converges
     z = (-e0 - 1) % pN
     ell0, zj = 0, 1

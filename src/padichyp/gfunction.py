@@ -16,7 +16,6 @@ arithmetic mod p^N, each distinct gamma value evaluated once.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -53,25 +52,24 @@ def g_function(ga: GArguments) -> PadicValue:
     pN = p**N
     P = p - 1
 
-    def residue(q: Fraction) -> int:
-        return q.numerator * pow(q.denominator, -1, pN) % pN
-
-    # every distinct gamma argument of the j-sum, evaluated once
+    # a = m/d and j/(p-1) give a - j/(p-1) = (m(p-1) - jd) / (d(p-1)): its floor
+    # is -1 exactly when m(p-1) < jd, and the residue of its fractional part is
+    # an integer numerator times the inverse of d(p-1)
+    fracs = [(a.numerator, a.denominator, pow(a.denominator * P, -1, pN))
+             for a in ga.args]
+    inv_P = pow(P, -1, pN)
     queries = set()
-    plan = []  # per j: (residue of j/(p-1), [(frac residue, floor)], )
+    plan = []  # per j: (residue of j/(p-1), [(frac residue, floor == -1)])
     for j in range(P):
-        xj = Fraction(j, P)
-        rj = residue(xj)
+        rj = j * inv_P % pN
         row = []
-        for a in ga.args:
-            t = a - xj
-            fl = math.floor(t)
-            assert fl in (-1, 0), "floor outside {-1, 0}"
-            row.append((residue(t - fl), fl))
+        for m, d, inv in fracs:
+            t = m * P - j * d
+            row.append((t % (d * P) * inv % pN, t < 0))
         plan.append((rj, row))
         queries.add(rj)
         queries.update(r for r, _ in row)
-    denom_res = [residue(a) for a in ga.args]
+    denom_res = [m * pow(d, -1, pN) % pN for m, d, _ in fracs]
     queries.update(denom_res)
     table = {r: gamma_residue(r, p, N) for r in queries}
 
@@ -87,13 +85,13 @@ def g_function(ga: GArguments) -> PadicValue:
         if j % 2:
             t = -t % pN
         term = pow(t, n1, pN)
-        for r, fl in row:
+        for r, below in row:
             term = term * table[r] % pN
-            if fl == -1:
+            if below:
                 term = term * (pN - p) % pN
         total = (total + term) % pN
     total = total * denom_inv % pN
-    total = -total * pow(P, -1, pN) % pN
+    total = -total * inv_P % pN
     out = PadicValue.from_residue(total, p, N)
     assert out.is_zero or out.valuation >= 0
     return out

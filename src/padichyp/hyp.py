@@ -4,17 +4,22 @@ The truncated series
 
     rFs[a_1,...,a_r; b_1,...,b_s | z]_m = sum_{k=0}^m prod (a_i)_k / prod (b_j)_k * z^k / k!
 
-is accumulated over exact rationals via the term recurrence
-term_k = term_(k-1) * prod(a_i + k - 1) * z / (k * prod(b_j + k - 1)) and only
-then reduced p-adically, so p-divisible numerators along the way cost nothing.
+is accumulated as one integer num/den pair: with the term ratios
+u_k/v_k = prod(a_i + k - 1) * z / (k * prod(b_j + k - 1)) over integers, a
+backward Horner pass num, den = v_k*den + u_k*num, v_k*den needs no gcd per
+term.  The pair is reduced p-adically only at the end (valuations of num and
+den, then the unit times an inverse mod p^N), so p-divisible numerators along
+the way cost nothing.  A Fraction appears only at the API boundary:
+:func:`truncated_hyp_exact` and :func:`rising_factorial`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .padic import PadicValue, rational_to_padic
+from .padic import PadicValue, _ratio_to_padic
 
 
 def rising_factorial(a, n: int) -> Fraction:
@@ -46,20 +51,30 @@ class HypParams:
                 raise ValueError("bottom parameters may not be zero or negative integers")
 
 
+def _series_pair(params: HypParams) -> tuple[int, int]:
+    """(num, den), integers with num/den the truncated series (not reduced)."""
+    # a + k - 1 = (a.num + (k-1) a.den) / a.den: the parameter denominators
+    # come out of every ratio as the constants ca and cb
+    top = [(a.numerator, a.denominator) for a in params.top]
+    bottom = [(b.numerator, b.denominator) for b in params.bottom]
+    ca = math.prod(d for _, d in top)
+    cb = math.prod(d for _, d in bottom)
+    zn, zd = params.z.numerator, params.z.denominator
+    num = den = 1
+    for k in range(params.truncation, 0, -1):
+        u = zn * cb
+        for an, ad in top:
+            u *= an + (k - 1) * ad
+        v = k * zd * ca
+        for bn, bd in bottom:
+            v *= bn + (k - 1) * bd
+        num, den = v * den + u * num, v * den  # 1 + (u/v) * (num/den)
+    return num, den
+
+
 def truncated_hyp_exact(params: HypParams) -> Fraction:
     """The truncated series as an exact rational."""
-    total = Fraction(1)
-    term = Fraction(1)
-    for k in range(1, params.truncation + 1):
-        num = Fraction(1)
-        for a in params.top:
-            num *= a + k - 1
-        den = Fraction(k)
-        for b in params.bottom:
-            den *= b + k - 1
-        term = term * num * params.z / den
-        total += term
-    return total
+    return Fraction(*_series_pair(params))
 
 
 def truncated_hyp(params: HypParams, p: int, N: int) -> PadicValue:
@@ -73,4 +88,4 @@ def truncated_hyp(params: HypParams, p: int, N: int) -> PadicValue:
             raise ValueError("parameters must be p-integral")
     if params.truncation > p - 1:
         raise ValueError("truncation beyond p - 1 is outside the guaranteed range")
-    return rational_to_padic(truncated_hyp_exact(params), p, N)
+    return _ratio_to_padic(*_series_pair(params), p, N)

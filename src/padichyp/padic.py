@@ -163,20 +163,23 @@ def rational_to_padic(q: Rational | int, p: int, N: int) -> PadicValue:
 
     p may divide numerator or denominator; both contribute to the valuation.
     """
+    q = Fraction(q)
+    return _ratio_to_padic(q.numerator, q.denominator, p, N)
+
+
+def _ratio_to_padic(num: int, den: int, p: int, N: int) -> PadicValue:
+    """num/den into Q_p with unit known mod p^N, for integers num and den != 0
+    in any form: nothing needs the pair in lowest terms."""
     check_prime(p)
     if N < 1:
         raise PrecisionError("need at least one digit of precision")
-    q = Fraction(q)
-    if q == 0:
+    if num == 0:
         return PadicValue.zero(p)
-    vn = valuation_of_int(q.numerator, p)
-    vd = valuation_of_int(q.denominator, p)
-    v = vn - vd
+    vn = valuation_of_int(num, p)
+    vd = valuation_of_int(den, p)
     pN = p**N
-    num = q.numerator // p**vn
-    den = q.denominator // p**vd
-    unit = num * pow(den, -1, pN) % pN
-    return PadicValue(p, v, unit, N)
+    unit = num // p**vn * pow(den // p**vd, -1, pN) % pN
+    return PadicValue(p, vn - vd, unit, N)
 
 
 def padic_add(a: PadicValue, b: PadicValue) -> PadicValue:

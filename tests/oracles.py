@@ -1,0 +1,114 @@
+"""Exact Fraction oracles for the integer kernels.
+
+These are the straightforward per-term Fraction (and truncated-power-series)
+evaluations that the package replaced by integer num/den kernels for speed.
+They stay here so that every integer kernel is compared with an independent
+exact evaluation of the same quantity.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+from padichyp.combinatorics import harmonic
+from padichyp.hyp import HypParams, rising_factorial
+from padichyp.padic import PadicValue, rational_to_padic
+
+
+def id1_lhs(m: int, n: int) -> Fraction:
+    """The left-hand side of the first binomial/harmonic identity."""
+    total = Fraction(0)
+    for k in range(n + 1):
+        w = (math.comb(m + k, k) * math.comb(m, k)
+             * math.comb(n + k, k) * math.comb(n, k))
+        h = (harmonic(m + k, 1) + harmonic(m - k, 1)
+             + harmonic(n + k, 1) + harmonic(n - k, 1) - 4 * harmonic(k, 1))
+        total += w * (1 + k * h)
+    for k in range(n + 1, m + 1):
+        w = Fraction(math.comb(m + k, k) * math.comb(m, k) * math.comb(n + k, k),
+                     math.comb(k - 1, n))
+        total += (-1) ** (k - n) * w
+    return total
+
+
+def bin_harmonic_id1(m: int, n: int) -> Fraction:
+    """LHS - RHS of the first identity, RHS = (-1)^(m+n)."""
+    return id1_lhs(m, n) - (-1) ** (m + n)
+
+
+def bin_harmonic_id2(l: int, m: int, n: int, c1, c2) -> Fraction:
+    """LHS of the second identity."""
+    c1, c2 = Fraction(c1), Fraction(c2)
+    total = Fraction(0)
+    for k in range(n + 1):
+        w = (math.comb(m + k, k) * math.comb(m, k)
+             * math.comb(n + k, k) * math.comb(n, k))
+        h = (harmonic(m + k, 1) + harmonic(m - k, 1)
+             + harmonic(n + k, 1) + harmonic(n - k, 1) - 4 * harmonic(k, 1))
+        lin1 = (c1 * (harmonic(k + n, 1) - harmonic(k + l - n - 1, 1))
+                + c2 * (harmonic(k + m, 1) - harmonic(k + l - m - 1, 1)))
+        lin2 = (c1 * (harmonic(k + n, 2) - harmonic(k + l - n - 1, 2))
+                + c2 * (harmonic(k + m, 2) - harmonic(k + l - m - 1, 2)))
+        total += w * ((1 + k * h) * lin1 - k * lin2)
+    for k in range(n + 1, m + 1):
+        w = Fraction(math.comb(m + k, k) * math.comb(m, k) * math.comb(n + k, k),
+                     math.comb(k - 1, n))
+        lin1 = (c1 * (harmonic(k + n, 1) - harmonic(k + l - n - 1, 1))
+                + c2 * (harmonic(k + m, 1) - harmonic(k + l - m - 1, 1)))
+        total += (-1) ** (k - n) * w * lin1
+    return total
+
+
+def pq_sum(a, p: int, second_order: bool) -> PadicValue:
+    """lemma_P_sum (first order) or lemma_Q_sum (second order), mod p^2."""
+    total = Fraction(0)
+    for j in range(p):
+        prod = Fraction(1)
+        for ai in a:
+            prod *= rising_factorial(j + 1, ai)
+        h1 = sum((harmonic(ai + j, 1) - harmonic(j, 1)) for ai in a)
+        if not second_order:
+            total += prod * (1 + j * h1)
+        else:
+            h2 = sum((harmonic(ai + j, 2) - harmonic(j, 2)) for ai in a)
+            total += prod * (j * h1 + Fraction(j * j, 2) * (h1 * h1 - h2))
+    return rational_to_padic(total, p, 2)
+
+
+def truncated_hyp_exact(params: HypParams) -> Fraction:
+    """The truncated series by the forward term recurrence over Fractions."""
+    total = Fraction(1)
+    term = Fraction(1)
+    for k in range(1, params.truncation + 1):
+        num = Fraction(1)
+        for a in params.top:
+            num *= a + k - 1
+        den = Fraction(k)
+        for b in params.bottom:
+            den *= b + k - 1
+        term = term * num * params.z / den
+        total += term
+    return total
+
+
+def _poly_mul_trunc(a: list[int], b: list[int], N: int, pN: int) -> list[int]:
+    out = [0] * N
+    for i, ai in enumerate(a):
+        if ai:
+            for k in range(N - i):
+                out[i + k] = (out[i + k] + ai * b[k]) % pN
+    return out
+
+
+def log_one_plus(g: list[int], N: int, pN: int) -> list[int]:
+    """log(1 + g) mod p^N truncated to degree < N, for g[0] = 0, as the sum of
+    (-1)^(j+1) g^j / j over j < N by repeated truncated multiplication."""
+    lam = [0] * N
+    gj = [1] + [0] * (N - 1)
+    for j in range(1, N):
+        gj = _poly_mul_trunc(gj, g, N, pN)
+        c = pow(j, -1, pN) * (1 if j % 2 else -1)
+        for i in range(N):
+            lam[i] = (lam[i] + c * gj[i]) % pN
+    return lam

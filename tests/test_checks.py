@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from padichyp import checks, cli
-from padichyp.padic import valuation_of_int
+from padichyp.padic import PadicValue, valuation_of_int
 from padichyp.report import CSV_COLUMNS, reports_to_csv, reports_to_json
 
 
@@ -105,6 +105,22 @@ def test_theorem23_delta_branches():
     t = truncated_hyp(HypParams((Fraction(1, 2),) * 4, (Fraction(1),) * 3,
                                 Fraction(1), p - 1), p, 3)
     assert not congruent_mod(g, t, 2)
+
+
+@pytest.mark.parametrize("claim, primes, params", [
+    ("thm2.6", [7, 13, 31], {"d": 2, "d2": 3}),
+    ("thm2.7", [11, 19, 29], {"d": 5, "r": 2}),
+])
+def test_g_vs_trunc_fails_without_the_sp_term(monkeypatch, claim, primes, params):
+    # argument sum n - 1: the congruence needs s(p) p, whose valuation is 1
+    args = checks.CLAIMS[claim].args(params)
+    assert sum(args) == len(args) - 2
+    rows = [r for r in _task(claim, primes, **params) if r.claim == claim]
+    assert len(rows) == len(primes) and all(r.passed for r in rows)
+    monkeypatch.setattr(checks, "s_factor", lambda fracs, p, N: PadicValue.zero(p))
+    rows = checks.check_g_vs_trunc(claim, params, args, primes, checks.CLAIMS[claim].mod)
+    assert len(rows) == len(primes)
+    assert all(not r.passed and r.diff_valuation == 1 for r in rows)
 
 
 def test_theorem23_precondition():
@@ -311,12 +327,15 @@ def _main(*argv):
     (["greene", "--args", "1/2,1/2", "--p", "7", "--precision", "0"],
      "need at least one digit, got N=0"),
     (["qexp", "--form", "rv", "--truncation", "0"], "truncation must be >= 1"),
+    (["trunc", "--args", "1/2,1/2", "--p", "7", "--precision", "0"],
+     "need at least one digit of precision"),
 ])
 def test_cli_usage_errors_exit_2(argv, message):
     with patch.object(checks, "run_config") as run:
-        code, _, err = _main(*argv)
+        code, out, err = _main(*argv)
     assert code == 2
     assert message in err
+    assert out == ""  # no partial output before the error
     run.assert_not_called()  # rejected when planned, before any check runs
 
 

@@ -1,12 +1,13 @@
 """Harmonic sums, Apery numbers, the rising-factorial lemma sums and the
 exact binomial/harmonic identities."""
 
-import math
 import random
 from fractions import Fraction
 
 import pytest
 
+import oracles
+from padichyp import checks, combinatorics
 from padichyp.combinatorics import (
     apery,
     bin_harmonic_id1,
@@ -16,7 +17,8 @@ from padichyp.combinatorics import (
     lemma_PQ_expected,
     lemma_Q_sum,
 )
-from padichyp.checks import check_power_sums
+from padichyp.checks import (DEFAULT_SEED, _pq_tuples, check_bin_harmonic_ids,
+                             check_lemma_pq, check_power_sums)
 from padichyp.padic import congruent_mod, rational_to_padic
 
 
@@ -158,3 +160,64 @@ def test_identity_two_linearity_makes_basis_sufficient():
 def test_identity_two_precondition():
     with pytest.raises(ValueError):
         bin_harmonic_id2(10, 9, 4, 1, 1)  # n < l/2
+
+
+# -- the integer kernels against the Fraction oracles, on the acceptance grids
+
+
+def test_identity_one_matches_oracle_on_the_acceptance_grid():
+    for m in range(1, 31):
+        for n in range(1, m + 1):
+            assert bin_harmonic_id1(m, n) == oracles.bin_harmonic_id1(m, n) == 0, (m, n)
+
+
+@pytest.mark.parametrize("seed", [DEFAULT_SEED, 7])
+def test_identity_two_matches_oracle_on_the_acceptance_grid(seed):
+    rng = random.Random(seed)  # the five (c1, c2) pairs of check_bin_harmonic_ids
+    extras = [(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+               Fraction(rng.randint(-9, 9), rng.randint(1, 9))) for _ in range(3)]
+    pairs = [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))] + extras
+    for l in range(2, 21):
+        for m in range((l + 1) // 2, l):
+            for n in range((l + 1) // 2, m + 1):
+                if 2 * n < l:
+                    continue
+                for c1, c2 in pairs:
+                    assert (bin_harmonic_id2(l, m, n, c1, c2)
+                            == oracles.bin_harmonic_id2(l, m, n, c1, c2) == 0), (l, m, n)
+
+
+@pytest.mark.parametrize("p", [7, 11, 13])
+def test_lemma_sums_match_oracle_on_the_acceptance_tuples(p):
+    for a in _pq_tuples(p, DEFAULT_SEED):
+        assert lemma_P_sum(a, p) == oracles.pq_sum(a, p, False), a
+        assert lemma_Q_sum(a, p) == oracles.pq_sum(a, p, True), a
+
+
+# -- negative controls: each check fails when its claim is perturbed
+
+
+def test_identity_one_check_fails_with_the_rhs_negated(monkeypatch):
+    rows = [r for r in check_bin_harmonic_ids() if r.claim == "binharm.id1"]
+    assert len(rows) == 465 and all(r.passed for r in rows)
+    monkeypatch.setattr(combinatorics, "_id1_rhs", lambda m, n: -(-1) ** (m + n))
+    for m, n in [(1, 1), (7, 3), (30, 30)]:
+        assert bin_harmonic_id1(m, n) == 2 * (-1) ** (m + n)
+        assert oracles.id1_lhs(m, n) + (-1) ** (m + n) == 2 * (-1) ** (m + n)
+    rows = [r for r in check_bin_harmonic_ids() if r.claim == "binharm.id1"]
+    assert len(rows) == 465 and not any(r.passed for r in rows)
+
+
+@pytest.mark.parametrize("p", [7, 11, 13])
+def test_lemma_pq_check_fails_against_shifted_expected_values(monkeypatch, p):
+    rows = check_lemma_pq(p)
+    assert all(r.passed for r in rows)
+    # the sums are not their expected values mod p^2: a kernel returning the
+    # expected value would show no difference of valuation exactly 1
+    for claim in ("lemmaP", "lemmaQ"):
+        assert any(r.diff_valuation == 1 for r in rows if r.claim == claim)
+    expected = combinatorics.lemma_PQ_expected
+    monkeypatch.setattr(checks.comb, "lemma_PQ_expected",
+                        lambda a, q: tuple(e + 1 for e in expected(a, q)))
+    rows = check_lemma_pq(p)
+    assert len(rows) == 200 and not any(r.passed for r in rows)

@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from padichyp.gamma import (
+    _block_data,
     default_x_grid,
     g1,
     g2,
@@ -333,3 +335,13 @@ def test_suite_runs_clean_and_reports_per_point():
     # one report per (family, x, j)
     l9 = [r for r in reports if r.claim == "lemma3.9"]
     assert len(l9) == 2 * (7 + 1)
+
+
+def test_block_log_series_matches_power_series_oracle():
+    # the O(N^2) log-derivative recurrence against sum (-1)^(j+1) g^j / j
+    for p, N in [(3, 2), (5, 4), (7, 6), (11, 5), (17, 14), (61, 5), (491, 5), (491, 40)]:
+        pN, polys, lam = _block_data(p, N)[:3]
+        e = polys[p - 1]
+        e0_inv = pow(e[0], -1, pN)
+        g = [0] + [c * e0_inv % pN for c in e[1:]]
+        assert list(lam) == oracles.log_one_plus(g, N, pN), (p, N)

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
+from padichyp.checks import CLAIMS, GUARD
 from padichyp.combinatorics import apery
 from padichyp.hyp import HypParams, rising_factorial, truncated_hyp, truncated_hyp_exact
 from padichyp.padic import congruent_mod, rational_to_padic
@@ -95,3 +97,61 @@ def test_validation():
     params = HypParams((Fraction(1, 2),), (), Fraction(1), 7)
     with pytest.raises(ValueError):
         truncated_hyp(params, 7, 2)  # truncation past p - 1
+
+
+def _evaluated_series():
+    """(args, p, N) of every truncated series that check-all and the
+    large-prime runs (ao and conj1.3 over 449..499) evaluate, at the
+    precision each checker reduces it to."""
+    out = set()
+    for cid in ("thm2.4", "thm2.5", "thm2.6", "thm2.7"):
+        claim = CLAIMS[cid]
+        for t in claim.plan()[0]:
+            out.add((tuple(claim.args(t.params)), t.primes[0], t.mod + GUARD))
+    half = (Fraction(1, 2),) * 4
+    quint = tuple(Fraction(i, 5) for i in range(1, 5))
+    for lo, hi in [(None, None), (449, 499)]:
+        out.update((half, t.primes[0], 5) for t in CLAIMS["ao"].plan(lo, hi)[0])
+        out.update((quint, t.primes[0], CLAIMS["conj1.3"].mod + GUARD)
+                   for t in CLAIMS["conj1.3"].plan(lo, hi)[0])
+    return sorted(out)
+
+
+def test_every_checked_series_matches_oracle():
+    series = _evaluated_series()
+    assert len(series) > 100 and max(p for _, p, _ in series) == 499
+    for args, p, N in series:
+        params = HypParams(args, (Fraction(1),) * (len(args) - 1), Fraction(1), p - 1)
+        exact = oracles.truncated_hyp_exact(params)
+        assert exact != 0
+        assert truncated_hyp_exact(params) == exact, (args, p)
+        assert truncated_hyp(params, p, N) == rational_to_padic(exact, p, N), (args, p)
+
+
+def test_random_series_match_oracle_exactly_and_mod_p():
+    # negative z, rational bottoms, p-divisible factors, terminating and
+    # vanishing series; reductions of nonzero and zero values
+    rng = random.Random(5)
+    cases = [HypParams((Fraction(-1),), (), Fraction(1), 1),  # 1 - 1 = 0
+             HypParams((Fraction(-3),), (Fraction(1, 2),), Fraction(-2), 6),
+             HypParams((Fraction(1, 2),) * 2, (Fraction(3, 2),), Fraction(1), 6)]
+    for _ in range(40):
+        top = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                    for _ in range(rng.randint(1, 4)))
+        bottom = tuple(Fraction(rng.randint(1, 9), rng.randint(1, 6))
+                       for _ in range(rng.randint(0, 3)))
+        z = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+        cases.append(HypParams(top, bottom, z, rng.randint(0, 12)))
+    zero_seen = nonzero_seen = 0
+    for params in cases:
+        exact = oracles.truncated_hyp_exact(params)
+        assert truncated_hyp_exact(params) == exact, params
+        for p in (7, 11, 13):
+            qs = (*params.top, *params.bottom, params.z)
+            if params.truncation > p - 1 or any(q.denominator % p == 0 for q in qs):
+                continue
+            v = truncated_hyp(params, p, 4)
+            assert v == rational_to_padic(exact, p, 4), (params, p)
+            zero_seen += v.is_zero
+            nonzero_seen += not v.is_zero
+    assert zero_seen and nonzero_seen > 50
