@@ -1,9 +1,12 @@
 """Integer q-expansions of Dedekind eta products.
 
 eta(z) = q^(1/24) prod_(n>=1) (1 - q^n), so a product prod eta(s_i z)^(e_i)
-starts at q^(sum s_i e_i / 24) (which must be an integer) and its tail is a
-polynomial product expanded by repeated multiplication with sparse binomials
-(1 - q^(s n)).  Coefficients are exact integers throughout.
+starts at q^(sum s_i e_i / 24) (which must be an integer) and its tail is
+prod_i (prod_n (1 - q^(s_i n)))^(e_i).  By Euler's pentagonal theorem each
+inner product is the sparse series sum_k (-1)^k q^(s k (3k-1)/2), k in Z,
+with about 2 sqrt(2L/(3s)) terms below q^L; the expansion multiplies by it
+e_i times in place, O(e L^1.5 / sqrt(s)) work per factor up to q^L.
+Coefficients are exact integers throughout.
 """
 
 from __future__ import annotations
@@ -88,14 +91,31 @@ def eta_product(factors, truncation: int) -> QSeries:
     co = [0] * length
     co[0] = 1
     for s, e in factors:
-        n = 1
-        while s * n < length:
-            k = s * n
-            for _ in range(e):
-                for i in range(length - 1, k - 1, -1):
-                    co[i] -= co[i - k]
-            n += 1
+        terms = _euler_terms(s, length)
+        for _ in range(e):
+            for i in range(length - 1, 0, -1):
+                acc = co[i]
+                for d, sign in terms:
+                    if d > i:
+                        break
+                    acc += sign * co[i - d]
+                co[i] = acc
     return QSeries(offset, co, truncation)
+
+
+def _euler_terms(s: int, length: int) -> list[tuple[int, int]]:
+    """(exponent, sign) of the terms of prod_(n>=1) (1 - q^(s n)) below
+    q^length other than the constant 1, by ascending exponent.  By Euler's
+    pentagonal theorem they are (-1)^k q^(s k (3k -+ 1) / 2) for k >= 1."""
+    terms = []
+    k = 1
+    while s * k * (3 * k - 1) // 2 < length:
+        sign = -1 if k % 2 else 1
+        for m in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+            if s * m < length:
+                terms.append((s * m, sign))
+        k += 1
+    return terms
 
 
 def gamma_coeffs(truncation: int) -> QSeries:
@@ -103,12 +123,15 @@ def gamma_coeffs(truncation: int) -> QSeries:
     return eta_product([(2, 4), (4, 4)], truncation)
 
 
+# the weights of f1..f5 in the level-25 form
+_RV_WEIGHTS = (1, 5, 20, 25, 25)
+
+
 def rv_form_coeffs(truncation: int) -> QSeries:
     """The weight-4 level-25 combination f1 + 5 f2 + 20 f3 + 25 f4 + 25 f5
     with f_i = eta(z)^(5-i) eta(5z)^4 eta(25z)^(i-1); f_i starts at q^i."""
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
-    weights = (1, 5, 20, 25, 25)
     total = QSeries(1, [0] * truncation, truncation)
     for i in range(1, 6):
         if i > truncation:
@@ -116,7 +139,7 @@ def rv_form_coeffs(truncation: int) -> QSeries:
         fi = eta_product([(1, 5 - i), (5, 4), (25, i - 1)], truncation)
         if fi.offset != i:
             raise AssertionError(f"f_{i} leading power {fi.offset} != {i}")
-        total = total + fi.scale(weights[i - 1])
+        total = total + fi.scale(_RV_WEIGHTS[i - 1])
     return total
 
 

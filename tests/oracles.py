@@ -1,9 +1,11 @@
-"""Exact Fraction oracles for the integer kernels.
+"""Exact oracles for the fast kernels.
 
 These are the straightforward per-term Fraction (and truncated-power-series)
-evaluations that the package replaced by integer num/den kernels for speed.
-They stay here so that every integer kernel is compared with an independent
-exact evaluation of the same quantity.
+evaluations that the package replaced by integer num/den kernels for speed,
+the per-entry Greene binomial table replaced by one chirp correlation, and
+the one-binomial-at-a-time eta-product expansion replaced by Euler's
+pentagonal series.  They stay here so that every fast kernel is compared
+with an independent exact evaluation of the same quantity.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from padichyp.characters import Character, _beta_residue
 from padichyp.combinatorics import harmonic
 from padichyp.hyp import HypParams, rising_factorial
 from padichyp.padic import PadicValue, rational_to_padic
@@ -112,3 +115,31 @@ def log_one_plus(g: list[int], N: int, pN: int) -> list[int]:
         for i in range(N):
             lam[i] = (lam[i] + c * gj[i]) % pN
     return lam
+
+
+def binomial_table(A: Character, B: Character, N: int) -> tuple[int, ...]:
+    """beta(A chi, B chi) mod p^N for every chi = wbar^e, one O(p) character
+    sum per entry."""
+    p = A.prime
+    return tuple(
+        _beta_residue(p, (A.exponent + e) % (p - 1), (B.exponent + e) % (p - 1), N)
+        for e in range(p - 1)
+    )
+
+
+def eta_product(factors, truncation: int) -> tuple[int, list[int]]:
+    """(leading power, coefficients through q^truncation) of prod_i
+    eta(s_i z)^(e_i), multiplying by one binomial (1 - q^(s n)) at a time."""
+    offset = sum(s * e for s, e in factors) // 24
+    length = truncation - offset + 1
+    co = [0] * length
+    co[0] = 1
+    for s, e in factors:
+        n = 1
+        while s * n < length:
+            k = s * n
+            for _ in range(e):
+                for i in range(length - 1, k - 1, -1):
+                    co[i] -= co[i - k]
+            n += 1
+    return offset, co

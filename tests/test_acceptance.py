@@ -11,6 +11,9 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from pathlib import Path
+
+import pytest
 
 from padichyp import checks, cli
 from padichyp.combinatorics import apery
@@ -164,3 +167,20 @@ def test_check_all_json_matches_golden_sha(tmp_path):
     assert len(json.loads(data)) == 10343
     assert hashlib.sha256(data).hexdigest() == CHECK_ALL_SHA256
     print(f"ACCEPTANCE golden check-all SHA-256: PASS ({time.perf_counter() - t0:.1f}s)")
+
+
+# the bench's reference outputs; read here, never written
+BENCH_REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
+
+
+@pytest.mark.parametrize("name", ["ao", "conj1.3"])
+def test_large_prime_json_matches_bench_reference(tmp_path, name):
+    ref = json.loads(BENCH_REFERENCE.read_text(encoding="utf-8"))[name]
+    out = tmp_path / "out.json"
+    t0 = time.perf_counter()
+    assert cli.main([*ref["argv"], "--out", str(out)]) == 0
+    data = out.read_bytes()
+    assert len(json.loads(data)) == ref["rows"]
+    assert hashlib.sha256(data).hexdigest() == ref["sha256"]
+    print(f"ACCEPTANCE golden {' '.join(ref['argv'])}: PASS "
+          f"({time.perf_counter() - t0:.1f}s)")

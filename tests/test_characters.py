@@ -3,10 +3,13 @@
 import random
 from fractions import Fraction
 
+import oracles
 import pytest
 
+from padichyp import checks
 from padichyp.characters import (
     Character,
+    binomial_table,
     char_binomial_scaled,
     char_value,
     characters_for_arguments,
@@ -129,3 +132,42 @@ def test_mixed_primes_rejected():
 def test_characters_need_full_order():
     with pytest.raises(ValueError):
         characters_for_arguments([Fraction(1, 5)], 7)
+
+
+# -- the chirp-correlation tables against the per-entry oracle
+
+# the `greene` CLI invocations of the README and of the CLI tests
+GREENE_CLI_ARGS = ("1/2,1/2", "1/3,2/3")
+
+
+def _evaluated_tables():
+    """Every (A, B) table that prop2.2 and ao build at their check-all primes
+    and over 449..499 (read off the claim plans), and that the greene CLI
+    examples build at p = 7."""
+    runs = []
+    for lo, hi in ((None, None), (449, 499)):
+        tasks, _ = checks.CLAIMS["prop2.2"].plan(lo, hi)
+        runs += [(checks.parse_args(t.params["args"]), t.primes[0]) for t in tasks]
+        tasks, _ = checks.CLAIMS["ao"].plan(lo, hi)
+        runs += [([Fraction(1, 2)] * 4, t.primes[0]) for t in tasks]
+    runs += [(checks.parse_args(a), 7) for a in GREENE_CLI_ARGS]
+    pairs = {(a, Character.trivial(p)) for args, p in runs
+             for a in characters_for_arguments(args, p)}
+    return sorted(pairs, key=lambda ab: (ab[0].prime, ab[0].exponent))
+
+
+def test_evaluated_binomial_tables_match_per_entry_oracle():
+    pairs = _evaluated_tables()
+    assert {A.prime for A, _ in pairs} >= {7, 61, 449, 461, 491, 499}
+    for A, B in pairs:
+        for N in (1, 3, 5):
+            assert binomial_table(A, B, N) == oracles.binomial_table(A, B, N), (A, B, N)
+
+
+def test_random_binomial_tables_match_per_entry_oracle():
+    rng = random.Random(20260810)
+    for p in (3, 5, 7, 13, 61, 251):
+        for N in range(1, 9):
+            for _ in range(2):
+                A, B = Character(p, rng.randrange(p - 1)), Character(p, rng.randrange(p - 1))
+                assert binomial_table(A, B, N) == oracles.binomial_table(A, B, N), (A, B, N)

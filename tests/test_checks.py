@@ -14,8 +14,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from padichyp import checks, cli
-from padichyp.padic import PadicValue, valuation_of_int
+from padichyp import characters, checks, cli, qseries
+from padichyp.padic import PadicValue, rational_to_padic, valuation_of_int
+from padichyp.qseries import QSeries
 from padichyp.report import CSV_COLUMNS, reports_to_csv, reports_to_json
 
 
@@ -121,6 +122,54 @@ def test_g_vs_trunc_fails_without_the_sp_term(monkeypatch, claim, primes, params
     rows = checks.check_g_vs_trunc(claim, params, args, primes, checks.CLAIMS[claim].mod)
     assert len(rows) == len(primes)
     assert all(not r.passed and r.diff_valuation == 1 for r in rows)
+
+
+def test_prop22_fails_with_a_shifted_greene_table_entry(monkeypatch):
+    tasks, _ = checks.CLAIMS["prop2.2"].plan()
+    assert all(r.passed for t in tasks for r in checks.run_task(t))
+    build = characters.binomial_table
+
+    def shifted(A, B, N):
+        table = build(A, B, N)
+        return (table[0] + 1, *table[1:])
+
+    monkeypatch.setattr(characters, "binomial_table", shifted)
+    rows = [r for t in tasks for r in checks.run_task(t)]
+    assert len(rows) == len(tasks)
+    assert all(not r.passed for r in rows)
+
+
+def test_thm11_fails_without_its_minus_p_term(monkeypatch):
+    primes = checks.primes_in(7, 61)
+    series = checks.greene_series_scaled
+    # the Greene series plus p, so that series - p is the bare series
+    monkeypatch.setattr(checks, "greene_series_scaled", lambda top, bottom, x, N: (
+        series(top, bottom, x, N) + rational_to_padic(top[0].prime, top[0].prime, N)))
+    rows = [r for r in checks.check_ao(primes) if r.claim == "thm1.1"]
+    assert len(rows) == len(primes)
+    assert all(not r.passed and r.diff_valuation == 1 for r in rows)
+
+
+def test_thm12_and_beukers_fail_with_shifted_form_coefficients(monkeypatch):
+    form = checks.gamma_coeffs
+    monkeypatch.setattr(checks, "gamma_coeffs", lambda M: QSeries(
+        form(M).offset, [c + 1 for c in form(M).coeffs], M))
+    primes = checks.primes_in(7, 61)
+    ao = checks.check_ao(primes)
+    assert [r.passed for r in ao if r.claim == "thm1.1"] == [True] * len(primes)
+    rows = [r for r in ao if r.claim == "thm1.2"] + checks.check_beukers(checks.primes_in(3, 97))
+    assert len(rows) == len(primes) + len(checks.primes_in(3, 97))
+    assert all(not r.passed and r.diff_valuation == 0 for r in rows)
+
+
+def test_conj13_fails_with_a_changed_form_weight(monkeypatch):
+    primes = [p for p in checks.primes_in(3, 97) if p != 5]
+    assert all(r.passed for r in checks.check_rv(primes))
+    monkeypatch.setattr(qseries, "_RV_WEIGHTS", (2, 5, 20, 25, 25))
+    rows = checks.check_rv(primes)
+    main = [r for r in rows if r.claim == "conj1.3"]
+    assert len(main) == len(primes) and all(not r.passed for r in main)
+    assert all(r.passed for r in rows if r.claim == "conj1.3-framework")
 
 
 def test_theorem23_precondition():

@@ -4,6 +4,7 @@ plus the classical coefficient facts used by the congruence checks."""
 import io
 import math
 
+import oracles
 import pytest
 
 from padichyp.qseries import (
@@ -135,3 +136,38 @@ def test_csv_export():
     assert lines[1] == "1,1"
     assert lines[3] == "3,-4"
     assert len(lines) == 6
+
+
+# -- the pentagonal-series expansion against the one-binomial-at-a-time oracle
+
+LEVEL8 = [(2, 4), (4, 4)]
+LEVEL25 = [[(1, 5 - i), (5, 4), (25, i - 1)] for i in range(1, 6)]
+TRUNCATIONS = [*range(1, 31), 499]
+
+
+def _offset(factors):
+    return sum(s * e for s, e in factors) // 24
+
+
+def test_expansion_matches_binomial_oracle():
+    for factors in [LEVEL8, *LEVEL25]:
+        for M in TRUNCATIONS:
+            if M < _offset(factors):
+                with pytest.raises(ValueError):
+                    eta_product(factors, M)
+                continue
+            s = eta_product(factors, M)
+            assert (s.offset, s.coeffs) == oracles.eta_product(factors, M), (factors, M)
+
+
+def test_forms_match_binomial_oracle():
+    weights = (1, 5, 20, 25, 25)
+    for M in TRUNCATIONS:
+        assert gamma_coeffs(M).coeffs == oracles.eta_product(LEVEL8, M)[1], M
+        expected = [0] * M
+        for w, factors in zip(weights, LEVEL25):
+            if _offset(factors) <= M:
+                off, poly = oracles.eta_product(factors, M)
+                for k, c in enumerate(poly):
+                    expected[off + k - 1] += w * c
+        assert rv_form_coeffs(M).coeffs == expected, M
