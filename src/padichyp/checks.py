@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -59,6 +58,16 @@ def _thm27_class_ok(p: int, d: int, r: int) -> bool:
     if r * r % d in (1 % d, (d - 1) % d):
         return p % d in (r % d, (d - r) % d)
     return False
+
+
+@lru_cache(maxsize=None)
+def _form(builder, horizon: int):
+    """builder(horizon): a form's coefficients through q^horizon, built once
+    per process for each (builder, horizon).  The checkers ask for the larger
+    of their task's horizon and their largest prime, so every task of a plan
+    shares one form.  Code that perturbs a form clears the memo with
+    _form.cache_clear()."""
+    return builder(horizon)
 
 
 @lru_cache(maxsize=None)
@@ -147,12 +156,13 @@ def check_g_vs_trunc(claim: str, params: dict, args, primes,
     return out
 
 
-def check_beukers(primes, mod_power: int = 2) -> list[CongruenceReport]:
+def check_beukers(primes, mod_power: int = 2,
+                  horizon: int | None = None) -> list[CongruenceReport]:
     """Apery numbers against the level-8 form coefficients mod p^2."""
     out = []
     if not primes:
         return out
-    table = gamma_coeffs(max(primes))
+    table = _form(gamma_coeffs, max(horizon or 0, *primes))
     N = mod_power + GUARD
     for p in primes:
         a = comb.apery((p - 1) // 2)
@@ -163,7 +173,7 @@ def check_beukers(primes, mod_power: int = 2) -> list[CongruenceReport]:
     return out
 
 
-def check_ao(primes) -> list[CongruenceReport]:
+def check_ao(primes, horizon: int | None = None) -> list[CongruenceReport]:
     """The two halves of the Apery supercongruence route.
 
     thm1.1: truncated 4F3 = scaled Gaussian series - p, mod p^2.
@@ -173,7 +183,7 @@ def check_ao(primes) -> list[CongruenceReport]:
     out = []
     if not primes:
         return out
-    table = gamma_coeffs(max(primes))
+    table = _form(gamma_coeffs, max(horizon or 0, *primes))
     N = 5
     half = (Fraction(1, 2),) * 4
     for p in primes:
@@ -194,13 +204,14 @@ def check_ao(primes) -> list[CongruenceReport]:
     return out
 
 
-def check_rv(primes, mod_power: int = 3) -> list[CongruenceReport]:
+def check_rv(primes, mod_power: int = 3,
+             horizon: int | None = None) -> list[CongruenceReport]:
     """Rodriguez-Villegas: truncated 4F3[1/5,2/5,3/5,4/5] against the
     level-25 form mod p^3, plus the same-parameter framework congruence."""
     out = []
     if not primes:
         return out
-    table = rv_form_coeffs(max(primes))
+    table = _form(rv_form_coeffs, max(horizon or 0, *primes))
     args = (Fraction(1, 5), Fraction(2, 5), Fraction(3, 5), Fraction(4, 5))
     N = mod_power + GUARD
     for p in primes:
@@ -387,13 +398,16 @@ def check_lemma_suites(primes, seed: int = DEFAULT_SEED) -> list[CongruenceRepor
 
 
 class Task(NamedTuple):
-    """One unit of work: a claim's checker on one parameter set."""
+    """One unit of work: a claim's checker on one parameter set.  The
+    horizon is the largest prime of the task's plan, the truncation the
+    form-based checkers build their q-expansions to."""
 
     claim: str
     params: dict
     primes: list[int]
     mod: int | None
     seed: int
+    horizon: int | None = None
 
 
 @dataclass(frozen=True)
@@ -442,17 +456,19 @@ class Claim:
             check_prime(lo)
         elif hi > PRIME_BOUND:
             raise ValueError(f"prime range {lo}..{hi} exceeds the prime bound {PRIME_BOUND}")
-        tasks, skipped = [], []
+        runs, skipped = [], []
         for q in grid:
             for p in primes_in(max(lo, 3), hi):
                 if self.admissible(p, q):
-                    tasks.append(Task(self.id, q, [p], mod, seed))
+                    runs.append((q, p))
                 else:
                     skipped.append((self.id, q, p))
-        if not tasks:
+        if not runs:
             raise ValueError(f"no prime in {lo}..{hi} satisfies the preconditions of {self.id}")
+        horizon = max(p for _, p in runs)
+        tasks = [Task(self.id, q, [p], mod, seed, horizon) for q, p in runs]
         if self.prime_free:
-            tasks.append(Task(self.id, {}, [], mod, seed))
+            tasks.append(Task(self.id, {}, [], mod, seed, horizon))
         return tasks, skipped
 
 
@@ -502,11 +518,11 @@ CLAIMS = {c.id: c for c in (
           ({"d": 5, "r": 2}, {"d": 8, "r": 3}, {"d": 12, "r": 5}), (3, 97), 3,
           _check_trunc, args=_thm27_args),
     Claim("beukers", lambda p, q: True, (), ({},), (3, 97), 2,
-          lambda t, _: check_beukers(t.primes, t.mod)),
+          lambda t, _: check_beukers(t.primes, t.mod, t.horizon)),
     Claim("ao", lambda p, q: True, (), ({},), (7, 61), None,
-          lambda t, _: check_ao(t.primes)),
+          lambda t, _: check_ao(t.primes, t.horizon)),
     Claim("conj1.3", lambda p, q: p != 5, (), ({},), (3, 97), 3,
-          lambda t, _: check_rv(t.primes, t.mod)),
+          lambda t, _: check_rv(t.primes, t.mod, t.horizon)),
     Claim("lemmas", lambda p, q: p >= 7, (), ({},), (7, 13), None,
           lambda t, _: (check_lemma_suites(t.primes, t.seed) if t.primes
                         else check_bin_harmonic_ids(t.seed)),
@@ -527,6 +543,8 @@ def run_tasks(tasks, jobs: int = 1) -> list[CongruenceReport]:
     if jobs <= 1:
         chunks = map(run_task, tasks)
     else:
+        # imported here: a --jobs 1 run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunks = list(pool.map(run_task, tasks, chunksize=1))
     out = []

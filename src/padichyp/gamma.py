@@ -21,9 +21,12 @@ matter, and P(kp)/P(0) lies in 1 + pZ_p, so the complete-block product is
     P(0)^K * exp( sum_{i>=1} lambda_i p^i S_i(K) ),
 
 where lambda_i are the coefficients of log(P(y)/P(0)) and
-S_i(K) = sum_{k<K} k^i is a Faulhaber polynomial in K.  Everything reduces to
-O(N^2) arithmetic mod p^N per evaluation after an O(pN + N^2) precomputation
-per (p, N), so sweeping to p^N is never required.  The series manipulations are
+S_i(K) = sum_{k<K} k^i is a Faulhaber polynomial in K.  The exponent
+K log(-P(0)) + sum_i lambda_i p^i S_i(K) is folded into one polynomial of
+degree N in K, so after an O(pN + N^2) precomputation per (p, N) each value
+costs three Horner passes mod p^N (the log, the exp and the partial block),
+and sweeping to p^N is never required.  gamma_residues evaluates a batch of
+residues with the checks done once.  The series manipulations are
 p-integral as long as N <= p - 1 (middle coefficients of P vanish mod p since
 P(y) = y^(p-1) - 1 over F_p, and no Bernoulli denominator can contain p), so
 the path depends on (p, N) alone: the block formula for N <= p - 1, else the
@@ -125,37 +128,63 @@ def _block_data(p: int, N: int):
     return pN, tuple(tuple(q) for q in polys), tuple(lam), ell0, tuple(faul), inv_fact
 
 
-def _gamma_block(r: int, p: int, N: int) -> int:
+@lru_cache(maxsize=None)
+def _horner_data(p: int, N: int):
+    """The tables of _block_data folded for Horner evaluation, highest degree
+    first: the log of the complete-block product as one polynomial in K,
+
+        L(K) = K ell0 + sum_{0<i<N} lam_i p^i S_i(K)   (degree N),
+
+    the truncated exp series, and the partial-block polynomials Q_s."""
     pN, polys, lam, ell0, faul, inv_fact = _block_data(p, N)
-    if r == 0:
-        return 1
-    K, s = divmod(r - 1, p)
-    K %= pN
-    lam_total = K * ell0 % pN
+    logpoly = [0] * (N + 1)
+    logpoly[1] = ell0
     pi = 1
     for i in range(1, N):
-        pi = pi * p
-        # S_i(K) by Horner-free evaluation of the Faulhaber polynomial
-        si, acc = 0, 1
-        for c in faul[i - 1]:
-            si = (si + c * acc) % pN
-            acc = acc * K % pN
-        lam_total = (lam_total + lam[i] * pi % pN * si) % pN
-    # exp(lam_total), lam_total in pZ_p
-    expo, t = 0, 1
-    for j in range(N):
-        expo = (expo + t * inv_fact[j]) % pN
-        t = t * lam_total % pN
-    # partial block Q_s(Kp)
-    y = K * p % pN
-    q, acc = 0, 1
-    for c in polys[s]:
-        q = (q + c * acc) % pN
-        acc = acc * y % pN
-    val = expo * q % pN
-    if (r + K) % 2:
-        val = -val % pN
-    return val
+        pi *= p
+        c = lam[i] * pi % pN
+        for k, f in enumerate(faul[i - 1]):
+            logpoly[k] = (logpoly[k] + c * f) % pN
+    return (pN, tuple(logpoly[::-1]), inv_fact[::-1],
+            tuple(q[::-1] for q in polys))
+
+
+def _gamma_blocks(rs, p: int, N: int) -> list[int]:
+    """Gamma_p(r) mod p^N for each residue r by the block formula: three
+    Horner passes per value, for the log, the exp and the partial block."""
+    pN, logpoly, expc, qpolys = _horner_data(p, N)
+    out = []
+    for r in rs:
+        if r == 0:
+            out.append(1)
+            continue
+        K, s = divmod(r - 1, p)
+        t = 0
+        for c in logpoly:
+            t = (t * K + c) % pN
+        e = 0
+        for c in expc:
+            e = (e * t + c) % pN
+        y = K * p
+        q = 0
+        for c in qpolys[s]:
+            q = (q * y + c) % pN
+        v = e * q % pN
+        out.append(-v % pN if (r + K) % 2 else v)
+    return out
+
+
+def _evaluate(rs, p: int, N: int) -> list[int]:
+    """Gamma_p(r) mod p^N for residues r not yet cached, by the path (p, N)
+    selects."""
+    pN = p**N
+    if N <= p - 1:
+        return _gamma_blocks(rs, p, N)
+    if pN <= _NAIVE_SWEEP_MAX:
+        return [gamma_residue_by_sweep(r, p, N) for r in rs]
+    raise PrecisionError(
+        f"p={p}, N={N}: N > p-1 leaves only the naive sweep, and "
+        f"p^N = {pN} exceeds its bound {_NAIVE_SWEEP_MAX}")
 
 
 def gamma_residue(r: int, p: int, N: int) -> int:
@@ -167,16 +196,23 @@ def gamma_residue(r: int, p: int, N: int) -> int:
     cache = _value_cache.setdefault((p, N), {})
     v = cache.get(r)
     if v is None:
-        if N <= p - 1:
-            v = _gamma_block(r, p, N)
-        elif pN <= _NAIVE_SWEEP_MAX:
-            v = gamma_residue_by_sweep(r, p, N)
-        else:
-            raise PrecisionError(
-                f"p={p}, N={N}: N > p-1 leaves only the naive sweep, and "
-                f"p^N = {pN} exceeds its bound {_NAIVE_SWEEP_MAX}")
-        cache[r] = v
+        v = cache[r] = _evaluate((r,), p, N)[0]
     return v
+
+
+def gamma_residues(rs, p: int, N: int) -> list[int]:
+    """[gamma_residue(r, p, N) for r in rs], with the prime and the modulus
+    checked once and the values missing from the cache computed in one batch."""
+    check_prime(p)
+    pN = _modulus(p, N)
+    rs = list(rs)
+    if not all(0 <= r < pN for r in rs):
+        raise ValueError("residue out of range")
+    cache = _value_cache.setdefault((p, N), {})
+    missing = [r for r in dict.fromkeys(rs) if r not in cache]
+    if missing:
+        cache.update(zip(missing, _evaluate(missing, p, N)))
+    return [cache[r] for r in rs]
 
 
 def _as_residue(x, p: int, N: int) -> int:

@@ -16,10 +16,11 @@ arithmetic mod p^N, each distinct gamma value evaluated once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .gamma import gamma_residue
+from .gamma import gamma_residues
 from .padic import PadicValue, check_prime
 
 
@@ -71,7 +72,8 @@ def g_function(ga: GArguments) -> PadicValue:
         queries.update(r for r, _ in row)
     denom_res = [m * pow(d, -1, pN) % pN for m, d, _ in fracs]
     queries.update(denom_res)
-    table = {r: gamma_residue(r, p, N) for r in queries}
+    queries = list(queries)
+    table = dict(zip(queries, gamma_residues(queries, p, N)))
 
     denom = 1
     for r in denom_res:
@@ -104,11 +106,8 @@ def s_factor(fracs, p: int, N: int) -> PadicValue:
     [1/d, r/d, (d-r)/d, (d-1)/d]; reflection pairs each product into +-1.
     """
     pN = p**N
-    out = 1
-    for f in map(Fraction, fracs):
-        r = f.numerator * pow(f.denominator, -1, pN) % pN
-        out = out * gamma_residue(r, p, N) % pN
-    return PadicValue.from_residue(out, p, N)
+    rs = [f.numerator * pow(f.denominator, -1, pN) % pN for f in map(Fraction, fracs)]
+    return PadicValue.from_residue(math.prod(gamma_residues(rs, p, N)) % pN, p, N)
 
 
 def theorem26_sign(p: int, d1: int, d2: int) -> int:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from numbers import Rational
 
 PRIME_BOUND = 500
@@ -27,6 +28,7 @@ class PrecisionError(ArithmeticError):
     """A computation or comparison was requested past certified precision."""
 
 
+@lru_cache(maxsize=None)
 def is_odd_prime(p: int) -> bool:
     if p < 3 or p % 2 == 0:
         return False

@@ -2,9 +2,10 @@
 
 These are the straightforward per-term Fraction (and truncated-power-series)
 evaluations that the package replaced by integer num/den kernels for speed,
-the per-entry Greene binomial table replaced by one chirp correlation, and
-the one-binomial-at-a-time eta-product expansion replaced by Euler's
-pentagonal series.  They stay here so that every fast kernel is compared
+the per-entry Greene binomial table replaced by one chirp correlation, the
+one-binomial-at-a-time eta-product expansion replaced by Euler's pentagonal
+series, and the per-value Gamma_p block evaluation (one Faulhaber polynomial
+per log coefficient) replaced by one folded log polynomial.  They stay here so that every fast kernel is compared
 with an independent exact evaluation of the same quantity.
 """
 
@@ -15,6 +16,7 @@ from fractions import Fraction
 
 from padichyp.characters import Character, _beta_residue
 from padichyp.combinatorics import harmonic
+from padichyp.gamma import _block_data
 from padichyp.hyp import HypParams, rising_factorial
 from padichyp.padic import PadicValue, rational_to_padic
 
@@ -143,3 +145,37 @@ def eta_product(factors, truncation: int) -> tuple[int, list[int]]:
                     co[i] -= co[i - k]
             n += 1
     return offset, co
+
+
+def gamma_block(r: int, p: int, N: int) -> int:
+    """Gamma_p(r) mod p^N by the block formula, for N <= p - 1, evaluating
+    each Faulhaber polynomial S_i(K) and its log coefficient separately."""
+    pN, polys, lam, ell0, faul, inv_fact = _block_data(p, N)
+    if r == 0:
+        return 1
+    K, s = divmod(r - 1, p)
+    K %= pN
+    lam_total = K * ell0 % pN
+    pi = 1
+    for i in range(1, N):
+        pi = pi * p
+        si, acc = 0, 1
+        for c in faul[i - 1]:
+            si = (si + c * acc) % pN
+            acc = acc * K % pN
+        lam_total = (lam_total + lam[i] * pi % pN * si) % pN
+    # exp(lam_total), lam_total in pZ_p
+    expo, t = 0, 1
+    for j in range(N):
+        expo = (expo + t * inv_fact[j]) % pN
+        t = t * lam_total % pN
+    # partial block Q_s(Kp)
+    y = K * p % pN
+    q, acc = 0, 1
+    for c in polys[s]:
+        q = (q + c * acc) % pN
+        acc = acc * y % pN
+    val = expo * q % pN
+    if (r + K) % 2:
+        val = -val % pN
+    return val

@@ -184,3 +184,26 @@ def test_large_prime_json_matches_bench_reference(tmp_path, name):
     assert hashlib.sha256(data).hexdigest() == ref["sha256"]
     print(f"ACCEPTANCE golden {' '.join(ref['argv'])}: PASS "
           f"({time.perf_counter() - t0:.1f}s)")
+
+
+@pytest.mark.parametrize("name, builder", [("ao", "gamma_coeffs"),
+                                           ("conj1.3", "rv_form_coeffs")])
+def test_large_prime_plan_builds_its_form_once(tmp_path, monkeypatch, name, builder):
+    ref = json.loads(BENCH_REFERENCE.read_text(encoding="utf-8"))[name]
+    calls = []
+    build = getattr(checks, builder)
+
+    def counted(M):
+        calls.append(M)
+        return build(M)
+
+    monkeypatch.setattr(checks, builder, counted)
+    outputs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"out-{jobs}.json"
+        assert cli.main([*ref["argv"], "--jobs", jobs, "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+        if jobs == "1":  # one form through the plan's largest prime, for 9 tasks
+            assert calls == [499]
+    assert hashlib.sha256(outputs[0]).hexdigest() == ref["sha256"]
+    assert outputs[1] == outputs[0]

@@ -2,6 +2,7 @@
 and the CLI surface."""
 
 import argparse
+import concurrent.futures
 import contextlib
 import io
 import json
@@ -150,9 +151,21 @@ def test_thm11_fails_without_its_minus_p_term(monkeypatch):
     assert all(not r.passed and r.diff_valuation == 1 for r in rows)
 
 
-def test_thm12_and_beukers_fail_with_shifted_form_coefficients(monkeypatch):
+@pytest.fixture
+def perturb_form(monkeypatch):
+    """monkeypatch.setattr for a change to a modular form.  It also clears
+    the per-process form memo, so that no form built before the change is
+    reused after it, and clears it again when the test ends."""
+    def perturb(target, name, value):
+        monkeypatch.setattr(target, name, value)
+        checks._form.cache_clear()
+    yield perturb
+    checks._form.cache_clear()
+
+
+def test_thm12_and_beukers_fail_with_shifted_form_coefficients(perturb_form):
     form = checks.gamma_coeffs
-    monkeypatch.setattr(checks, "gamma_coeffs", lambda M: QSeries(
+    perturb_form(checks, "gamma_coeffs", lambda M: QSeries(
         form(M).offset, [c + 1 for c in form(M).coeffs], M))
     primes = checks.primes_in(7, 61)
     ao = checks.check_ao(primes)
@@ -162,10 +175,10 @@ def test_thm12_and_beukers_fail_with_shifted_form_coefficients(monkeypatch):
     assert all(not r.passed and r.diff_valuation == 0 for r in rows)
 
 
-def test_conj13_fails_with_a_changed_form_weight(monkeypatch):
+def test_conj13_fails_with_a_changed_form_weight(perturb_form):
     primes = [p for p in checks.primes_in(3, 97) if p != 5]
     assert all(r.passed for r in checks.check_rv(primes))
-    monkeypatch.setattr(qseries, "_RV_WEIGHTS", (2, 5, 20, 25, 25))
+    perturb_form(qseries, "_RV_WEIGHTS", (2, 5, 20, 25, 25))
     rows = checks.check_rv(primes)
     main = [r for r in rows if r.claim == "conj1.3"]
     assert len(main) == len(primes) and all(not r.passed for r in main)
@@ -412,13 +425,29 @@ def test_worker_pool_is_capped_by_tasks_and_cpus(monkeypatch):
             return map(fn, items)
 
     tasks, _ = checks.CLAIMS["thm2.4"].plan(7, 31, {"d": 3})
-    monkeypatch.setattr(checks, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     serial = checks.run_tasks(tasks, jobs=1)
     for cpus, expected in [(64, [len(tasks)]), (2, [2]), (None, [])]:
         sizes.clear()
         monkeypatch.setattr(checks.os, "cpu_count", lambda: cpus)
         assert checks.run_tasks(tasks, jobs=10_000) == serial
         assert sizes == expected
+
+
+def test_plan_gives_every_task_its_largest_prime_as_horizon():
+    tasks, _ = checks.CLAIMS["thm2.4"].plan(7, 31)
+    assert {t.horizon for t in tasks} == {31}
+    tasks, _ = checks.CLAIMS["lemmas"].plan()
+    assert [t.horizon for t in tasks] == [13] * 4  # the prime-free task too
+
+
+def test_cli_import_does_not_load_the_process_pool():
+    code = ("import sys, padichyp.cli; "
+            "print([m for m in ('concurrent.futures.process', 'multiprocessing') "
+            "if m in sys.modules])")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
 
 
 def test_conj13_builds_one_truncated_series_per_prime():

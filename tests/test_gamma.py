@@ -2,19 +2,23 @@
 shift/derivative machinery and the shifted-gamma congruence families."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 import oracles
+from padichyp import gamma
 from padichyp.gamma import (
     _block_data,
+    _gamma_blocks,
     default_x_grid,
     g1,
     g2,
     gamma_p,
     gamma_residue,
     gamma_residue_by_sweep,
+    gamma_residues,
     gamma_shift,
     lemma_check_gamma_suite,
     paired_g1_harmonic,
@@ -66,6 +70,49 @@ def test_block_evaluation_matches_sweep_oracle():
         points.update(rng.randrange(pN) for _ in range(25))
         for r in points:
             assert gamma_residue(r, p, N) == gamma_residue_by_sweep(r, p, N), (p, N, r)
+
+
+def test_block_kernel_matches_per_value_oracle_on_every_residue():
+    for p, top in [(7, 6), (11, 4)]:
+        for N in range(1, top + 1):
+            rs = range(p**N)
+            assert _gamma_blocks(rs, p, N) == [oracles.gamma_block(r, p, N) for r in rs], (p, N)
+
+
+def test_block_kernel_matches_per_value_oracle_at_large_primes():
+    rng = random.Random(11)
+    for p in (251, 491):
+        for N in range(1, 6):
+            pN = p**N
+            rs = [0, 1, 2, p - 1, p, p + 1, pN - p, pN - 1]
+            rs += [rng.randrange(pN) for _ in range(300)]
+            assert _gamma_blocks(rs, p, N) == [oracles.gamma_block(r, p, N) for r in rs], (p, N)
+
+
+def test_batched_residues_equal_single_residues(monkeypatch):
+    rng = random.Random(5)
+    # (3, 4) and (5, 6) have N > p - 1 and take the sweep path
+    for p, N in [(3, 4), (5, 6), (7, 3), (13, 4), (491, 5)]:
+        pN = p**N
+        rs = [rng.randrange(pN) for _ in range(200)] + [0, 1, pN - 1, 0, 1]
+        monkeypatch.setattr(gamma, "_value_cache", {})
+        batch = gamma_residues(rs, p, N)
+        monkeypatch.setattr(gamma, "_value_cache", {})
+        assert batch == [gamma_residue(r, p, N) for r in rs], (p, N)
+        assert gamma_residues([], p, N) == []
+
+
+@pytest.mark.parametrize("r, p, N", [
+    (7**3, 7, 3), (-1, 7, 3),  # residue out of range
+    (0, 3, 14),  # N > p - 1 leaves only the sweep, past its bound
+    (0, 7, 0), (0, 7, -1),  # no digit
+    (0, 9, 2), (0, 2, 2), (0, 503, 2),  # not an odd prime, past the bound
+])
+def test_batched_residues_raise_like_single_residues(r, p, N):
+    with pytest.raises((ValueError, PrecisionError)) as single:
+        gamma_residue(r, p, N)
+    with pytest.raises(type(single.value), match=re.escape(str(single.value))):
+        gamma_residues([0, r], p, N)
 
 
 def test_small_primes_use_sweep_path():
