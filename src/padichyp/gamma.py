@@ -9,29 +9,47 @@ obtained by reducing x modulo p^N and evaluating at the integer
 representative, which is exact mod p^N by the continuity property
 Gamma_p(x) = Gamma_p(y) mod p^n whenever x = y mod p^n.
 
-Evaluation strategy.  The defining product up to r < p^N factors into
-complete blocks of p consecutive integers and one partial block:
+Evaluation.  One formula serves every (p, N).  The defining product up to
+m = r - 1 factors into complete blocks of p consecutive integers and one
+partial block:
 
     prod_{0<j<=m, p!|j} j = prod_{k=0}^{K-1} P(kp) * Q_s(Kp),
     P(y) = prod_{t=1}^{p-1} (y+t),   Q_s(y) = prod_{t=1}^{s} (y+t),
 
-with K = m // p, s = m % p.  Modulo p^N only the first N coefficients of P
-matter, and P(kp)/P(0) lies in 1 + pZ_p, so the complete-block product is
+with K = m // p, s = m % p.  P(kp)/P(0) lies in 1 + pZ_p and
+-P(0) = -(p-1)! = 1 mod p (Wilson), so the complete-block product is
+(-1)^K exp(L(K)) with
 
-    P(0)^K * exp( sum_{i>=1} lambda_i p^i S_i(K) ),
+    L(K) = K ell0 + sum_{i>=1} c_i S_i(K),   ell0 = log(-(p-1)!),
+    c_i = lambda_i p^i = (-1)^(i+1) p^i sum_{t<p} t^(-i) / i,
 
-where lambda_i are the coefficients of log(P(y)/P(0)) and
-S_i(K) = sum_{k<K} k^i is a Faulhaber polynomial in K.  The exponent
-K log(-P(0)) + sum_i lambda_i p^i S_i(K) is folded into one polynomial of
-degree N in K, so after an O(pN + N^2) precomputation per (p, N) each value
-costs three Horner passes mod p^N (the log, the exp and the partial block),
-and sweeping to p^N is never required.  gamma_residues evaluates a batch of
-residues with the checks done once.  The series manipulations are
-p-integral as long as N <= p - 1 (middle coefficients of P vanish mod p since
-P(y) = y^(p-1) - 1 over F_p, and no Bernoulli denominator can contain p), so
-the path depends on (p, N) alone: the block formula for N <= p - 1, else the
-naive sweep while p^N <= _NAIVE_SWEEP_MAX, else a PrecisionError.  The sweep
-doubles as an independent test oracle for the block formula.
+where S_i(K) = sum_{k<K} k^i is a Faulhaber polynomial in K.  L(K) lies in
+pZ_p, and each value costs three Horner passes mod p^N: u = L(K)/p,
+exp(p u) = sum_j (p^j/j!) u^j and Q_s(Kp).  _horner_data builds the tables
+once per (p, N), with exact guard digits past N = p - 1:
+
+- Log terms.  c_i S_i(K) has valuation >= i - v_p(i), so only i < I count,
+  I the least index with i - v_p(i) >= N for every i >= I (no i >= 2N
+  counts, as v_p(i) < i/2).  The sums w_i = i lambda_i come from P's
+  coefficients by Newton's identities, with no division, and c_i is
+  p^(i - v_p(i)) w_i over the unit i / p^v_p(i).  ell0 = log(1 + z),
+  z = -(p-1)! - 1, is summed to the same cutoff.
+- Faulhaber polynomials.  S_i = sum_j C(i+1, j) B_j K^(i+1-j) / (i+1)
+  carries the Bernoulli and 1/(i+1) denominators, at most p^(1 + v_p(i+1))
+  as v_p(B_j) >= -1 (von Staudt-Clausen); p^G clears them all.  Then
+  i - v_p(i) - 1 - v_p(i+1) >= 1 for odd p, except at i = 1 (S_1 has no p
+  in a denominator) and (p, i) = (3, 2) (S_2 has one 3), so every c_i S_i
+  has its coefficients in pZ_p, as ell0 does.  The coefficients of the scaled
+  polynomial p^G L, summed mod p^(N+G), therefore divide exactly by
+  p^(G+1), which gives u mod p^(N-1); that suffices, as exp(p u) mod p^N
+  depends on no more.
+- Exp series.  v_p(j!) <= (j-1)/(p-1), so the coefficients p^j/j! are
+  p-integral and vanish mod p^N from J on, J the least j with
+  j - (j-1)//(p-1) >= N.
+
+For N < p, I = J = N and G = 0.  The table prep is polynomial in (p, N):
+O(p I) for the partial blocks and O(I^2 + J) for the rest.  gamma_residues
+evaluates a batch of residues with the checks done once.
 """
 
 from __future__ import annotations
@@ -47,10 +65,8 @@ from .padic import (
     PrecisionError,
     check_prime,
     rational_to_padic,
+    valuation_of_int,
 )
-
-# the only bound: the naive sweep is the one path whose cost is p^N
-_NAIVE_SWEEP_MAX = 2_000_000
 
 # memo of computed values, keyed (p, N) -> {residue: unit}
 _value_cache: dict[tuple[int, int], dict[int, int]] = {}
@@ -63,90 +79,60 @@ def _modulus(p: int, N: int) -> int:
     return p**N
 
 
-def gamma_residue_by_sweep(r: int, p: int, N: int) -> int:
-    """Reference evaluation by the defining product; cost O(p^N)."""
-    pN = p**N
-    if not 0 <= r < pN:
-        raise ValueError("residue out of range")
-    acc = 1
-    for j in range(1, r):
-        if j % p:
-            acc = acc * j % pN
-    if r % 2:
-        acc = -acc % pN
-    return acc if r else 1
-
-
-@lru_cache(maxsize=None)
-def _block_data(p: int, N: int):
-    """Per-(p, N) tables: partial-block polynomials, log coefficients,
-    Faulhaber polynomials and inverse factorials, all mod p^N."""
-    pN = p**N
-    # prefix polynomials Q_s(y), truncated to degree < N
-    polys = [[1] + [0] * (N - 1)]
-    cur = polys[0]
-    for s in range(1, p):
-        nxt = [0] * N
-        for i in range(N):
-            nxt[i] = (cur[i] * s + (cur[i - 1] if i else 0)) % pN
-        polys.append(nxt)
-        cur = nxt
-    e = polys[p - 1]  # P(y) = prod_{t=1}^{p-1}(y+t) truncated
-    e0 = e[0]
-    e0_inv = pow(e0, -1, pN)
-    g = [c * e0_inv % pN for c in e]
-    g[0] = 0
-    # lam = log(1 + g) truncated, from (1 + g) lam' = g':
-    # lam_k = g_k - (1/k) sum_{0<i<k} i lam_i g_(k-i), a unit k < N <= p-1
-    lam = [0] * N
-    for k in range(1, N):
-        acc = sum(i * lam[i] * g[k - i] for i in range(1, k))
-        lam[k] = (g[k] - acc * pow(k, -1, pN)) % pN
-    # ell0 = log(-e0); -(p-1)! = 1 mod p by Wilson, so the series converges
-    z = (-e0 - 1) % pN
-    ell0, zj = 0, 1
-    for j in range(1, N + 1):
-        zj = zj * z % pN
-        ell0 = (ell0 + (1 if j % 2 else -1) * zj * pow(j, -1, pN)) % pN
-    # Bernoulli numbers B_0..B_(N-1) (B_1 = -1/2): sum_{j<=m} C(m+1, j) B_j = 0
-    bern = [Fraction(1)]
-    for m in range(1, N):
-        bern.append(-sum(math.comb(m + 1, j) * b for j, b in enumerate(bern)) / (m + 1))
-    # Faulhaber: S_i(K) = sum_{k<K} k^i as polynomials in K
-    faul = []
-    for i in range(1, N):
-        coeffs = [Fraction(0)] * (i + 2)
-        for j in range(i + 1):
-            coeffs[i + 1 - j] += Fraction(math.comb(i + 1, j)) * bern[j] / (i + 1)
-        row = []
-        for c in coeffs:
-            if c.denominator % p == 0:
-                raise PrecisionError("power-sum coefficients not p-integral")
-            row.append(c.numerator * pow(c.denominator, -1, pN) % pN)
-        faul.append(tuple(row))
-    inv_fact = tuple(pow(math.factorial(j), -1, pN) for j in range(N))
-    return pN, tuple(tuple(q) for q in polys), tuple(lam), ell0, tuple(faul), inv_fact
-
-
 @lru_cache(maxsize=None)
 def _horner_data(p: int, N: int):
-    """The tables of _block_data folded for Horner evaluation, highest degree
-    first: the log of the complete-block product as one polynomial in K,
+    """Per-(p, N) tables mod p^N, highest degree first: L(K)/p as one
+    polynomial in K, the exp series in u and the partial-block polynomials."""
+    pN = p**N
+    I = 1 + max((i for i in range(1, 2 * N) if i - valuation_of_int(i, p) < N), default=0)
+    J = N
+    while J - (J - 1) // (p - 1) < N:
+        J += 1
+    # Bernoulli numbers B_0..B_(I-1) (B_1 = -1/2): sum_{j<=m} C(m+1, j) B_j = 0
+    bern = [Fraction(1)]
+    for m in range(1, I):
+        bern.append(-sum(math.comb(m + 1, j) * b for j, b in enumerate(bern)) / (m + 1))
+    # S_i(K) = sum_{k<K} k^i: the coefficient of K^(i+1-j) is faul[i-1][j]
+    faul = [[math.comb(i + 1, j) * bern[j] / (i + 1) for j in range(i + 1)]
+            for i in range(1, I)]
+    G = max((valuation_of_int(c.denominator, p) for row in faul for c in row), default=0)
+    M, pG = p ** (N + G), p**G
 
-        L(K) = K ell0 + sum_{0<i<N} lam_i p^i S_i(K)   (degree N),
+    def over(num: int, den: int) -> int:
+        """num / den mod p^(N+G), for num divisible by p^v_p(den)."""
+        v = valuation_of_int(den, p)
+        return num // p**v * pow(den // p**v, -1, M) % M
 
-    the truncated exp series, and the partial-block polynomials Q_s."""
-    pN, polys, lam, ell0, faul, inv_fact = _block_data(p, N)
-    logpoly = [0] * (N + 1)
-    logpoly[1] = ell0
-    pi = 1
-    for i in range(1, N):
-        pi *= p
-        c = lam[i] * pi % pN
-        for k, f in enumerate(faul[i - 1]):
-            logpoly[k] = (logpoly[k] + c * f) % pN
-    return (pN, tuple(logpoly[::-1]), inv_fact[::-1],
-            tuple(q[::-1] for q in polys))
+    # prefix polynomials Q_s(y) mod p^(N+G), truncated to degree < I
+    cur = [1] + [0] * (I - 1)
+    polys = [cur]
+    for s in range(1, p):
+        nxt, b = [], 0
+        for a in cur:
+            nxt.append((a * s + b) % M)
+            b = a
+        polys.append(nxt)
+        cur = nxt
+    # P(y)/P(0) = 1 + sum g_k y^k; Newton: w_k = k g_k - sum_{0<i<k} g_(k-i) w_i
+    e0 = cur[0]
+    e0_inv = pow(e0, -1, M)
+    g = [c * e0_inv % M for c in cur]
+    w = [0] * I
+    for k in range(1, I):
+        w[k] = (k * g[k] - sum(g[k - i] * w[i] for i in range(1, k))) % M
+    # p^G L(K): Faulhaber terms, then K ell0 with ell0 = log(1 + z)
+    logpoly = [0] * (I + 1)
+    for i, row in enumerate(faul, 1):
+        c = over(p**i * w[i], i)
+        for j, f in enumerate(row):
+            logpoly[i + 1 - j] += c * over(f.numerator * pG, f.denominator)
+    z, zj = (-e0 - 1) % M, 1
+    for j in range(1, I):
+        zj = zj * z % M
+        logpoly[1] += (1 if j % 2 else -1) * pG * over(zj, j)
+    logpoly = [a % M // (p * pG) for a in logpoly]
+    expc = [over(p**j, math.factorial(j)) % pN for j in range(J)]
+    return pN, tuple(logpoly[::-1]), tuple(expc[::-1]), tuple(q[N - 1::-1] for q in polys)
 
 
 def _gamma_blocks(rs, p: int, N: int) -> list[int]:
@@ -159,12 +145,12 @@ def _gamma_blocks(rs, p: int, N: int) -> list[int]:
             out.append(1)
             continue
         K, s = divmod(r - 1, p)
-        t = 0
+        u = 0
         for c in logpoly:
-            t = (t * K + c) % pN
+            u = (u * K + c) % pN
         e = 0
         for c in expc:
-            e = (e * t + c) % pN
+            e = (e * u + c) % pN
         y = K * p
         q = 0
         for c in qpolys[s]:
@@ -172,19 +158,6 @@ def _gamma_blocks(rs, p: int, N: int) -> list[int]:
         v = e * q % pN
         out.append(-v % pN if (r + K) % 2 else v)
     return out
-
-
-def _evaluate(rs, p: int, N: int) -> list[int]:
-    """Gamma_p(r) mod p^N for residues r not yet cached, by the path (p, N)
-    selects."""
-    pN = p**N
-    if N <= p - 1:
-        return _gamma_blocks(rs, p, N)
-    if pN <= _NAIVE_SWEEP_MAX:
-        return [gamma_residue_by_sweep(r, p, N) for r in rs]
-    raise PrecisionError(
-        f"p={p}, N={N}: N > p-1 leaves only the naive sweep, and "
-        f"p^N = {pN} exceeds its bound {_NAIVE_SWEEP_MAX}")
 
 
 def gamma_residue(r: int, p: int, N: int) -> int:
@@ -196,7 +169,7 @@ def gamma_residue(r: int, p: int, N: int) -> int:
     cache = _value_cache.setdefault((p, N), {})
     v = cache.get(r)
     if v is None:
-        v = cache[r] = _evaluate((r,), p, N)[0]
+        v = cache[r] = _gamma_blocks((r,), p, N)[0]
     return v
 
 
@@ -211,7 +184,7 @@ def gamma_residues(rs, p: int, N: int) -> list[int]:
     cache = _value_cache.setdefault((p, N), {})
     missing = [r for r in dict.fromkeys(rs) if r not in cache]
     if missing:
-        cache.update(zip(missing, _evaluate(missing, p, N)))
+        cache.update(zip(missing, _gamma_blocks(missing, p, N)))
     return [cache[r] for r in rs]
 
 

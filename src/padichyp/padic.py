@@ -41,10 +41,11 @@ def is_odd_prime(p: int) -> bool:
 
 
 def check_prime(p: int) -> None:
-    if not is_odd_prime(p):
-        raise ValueError(f"p={p} is not an odd prime")
+    # the bound first, so that a huge p never reaches the trial division
     if p > PRIME_BOUND:
         raise ValueError(f"p={p} exceeds the prime bound {PRIME_BOUND}")
+    if not is_odd_prime(p):
+        raise ValueError(f"p={p} is not an odd prime")
 
 
 def valuation_of_int(n: int, p: int) -> int:

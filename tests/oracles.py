@@ -4,19 +4,19 @@ These are the straightforward per-term Fraction (and truncated-power-series)
 evaluations that the package replaced by integer num/den kernels for speed,
 the per-entry Greene binomial table replaced by one chirp correlation, the
 one-binomial-at-a-time eta-product expansion replaced by Euler's pentagonal
-series, and the per-value Gamma_p block evaluation (one Faulhaber polynomial
-per log coefficient) replaced by one folded log polynomial.  They stay here so that every fast kernel is compared
-with an independent exact evaluation of the same quantity.
-"""
+series, and two evaluations of Gamma_p: the defining product, swept once over
+every residue, and the block formula with exact tables and every S_i(K), log
+and exp term taken separately.  They stay here so that every fast kernel is
+compared with an independent exact evaluation of the same quantity."""
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from padichyp.characters import Character, _beta_residue
 from padichyp.combinatorics import harmonic
-from padichyp.gamma import _block_data
 from padichyp.hyp import HypParams, rising_factorial
 from padichyp.padic import PadicValue, rational_to_padic
 
@@ -97,28 +97,6 @@ def truncated_hyp_exact(params: HypParams) -> Fraction:
     return total
 
 
-def _poly_mul_trunc(a: list[int], b: list[int], N: int, pN: int) -> list[int]:
-    out = [0] * N
-    for i, ai in enumerate(a):
-        if ai:
-            for k in range(N - i):
-                out[i + k] = (out[i + k] + ai * b[k]) % pN
-    return out
-
-
-def log_one_plus(g: list[int], N: int, pN: int) -> list[int]:
-    """log(1 + g) mod p^N truncated to degree < N, for g[0] = 0, as the sum of
-    (-1)^(j+1) g^j / j over j < N by repeated truncated multiplication."""
-    lam = [0] * N
-    gj = [1] + [0] * (N - 1)
-    for j in range(1, N):
-        gj = _poly_mul_trunc(gj, g, N, pN)
-        c = pow(j, -1, pN) * (1 if j % 2 else -1)
-        for i in range(N):
-            lam[i] = (lam[i] + c * gj[i]) % pN
-    return lam
-
-
 def binomial_table(A: Character, B: Character, N: int) -> tuple[int, ...]:
     """beta(A chi, B chi) mod p^N for every chi = wbar^e, one O(p) character
     sum per entry."""
@@ -147,35 +125,72 @@ def eta_product(factors, truncation: int) -> tuple[int, list[int]]:
     return offset, co
 
 
+def gamma_sweep(p: int, N: int) -> list[int]:
+    """[Gamma_p(r) mod p^N for r in range(p^N)] by the defining product
+    (-1)^r prod_{0<j<r, p !| j} j, in one cumulative pass."""
+    pN = p**N
+    out, acc = [1], 1
+    for r in range(1, pN):
+        if (r - 1) % p:
+            acc = acc * (r - 1) % pN
+        out.append(-acc % pN if r % 2 else acc)
+    return out
+
+
+def _residue(q: Fraction, pN: int) -> int:
+    return q.numerator * pow(q.denominator, -1, pN) % pN
+
+
+@lru_cache(maxsize=None)
+def _block_tables(p: int, N: int):
+    """ell0 = log(-(p-1)!) and c_i = lambda_i p^i mod p^N from exact
+    Fractions, and the Stirling numbers S2(i, m), for i < 2N: past that
+    every log and exp term has valuation >= N, as v_p(i) < i/2 and
+    v_p(j!) < j/2."""
+    pN, T = p**N, 2 * N
+    z = -math.factorial(p - 1) - 1
+    den = math.lcm(*range(1, T))
+    ell0 = Fraction(sum((-1) ** (j + 1) * z**j * (den // j) for j in range(1, T)), den)
+    # lambda_i = (-1)^(i+1) sum_{t<p} t^(-i) / i over the denominator lcm(1..p-1)^i
+    lcm = math.lcm(*range(1, p))
+    base = [lcm // t for t in range(1, p)]
+    powers, c = [1] * (p - 1), [0]
+    for i in range(1, T):
+        powers = [a * b for a, b in zip(powers, base)]
+        lam = Fraction((-1) ** (i + 1) * sum(powers), i * lcm**i)
+        c.append(_residue(lam * p**i, pN))
+    stirling = [[1]]
+    for i in range(1, T):
+        prev = stirling[-1] + [0]
+        stirling.append([0] + [m * prev[m] + prev[m - 1] for m in range(1, i + 1)])
+    return _residue(ell0, pN), c, stirling
+
+
+def block_log(K: int, p: int, N: int) -> int:
+    """L(K) = K ell0 + sum_i c_i S_i(K) mod p^N, the log of the product of the
+    first K complete blocks, each power sum S_i(K) = sum_{k<K} k^i evaluated
+    exactly as sum_m S2(i, m) m! C(K, m+1)."""
+    ell0, c, stirling = _block_tables(p, N)
+    sums = [math.factorial(m) * math.comb(K, m + 1) for m in range(len(c))]
+    total = K * ell0
+    for i in range(1, len(c)):
+        total += c[i] * sum(st * s for st, s in zip(stirling[i], sums))
+    return total % p**N
+
+
+@lru_cache(maxsize=None)
+def _complete_blocks(K: int, p: int, N: int) -> int:
+    """exp(L(K)) mod p^N, summed term by term over exact Fractions."""
+    t = block_log(K, p, N)
+    return _residue(sum(Fraction(t**j, math.factorial(j)) for j in range(2 * N)), p**N)
+
+
 def gamma_block(r: int, p: int, N: int) -> int:
-    """Gamma_p(r) mod p^N by the block formula, for N <= p - 1, evaluating
-    each Faulhaber polynomial S_i(K) and its log coefficient separately."""
-    pN, polys, lam, ell0, faul, inv_fact = _block_data(p, N)
+    """Gamma_p(r) mod p^N by the block formula: (-1)^(r+K) exp(L(K)) times the
+    partial block prod_{t<=s} (Kp + t), for r - 1 = Kp + s."""
     if r == 0:
         return 1
+    pN = p**N
     K, s = divmod(r - 1, p)
-    K %= pN
-    lam_total = K * ell0 % pN
-    pi = 1
-    for i in range(1, N):
-        pi = pi * p
-        si, acc = 0, 1
-        for c in faul[i - 1]:
-            si = (si + c * acc) % pN
-            acc = acc * K % pN
-        lam_total = (lam_total + lam[i] * pi % pN * si) % pN
-    # exp(lam_total), lam_total in pZ_p
-    expo, t = 0, 1
-    for j in range(N):
-        expo = (expo + t * inv_fact[j]) % pN
-        t = t * lam_total % pN
-    # partial block Q_s(Kp)
-    y = K * p % pN
-    q, acc = 0, 1
-    for c in polys[s]:
-        q = (q + c * acc) % pN
-        acc = acc * y % pN
-    val = expo * q % pN
-    if (r + K) % 2:
-        val = -val % pN
-    return val
+    val = _complete_blocks(K, p, N) * math.prod(range(K * p + 1, K * p + s + 1)) % pN
+    return -val % pN if (r + K) % 2 else val

@@ -8,6 +8,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from unittest.mock import patch
 
@@ -385,7 +386,7 @@ def _main(*argv):
     (["check", "thm2.4", "--timing"], "unrecognized arguments: --timing"),
     (["gamma", "1/3", "--p", "7", "--precision", "0"], "need at least one digit, got N=0"),
     (["gamma", "1/3", "--p", "7", "--precision", "-1"], "need at least one digit, got N=-1"),
-    (["gamma", "1/2", "--p", "7", "--precision", "8"], "N > p-1 leaves only the naive sweep"),
+    (["gamma", "1/7", "--p", "7", "--precision", "3"], "gamma requires a p-integral argument"),
     (["greene", "--args", "1/2,1/2", "--p", "7", "--precision", "0"],
      "need at least one digit, got N=0"),
     (["qexp", "--form", "rv", "--truncation", "0"], "truncation must be >= 1"),
@@ -399,6 +400,43 @@ def test_cli_usage_errors_exit_2(argv, message):
     assert message in err
     assert out == ""  # no partial output before the error
     run.assert_not_called()  # rejected when planned, before any check runs
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "ao", "--p", "1000000000000000003"],
+    ["gamma", "1/2", "--p", "1000000000000000003"],
+])
+def test_cli_huge_prime_exits_2_at_once(argv):
+    # the prime bound is tested before any trial division
+    t0 = time.perf_counter()
+    with patch.object(checks, "run_config") as run:
+        code, out, err = _main(*argv)
+    assert time.perf_counter() - t0 < 1
+    assert code == 2 and out == ""
+    assert "p=1000000000000000003 exceeds the prime bound 500" in err
+    run.assert_not_called()
+
+
+@pytest.mark.parametrize("p, N", [(7, 8), (3, 14)])
+def test_cli_gamma_past_p_minus_1_digits(p, N):
+    # Gamma_p(1/2)^2 = (-1)^rep(1/2) = (-1)^((p+1)/2) by reflection
+    code, out, err = _main("gamma", "1/2", "--p", str(p), "--precision", str(N))
+    assert code == 0 and err == ""
+    unit = int(out.split(" * ")[0])
+    assert out.strip().endswith(f"* {p}^0 + O({p}^{N})")
+    assert unit**2 % p**N == (-1) ** ((p + 1) // 2) % p**N
+
+
+@pytest.mark.parametrize("args", ["1/2,1/2", "1/2,1/2,1/2,1/2"])
+def test_prop22_passes_at_every_small_prime_and_high_precision(args):
+    # an exact identity whose Greene side uses no Gamma_p; p = 3, 5 need
+    # more digits than p - 1
+    code, out, err = _main("check", "prop2.2", "--args", args, "--p-range", "3..13",
+                           "--precision", "12", "--format", "json")
+    assert code == 0
+    rows = json.loads(out)
+    assert [(r["p"], r["mod_power"], r["pass"]) for r in rows] == \
+        [(p, 12, True) for p in (3, 5, 7, 11, 13)]
 
 
 def test_check_all_takes_only_the_run_flags():

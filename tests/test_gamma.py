@@ -10,14 +10,13 @@ import pytest
 import oracles
 from padichyp import gamma
 from padichyp.gamma import (
-    _block_data,
     _gamma_blocks,
+    _horner_data,
     default_x_grid,
     g1,
     g2,
     gamma_p,
     gamma_residue,
-    gamma_residue_by_sweep,
     gamma_residues,
     gamma_shift,
     lemma_check_gamma_suite,
@@ -68,8 +67,30 @@ def test_block_evaluation_matches_sweep_oracle():
         pN = p**N
         points = {0, 1, 2, p - 1, p, p + 1, pN - 1}
         points.update(rng.randrange(pN) for _ in range(25))
+        sweep = oracles.gamma_sweep(p, N)
         for r in points:
-            assert gamma_residue(r, p, N) == gamma_residue_by_sweep(r, p, N), (p, N, r)
+            assert gamma_residue(r, p, N) == sweep[r], (p, N, r)
+
+
+def test_every_residue_matches_sweep_oracle():
+    # N > p - 1 from (3, 3) and (5, 5) on: the tables carry guard digits
+    for p, top in [(3, 9), (5, 6), (7, 6)]:
+        for N in range(1, top + 1):
+            assert _gamma_blocks(range(p**N), p, N) == oracles.gamma_sweep(p, N), (p, N)
+
+
+def test_seeded_samples_match_sweep_oracle():
+    # one sweep per (p, N); N + 1 digits reduce to the same table by continuity,
+    # and (3, 14), (7, 8) were past the bound of the deleted runtime sweep
+    rng = random.Random(13)
+    for p, N in [(3, 13), (5, 9), (7, 7)]:
+        pN = p**N
+        sweep = oracles.gamma_sweep(p, N)
+        rs = [0, 1, pN - 1] + [rng.randrange(pN) for _ in range(1500)]
+        assert gamma_residues(rs, p, N) == [sweep[r] for r in rs], (p, N)
+        rs = [0, 1, pN, p * pN - 1] + [rng.randrange(p * pN) for _ in range(1500)]
+        assert [v % pN for v in gamma_residues(rs, p, N + 1)] == \
+            [sweep[r % pN] for r in rs], (p, N + 1)
 
 
 def test_block_kernel_matches_per_value_oracle_on_every_residue():
@@ -91,7 +112,7 @@ def test_block_kernel_matches_per_value_oracle_at_large_primes():
 
 def test_batched_residues_equal_single_residues(monkeypatch):
     rng = random.Random(5)
-    # (3, 4) and (5, 6) have N > p - 1 and take the sweep path
+    # (3, 4) and (5, 6) have N > p - 1 and carry guard digits
     for p, N in [(3, 4), (5, 6), (7, 3), (13, 4), (491, 5)]:
         pN = p**N
         rs = [rng.randrange(pN) for _ in range(200)] + [0, 1, pN - 1, 0, 1]
@@ -104,7 +125,6 @@ def test_batched_residues_equal_single_residues(monkeypatch):
 
 @pytest.mark.parametrize("r, p, N", [
     (7**3, 7, 3), (-1, 7, 3),  # residue out of range
-    (0, 3, 14),  # N > p - 1 leaves only the sweep, past its bound
     (0, 7, 0), (0, 7, -1),  # no digit
     (0, 9, 2), (0, 2, 2), (0, 503, 2),  # not an odd prime, past the bound
 ])
@@ -115,11 +135,12 @@ def test_batched_residues_raise_like_single_residues(r, p, N):
         gamma_residues([0, r], p, N)
 
 
-def test_small_primes_use_sweep_path():
-    # (3, 4) has N > p - 1 and sweeps; (5, 3) takes the block path
+def test_small_primes_match_sweep_oracle():
+    # (3, 4) has N > p - 1 and carries guard digits; (5, 3) needs none
     for p, N in [(3, 4), (5, 3)]:
+        sweep = oracles.gamma_sweep(p, N)
         for r in range(p**N):
-            assert gamma_residue(r, p, N) == gamma_residue_by_sweep(r, p, N)
+            assert gamma_residue(r, p, N) == sweep[r]
 
 
 def test_values_are_units():
@@ -178,9 +199,6 @@ def test_batch_sentinels_and_consistency():
 def test_batch_range_and_bound_errors():
     with pytest.raises(ValueError):
         gamma_residue(7**3, 7, 3)
-    # N > p - 1 leaves only the sweep, and 3^14 is past its bound
-    with pytest.raises(PrecisionError, match="naive sweep"):
-        gamma_residue(0, 3, 14)
     for N in (0, -1):
         with pytest.raises(PrecisionError, match="at least one digit"):
             gamma_residue(0, 7, N)
@@ -385,10 +403,14 @@ def test_suite_runs_clean_and_reports_per_point():
 
 
 def test_block_log_series_matches_power_series_oracle():
-    # the O(N^2) log-derivative recurrence against sum (-1)^(j+1) g^j / j
-    for p, N in [(3, 2), (5, 4), (7, 6), (11, 5), (17, 14), (61, 5), (491, 5), (491, 40)]:
-        pN, polys, lam = _block_data(p, N)[:3]
-        e = polys[p - 1]
-        e0_inv = pow(e[0], -1, pN)
-        g = [0] + [c * e0_inv % pN for c in e[1:]]
-        assert list(lam) == oracles.log_one_plus(g, N, pN), (p, N)
+    # the folded log table, Horner-evaluated as u = L(K)/p, against the
+    # oracle's L(K) summed from exact Fraction tables and power sums S_i(K)
+    rng = random.Random(17)
+    for p, N in [(3, 2), (3, 13), (5, 4), (5, 9), (7, 6), (7, 12), (11, 5),
+                 (17, 14), (61, 5), (61, 30), (491, 5), (491, 40)]:
+        pN, logpoly = _horner_data(p, N)[:2]
+        for K in [0, 1, 2, p, p ** (N - 1) - 1] + [rng.randrange(p ** (N - 1)) for _ in range(8)]:
+            u = 0
+            for c in logpoly:
+                u = (u * K + c) % pN
+            assert p * u % pN == oracles.block_log(K, p, N), (p, N, K)
