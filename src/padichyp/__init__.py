@@ -13,7 +13,6 @@ from .combinatorics import (
     apery,
     bin_harmonic_id1,
     bin_harmonic_id2,
-    harmonic,
     lemma_P_sum,
     lemma_PQ_expected,
     lemma_Q_sum,
@@ -51,7 +50,7 @@ __all__ = [
     "bin_harmonic_id2", "char_binomial_scaled", "char_value",
     "characters_for_arguments", "congruent_mod", "eta_product", "g1", "g2",
     "g_function", "gamma_coeffs", "gamma_p", "gamma_shift",
-    "greene_series_scaled", "harmonic", "lemma_P_sum", "lemma_PQ_expected",
+    "greene_series_scaled", "lemma_P_sum", "lemma_PQ_expected",
     "lemma_Q_sum", "lemma_check_gamma_suite", "padic_add", "padic_inv",
     "padic_mul", "padic_neg", "rational_to_padic", "rep",
     "rising_factorial", "run_config", "rv_form_coeffs", "s_factor",

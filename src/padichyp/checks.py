@@ -19,11 +19,12 @@ from typing import Callable, NamedTuple
 
 from . import combinatorics as comb
 from .characters import Character, characters_for_arguments, greene_series_scaled
-from .gamma import (default_x_grid, g1, g2, gamma_p, gamma_shift,
-                    lemma_check_gamma_suite, rep)
+from .gamma import (_as_residue, _gamma_values, _LogDerivs, default_x_grid,
+                    gamma_shift, lemma_check_gamma_suite, rep)
 from .gfunction import GArguments, g_function, s_factor, theorem26_sign
 from .hyp import HypParams, truncated_hyp
-from .padic import PRIME_BOUND, PadicValue, check_prime, rational_to_padic
+from .padic import (PRIME_BOUND, PadicValue, _ratio_to_padic, check_prime,
+                    rational_to_padic)
 from .qseries import gamma_coeffs, hecke_bound_ok, rv_form_coeffs
 from .report import CongruenceReport, sort_reports
 
@@ -278,82 +279,80 @@ def check_lemma_pq(p: int, seed: int = DEFAULT_SEED) -> list[CongruenceReport]:
 
 def check_gamma_properties(p: int) -> list[CongruenceReport]:
     """Props 3.1-3.2, Cors 3.4-3.5, the Taylor law and the shift formula,
-    over the standard denominator-grid of x values."""
-    N = 4
+    over the standard denominator-grid of x values.  Per x, the residue of x
+    mod p^5 is computed once and every other argument is an integer sum."""
+    N, M = 4, 2
     out = []
     xs = default_x_grid(p)
+    derivs = _LogDerivs(p)
+    res = {x: _as_residue(x, p, 5) for x in xs}
     one = rational_to_padic(1, p, N)
     for x in xs:
-        gx = gamma_p(x, p, N)
+        a = res[x]
+        gx, gx1, gy = _gamma_values([a, a + 1, 1 - a], p, N)
         # functional equation
-        gx1 = gamma_p(x + 1, p, N)
-        if Fraction(x).numerator % p == 0:
+        if x.numerator % p == 0:
             rhs = -gx
         else:
             rhs = -(rational_to_padic(x, p, N) * gx)
         out.append(CongruenceReport.from_sides(
             "prop3.1.1", p, {"x": str(x)}, N, gx1, rhs))
         # reflection
-        refl = gx * gamma_p(1 - x, p, N)
         out.append(CongruenceReport.from_sides(
-            "prop3.1.2", p, {"x": str(x)}, N, refl,
+            "prop3.1.2", p, {"x": str(x)}, N, gx * gy,
             rational_to_padic((-1) ** rep(x, p), p, N)))
         # continuity: arguments agreeing mod p^n give values agreeing mod p^n
         # (evaluated at higher precision, where the two residues differ)
         for n in (1, 2, 3):
-            y = x + p**n
+            gyn, gxn = _gamma_values([a + p**n, a], p, n + 2)
             out.append(CongruenceReport.from_sides(
-                "prop3.1.3", p, {"x": str(x), "n": n}, n,
-                gamma_p(y, p, n + 2), gamma_p(x, p, n + 2)))
+                "prop3.1.3", p, {"x": str(x), "n": n}, n, gyn, gxn))
         # shift formula against direct evaluation
+        direct = _gamma_values([a + j for j in range(p + 1)], p, N)
         for j in range(0, p + 1):
             out.append(CongruenceReport.from_sides(
                 "prop3.8", p, {"x": str(x), "j": j}, N,
-                gamma_shift(x, j, p, N), gamma_p(x + j, p, N)))
-    M = 2
+                gamma_shift(x, j, p, N), direct[j]))
     for x in xs:
-        u1 = g1(x, p, M)
-        u2 = g2(x, p, M)
-        v1 = g1(x + 1, p, M)
-        v2 = g2(x + 1, p, M)
-        xv = Fraction(x)
-        unit = xv.numerator % p != 0
+        a = res[x]
+        # at x, x + 1, 1 - x, x + p and x + 2p
+        rs = [a, a + 1, 1 - a, a + p, a + 2 * p]
+        u1, v1, w1, *z1 = derivs.g1(rs, M)
+        u2, v2, w2, *z2 = derivs.g2(rs, M)
+        unit = x.numerator % p != 0
         # G1 step
-        rhs = rational_to_padic(1 / xv, p, M) if unit else PadicValue.zero(p, M)
+        rhs = _ratio_to_padic(x.denominator, x.numerator, p, M) if unit \
+            else PadicValue.zero(p, M)
         out.append(CongruenceReport.from_sides(
             "prop3.2.1", p, {"x": str(x)}, M, v1 - u1, rhs))
         # (G1^2 - G2) step
-        rhs = rational_to_padic(1 / xv**2, p, M) if unit else PadicValue.zero(p, M)
+        rhs = _ratio_to_padic(x.denominator**2, x.numerator**2, p, M) if unit \
+            else PadicValue.zero(p, M)
         out.append(CongruenceReport.from_sides(
             "prop3.2.2", p, {"x": str(x)}, M,
             v1 * v1 - v2 - u1 * u1 + u2, rhs))
         # symmetry and its derivative
-        w1 = g1(1 - x, p, M)
-        w2 = g2(1 - x, p, M)
         out.append(CongruenceReport.from_sides(
             "prop3.2.3", p, {"x": str(x)}, M, u1, w1))
         out.append(CongruenceReport.from_sides(
             "prop3.2.4", p, {"x": str(x)}, M,
             u1 * u1 - u2, -(w1 * w1) + w2))
-        for t in (1, 2):
-            z = Fraction(t * p)
-            zx1 = g1(x + z, p, M)
-            zx2 = g2(x + z, p, M)
+        gx = _gamma_values([a], p, N)[0]
+        for t, zx1, zx2 in zip((1, 2), z1, z2):
+            z = t * p
             out.append(CongruenceReport.from_sides(
                 "cor3.4", p, {"x": str(x), "z": str(z), "which": "g1"}, 1, zx1, u1))
             out.append(CongruenceReport.from_sides(
                 "cor3.4", p, {"x": str(x), "z": str(z), "which": "g2"}, 1, zx2, u2))
-            ze = rational_to_padic(z, p, M + 1)
+            ze = _ratio_to_padic(z, 1, p, M + 1)
             out.append(CongruenceReport.from_sides(
                 "cor3.5", p, {"x": str(x), "z": str(z)}, 2,
                 u1, zx1 + ze * (zx1 * zx1 - zx2)))
             # Taylor law mod p^3
-            taylor = gamma_p(x, p, N) * (
-                one + ze * u1
-                + rational_to_padic(z * z / 2, p, N) * u2)
+            taylor = gx * (one + ze * u1 + _ratio_to_padic(z * z, 2, p, N) * u2)
             out.append(CongruenceReport.from_sides(
                 "prop3.3.2", p, {"x": str(x), "z": str(z)}, 3,
-                gamma_p(x + z, p, N), taylor))
+                _gamma_values([a + z], p, N)[0], taylor))
     return out
 
 

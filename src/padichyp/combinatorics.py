@@ -2,10 +2,10 @@
 binomial-coefficient / harmonic-sum identities.
 
 The kernels run over integers: harmonic prefix sums are scaled by
-L = lcm(1..top index) into integer tables, the C(k-1, n) and c1/c2
-denominators are cleared with one lcm each, and every sum is one integer
-num/den pair.  A Fraction is built only at the API boundary (the identity
-values, and :func:`harmonic`, which the gamma lemma families use); congruence
+L = lcm(1..top index) into integer tables, memoised per (top, order) and
+shared with the gamma lemma suites; the C(k-1, n) and c1/c2 denominators are
+cleared with one lcm each, and every sum is one integer num/den pair.  A
+Fraction is built only at the API boundary (the identity values); congruence
 reduction happens once, at the end, where a caller asks for it.
 """
 
@@ -13,35 +13,20 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from .padic import PadicValue, check_prime, rational_to_padic
 
 
-# H^(i)_0, H^(i)_1, ... for each order i, grown on demand
-_caches: dict[int, list[Fraction]] = {}
-
-
-def harmonic(n: int, i: int = 1) -> Fraction:
-    """Generalized harmonic sum H^(i)_n = sum_{j<=n} 1/j^i, with H^(i)_0 = 0."""
-    t = _caches.get(i)
-    if t is None:
-        if i < 1:
-            raise ValueError("harmonic order must be >= 1")
-        t = _caches[i] = [Fraction(0)]
-    if n < 0:
-        raise ValueError("harmonic index must be >= 0")
-    while len(t) <= n:
-        t.append(t[-1] + Fraction(1, len(t) ** i))
-    return t[n]
-
-
-def _scaled_harmonic(top: int, i: int) -> tuple[int, list[int]]:
-    """(S, t): S = lcm(1..top)^i and t[j] = S * H^(i)_j for j <= top, integers."""
+@lru_cache(maxsize=None)
+def _scaled_harmonic(top: int, i: int) -> tuple[int, tuple[int, ...]]:
+    """(S, t): S = lcm(1..top)^i and t[j] = S * H^(i)_j for j <= top, integers,
+    with H^(i)_j = sum_{u<=j} 1/u^i.  Memoised, so the table is a tuple."""
     L = math.lcm(*range(1, top + 1))
     t = [0]
     for u in range(1, top + 1):
         t.append(t[-1] + (L // u) ** i)
-    return L**i, t
+    return L**i, tuple(t)
 
 
 def apery(n: int) -> int:

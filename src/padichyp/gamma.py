@@ -50,6 +50,19 @@ once per (p, N), with exact guard digits past N = p - 1:
 For N < p, I = J = N and G = 0.  The table prep is polynomial in (p, N):
 O(p I) for the partial blocks and O(I^2 + J) for the rest.  gamma_residues
 evaluates a batch of residues with the checks done once.
+
+Suites.  lemma_check_gamma_suite (Lemmas 3.9-3.13) and the property checks
+of checks.check_gamma_properties work on integer residues.  Each x is reduced
+mod p^5 once, with rep(x) and split_by_rep(x); the residues of x + j,
+1 - x + j and 1 + j are integer sums.  G_1 and G_2 come from _LogDerivs, which
+memoises them by (residue, M) for one suite call and takes each batch's
+Gamma_p values from one gamma_residues call.  The right-hand sides are integer
+(num, den) pairs built from the scaled harmonic prefix tables of
+combinatorics (L H^(1) and L^2 H^(2) with L = lcm(1..2p-2)) and reduced once
+by _ratio_to_padic.  Where sides combine PadicValues (a product, a quotient,
+G_1^2 - G_2), those exact operations are kept, as they fix the relative
+precision of zero and non-unit sides.  tests/oracles.py keeps the per-(x, j)
+Fraction evaluation that the suites must equal row for row.
 """
 
 from __future__ import annotations
@@ -58,11 +71,12 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .combinatorics import harmonic
+from .combinatorics import _scaled_harmonic
 from .hyp import rising_factorial
 from .padic import (
     PadicValue,
     PrecisionError,
+    _ratio_to_padic,
     check_prime,
     rational_to_padic,
     valuation_of_int,
@@ -251,53 +265,85 @@ def gamma_shift(x, j: int, p: int, N: int) -> PadicValue:
     return out
 
 
-def g1(x, p: int, M: int) -> PadicValue:
-    """First logarithmic derivative Gamma_p'(x)/Gamma_p(x), certified mod p^M.
+class _LogDerivs:
+    """G_1 and G_2 mod p^M at integers, for one prime, memoised by (residue, M).
 
-    Computed as the forward difference quotient (Gamma_p(x+h)/Gamma_p(x)-1)/h
-    with step h = p^M; the discarded terms start at (h/2)G_2(x), so the
-    quotient is exact to M digits by integrality of G_2 (valid for p >= 7).
+    Each method reduces its integers mod its working precision, p^(2M+1) for
+    g1 and p^(2ceil(M/2)+M+1) for g2, so any integer congruent to x mod a
+    higher power stands for x; the Gamma_p values a batch needs come from one
+    gamma_residues call.
     """
-    if p < 7:
-        raise ValueError("logarithmic derivatives require p >= 7")
+
+    def __init__(self, p: int):
+        if p < 7:
+            raise ValueError("logarithmic derivatives require p >= 7")
+        self.p = p
+        self._memo: dict[tuple[str, int, int], PadicValue] = {}
+
+    def _batch(self, name: str, rs, M: int, steps, Ng: int, kernel) -> list[PadicValue]:
+        """[kernel(Gamma_p(r + s) mod p^Ng for s in steps) for r in rs], memoised."""
+        p, memo, pN = self.p, self._memo, self.p**Ng
+        rs = [r % pN for r in rs]
+        missing = [r for r in dict.fromkeys(rs) if (name, r, M) not in memo]
+        if missing:
+            n = len(missing)
+            vals = gamma_residues([(r + s) % pN for s in steps for r in missing], p, Ng)
+            for i, r in enumerate(missing):
+                memo[name, r, M] = kernel(*vals[i::n])
+        return [memo[name, r, M] for r in rs]
+
+    def g1(self, rs, M: int) -> list[PadicValue]:
+        """Forward difference quotient (Gamma_p(x+h)/Gamma_p(x) - 1)/h with
+        h = p^M; the discarded terms start at (h/2)G_2(x), so the quotient is
+        exact to M digits by integrality of G_2 (valid for p >= 7)."""
+        p, Ng = self.p, 2 * M + 1
+        pN, h = p**Ng, p**M
+
+        def kernel(g0, gh):
+            q = (gh * pow(g0, -1, pN) - 1) % pN
+            return PadicValue.from_residue(q // h % p**M, p, M)
+        return self._batch("g1", rs, M, (0, h), Ng, kernel)
+
+    def g2(self, rs, M: int) -> list[PadicValue]:
+        """Symmetric second difference with step h = p^ceil(M/2): the leading
+        error 2 h^2 Gamma_p''''(x)/(4! Gamma_p(x)) is p-integral for p >= 7,
+        giving 2*ceil(M/2) >= M certified digits."""
+        p, m = self.p, (M + 1) // 2
+        Ng = 2 * m + M + 1
+        pN, h = p**Ng, p**m
+
+        def kernel(g0, gp, gm):
+            num = (gp - 2 * g0 + gm) % pN
+            return PadicValue.from_residue(num // (h * h) * pow(g0, -1, pN) % p**M, p, M)
+        return self._batch("g2", rs, M, (0, h, -h), Ng, kernel)
+
+
+def _certified(p: int, M: int) -> _LogDerivs:
+    derivs = _LogDerivs(p)
     if M < 1:
         raise PrecisionError("need at least one certified digit")
-    Ng = 2 * M + 1
-    pN = p**Ng
-    h = p**M
-    r = _as_residue(x, p, Ng)
-    g0 = gamma_residue(r, p, Ng)
-    gh = gamma_residue((r + h) % pN, p, Ng)
-    q = (gh * pow(g0, -1, pN) - 1) % pN
-    return PadicValue.from_residue(q // h % p**M, p, M)
+    return derivs
+
+
+def g1(x, p: int, M: int) -> PadicValue:
+    """First logarithmic derivative Gamma_p'(x)/Gamma_p(x), certified mod p^M."""
+    return _certified(p, M).g1([_as_residue(x, p, 2 * M + 1)], M)[0]
 
 
 def g2(x, p: int, M: int) -> PadicValue:
-    """Second logarithmic derivative Gamma_p''(x)/Gamma_p(x), certified mod p^M.
+    """Second logarithmic derivative Gamma_p''(x)/Gamma_p(x), certified mod p^M."""
+    return _certified(p, M).g2([_as_residue(x, p, 2 * ((M + 1) // 2) + M + 1)], M)[0]
 
-    Symmetric second difference with step h = p^ceil(M/2): the leading error
-    2 h^2 Gamma_p''''(x)/(4! Gamma_p(x)) is p-integral for p >= 7, giving
-    2*ceil(M/2) >= M certified digits.
-    """
-    if p < 7:
-        raise ValueError("logarithmic derivatives require p >= 7")
-    if M < 1:
-        raise PrecisionError("need at least one certified digit")
-    m = (M + 1) // 2
-    Ng = 2 * m + M + 1
-    pN = p**Ng
-    h = p**m
-    r = _as_residue(x, p, Ng)
-    g0 = gamma_residue(r, p, Ng)
-    num = (gamma_residue((r + h) % pN, p, Ng) - 2 * g0
-           + gamma_residue((r - h) % pN, p, Ng)) % pN
-    return PadicValue.from_residue(num // (h * h) * pow(g0, -1, pN) % p**M, p, M)
+
+def _gamma_values(rs, p: int, N: int) -> list[PadicValue]:
+    """[gamma_p(r, p, N) for r in rs], for integers r, in one batch."""
+    pN = p**N
+    return [PadicValue(p, 0, u, N) for u in gamma_residues([r % pN for r in rs], p, N)]
 
 
 # ---------------------------------------------------------------------------
-# Paired-representative machinery and the shifted-gamma congruence formulas.
-# Each checker returns (lhs, rhs, k) with both sides as PadicValue and the
-# congruence asserted modulo p^k; the suite below wraps them into reports.
+# The shifted-gamma congruence families (Lemmas 3.9-3.13) over full (x, j)
+# grids.  See the module docstring for how they are evaluated.
 # ---------------------------------------------------------------------------
 
 
@@ -312,96 +358,6 @@ def split_by_rep(x: Fraction, p: int) -> tuple[Fraction, Fraction]:
     return (x, 1 - x) if rx >= ry else (1 - x, x)
 
 
-def shifted_gamma_factorial(x: Fraction, j: int, p: int):
-    """Gamma_p(x+j) = (rep(x)+j-1)! (-1)^(rep(x)+j) * delta  (mod p),
-    delta = 1 below the p-divisible step and 1/p at or past it."""
-    if not 0 <= j <= p:
-        raise ValueError("j out of range")
-    x = Fraction(x)
-    r = rep(x, p)
-    lhs = gamma_p(x + j, p, 2)
-    delta = Fraction(1) if j <= p - r else Fraction(1, p)
-    rhs = Fraction(math.factorial(r + j - 1)) * (-1) ** (r + j) * delta
-    return lhs, rational_to_padic(rhs, p, 3), 1
-
-
-def shifted_g1_harmonic(x: Fraction, j: int, p: int):
-    """G_1(x+j) - G_1(1+j) = H^(1)_(rep(x)-1+j) - H^(1)_j - delta  (mod p)."""
-    if not 0 <= j <= p - 1:
-        raise ValueError("j out of range")
-    x = Fraction(x)
-    r = rep(x, p)
-    lhs = g1(x + j, p, 1) - g1(1 + j, p, 1)
-    delta = Fraction(0) if j <= p - r else Fraction(1, p)
-    rhs = harmonic(r - 1 + j, 1) - harmonic(j, 1) - delta
-    return lhs, rational_to_padic(rhs, p, 3), 1
-
-
-def shifted_g1g2_harmonic(x: Fraction, j: int, p: int):
-    """Second-order version of the same comparison, with H^(2) sums and a
-    1/p^2 singular part."""
-    if not 0 <= j <= p - 1:
-        raise ValueError("j out of range")
-    x = Fraction(x)
-    r = rep(x, p)
-    la = g1(x + j, p, 1)
-    lb = g1(1 + j, p, 1)
-    lhs = la * la - g2(x + j, p, 1) - lb * lb + g2(1 + j, p, 1)
-    delta = Fraction(0) if j <= p - r else Fraction(1, p**2)
-    rhs = harmonic(r - 1 + j, 2) - harmonic(j, 2) - delta
-    return lhs, rational_to_padic(rhs, p, 4), 1
-
-
-def paired_gamma_binomial(x: Fraction, j: int, p: int):
-    """Gamma_p(x+j)Gamma_p(1-x+j) / (Gamma_p(x)Gamma_p(1-x) j!^2) against the
-    binomial-coefficient form, mod p^2, for 0 <= j < rep(m1)."""
-    x = Fraction(x)
-    m1, m2 = split_by_rep(x, p)
-    r1, r2 = rep(m1, p), rep(m2, p)
-    if not 0 <= j < r1:
-        raise ValueError("j out of range")
-    N = 5
-    num = gamma_p(x + j, p, N) * gamma_p(1 - x + j, p, N)
-    den = gamma_p(x, p, N) * gamma_p(1 - x, p, N)
-    fact = rational_to_padic(Fraction(math.factorial(j)) ** 2, p, N)
-    lhs = num * den.inverse() * fact.inverse()
-    if j <= r2 - 1:
-        alpha, beta = Fraction(1), Fraction(0)
-    else:
-        alpha, beta = Fraction(1, p), Fraction(1, p)
-    rhs = (
-        Fraction((-1) ** j)
-        * math.comb(r1 - 1 + j, j)
-        * math.comb(r1 - 1, j)
-        * alpha
-        * (1 - (r1 - m1) * (harmonic(r1 - 1 + j, 1) - harmonic(r2 - 1 + j, 1) - beta))
-    )
-    return lhs, rational_to_padic(rhs, p, N), 2
-
-
-def paired_g1_harmonic(x: Fraction, j: int, p: int):
-    """G_1(x+j) + G_1(1-x+j) - 2 G_1(1+j) against harmonic sums, mod p^2,
-    for 0 <= j < rep(m1)."""
-    x = Fraction(x)
-    m1, m2 = split_by_rep(x, p)
-    r1, r2 = rep(m1, p), rep(m2, p)
-    if not 0 <= j < r1:
-        raise ValueError("j out of range")
-    lhs = g1(x + j, p, 2) + g1(1 - x + j, p, 2) - g1(1 + j, p, 2) - g1(1 + j, p, 2)
-    if j <= r2 - 1:
-        alpha, beta = Fraction(0), Fraction(0)
-    else:
-        alpha, beta = Fraction(1, p), Fraction(1, p**2)
-    rhs = (
-        harmonic(r1 - 1 + j, 1)
-        + harmonic(r1 - 1 - j, 1)
-        - 2 * harmonic(j, 1)
-        - alpha
-        + (r1 - m1) * (harmonic(r1 - 1 + j, 2) - harmonic(r2 - 1 + j, 2) - beta)
-    )
-    return lhs, rational_to_padic(rhs, p, 5), 2
-
-
 def default_x_grid(p: int, max_den: int = 10) -> list[Fraction]:
     """Reduced fractions a/b with 0 < a < b, 2 <= b <= max_den, p !| b."""
     out = []
@@ -414,10 +370,35 @@ def default_x_grid(p: int, max_den: int = 10) -> list[Fraction]:
     return out
 
 
-def lemma_check_gamma_suite(p: int, xs=None) -> list:
-    """Run the five shifted-gamma congruence families over full (x, j) grids.
+def _factorial_rhs(r: int, j: int, p: int) -> tuple[int, int]:
+    """Lemma 3.9's (rep(x)+j-1)! (-1)^(rep(x)+j) delta as (num, den), with
+    delta = 1 below the p-divisible step and 1/p at or past it."""
+    return (-1) ** (r + j) * math.factorial(r + j - 1), p if j > p - r else 1
 
-    Returns one CongruenceReport per (family, x, j).
+
+def _harmonic_diff(table, a: int, b: int, pole: int) -> tuple[int, int]:
+    """H_a - H_b - 1/pole as (num, den), from a table (S, t) of
+    _scaled_harmonic; pole 0 stands for no pole term."""
+    S, t = table
+    if not pole:
+        return t[a] - t[b], S
+    return (t[a] - t[b]) * pole - S, S * pole
+
+
+def lemma_check_gamma_suite(p: int, xs=None) -> list:
+    """The five shifted-gamma congruence families over full (x, j) grids;
+    one CongruenceReport per (family, x, j), family by family:
+
+    - lemma3.9: Gamma_p(x+j) = (rep(x)+j-1)! (-1)^(rep(x)+j) delta (mod p)
+      for j = 0..p, delta = 1 below the p-divisible step and 1/p from it on;
+    - lemma3.10: G_1(x+j) - G_1(1+j) = H^(1)_(rep(x)-1+j) - H^(1)_j - delta
+      (mod p) for j < p, delta = 0 or 1/p;
+    - lemma3.11: the second-order version, (G_1^2 - G_2)(x+j) -
+      (G_1^2 - G_2)(1+j) against H^(2) sums and a 1/p^2 pole (mod p);
+    - lemma3.12: Gamma_p(x+j)Gamma_p(1-x+j) / (Gamma_p(x)Gamma_p(1-x) j!^2)
+      against the binomial-coefficient form (mod p^2) for j < rep(m1);
+    - lemma3.13: G_1(x+j) + G_1(1-x+j) - 2 G_1(1+j) against harmonic sums
+      (mod p^2) for j < rep(m1).
     """
     from .report import CongruenceReport
 
@@ -425,20 +406,67 @@ def lemma_check_gamma_suite(p: int, xs=None) -> list:
         raise ValueError("the derivative-based families require p >= 7")
     if xs is None:
         xs = default_x_grid(p)
-    families = [
-        ("lemma3.9", shifted_gamma_factorial, lambda x: range(0, p + 1)),
-        ("lemma3.10", shifted_g1_harmonic, lambda x: range(0, p)),
-        ("lemma3.11", shifted_g1g2_harmonic, lambda x: range(0, p)),
-        ("lemma3.12", paired_gamma_binomial,
-         lambda x: range(0, rep(split_by_rep(Fraction(x), p)[0], p))),
-        ("lemma3.13", paired_g1_harmonic,
-         lambda x: range(0, rep(split_by_rep(Fraction(x), p)[0], p))),
-    ]
+    derivs = _LogDerivs(p)
+    H1, H2 = _scaled_harmonic(2 * p - 2, 1), _scaled_harmonic(2 * p - 2, 2)
+    # per x: label, residue mod p^5, rep(x), r1 - m1 as (num, den), r1, r2
+    pts = []
+    for x in map(Fraction, xs):
+        m1, m2 = split_by_rep(x, p)
+        r1 = rep(m1, p)
+        pts.append((str(x), _as_residue(x, p, 5), rep(x, p),
+                    (r1 * m1.denominator - m1.numerator, m1.denominator), r1, rep(m2, p)))
     reports = []
-    for claim, fn, jrange in families:
-        for x in xs:
-            for j in jrange(x):
-                lhs, rhs, k = fn(x, j, p)
-                reports.append(CongruenceReport.from_sides(
-                    claim, p, {"x": str(Fraction(x)), "j": j}, k, lhs, rhs))
+
+    def add(claim, label, j, k, lhs, rhs, N):
+        reports.append(CongruenceReport.from_sides(
+            claim, p, {"x": label, "j": j}, k, lhs, _ratio_to_padic(*rhs, p, N)))
+
+    for label, a, r, *_ in pts:
+        lhs = _gamma_values([a + j for j in range(p + 1)], p, 2)
+        for j in range(p + 1):
+            add("lemma3.9", label, j, 1, lhs[j], _factorial_rhs(r, j, p), 3)
+    ones = range(1, p + 1)  # 1 + j
+    lb = derivs.g1(ones, 1)
+    for label, a, r, *_ in pts:
+        la = derivs.g1([a + j for j in range(p)], 1)
+        for j in range(p):
+            add("lemma3.10", label, j, 1, la[j] - lb[j],
+                _harmonic_diff(H1, r - 1 + j, j, p if j > p - r else 0), 3)
+    lb2 = derivs.g2(ones, 1)
+    for label, a, r, *_ in pts:
+        la = derivs.g1([a + j for j in range(p)], 1)
+        la2 = derivs.g2([a + j for j in range(p)], 1)
+        for j in range(p):
+            lhs = la[j] * la[j] - la2[j] - lb[j] * lb[j] + lb2[j]
+            add("lemma3.11", label, j, 1, lhs,
+                _harmonic_diff(H2, r - 1 + j, j, p**2 if j > p - r else 0), 4)
+    for label, a, _, (dn, dd), r1, r2 in pts:
+        ga = _gamma_values([a + j for j in range(r1)], p, 5)
+        gb = _gamma_values([1 - a + j for j in range(r1)], p, 5)
+        den_inv = (ga[0] * gb[0]).inverse()
+        for j in range(r1):
+            fact = _ratio_to_padic(math.factorial(j) ** 2, 1, p, 5)
+            lhs = ga[j] * gb[j] * den_inv * fact.inverse()
+            # alpha (1 - (r1 - m1)(H_(r1-1+j) - H_(r2-1+j) - beta)) times the
+            # binomials, with alpha = beta = 1/p from j = r2 on
+            pole = p if j >= r2 else 0
+            hn, hd = _harmonic_diff(H1, r1 - 1 + j, r2 - 1 + j, pole)
+            s = (-1) ** j * math.comb(r1 - 1 + j, j) * math.comb(r1 - 1, j)
+            add("lemma3.12", label, j, 2, lhs,
+                (s * (dd * hd - dn * hn), dd * hd * (pole or 1)), 5)
+    lb = derivs.g1(ones, 2)
+    S1, t1 = H1
+    for label, a, _, (dn, dd), r1, r2 in pts:
+        ga = derivs.g1([a + j for j in range(r1)], 2)
+        gb = derivs.g1([1 - a + j for j in range(r1)], 2)
+        for j in range(r1):
+            lhs = ga[j] + gb[j] - lb[j] - lb[j]
+            # H_(r1-1+j) + H_(r1-1-j) - 2H_j - alpha
+            #   + (r1 - m1)(H^(2)_(r1-1+j) - H^(2)_(r2-1+j) - beta),
+            # with alpha = 1/p and beta = 1/p^2 from j = r2 on
+            an, ad = t1[r1 - 1 + j] + t1[r1 - 1 - j] - 2 * t1[j], S1
+            if j >= r2:
+                an, ad = an * p - S1, S1 * p
+            bn, bd = _harmonic_diff(H2, r1 - 1 + j, r2 - 1 + j, p**2 if j >= r2 else 0)
+            add("lemma3.13", label, j, 2, lhs, (an * dd * bd + dn * bn * ad, ad * dd * bd), 5)
     return reports

@@ -26,11 +26,10 @@ def rising_factorial(a, n: int) -> Fraction:
     """(a)_0 = 1 and (a)_n = a(a+1)...(a+n-1)."""
     if n < 0:
         raise ValueError("rising factorial needs n >= 0")
+    # prod (num + k den) / den^n: one integer product, one gcd
     a = Fraction(a)
-    out = Fraction(1)
-    for k in range(n):
-        out *= a + k
-    return out
+    num, den = a.numerator, a.denominator
+    return Fraction(math.prod(num + k * den for k in range(n)), den**n)
 
 
 @dataclass(frozen=True)

@@ -247,15 +247,21 @@ def congruent_mod(a: PadicValue, b: PadicValue, k: int) -> bool:
     :class:`PrecisionError`, never a silent pass or fail.
     """
     a._require_same_prime(b)
+    _require_abs_prec(a, b, k)
+    d = a - b
+    if d.is_zero:
+        return True
+    return d.valuation >= k
+
+
+def _require_abs_prec(a: PadicValue, b: PadicValue, k: int) -> None:
+    """The PrecisionError of a congruence mod p^k between a and b that the
+    operands do not determine."""
     if a.abs_prec < k or b.abs_prec < k:
         raise PrecisionError(
             f"congruence mod p^{k} requested but operands are only known "
             f"mod p^{a.abs_prec} and p^{b.abs_prec}"
         )
-    d = a - b
-    if d.is_zero:
-        return True
-    return d.valuation >= k
 
 
 def teichmuller(a: int, p: int, N: int) -> PadicValue:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .padic import PadicValue, congruent_mod
+from .padic import PadicValue, _require_abs_prec
 
 SCHEMA_VERSION = 1
 
@@ -43,12 +43,13 @@ class CongruenceReport:
     @classmethod
     def from_sides(cls, claim: str, p: int, params: dict, k: int,
                    lhs: PadicValue, rhs: PadicValue) -> "CongruenceReport":
+        # congruent_mod(lhs, rhs, k), with the difference computed once
         diff = lhs - rhs
+        _require_abs_prec(lhs, rhs, k)
         dv = None if diff.is_zero else diff.valuation
-        passed = congruent_mod(lhs, rhs, k)
         return cls(claim, p, dict(params), k,
                    lhs.valuation, lhs.unit, rhs.valuation, rhs.unit,
-                   dv, passed)
+                   dv, dv is None or dv >= k)
 
     @classmethod
     def exact_rational(cls, claim: str, params: dict, difference) -> "CongruenceReport":

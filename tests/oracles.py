@@ -4,10 +4,12 @@ These are the straightforward per-term Fraction (and truncated-power-series)
 evaluations that the package replaced by integer num/den kernels for speed,
 the per-entry Greene binomial table replaced by one chirp correlation, the
 one-binomial-at-a-time eta-product expansion replaced by Euler's pentagonal
-series, and two evaluations of Gamma_p: the defining product, swept once over
+series, two evaluations of Gamma_p (the defining product, swept once over
 every residue, and the block formula with exact tables and every S_i(K), log
-and exp term taken separately.  They stay here so that every fast kernel is
-compared with an independent exact evaluation of the same quantity."""
+and exp term taken separately), and the section-3 suites evaluated one (x, j)
+point at a time with Fraction harmonic sums.  They stay here so that every
+fast kernel is compared with an independent exact evaluation of the same
+quantity."""
 
 from __future__ import annotations
 
@@ -16,9 +18,11 @@ from fractions import Fraction
 from functools import lru_cache
 
 from padichyp.characters import Character, _beta_residue
-from padichyp.combinatorics import harmonic
-from padichyp.hyp import HypParams, rising_factorial
+from padichyp.gamma import (_as_residue, default_x_grid, gamma_p, gamma_residue, rep,
+                            split_by_rep)
+from padichyp.hyp import HypParams
 from padichyp.padic import PadicValue, rational_to_padic
+from padichyp.report import CongruenceReport
 
 
 def id1_lhs(m: int, n: int) -> Fraction:
@@ -194,3 +198,248 @@ def gamma_block(r: int, p: int, N: int) -> int:
     K, s = divmod(r - 1, p)
     val = _complete_blocks(K, p, N) * math.prod(range(K * p + 1, K * p + s + 1)) % pN
     return -val % pN if (r + K) % 2 else val
+
+
+# -- the section-3 suites as they were evaluated per (x, j) ------------------
+#
+# Every argument is a Fraction reduced separately, G_1 and G_2 call
+# gamma_residue once per Gamma_p value, and the right-hand sides are Fraction
+# harmonic sums.  lemma_check_gamma_suite and check_gamma_properties here give
+# the report rows that the residue-level suites of the package must equal.
+
+_harmonic_cache: dict[int, list[Fraction]] = {}
+
+
+def harmonic(n: int, i: int = 1) -> Fraction:
+    """Generalized harmonic sum H^(i)_n = sum_{j<=n} 1/j^i, with H^(i)_0 = 0."""
+    t = _harmonic_cache.get(i)
+    if t is None:
+        if i < 1:
+            raise ValueError("harmonic order must be >= 1")
+        t = _harmonic_cache[i] = [Fraction(0)]
+    if n < 0:
+        raise ValueError("harmonic index must be >= 0")
+    while len(t) <= n:
+        t.append(t[-1] + Fraction(1, len(t) ** i))
+    return t[n]
+
+
+def rising_factorial(a, n: int) -> Fraction:
+    """(a)_n = a(a+1)...(a+n-1), one Fraction product per factor."""
+    a = Fraction(a)
+    out = Fraction(1)
+    for k in range(n):
+        out *= a + k
+    return out
+
+
+def gamma_shift(x, j: int, p: int, N: int) -> PadicValue:
+    """Gamma_p(x + j) = (-1)^j Gamma_p(x) (x)_j, past the p-divisible step
+    divided by x + p - rep(x)."""
+    x = Fraction(x)
+    r = rep(x, p)
+    out = gamma_p(x, p, N)
+    if j == 0:
+        return out
+    out = out * rational_to_padic(rising_factorial(x, j), p, N)
+    if j > p - r:
+        out = out * rational_to_padic(x + p - r, p, N).inverse()
+    if j % 2:
+        out = -out
+    return out
+
+
+def g1(x, p: int, M: int) -> PadicValue:
+    """(Gamma_p(x+h)/Gamma_p(x) - 1)/h mod p^M, h = p^M."""
+    Ng = 2 * M + 1
+    pN = p**Ng
+    h = p**M
+    r = _as_residue(x, p, Ng)
+    g0 = gamma_residue(r, p, Ng)
+    gh = gamma_residue((r + h) % pN, p, Ng)
+    q = (gh * pow(g0, -1, pN) - 1) % pN
+    return PadicValue.from_residue(q // h % p**M, p, M)
+
+
+def g2(x, p: int, M: int) -> PadicValue:
+    """(Gamma_p(x+h) - 2 Gamma_p(x) + Gamma_p(x-h)) / (h^2 Gamma_p(x)) mod p^M,
+    h = p^ceil(M/2)."""
+    m = (M + 1) // 2
+    Ng = 2 * m + M + 1
+    pN = p**Ng
+    h = p**m
+    r = _as_residue(x, p, Ng)
+    g0 = gamma_residue(r, p, Ng)
+    num = (gamma_residue((r + h) % pN, p, Ng) - 2 * g0
+           + gamma_residue((r - h) % pN, p, Ng)) % pN
+    return PadicValue.from_residue(num // (h * h) * pow(g0, -1, pN) % p**M, p, M)
+
+
+def shifted_gamma_factorial(x: Fraction, j: int, p: int):
+    """Lemma 3.9 at (x, j): (lhs, rhs, k)."""
+    x = Fraction(x)
+    r = rep(x, p)
+    lhs = gamma_p(x + j, p, 2)
+    delta = Fraction(1) if j <= p - r else Fraction(1, p)
+    rhs = Fraction(math.factorial(r + j - 1)) * (-1) ** (r + j) * delta
+    return lhs, rational_to_padic(rhs, p, 3), 1
+
+
+def shifted_g1_harmonic(x: Fraction, j: int, p: int):
+    """Lemma 3.10 at (x, j): (lhs, rhs, k)."""
+    x = Fraction(x)
+    r = rep(x, p)
+    lhs = g1(x + j, p, 1) - g1(1 + j, p, 1)
+    delta = Fraction(0) if j <= p - r else Fraction(1, p)
+    rhs = harmonic(r - 1 + j, 1) - harmonic(j, 1) - delta
+    return lhs, rational_to_padic(rhs, p, 3), 1
+
+
+def shifted_g1g2_harmonic(x: Fraction, j: int, p: int):
+    """Lemma 3.11 at (x, j): (lhs, rhs, k)."""
+    x = Fraction(x)
+    r = rep(x, p)
+    la = g1(x + j, p, 1)
+    lb = g1(1 + j, p, 1)
+    lhs = la * la - g2(x + j, p, 1) - lb * lb + g2(1 + j, p, 1)
+    delta = Fraction(0) if j <= p - r else Fraction(1, p**2)
+    rhs = harmonic(r - 1 + j, 2) - harmonic(j, 2) - delta
+    return lhs, rational_to_padic(rhs, p, 4), 1
+
+
+def paired_gamma_binomial(x: Fraction, j: int, p: int):
+    """Lemma 3.12 at (x, j), 0 <= j < rep(m1): (lhs, rhs, k)."""
+    x = Fraction(x)
+    m1, m2 = split_by_rep(x, p)
+    r1, r2 = rep(m1, p), rep(m2, p)
+    N = 5
+    num = gamma_p(x + j, p, N) * gamma_p(1 - x + j, p, N)
+    den = gamma_p(x, p, N) * gamma_p(1 - x, p, N)
+    fact = rational_to_padic(Fraction(math.factorial(j)) ** 2, p, N)
+    lhs = num * den.inverse() * fact.inverse()
+    if j <= r2 - 1:
+        alpha, beta = Fraction(1), Fraction(0)
+    else:
+        alpha, beta = Fraction(1, p), Fraction(1, p)
+    rhs = (
+        Fraction((-1) ** j)
+        * math.comb(r1 - 1 + j, j)
+        * math.comb(r1 - 1, j)
+        * alpha
+        * (1 - (r1 - m1) * (harmonic(r1 - 1 + j, 1) - harmonic(r2 - 1 + j, 1) - beta))
+    )
+    return lhs, rational_to_padic(rhs, p, N), 2
+
+
+def paired_g1_harmonic(x: Fraction, j: int, p: int):
+    """Lemma 3.13 at (x, j), 0 <= j < rep(m1): (lhs, rhs, k)."""
+    x = Fraction(x)
+    m1, m2 = split_by_rep(x, p)
+    r1, r2 = rep(m1, p), rep(m2, p)
+    lhs = g1(x + j, p, 2) + g1(1 - x + j, p, 2) - g1(1 + j, p, 2) - g1(1 + j, p, 2)
+    if j <= r2 - 1:
+        alpha, beta = Fraction(0), Fraction(0)
+    else:
+        alpha, beta = Fraction(1, p), Fraction(1, p**2)
+    rhs = (
+        harmonic(r1 - 1 + j, 1)
+        + harmonic(r1 - 1 - j, 1)
+        - 2 * harmonic(j, 1)
+        - alpha
+        + (r1 - m1) * (harmonic(r1 - 1 + j, 2) - harmonic(r2 - 1 + j, 2) - beta)
+    )
+    return lhs, rational_to_padic(rhs, p, 5), 2
+
+
+def lemma_check_gamma_suite(p: int, xs=None) -> list[CongruenceReport]:
+    """One report per (family, x, j), family by family."""
+    if xs is None:
+        xs = default_x_grid(p)
+    families = [
+        ("lemma3.9", shifted_gamma_factorial, lambda x: range(0, p + 1)),
+        ("lemma3.10", shifted_g1_harmonic, lambda x: range(0, p)),
+        ("lemma3.11", shifted_g1g2_harmonic, lambda x: range(0, p)),
+        ("lemma3.12", paired_gamma_binomial,
+         lambda x: range(0, rep(split_by_rep(Fraction(x), p)[0], p))),
+        ("lemma3.13", paired_g1_harmonic,
+         lambda x: range(0, rep(split_by_rep(Fraction(x), p)[0], p))),
+    ]
+    reports = []
+    for claim, fn, jrange in families:
+        for x in xs:
+            for j in jrange(x):
+                lhs, rhs, k = fn(x, j, p)
+                reports.append(CongruenceReport.from_sides(
+                    claim, p, {"x": str(Fraction(x)), "j": j}, k, lhs, rhs))
+    return reports
+
+
+def check_gamma_properties(p: int) -> list[CongruenceReport]:
+    """Props 3.1-3.3, 3.8 and Cors 3.4-3.5 over the default x grid."""
+    N = 4
+    out = []
+    xs = default_x_grid(p)
+    one = rational_to_padic(1, p, N)
+    for x in xs:
+        gx = gamma_p(x, p, N)
+        gx1 = gamma_p(x + 1, p, N)
+        if Fraction(x).numerator % p == 0:
+            rhs = -gx
+        else:
+            rhs = -(rational_to_padic(x, p, N) * gx)
+        out.append(CongruenceReport.from_sides(
+            "prop3.1.1", p, {"x": str(x)}, N, gx1, rhs))
+        refl = gx * gamma_p(1 - x, p, N)
+        out.append(CongruenceReport.from_sides(
+            "prop3.1.2", p, {"x": str(x)}, N, refl,
+            rational_to_padic((-1) ** rep(x, p), p, N)))
+        for n in (1, 2, 3):
+            y = x + p**n
+            out.append(CongruenceReport.from_sides(
+                "prop3.1.3", p, {"x": str(x), "n": n}, n,
+                gamma_p(y, p, n + 2), gamma_p(x, p, n + 2)))
+        for j in range(0, p + 1):
+            out.append(CongruenceReport.from_sides(
+                "prop3.8", p, {"x": str(x), "j": j}, N,
+                gamma_shift(x, j, p, N), gamma_p(x + j, p, N)))
+    M = 2
+    for x in xs:
+        u1 = g1(x, p, M)
+        u2 = g2(x, p, M)
+        v1 = g1(x + 1, p, M)
+        v2 = g2(x + 1, p, M)
+        xv = Fraction(x)
+        unit = xv.numerator % p != 0
+        rhs = rational_to_padic(1 / xv, p, M) if unit else PadicValue.zero(p, M)
+        out.append(CongruenceReport.from_sides(
+            "prop3.2.1", p, {"x": str(x)}, M, v1 - u1, rhs))
+        rhs = rational_to_padic(1 / xv**2, p, M) if unit else PadicValue.zero(p, M)
+        out.append(CongruenceReport.from_sides(
+            "prop3.2.2", p, {"x": str(x)}, M,
+            v1 * v1 - v2 - u1 * u1 + u2, rhs))
+        w1 = g1(1 - x, p, M)
+        w2 = g2(1 - x, p, M)
+        out.append(CongruenceReport.from_sides(
+            "prop3.2.3", p, {"x": str(x)}, M, u1, w1))
+        out.append(CongruenceReport.from_sides(
+            "prop3.2.4", p, {"x": str(x)}, M,
+            u1 * u1 - u2, -(w1 * w1) + w2))
+        for t in (1, 2):
+            z = Fraction(t * p)
+            zx1 = g1(x + z, p, M)
+            zx2 = g2(x + z, p, M)
+            out.append(CongruenceReport.from_sides(
+                "cor3.4", p, {"x": str(x), "z": str(z), "which": "g1"}, 1, zx1, u1))
+            out.append(CongruenceReport.from_sides(
+                "cor3.4", p, {"x": str(x), "z": str(z), "which": "g2"}, 1, zx2, u2))
+            ze = rational_to_padic(z, p, M + 1)
+            out.append(CongruenceReport.from_sides(
+                "cor3.5", p, {"x": str(x), "z": str(z)}, 2,
+                u1, zx1 + ze * (zx1 * zx1 - zx2)))
+            taylor = gamma_p(x, p, N) * (
+                one + ze * u1
+                + rational_to_padic(z * z / 2, p, N) * u2)
+            out.append(CongruenceReport.from_sides(
+                "prop3.3.2", p, {"x": str(x), "z": str(z)}, 3,
+                gamma_p(x + z, p, N), taylor))
+    return out

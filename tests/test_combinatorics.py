@@ -1,6 +1,7 @@
 """Harmonic sums, Apery numbers, the rising-factorial lemma sums and the
 exact binomial/harmonic identities."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -9,10 +10,10 @@ import pytest
 import oracles
 from padichyp import checks, combinatorics
 from padichyp.combinatorics import (
+    _scaled_harmonic,
     apery,
     bin_harmonic_id1,
     bin_harmonic_id2,
-    harmonic,
     lemma_P_sum,
     lemma_PQ_expected,
     lemma_Q_sum,
@@ -23,16 +24,33 @@ from padichyp.padic import congruent_mod, rational_to_padic
 
 
 def test_harmonic_values():
-    assert harmonic(0, 1) == 0
-    assert harmonic(0, 5) == 0
-    assert harmonic(3, 1) == Fraction(11, 6)
-    assert harmonic(2, 2) == Fraction(5, 4)
+    for harmonic in (oracles.harmonic, _table_harmonic):
+        assert harmonic(0, 1) == 0
+        assert harmonic(0, 5) == 0
+        assert harmonic(3, 1) == Fraction(11, 6)
+        assert harmonic(2, 2) == Fraction(5, 4)
 
 
 def test_harmonic_prefix_property():
     for i in (1, 2, 3):
         for n in range(1, 40):
-            assert harmonic(n, i) - harmonic(n - 1, i) == Fraction(1, n**i)
+            assert oracles.harmonic(n, i) - oracles.harmonic(n - 1, i) == Fraction(1, n**i)
+            assert _table_harmonic(n, i) == oracles.harmonic(n, i)
+
+
+def _table_harmonic(n, i):
+    """H^(i)_n read from the scaled prefix table of the smallest top that holds it."""
+    S, t = _scaled_harmonic(n, i)
+    return Fraction(t[n], S)
+
+
+def test_scaled_harmonic_tables_are_shared_and_immutable():
+    for top, i in [(0, 1), (20, 1), (20, 2), (37, 3)]:
+        S, t = _scaled_harmonic(top, i)
+        assert isinstance(t, tuple) and len(t) == top + 1
+        assert S == math.lcm(*range(1, top + 1)) ** i
+        assert _scaled_harmonic(top, i)[1] is t
+        assert [Fraction(v, S) for v in t] == [oracles.harmonic(n, i) for n in range(top + 1)]
 
 
 def test_apery_values():

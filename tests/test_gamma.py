@@ -1,5 +1,6 @@
 """Gamma function values, the blockwise evaluator against the sweep oracle,
-shift/derivative machinery and the shifted-gamma congruence families."""
+shift/derivative machinery and the shifted-gamma congruence families (the
+per-(x, j) family functions are the oracles of the residue-level suite)."""
 
 import random
 import re
@@ -20,13 +21,15 @@ from padichyp.gamma import (
     gamma_residues,
     gamma_shift,
     lemma_check_gamma_suite,
+    rep,
+    split_by_rep,
+)
+from oracles import (
     paired_g1_harmonic,
     paired_gamma_binomial,
-    rep,
     shifted_g1_harmonic,
     shifted_g1g2_harmonic,
     shifted_gamma_factorial,
-    split_by_rep,
 )
 from padichyp.padic import PadicValue, PrecisionError, congruent_mod, rational_to_padic
 
@@ -414,3 +417,94 @@ def test_block_log_series_matches_power_series_oracle():
             for c in logpoly:
                 u = (u * K + c) % pN
             assert p * u % pN == oracles.block_log(K, p, N), (p, N, K)
+
+
+# -- the residue-level suites against the per-(x, j) oracles -----------------
+
+
+@pytest.mark.parametrize("p", [7, 11, 13, 17, 19])
+def test_suites_equal_the_per_point_oracles(p):
+    # 7, 11, 13 are the check-all grid; the golden SHA does not reach 17, 19
+    from padichyp.checks import check_gamma_properties
+    for fast, slow in ((lemma_check_gamma_suite, oracles.lemma_check_gamma_suite),
+                       (check_gamma_properties, oracles.check_gamma_properties)):
+        rows = [r.to_dict() for r in fast(p)]
+        assert rows and rows == [r.to_dict() for r in slow(p)], (fast.__name__, p)
+
+
+def test_suite_takes_any_x_list_like_the_oracle():
+    xs = [Fraction(1, 3), Fraction(8, 9), 2, Fraction(-5, 4), Fraction(7, 12)]
+    for p in (7, 11):
+        assert ([r.to_dict() for r in lemma_check_gamma_suite(p, xs)]
+                == [r.to_dict() for r in oracles.lemma_check_gamma_suite(p, xs)])
+
+
+def test_derivatives_equal_the_difference_quotient_oracles():
+    for p in (7, 11, 13):
+        xs = [0, 1, 5, -3, Fraction(1, 3), Fraction(-2, 5), Fraction(p, 2),
+              rational_to_padic(Fraction(2, 3), p, 12), rational_to_padic(p**2, p, 12)]
+        for M in (1, 2, 3, 4):
+            for x in xs:
+                assert g1(x, p, M) == oracles.g1(x, p, M), (p, M, x)
+                assert g2(x, p, M) == oracles.g2(x, p, M), (p, M, x)
+    with pytest.raises(PrecisionError):
+        g1(Fraction(1, 3), 7, 0)
+    with pytest.raises(PrecisionError):
+        g2(Fraction(1, 3), 7, 0)
+
+
+# -- negative controls: each family fails when its right-hand side is perturbed
+
+
+def _entry_weight(row, p, order, n):
+    """The coefficient of H^(order)_n in the right-hand side of a lemma row."""
+    x, j = Fraction(row.params["x"]), row.params["j"]
+    m1, m2 = split_by_rep(x, p)
+    r, r1, r2 = rep(x, p), rep(m1, p), rep(m2, p)
+    reads = {
+        ("lemma3.10", 1): [(r - 1 + j, 1), (j, -1)],
+        ("lemma3.11", 2): [(r - 1 + j, 1), (j, -1)],
+        ("lemma3.13", 1): [(r1 - 1 + j, 1), (r1 - 1 - j, 1), (j, -2)],
+        ("lemma3.13", 2): [(r1 - 1 + j, r1 - m1), (r2 - 1 + j, m1 - r1)],
+    }.get((row.claim, order), [])
+    return sum(c for i, c in reads if i == n)
+
+
+@pytest.mark.parametrize("order, n", [(1, 9), (1, 10), (2, 12), (2, 5)])
+def test_harmonic_families_fail_with_a_shifted_prefix_entry(monkeypatch, order, n):
+    p = 11
+    base = lemma_check_gamma_suite(p)
+    assert all(r.passed for r in base)
+    scaled = gamma._scaled_harmonic
+
+    def shifted(top, i):
+        S, t = scaled(top, i)
+        return (S, t[:n] + (t[n] + 1,) + t[n + 1:]) if i == order else (S, t)
+
+    monkeypatch.setattr(gamma, "_scaled_harmonic", shifted)
+    rows = lemma_check_gamma_suite(p)
+    assert len(rows) == len(base)
+    failed = set()
+    for old, new in zip(base, rows):
+        if order == 1 and new.claim == "lemma3.12":
+            continue  # reads H^(1) only times r1 - m1, which p divides
+        if _entry_weight(new, p, order, n):
+            assert not new.passed and new.diff_valuation < new.mod_power, new
+            failed.add(new.claim)
+        else:
+            assert new.to_dict() == old.to_dict()
+    assert failed == {"lemma3.10" if order == 1 else "lemma3.11", "lemma3.13"}
+
+
+def test_factorial_family_fails_with_its_rhs_plus_one(monkeypatch):
+    p = 11
+    rhs = gamma._factorial_rhs
+
+    def plus_one(r, j, q):
+        num, den = rhs(r, j, q)
+        return num + den, den
+
+    monkeypatch.setattr(gamma, "_factorial_rhs", plus_one)
+    rows = [r for r in lemma_check_gamma_suite(p) if r.claim == "lemma3.9"]
+    assert len(rows) == len(default_x_grid(p)) * (p + 1)
+    assert all(not r.passed and r.diff_valuation == 0 for r in rows)

@@ -18,6 +18,14 @@ def test_rising_factorial_basics():
     assert rising_factorial(Fraction(1, 2), 2) == Fraction(3, 4)
     for n in range(8):
         assert rising_factorial(1, n) == math.factorial(n)
+    with pytest.raises(ValueError):
+        rising_factorial(Fraction(1, 2), -1)
+
+
+def test_rising_factorial_equals_the_per_factor_oracle():
+    for a in (Fraction(1, 3), Fraction(-7, 4), Fraction(9, 10), 0, -3, 5, Fraction(22, 7)):
+        for n in range(30):
+            assert rising_factorial(a, n) == oracles.rising_factorial(a, n), (a, n)
 
 
 def test_zero_truncation_is_one():

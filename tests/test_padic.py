@@ -100,6 +100,27 @@ def test_congruent_mod_insufficient_precision_is_an_error():
         congruent_mod(a, b, 3)
 
 
+def test_report_sides_need_the_precision_congruent_mod_needs():
+    from padichyp.report import CongruenceReport
+    cases = [(rational_to_padic(1, 7, 2), rational_to_padic(1, 7, 5), 3),
+             (rational_to_padic(1, 7, 5), rational_to_padic(8, 7, 2), 3),
+             (PadicValue.zero(7, 1), PadicValue.zero(7), 2)]
+    for a, b, k in cases:
+        with pytest.raises(PrecisionError) as want:
+            congruent_mod(a, b, k)
+        with pytest.raises(PrecisionError) as got:
+            CongruenceReport.from_sides("c", 7, {}, k, a, b)
+        assert str(got.value) == str(want.value)
+    with pytest.raises(ValueError, match="mixed primes"):
+        CongruenceReport.from_sides("c", 7, {}, 1, rational_to_padic(1, 7, 2),
+                                    rational_to_padic(1, 11, 2))
+    for a, b, k in [(rational_to_padic(1, 7, 3), rational_to_padic(50, 7, 3), 2),
+                    (rational_to_padic(1, 7, 3), rational_to_padic(50, 7, 3), 3),
+                    (rational_to_padic(1, 7, 3), rational_to_padic(1, 7, 3), 3)]:
+        row = CongruenceReport.from_sides("c", 7, {}, k, a, b)
+        assert row.passed == congruent_mod(a, b, k)
+
+
 def test_cancellation_zero_keeps_finite_precision():
     a = rational_to_padic(1, 7, 3)
     b = rational_to_padic(1 + 7**3, 7, 3)  # same digits to precision 3
