@@ -19,8 +19,8 @@ from typing import Callable, NamedTuple
 
 from . import combinatorics as comb
 from .characters import Character, characters_for_arguments, greene_series_scaled
-from .gamma import (_as_residue, _gamma_values, _LogDerivs, default_x_grid,
-                    gamma_shift, lemma_check_gamma_suite, rep)
+from .gamma import (_as_residue, _gamma_values, _LogDerivs, _shift, default_x_grid,
+                    lemma_check_gamma_suite, rep)
 from .gfunction import GArguments, g_function, s_factor, theorem26_sign
 from .hyp import HypParams, truncated_hyp
 from .padic import (PRIME_BOUND, PadicValue, _ratio_to_padic, check_prime,
@@ -288,7 +288,7 @@ def check_gamma_properties(p: int) -> list[CongruenceReport]:
     res = {x: _as_residue(x, p, 5) for x in xs}
     one = rational_to_padic(1, p, N)
     for x in xs:
-        a = res[x]
+        a, r = res[x], rep(x, p)
         gx, gx1, gy = _gamma_values([a, a + 1, 1 - a], p, N)
         # functional equation
         if x.numerator % p == 0:
@@ -300,7 +300,7 @@ def check_gamma_properties(p: int) -> list[CongruenceReport]:
         # reflection
         out.append(CongruenceReport.from_sides(
             "prop3.1.2", p, {"x": str(x)}, N, gx * gy,
-            rational_to_padic((-1) ** rep(x, p), p, N)))
+            rational_to_padic((-1) ** r, p, N)))
         # continuity: arguments agreeing mod p^n give values agreeing mod p^n
         # (evaluated at higher precision, where the two residues differ)
         for n in (1, 2, 3):
@@ -312,7 +312,7 @@ def check_gamma_properties(p: int) -> list[CongruenceReport]:
         for j in range(0, p + 1):
             out.append(CongruenceReport.from_sides(
                 "prop3.8", p, {"x": str(x), "j": j}, N,
-                gamma_shift(x, j, p, N), direct[j]))
+                _shift(x, r, gx, j, p, N), direct[j]))
     for x in xs:
         a = res[x]
         # at x, x + 1, 1 - x, x + p and x + 2p

@@ -1,7 +1,8 @@
 """Command-line harness: evaluate the core functions and run named
 congruence checks over prime ranges with machine-readable reports.
 
-Exit codes: 0 all reports pass, 1 any failure, 2 usage/precondition error.
+Exit codes: 0 all reports pass, 1 any failure, 2 usage/precondition error
+(an output file that cannot be written included).
 """
 
 from __future__ import annotations
@@ -193,7 +194,7 @@ def main(argv=None) -> int:
             return 0
         if ns.command in ("check", "check-all"):
             return _run_checks(ns)
-    except (ValueError, PrecisionError, ZeroDivisionError) as exc:
+    except (ValueError, PrecisionError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable")

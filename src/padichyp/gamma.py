@@ -252,12 +252,15 @@ def gamma_shift(x, j: int, p: int, N: int) -> PadicValue:
     if not 0 <= j <= p:
         raise ValueError("shift index must satisfy 0 <= j <= p")
     x = Fraction(x)
-    r = rep(x, p)
-    out = gamma_p(x, p, N)
+    return _shift(x, rep(x, p), gamma_p(x, p, N), j, p, N)
+
+
+def _shift(x: Fraction, r: int, gx: PadicValue, j: int, p: int, N: int) -> PadicValue:
+    """gamma_shift from x's rep r and gx = Gamma_p(x) mod p^N, which depend
+    on x alone, for 0 <= j <= p."""
     if j == 0:
-        return out
-    rf = rational_to_padic(rising_factorial(x, j), p, N)
-    out = out * rf
+        return gx
+    out = gx * rational_to_padic(rising_factorial(x, j), p, N)
     if j > p - r:
         out = out * rational_to_padic(x + p - r, p, N).inverse()
     if j % 2:

@@ -149,7 +149,10 @@ class PadicValue:
         return padic_add(self, other)
 
     def __sub__(self, other: "PadicValue") -> "PadicValue":
-        return padic_add(self, padic_neg(other))
+        if self.is_zero or other.is_zero:
+            return padic_add(self, padic_neg(other))
+        self._require_same_prime(other)
+        return _nonzero_sum(self, other, -1)
 
     def __mul__(self, other: "PadicValue") -> "PadicValue":
         return padic_mul(self, other)
@@ -199,13 +202,20 @@ def padic_add(a: PadicValue, b: PadicValue) -> PadicValue:
             return PadicValue.zero(p, b.abs_prec)
         return PadicValue(p, a.valuation, a.unit % p ** (b.abs_prec - a.valuation),
                           b.abs_prec - a.valuation)
+    return _nonzero_sum(a, b, 1)
+
+
+def _nonzero_sum(a: PadicValue, b: PadicValue, sign: int) -> PadicValue:
+    """a + sign*b for nonzero a and b of one prime, sign = 1 or -1: the
+    digits of the result are computed once, so a - b builds no -b."""
+    p = a.prime
     absprec = min(a.abs_prec, b.abs_prec)
     v = min(a.valuation, b.valuation)
     n = absprec - v
     if n <= 0:
         return PadicValue.zero(p, absprec)
     pn = p**n
-    s = (a.unit * p ** (a.valuation - v) + b.unit * p ** (b.valuation - v)) % pn
+    s = (a.unit * p ** (a.valuation - v) + sign * b.unit * p ** (b.valuation - v)) % pn
     if s == 0:
         # all known digits cancelled; the sum vanishes to absolute precision
         return PadicValue.zero(p, absprec)

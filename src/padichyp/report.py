@@ -9,12 +9,24 @@ Exact rational identities (the binomial/harmonic ones) are carried with p = 0
 and mod_power = 0; their pass flag means "identically zero over Q".  Reports
 carry no wall clock: the ms field is always null (reserved in schema 1), so
 identical runs serialize to identical bytes regardless of parallelism.
+
+The JSON writer renders each report straight from the fixed schema-1 layout,
+with the bytes of ``json.dumps(rows, indent=2, default=str)`` (rows the
+``to_dict`` values) plus a newline: strings go through the C string encoder
+that ``json.dumps`` uses, ints through ``int.__repr__``.  A ``params`` dict
+with ``str`` keys and ``str``/``int``/``bool``/``None`` values is written
+inline; any other params value (lists, nested dicts, floats, ``Fraction``s,
+non-``str`` keys, an empty dict) is written by ``json.dumps(..., indent=2,
+default=str)`` and re-indented, which is exact because JSON text holds no raw
+newline inside a string.  The ``json.dumps`` writer it replaced is kept as the
+oracle in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _json_str
 
 from .padic import PadicValue, _require_abs_prec
 
@@ -99,9 +111,63 @@ def sort_reports(reports) -> list[CongruenceReport]:
     return sorted(reports, key=CongruenceReport.sort_key)
 
 
+def _json_int(v: int | None) -> str:
+    return "null" if v is None else int.__repr__(v)
+
+
+def _json_params(params) -> str:
+    """params as json.dumps writes it inside a row of the report list."""
+    if type(params) is dict and params:
+        items = []
+        for k, v in params.items():
+            if type(k) is not str:
+                break
+            t = type(v)
+            if t is str:
+                text = _json_str(v)
+            elif t is int:
+                text = int.__repr__(v)
+            elif v is None:
+                text = "null"
+            elif t is bool:
+                text = "true" if v else "false"
+            else:
+                break
+            items.append(f"      {_json_str(k)}: {text}")
+        else:
+            return "{\n" + ",\n".join(items) + "\n    }"
+    return json.dumps(params, indent=2, default=str).replace("\n", "\n    ")
+
+
+def _json_row(r: CongruenceReport) -> str:
+    return (
+        "  {\n"
+        f'    "schema": {SCHEMA_VERSION},\n'
+        f'    "claim": {_json_str(r.claim)},\n'
+        f'    "p": {int.__repr__(r.p)},\n'
+        f'    "params": {_json_params(r.params)},\n'
+        f'    "mod_power": {int.__repr__(r.mod_power)},\n'
+        '    "lhs": {\n'
+        f'      "val": {_json_int(r.lhs_val)},\n'
+        f'      "unit": {int.__repr__(r.lhs_unit)}\n'
+        '    },\n'
+        '    "rhs": {\n'
+        f'      "val": {_json_int(r.rhs_val)},\n'
+        f'      "unit": {int.__repr__(r.rhs_unit)}\n'
+        '    },\n'
+        f'    "diff_valuation": {_json_int(r.diff_valuation)},\n'
+        f'    "pass": {"true" if r.passed else "false"},\n'
+        '    "ms": null\n'
+        "  }"
+    )
+
+
 def reports_to_json(reports) -> str:
-    rows = [r.to_dict() for r in reports]
-    return json.dumps(rows, indent=2, default=str) + "\n"
+    """The reports as one indented JSON list, in the order given."""
+    rows = [_json_row(r) for r in reports]
+    if not rows:
+        return "[]\n"
+    return "[\n" + ",\n".join(rows) + "\n]\n"
 
 
 def reports_to_csv(reports) -> str:

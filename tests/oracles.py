@@ -7,12 +7,14 @@ one-binomial-at-a-time eta-product expansion replaced by Euler's pentagonal
 series, two evaluations of Gamma_p (the defining product, swept once over
 every residue, and the block formula with exact tables and every S_i(K), log
 and exp term taken separately), and the section-3 suites evaluated one (x, j)
-point at a time with Fraction harmonic sums.  They stay here so that every
-fast kernel is compared with an independent exact evaluation of the same
-quantity."""
+point at a time with Fraction harmonic sums, and the report JSON as
+json.dumps writes it, which the fixed-schema row writer replaced.  They stay
+here so that every fast kernel is compared with an independent exact
+evaluation of the same quantity."""
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -443,3 +445,9 @@ def check_gamma_properties(p: int) -> list[CongruenceReport]:
                 "prop3.3.2", p, {"x": str(x), "z": str(z)}, 3,
                 gamma_p(x + z, p, N), taylor))
     return out
+
+
+def reports_to_json(reports) -> str:
+    """The report list through json.dumps: every row's to_dict, indent 2."""
+    rows = [r.to_dict() for r in reports]
+    return json.dumps(rows, indent=2, default=str) + "\n"

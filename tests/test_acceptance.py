@@ -169,6 +169,18 @@ def test_check_all_json_matches_golden_sha(tmp_path):
     print(f"ACCEPTANCE golden check-all SHA-256: PASS ({time.perf_counter() - t0:.1f}s)")
 
 
+# the same run through the CSV and human writers, pinned while the JSON
+# writer changes under them
+@pytest.mark.parametrize("fmt, sha256", [
+    ("csv", "57e5ee4bd66dabd670a5fcc9415cfbf6735316bca18dec0d5cb82f1938753311"),
+    ("human", "ab007b1fe6fe96a038fba70a4e168f905efe2aacf0c4e78e5f0bc9ceb6c40ad4"),
+])
+def test_check_all_csv_and_human_match_golden_sha(tmp_path, fmt, sha256):
+    out = tmp_path / f"all.{fmt}"
+    assert cli.main(["check-all", "--format", fmt, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
 # the bench's reference outputs; read here, never written
 BENCH_REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
 

@@ -12,6 +12,7 @@ import time
 from fractions import Fraction
 from unittest.mock import patch
 
+import oracles
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 from padichyp import characters, checks, cli, qseries
 from padichyp.padic import PadicValue, rational_to_padic, valuation_of_int
 from padichyp.qseries import QSeries
-from padichyp.report import CSV_COLUMNS, reports_to_csv, reports_to_json
+from padichyp.report import CSV_COLUMNS, CongruenceReport, reports_to_csv, reports_to_json
 
 
 def _task(claim, primes, **params):
@@ -239,6 +240,42 @@ def test_report_schema_and_pass_recomputable():
         assert recomputed == r.passed
 
 
+_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-10**30, 10**30), st.text(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.fractions(max_denominator=10**6))
+_flat_params = st.dictionaries(
+    st.text(), st.one_of(st.none(), st.booleans(), st.integers(-10**30, 10**30), st.text()))
+_any_params = st.dictionaries(
+    st.one_of(st.text(), st.integers(), st.booleans(), st.none()),
+    st.recursive(_scalars, lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.tuples(inner, inner),
+        st.dictionaries(st.text(), inner, max_size=4)), max_leaves=12),
+    max_size=5)
+_reports = st.builds(
+    CongruenceReport, st.text(), st.integers(-10**30, 10**30),
+    st.one_of(_flat_params, _any_params, st.lists(st.integers()).map(lambda v: {"v": v})),
+    st.integers(-10**30, 10**30), st.none() | st.integers(-10**30, 10**30),
+    st.integers(-10**30, 10**30), st.none() | st.integers(-10**30, 10**30),
+    st.integers(-10**30, 10**30), st.none() | st.integers(-10**30, 10**30), st.booleans())
+
+
+@given(st.lists(_reports, max_size=4))
+@settings(max_examples=200, deadline=None)
+@example([])
+@example([CongruenceReport('c"\\\n\x00é', 7, {"x": '1/2"\t', "j": -10**25, "t": True,
+                                                 "f": False, "n": None, "é": "😀"},
+                           4, None, 0, -1, 5, None, False)])
+@example([CongruenceReport("c", 7, {"l": [1, -2], "q": Fraction(-1, 3),
+                                    "f": [float("nan"), float("inf"), -float("inf"), 0.1],
+                                    "d": {"a": {"b": [], "c": {}}}, "t": (1, "2")},
+                           1, 0, 1, 0, 1, 3, True),
+          CongruenceReport("c", 7, {}, 1, 0, 1, 0, 1, 3, True),
+          CongruenceReport("c", 7, {1: "int key", None: 2, 2.5: 3, False: 4}, 1, 0, 1, 0, 1, 3, True)])
+def test_json_writer_equals_the_json_dumps_oracle(reports):
+    assert reports_to_json(reports) == oracles.reports_to_json(reports)
+
+
 def test_csv_columns_mirror_schema():
     reports = _task("thm2.4", [7], d=3)
     text = reports_to_csv(reports)
@@ -400,6 +437,18 @@ def test_cli_usage_errors_exit_2(argv, message):
     assert message in err
     assert out == ""  # no partial output before the error
     run.assert_not_called()  # rejected when planned, before any check runs
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "thm2.4", "--p", "7", "--format", "json", "--out"],
+    ["qexp", "--form", "rv", "--truncation", "9", "--csv"],
+])
+def test_cli_unwritable_output_file_exits_2(tmp_path, argv):
+    path = tmp_path / "missing" / "x.out"
+    code, out, err = _main(*argv, str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "No such file or directory" in err
+    assert not path.parent.exists()
 
 
 @pytest.mark.parametrize("argv", [

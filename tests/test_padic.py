@@ -1,9 +1,10 @@
 """Valuation-tracked p-adic arithmetic: examples and ring properties."""
 
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from padichyp.padic import (
@@ -72,6 +73,8 @@ def test_inv_of_zero_raises():
 def test_mixed_primes_raise():
     with pytest.raises(ValueError):
         padic_add(PadicValue(5, 0, 1, 2), PadicValue(7, 0, 1, 2))
+    with pytest.raises(ValueError, match="mixed primes"):
+        PadicValue(5, 0, 1, 2) - PadicValue(7, 0, 1, 2)
 
 
 def test_congruent_mod_reflexive():
@@ -207,3 +210,45 @@ def test_congruence_is_symmetric_and_shift_invariant(p, q1, q2, k):
     diff = a - b
     if diff.abs_prec >= k:
         assert ab == congruent_mod(diff, PadicValue.zero(p), k)
+
+
+@st.composite
+def padic_pairs(draw):
+    """(a, b) of one prime: each side zero (exact or to a finite, possibly
+    negative, absolute precision) or a unit times p^v, with b often sharing
+    a's leading digits so that a - b cancels in part or in full."""
+    p = draw(st.sampled_from([3, 5, 7]))
+
+    def value(v=None, unit=None):
+        if v is None and draw(st.integers(0, 4)) == 0:
+            return PadicValue.zero(p, draw(st.sampled_from([math.inf, -2, 0, 1, 3, 6])))
+        v = draw(st.integers(-3, 4)) if v is None else v
+        n = draw(st.integers(1, 6))
+        if unit is None:
+            unit = draw(st.integers(1, p**n - 1))
+        unit %= p**n
+        if unit % p == 0:
+            unit += 1
+        return PadicValue(p, v, unit, n)
+
+    a = value()
+    if a.is_zero or draw(st.booleans()):
+        return a, value()
+    # b = a + c p^(v + m): equal to a in its first m digits (or in all, c = 0)
+    m, c = draw(st.integers(0, 6)), draw(st.integers(0, p**3))
+    return a, value(a.valuation, a.unit + c * p**m)
+
+
+@given(padic_pairs())
+@settings(max_examples=400, deadline=None)
+@example((PadicValue(7, 0, 1, 3), PadicValue(7, 0, 1, 3)))
+@example((PadicValue(7, 0, 1, 3), PadicValue(7, 0, 1, 5)))
+@example((PadicValue(7, 1, 2, 2), PadicValue.zero(7, 2)))
+@example((PadicValue.zero(7, 4), PadicValue(7, -1, 3, 2)))
+@example((PadicValue.zero(7), PadicValue.zero(7, -1)))
+def test_sub_equals_add_of_negation(pair):
+    a, b = pair
+    want = padic_add(a, padic_neg(b))
+    got = a - b
+    assert (got.prime, got.valuation, got.unit, got.rel_prec) == \
+        (want.prime, want.valuation, want.unit, want.rel_prec)
