@@ -2,12 +2,15 @@
 congruence checks over prime ranges with machine-readable reports.
 
 Exit codes: 0 all reports pass, 1 any failure, 2 usage/precondition error
-(an output file that cannot be written included).
+(an output file that cannot be written, and a stdout closed by its reader,
+included).
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from fractions import Fraction
 
@@ -18,7 +21,7 @@ from .gfunction import GArguments, g_function
 from .hyp import HypParams, truncated_hyp, truncated_hyp_exact
 from .padic import PadicValue, PrecisionError
 from .qseries import eta_product, gamma_coeffs, rv_form_coeffs, write_coefficients_csv
-from .report import reports_to_csv, reports_to_human, reports_to_json
+from .report import write_reports
 
 def _fractions(text: str) -> list[Fraction]:
     return [Fraction(part) for part in text.split(",") if part]
@@ -107,18 +110,29 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _emit_reports(reports, skipped, ns) -> int:
-    if ns.format == "json":
-        text = reports_to_json(reports)
-    elif ns.format == "csv":
-        text = reports_to_csv(reports)
+def _check_out(path: str) -> None:
+    """Raise the error open(path, "w") would raise for a missing or unwritable
+    directory or a path that is a directory, without creating the file."""
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    elif os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.access(parent, os.W_OK) or (
+            os.path.exists(path) and not os.access(path, os.W_OK)):
+        code = errno.EACCES
     else:
-        text = reports_to_human(reports)
+        return
+    raise OSError(code, os.strerror(code), path)
+
+
+def _emit_reports(reports, skipped, ns) -> int:
+    # opened only now, so a failed run leaves no empty file behind
     if ns.out:
         with open(ns.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            write_reports(reports, ns.format, fh)
     else:
-        sys.stdout.write(text)
+        write_reports(reports, ns.format, sys.stdout)
     for kind, q, p in skipped:
         ps = ",".join(f"{k}={v}" for k, v in q.items())
         print(f"skipped p={p} for {kind} ({ps}): precondition not met",
@@ -137,67 +151,83 @@ def _run_checks(ns) -> int:
         cfg.p_min, cfg.p_max = (ns.p, ns.p) if ns.p is not None else ns.p_range or (None, None)
         cfg.params = {name: getattr(ns, name) for name in checks.PARAMS}
     cfg.plan()  # raises on any usage error before a check runs
+    if ns.out:
+        _check_out(ns.out)
     reports, skipped = checks.run_config(cfg)
     return _emit_reports(reports, skipped, ns)
+
+
+def _command(ns) -> int:
+    if ns.command == "gamma":
+        v = gamma_p(Fraction(ns.x), ns.p, ns.precision)
+        print(_render_value(v))
+        return 0
+    if ns.command == "gfun":
+        ga = GArguments(ns.p, tuple(_fractions(ns.args)), ns.precision)
+        print(_render_value(g_function(ga)))
+        return 0
+    if ns.command == "greene":
+        args = _fractions(ns.args)
+        top = characters_for_arguments(args, ns.p)
+        bottom = [Character.trivial(ns.p)] * (len(args) - 1)
+        print(_render_value(greene_series_scaled(top, bottom, ns.x, ns.precision)))
+        return 0
+    if ns.command == "trunc":
+        top = _fractions(ns.args)
+        bottom = _fractions(ns.bottom) if ns.bottom else [Fraction(1)] * (len(top) - 1)
+        m = ns.truncation if ns.truncation is not None else (
+            ns.p - 1 if ns.p else None)
+        if m is None:
+            raise ValueError("give -m or --p to fix the truncation")
+        params = HypParams(tuple(top), tuple(bottom), Fraction(ns.z), m)
+        exact = truncated_hyp_exact(params)
+        reduced = truncated_hyp(params, ns.p, ns.precision) if ns.p else None
+        print(exact)  # only once both values are valid: no partial output
+        if reduced is not None:
+            print(_render_value(reduced))
+        return 0
+    if ns.command == "qexp":
+        if ns.form == "gamma":
+            series = gamma_coeffs(ns.truncation)
+        elif ns.form == "rv":
+            series = rv_form_coeffs(ns.truncation)
+        elif ns.eta:
+            factors = []
+            for part in ns.eta.split(","):
+                base, _, expo = part.partition("^")
+                factors.append((int(base), int(expo or 1)))
+            series = eta_product(factors, ns.truncation)
+        else:
+            raise ValueError("give --form or --eta")
+        if ns.csv:
+            with open(ns.csv, "w", encoding="utf-8", newline="") as fh:
+                write_coefficients_csv(series, fh)
+        else:
+            for n in range(series.offset, series.truncation + 1):
+                print(n, series.coefficient(n))
+        return 0
+    if ns.command in ("check", "check-all"):
+        return _run_checks(ns)
+    raise AssertionError("unreachable")
 
 
 def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
     try:
-        if ns.command == "gamma":
-            v = gamma_p(Fraction(ns.x), ns.p, ns.precision)
-            print(_render_value(v))
-            return 0
-        if ns.command == "gfun":
-            ga = GArguments(ns.p, tuple(_fractions(ns.args)), ns.precision)
-            print(_render_value(g_function(ga)))
-            return 0
-        if ns.command == "greene":
-            args = _fractions(ns.args)
-            top = characters_for_arguments(args, ns.p)
-            bottom = [Character.trivial(ns.p)] * (len(args) - 1)
-            print(_render_value(greene_series_scaled(top, bottom, ns.x, ns.precision)))
-            return 0
-        if ns.command == "trunc":
-            top = _fractions(ns.args)
-            bottom = _fractions(ns.bottom) if ns.bottom else [Fraction(1)] * (len(top) - 1)
-            m = ns.truncation if ns.truncation is not None else (
-                ns.p - 1 if ns.p else None)
-            if m is None:
-                raise ValueError("give -m or --p to fix the truncation")
-            params = HypParams(tuple(top), tuple(bottom), Fraction(ns.z), m)
-            exact = truncated_hyp_exact(params)
-            reduced = truncated_hyp(params, ns.p, ns.precision) if ns.p else None
-            print(exact)  # only once both values are valid: no partial output
-            if reduced is not None:
-                print(_render_value(reduced))
-            return 0
-        if ns.command == "qexp":
-            if ns.form == "gamma":
-                series = gamma_coeffs(ns.truncation)
-            elif ns.form == "rv":
-                series = rv_form_coeffs(ns.truncation)
-            elif ns.eta:
-                factors = []
-                for part in ns.eta.split(","):
-                    base, _, expo = part.partition("^")
-                    factors.append((int(base), int(expo or 1)))
-                series = eta_product(factors, ns.truncation)
-            else:
-                raise ValueError("give --form or --eta")
-            if ns.csv:
-                with open(ns.csv, "w", encoding="utf-8", newline="") as fh:
-                    write_coefficients_csv(series, fh)
-            else:
-                for n in range(series.offset, series.truncation + 1):
-                    print(n, series.coefficient(n))
-            return 0
-        if ns.command in ("check", "check-all"):
-            return _run_checks(ns)
+        code = _command(ns)
+        sys.stdout.flush()  # a reader that closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        # Python flushes stdout again at exit: point it at devnull, so what
+        # is still buffered goes nowhere instead of failing a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 2
     except (ValueError, PrecisionError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -10,6 +10,11 @@ and mod_power = 0; their pass flag means "identically zero over Q".  Reports
 carry no wall clock: the ms field is always null (reserved in schema 1), so
 identical runs serialize to identical bytes regardless of parallelism.
 
+Each writer yields its text one row at a time, and ``write_reports`` hands
+those chunks to a file's ``writelines``, so a report is never held in memory
+as one string; ``reports_to_json``, ``reports_to_csv`` and
+``reports_to_human`` join the same chunks.
+
 The JSON writer renders each report straight from the fixed schema-1 layout,
 with the bytes of ``json.dumps(rows, indent=2, default=str)`` (rows the
 ``to_dict`` values) plus a newline: strings go through the C string encoder
@@ -18,8 +23,14 @@ with ``str`` keys and ``str``/``int``/``bool``/``None`` values is written
 inline; any other params value (lists, nested dicts, floats, ``Fraction``s,
 non-``str`` keys, an empty dict) is written by ``json.dumps(..., indent=2,
 default=str)`` and re-indented, which is exact because JSON text holds no raw
-newline inside a string.  The ``json.dumps`` writer it replaced is kept as the
-oracle in ``tests/oracles.py``.
+newline inside a string.
+
+Reports sort by (claim, p, params text), the params text being
+``json.dumps(params, sort_keys=True, default=str)``, which is also the CSV's
+params column; a flat params dict (as above) is written by the same inline
+path with its keys sorted, any other by that ``json.dumps`` call.  The
+``json.dumps`` writers and sort key these replaced are kept as oracles in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -39,7 +50,7 @@ CSV_COLUMNS = [
 ]
 
 
-@dataclass
+@dataclass(slots=True)
 class CongruenceReport:
     claim: str
     p: int
@@ -71,8 +82,7 @@ class CongruenceReport:
                    None if zero else -(10**9), zero)
 
     def sort_key(self) -> tuple:
-        return (self.claim, self.p,
-                json.dumps(self.params, sort_keys=True, default=str))
+        return (self.claim, self.p, _params_text(self.params))
 
     def to_dict(self) -> dict:
         return {
@@ -89,13 +99,9 @@ class CongruenceReport:
         }
 
     def to_csv_row(self) -> list:
-        d = self.to_dict()
-        return [d["schema"], d["claim"], d["p"],
-                json.dumps(d["params"], sort_keys=True, default=str),
-                d["mod_power"],
-                d["lhs"]["val"], d["lhs"]["unit"],
-                d["rhs"]["val"], d["rhs"]["unit"],
-                d["diff_valuation"], d["pass"], d["ms"]]
+        return [SCHEMA_VERSION, self.claim, self.p, _params_text(self.params),
+                self.mod_power, self.lhs_val, self.lhs_unit,
+                self.rhs_val, self.rhs_unit, self.diff_valuation, self.passed, None]
 
     def human_line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -105,10 +111,46 @@ class CongruenceReport:
         return f"[{status}] {self.claim:<18} p={self.p:<3} {mod:<5} v(diff)={dv:<4} {ps}"
 
 
-def sort_reports(reports) -> list[CongruenceReport]:
-    """The canonical (claim, prime, params) order, which checks.run_tasks
-    returns; the writers below keep the order they are given."""
-    return sorted(reports, key=CongruenceReport.sort_key)
+def sort_reports(reports: list) -> list:
+    """Sort reports in place into the canonical (claim, prime, params) order,
+    which checks.run_tasks returns, and return the list; the writers below
+    keep the order they are given."""
+    reports.sort(key=CongruenceReport.sort_key)
+    return reports
+
+
+def _flat_entries(params: dict, keys) -> list[str] | None:
+    """The '"key": value' texts of params, in the order of keys, as json.dumps
+    writes them, when every key is a str and every value a str, int, bool or
+    None; None otherwise."""
+    entries = []
+    for k in keys:
+        if type(k) is not str:
+            return None
+        v = params[k]
+        t = type(v)
+        if t is str:
+            text = _json_str(v)
+        elif t is int:
+            text = int.__repr__(v)
+        elif v is None:
+            text = "null"
+        elif t is bool:
+            text = "true" if v else "false"
+        else:
+            return None
+        entries.append(f"{_json_str(k)}: {text}")
+    return entries
+
+
+def _params_text(params) -> str:
+    """json.dumps(params, sort_keys=True, default=str), the sort key's and the
+    CSV column's text."""
+    if type(params) is dict and params:
+        entries = _flat_entries(params, sorted(params))
+        if entries is not None:
+            return "{" + ", ".join(entries) + "}"
+    return json.dumps(params, sort_keys=True, default=str)
 
 
 def _json_int(v: int | None) -> str:
@@ -118,24 +160,9 @@ def _json_int(v: int | None) -> str:
 def _json_params(params) -> str:
     """params as json.dumps writes it inside a row of the report list."""
     if type(params) is dict and params:
-        items = []
-        for k, v in params.items():
-            if type(k) is not str:
-                break
-            t = type(v)
-            if t is str:
-                text = _json_str(v)
-            elif t is int:
-                text = int.__repr__(v)
-            elif v is None:
-                text = "null"
-            elif t is bool:
-                text = "true" if v else "false"
-            else:
-                break
-            items.append(f"      {_json_str(k)}: {text}")
-        else:
-            return "{\n" + ",\n".join(items) + "\n    }"
+        entries = _flat_entries(params, params)
+        if entries is not None:
+            return "{\n      " + ",\n      ".join(entries) + "\n    }"
     return json.dumps(params, indent=2, default=str).replace("\n", "\n    ")
 
 
@@ -162,28 +189,61 @@ def _json_row(r: CongruenceReport) -> str:
     )
 
 
+def _json_chunks(reports):
+    """The reports as one indented JSON list, one row per chunk."""
+    sep = "[\n"
+    for r in reports:
+        yield sep + _json_row(r)
+        sep = ",\n"
+    yield "[]\n" if sep == "[\n" else "\n]\n"
+
+
+class _Echo:
+    """A file whose write returns its text, so csv.writer's writerow returns
+    the row it formatted."""
+
+    @staticmethod
+    def write(text: str) -> str:
+        return text
+
+
+def _csv_chunks(reports):
+    """A header line, then one CSV line per report."""
+    import csv
+
+    w = csv.writer(_Echo())
+    yield w.writerow(CSV_COLUMNS)
+    for r in reports:
+        yield w.writerow(r.to_csv_row())
+
+
+def _human_chunks(reports):
+    """One line per report, then a pass count."""
+    n = n_pass = 0
+    for r in reports:
+        n += 1
+        n_pass += r.passed
+        yield r.human_line() + "\n"
+    yield f"-- {n_pass}/{n} passed\n"
+
+
+_CHUNKS = {"json": _json_chunks, "csv": _csv_chunks, "human": _human_chunks}
+
+
+def write_reports(reports, fmt: str, fh) -> None:
+    """Write the reports to the text file fh in format fmt ("json", "csv" or
+    "human"), one row per write."""
+    fh.writelines(_CHUNKS[fmt](reports))
+
+
 def reports_to_json(reports) -> str:
     """The reports as one indented JSON list, in the order given."""
-    rows = [_json_row(r) for r in reports]
-    if not rows:
-        return "[]\n"
-    return "[\n" + ",\n".join(rows) + "\n]\n"
+    return "".join(_json_chunks(reports))
 
 
 def reports_to_csv(reports) -> str:
-    import csv
-    import io
-
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(CSV_COLUMNS)
-    for r in reports:
-        w.writerow(r.to_csv_row())
-    return buf.getvalue()
+    return "".join(_csv_chunks(reports))
 
 
 def reports_to_human(reports) -> str:
-    lines = [r.human_line() for r in reports]
-    n_pass = sum(r.passed for r in reports)
-    lines.append(f"-- {n_pass}/{len(reports)} passed")
-    return "\n".join(lines) + "\n"
+    return "".join(_human_chunks(reports))

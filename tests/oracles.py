@@ -7,10 +7,11 @@ one-binomial-at-a-time eta-product expansion replaced by Euler's pentagonal
 series, two evaluations of Gamma_p (the defining product, swept once over
 every residue, and the block formula with exact tables and every S_i(K), log
 and exp term taken separately), and the section-3 suites evaluated one (x, j)
-point at a time with Fraction harmonic sums, and the report JSON as
-json.dumps writes it, which the fixed-schema row writer replaced.  They stay
-here so that every fast kernel is compared with an independent exact
-evaluation of the same quantity."""
+point at a time with Fraction harmonic sums, the report JSON as json.dumps
+writes it, which the fixed-schema row writer replaced, the CSV and human
+writers that built one string before the streamed ones, and the report sort
+key through json.dumps.  They stay here so that every fast kernel is
+compared with an independent exact evaluation of the same quantity."""
 
 from __future__ import annotations
 
@@ -451,3 +452,38 @@ def reports_to_json(reports) -> str:
     """The report list through json.dumps: every row's to_dict, indent 2."""
     rows = [r.to_dict() for r in reports]
     return json.dumps(rows, indent=2, default=str) + "\n"
+
+
+def reports_to_csv(reports) -> str:
+    """The CSV writer the streamed one replaced: every row from to_dict,
+    params through json.dumps, into one buffer."""
+    import csv
+    import io
+
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(["schema", "claim", "p", "params", "mod_power",
+                "lhs_val", "lhs_unit", "rhs_val", "rhs_unit",
+                "diff_valuation", "pass", "ms"])
+    for r in reports:
+        d = r.to_dict()
+        w.writerow([d["schema"], d["claim"], d["p"],
+                    json.dumps(d["params"], sort_keys=True, default=str),
+                    d["mod_power"], d["lhs"]["val"], d["lhs"]["unit"],
+                    d["rhs"]["val"], d["rhs"]["unit"],
+                    d["diff_valuation"], d["pass"], d["ms"]])
+    return buf.getvalue()
+
+
+def reports_to_human(reports) -> str:
+    """The human writer the streamed one replaced: every line, then the pass
+    count, joined once."""
+    lines = [r.human_line() for r in reports]
+    n_pass = sum(r.passed for r in reports)
+    lines.append(f"-- {n_pass}/{len(reports)} passed")
+    return "\n".join(lines) + "\n"
+
+
+def sort_key(r: CongruenceReport) -> tuple:
+    """The report order: claim, prime, then params through json.dumps."""
+    return (r.claim, r.p, json.dumps(r.params, sort_keys=True, default=str))

@@ -5,14 +5,19 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines and timings
 (or via the CLI: `padichyp check-all`).
 """
 
+import argparse
 import hashlib
+import io
 import json
+import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
+import oracles
 import pytest
 
 from padichyp import checks, cli
@@ -179,6 +184,61 @@ def test_check_all_csv_and_human_match_golden_sha(tmp_path, fmt, sha256):
     out = tmp_path / f"all.{fmt}"
     assert cli.main(["check-all", "--format", fmt, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
+# the path the bench times: stdout of a fresh process; at --jobs 2 the
+# reports cross the process pool
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_check_all_json_on_stdout_matches_golden_sha(jobs):
+    r = subprocess.run([sys.executable, "-m", "padichyp.cli", "check-all", "--format", "json",
+                        "--jobs", jobs], capture_output=True)
+    assert r.returncode == 0, r.stderr
+    assert hashlib.sha256(r.stdout).hexdigest() == CHECK_ALL_SHA256
+
+
+@pytest.fixture(scope="module")
+def check_all_reports():
+    reports, _ = checks.run_config(checks.RunConfig())
+    assert len(reports) == 10343
+    return reports
+
+
+class _RecordingFile(io.TextIOBase):
+    """A text file that keeps every write it is given."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+
+# a marker that appears once in each row of the format
+@pytest.mark.parametrize("fmt, oracle, row_mark", [
+    ("json", oracles.reports_to_json, '"schema"'),
+    ("csv", oracles.reports_to_csv, "\n"),
+    ("human", oracles.reports_to_human, "\n"),
+], ids=["json", "csv", "human"])
+def test_stdout_gets_one_row_per_write(monkeypatch, check_all_reports, fmt, oracle, row_mark):
+    fh = _RecordingFile()
+    monkeypatch.setattr(sys, "stdout", fh)
+    assert cli._emit_reports(check_all_reports, [],
+                             argparse.Namespace(format=fmt, out=None)) == 0
+    assert "".join(fh.writes) == oracle(check_all_reports)
+    assert max(w.count(row_mark) for w in fh.writes) == 1
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "human"])
+def test_writing_check_all_allocates_under_one_mib(check_all_reports, fmt):
+    ns = argparse.Namespace(format=fmt, out=os.devnull)
+    tracemalloc.start()
+    try:
+        assert cli._emit_reports(check_all_reports, [], ns) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"{fmt}: peak {peak} bytes"
 
 
 # the bench's reference outputs; read here, never written

@@ -6,6 +6,7 @@ import concurrent.futures
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -20,7 +21,8 @@ from hypothesis import strategies as st
 from padichyp import characters, checks, cli, qseries
 from padichyp.padic import PadicValue, rational_to_padic, valuation_of_int
 from padichyp.qseries import QSeries
-from padichyp.report import CSV_COLUMNS, CongruenceReport, reports_to_csv, reports_to_json
+from padichyp.report import (CSV_COLUMNS, CongruenceReport, reports_to_csv, reports_to_human,
+                             reports_to_json, sort_reports)
 
 
 def _task(claim, primes, **params):
@@ -276,6 +278,50 @@ def test_json_writer_equals_the_json_dumps_oracle(reports):
     assert reports_to_json(reports) == oracles.reports_to_json(reports)
 
 
+@given(st.lists(_reports, max_size=4))
+@settings(max_examples=200, deadline=None)
+@example([CongruenceReport("c", 7, {"x": '1/2"\t', "j": -10**25, "t": True, "n": None,
+                                    "é": "😀"}, 4, None, 0, -1, 5, None, False)])
+def test_csv_and_human_writers_equal_their_oracles(reports):
+    assert reports_to_human(reports) == oracles.reports_to_human(reports)
+    try:
+        want = oracles.reports_to_csv(reports)
+    except TypeError:  # json.dumps cannot sort keys of mixed types
+        with pytest.raises(TypeError):
+            reports_to_csv(reports)
+    else:
+        assert reports_to_csv(reports) == want
+
+
+# params whose keys json.dumps(sort_keys=True) can sort: all str or all int
+_sort_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-12, 12), st.text("1/2 é😀\"", max_size=3),
+              st.floats(allow_nan=True, allow_infinity=True)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3), st.tuples(inner, inner),
+                            st.dictionaries(st.text("ab", max_size=2), inner, max_size=3)),
+    max_leaves=6)
+_sort_params = st.one_of(
+    st.dictionaries(st.sampled_from(["j", "d", "d2", "x", "é", "A"]),
+                    st.one_of(st.integers(-12, 12), st.text("1/20 é", max_size=3), _sort_values),
+                    max_size=4),
+    st.dictionaries(st.integers(-3, 3), _sort_values, max_size=3))
+_sortable_reports = st.builds(
+    lambda claim, p, params: CongruenceReport(claim, p, params, 1, 0, 1, 0, 1, None, True),
+    st.sampled_from(["thm2.4", "thm2.6", "é"]), st.sampled_from([0, 7, 11]), _sort_params)
+
+
+@given(st.lists(_sortable_reports, max_size=12))
+@settings(max_examples=300, deadline=None)
+@example([CongruenceReport("c", 7, params, 1, 0, 1, 0, 1, None, True)
+          for params in ({"j": 10}, {"j": 2}, {"j": "2"}, {"j": "10"}, {"j": 2}, {},
+                         {"j": True}, {"j": None}, {"j": [2]}, {"j": (10,)},
+                         {"j": {"b": 1, "a": 2}}, {2: 1}, {10: 1}, {"j": "é"}, {"j": "z"})])
+def test_sort_order_equals_the_json_dumps_oracle(reports):
+    assert [r.sort_key() for r in reports] == [oracles.sort_key(r) for r in reports]
+    want = [id(r) for r in sorted(reports, key=oracles.sort_key)]
+    assert [id(r) for r in sort_reports(list(reports))] == want  # ties keep their order
+
+
 def test_csv_columns_mirror_schema():
     reports = _task("thm2.4", [7], d=3)
     text = reports_to_csv(reports)
@@ -449,6 +495,59 @@ def test_cli_unwritable_output_file_exits_2(tmp_path, argv):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "No such file or directory" in err
     assert not path.parent.exists()
+
+
+@pytest.mark.parametrize("argv", [["check", "lemmas", "--p-range", "7..61"], ["check-all"]],
+                         ids=["check", "check-all"])
+@pytest.mark.parametrize("where", ["missing dir", "a directory", "under a file"])
+def test_cli_out_path_is_checked_before_any_task(tmp_path, argv, where):
+    (tmp_path / "file").write_text("")
+    path = {"missing dir": tmp_path / "missing" / "x.json", "a directory": tmp_path,
+            "under a file": tmp_path / "file" / "x.json"}[where]
+    with pytest.raises(OSError) as opened:
+        open(path, "w")
+    with patch.object(checks, "run_config") as run:
+        code, out, err = _main(*argv, "--format", "json", "--out", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: {opened.value}\n"  # the error open() gives
+    run.assert_not_called()
+    assert sorted(os.listdir(tmp_path)) == ["file"]
+
+
+def test_cli_out_in_an_unwritable_directory_exits_2(tmp_path):
+    path = tmp_path / "x.json"
+    with patch.object(cli.os, "access", lambda p, mode: False), \
+            patch.object(checks, "run_config") as run:
+        code, out, err = _main("check-all", "--out", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: [Errno 13] Permission denied: '{path}'\n"
+    run.assert_not_called()
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("argv, read", [
+    # 1.3 MB of JSON, far more than the pipe holds: the break comes mid-write
+    (["check", "lemmas", "--p", "7", "--format", "json"], 10),
+    # one buffered line into a pipe closed before the run: the break comes
+    # at the last flush
+    (["gamma", "1/3", "--p", "7"], 0),
+], ids=["mid-write", "last-flush"])
+def test_cli_closed_stdout_exits_2_with_one_error_line(argv, read):
+    # stdout block-buffered, as it is in a shell pipeline
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    r, w = os.pipe()
+    if not read:
+        os.close(r)
+    proc = subprocess.Popen([sys.executable, "-m", "padichyp.cli", *argv], env=env,
+                            stdout=w, stderr=subprocess.PIPE)
+    os.close(w)
+    if read:
+        with open(r, "rb") as reader:
+            assert len(reader.read(read)) == read
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 2
+    proc.stderr.close()
+    assert err == "error: [Errno 32] Broken pipe\n"
 
 
 @pytest.mark.parametrize("argv", [
