@@ -4,8 +4,6 @@ congruences with truncated classical series."""
 
 from .characters import (
     Character,
-    char_binomial_scaled,
-    char_value,
     characters_for_arguments,
     greene_series_scaled,
 )
@@ -21,7 +19,6 @@ from .gamma import (
     g1,
     g2,
     gamma_p,
-    gamma_shift,
     lemma_check_gamma_suite,
     rep,
 )
@@ -47,9 +44,8 @@ __version__ = "0.1.0"
 __all__ = [
     "Character", "CongruenceReport", "GArguments", "HypParams", "PadicValue",
     "PrecisionError", "QSeries", "RunConfig", "apery", "bin_harmonic_id1",
-    "bin_harmonic_id2", "char_binomial_scaled", "char_value",
-    "characters_for_arguments", "congruent_mod", "eta_product", "g1", "g2",
-    "g_function", "gamma_coeffs", "gamma_p", "gamma_shift",
+    "bin_harmonic_id2", "characters_for_arguments", "congruent_mod",
+    "eta_product", "g1", "g2", "g_function", "gamma_coeffs", "gamma_p",
     "greene_series_scaled", "lemma_P_sum", "lemma_PQ_expected",
     "lemma_Q_sum", "lemma_check_gamma_suite", "padic_add", "padic_inv",
     "padic_mul", "padic_neg", "rational_to_padic", "rep",

@@ -19,11 +19,12 @@ an honest element of Z_p.  The scaled series computed here is
 which is exactly the left-hand side appearing in the G-function identity and
 the theorem statements, so no negative valuations ever materialize.
 
-A single beta is one O(p) character sum.  The table of beta(A chi, B chi)
-over all p - 1 characters chi is a length-(p-1) DFT of Teichmuller roots,
-evaluated as a Bluestein chirp correlation by one big-integer product
-(Kronecker substitution): O(p) Python steps plus one multiplication of
-O(p N log p)-bit integers, instead of O(p^2) steps.  The series builds each
+Only whole tables are computed: beta(A chi, B chi) over all p - 1
+characters chi is a length-(p-1) DFT of Teichmuller roots, evaluated as a
+Bluestein chirp correlation by one big-integer product (Kronecker
+substitution): O(p) Python steps plus one multiplication of O(p N log p)-bit
+integers, not one O(p) character sum per entry (that sum, and single
+character values, are oracles in tests/oracles.py).  The series builds each
 distinct table once and then costs O(n p).  Nothing here uses Gamma_p, so
 the series stays an independent check of the G function.
 """
@@ -93,60 +94,6 @@ class Character:
     @classmethod
     def quadratic(cls, p: int) -> "Character":
         return cls(p, (p - 1) // 2)
-
-    @classmethod
-    def of_order(cls, d: int, p: int, power: int = 1) -> "Character":
-        """rho^power where rho = wbar^((p-1)/d); requires p = 1 mod d."""
-        if (p - 1) % d != 0:
-            raise ValueError(f"no character of order {d} for p={p}")
-        return cls(p, power * ((p - 1) // d))
-
-    def __mul__(self, other: "Character") -> "Character":
-        if self.prime != other.prime:
-            raise ValueError("mixed primes")
-        return Character(self.prime, self.exponent + other.exponent)
-
-    def inverse(self) -> "Character":
-        return Character(self.prime, -self.exponent)
-
-    def value_residue(self, x: int, N: int) -> int:
-        """chi(x) as an integer residue mod p^N (0 for x = 0)."""
-        p = self.prime
-        x %= p
-        if x == 0:
-            return 0
-        _, dlog = _dlog_table(p)
-        pw = _omega_powers(p, N)
-        return pw[(-self.exponent * dlog[x]) % (p - 1)]
-
-
-def char_value(chi: Character, x: int, N: int) -> PadicValue:
-    """chi(x) as a PadicValue: a (p-1)-th root of unity, or zero at x = 0."""
-    r = chi.value_residue(x, N)
-    if r == 0:
-        return PadicValue.zero(chi.prime)
-    return PadicValue(chi.prime, 0, r, N)
-
-
-def _beta_residue(p: int, ea: int, eb: int, N: int) -> int:
-    """beta(wbar^ea, wbar^eb) = wbar^eb(-1) * sum_x wbar^ea(x) wbar^(-eb)(1-x)."""
-    _, dlog = _dlog_table(p)
-    pw = _omega_powers(p, N)
-    order = p - 1
-    pN = p**N
-    total = 0
-    for x in range(2, p):  # x = 0 and x = 1 drop out via chi(0) = 0
-        total += pw[(-ea * dlog[x] + eb * dlog[(1 - x) % p]) % order]
-    total = total * pw[(-eb * dlog[p - 1]) % order]
-    return total % pN
-
-
-def char_binomial_scaled(A: Character, B: Character, N: int) -> PadicValue:
-    """The scaled Greene binomial beta(A, B) = B(-1) sum_x A(x) Bbar(1-x)."""
-    if A.prime != B.prime:
-        raise ValueError("mixed primes")
-    r = _beta_residue(A.prime, A.exponent, B.exponent, N)
-    return PadicValue.from_residue(r, A.prime, N)
 
 
 def _pack(coeffs, width: int) -> int:

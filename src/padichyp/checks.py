@@ -3,8 +3,10 @@
 Each claim family is one entry of the CLAIMS registry: admissibility (the
 congruence-class preconditions of the theorems), accepted parameters, default
 grid, prime range and modulus, and checker.  Planning, validation, check-all
-and the CLI all read it.  Every run reports the primes it skipped rather than
-silently narrowing a range; the defaults reproduce the acceptance suite.
+and the CLI all read it.  Every form row (a sequence side against the p-th
+coefficient of a modular form) is one entry of FORMS, which check_form reads.
+Every run reports the primes it skipped rather than silently narrowing a
+range; the defaults reproduce the acceptance suite.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .gfunction import GArguments, g_function, s_factor, theorem26_sign
 from .hyp import HypParams, truncated_hyp
 from .padic import (PRIME_BOUND, PadicValue, _ratio_to_padic, check_prime,
                     rational_to_padic)
-from .qseries import gamma_coeffs, hecke_bound_ok, rv_form_coeffs
+from .qseries import gamma_coeffs, hecke_bound_ok, rv_form_coeffs  # noqa: F401 (FORMS)
 from .report import CongruenceReport, sort_reports
 
 DEFAULT_SEED = 20260810
@@ -157,74 +159,61 @@ def check_g_vs_trunc(claim: str, params: dict, args, primes,
     return out
 
 
-def check_beukers(primes, mod_power: int = 2,
-                  horizon: int | None = None) -> list[CongruenceReport]:
-    """Apery numbers against the level-8 form coefficients mod p^2."""
-    out = []
-    if not primes:
-        return out
-    table = _form(gamma_coeffs, max(horizon or 0, *primes))
-    N = mod_power + GUARD
-    for p in primes:
-        a = comb.apery((p - 1) // 2)
-        g = table.coefficient(p)
-        out.append(CongruenceReport.from_sides(
-            "beukers", p, {"A": str(a), "gamma": g}, mod_power,
-            rational_to_padic(a, p, N), rational_to_padic(g, p, N)))
-    return out
+_FIFTHS = (Fraction(1, 5), Fraction(2, 5), Fraction(3, 5), Fraction(4, 5))
 
 
-def check_ao(primes, horizon: int | None = None) -> list[CongruenceReport]:
-    """The two halves of the Apery supercongruence route.
-
-    thm1.1: truncated 4F3 = scaled Gaussian series - p, mod p^2.
-    thm1.2: scaled Gaussian series - p = gamma(p) exactly; both sides are
-    integers bounded by 2p^(3/2) + p, so agreement mod p^4 certifies equality.
-    """
-    out = []
-    if not primes:
-        return out
-    table = _form(gamma_coeffs, max(horizon or 0, *primes))
-    N = 5
-    half = (Fraction(1, 2),) * 4
-    for p in primes:
-        phi = Character.quadratic(p)
-        eps = Character.trivial(p)
-        series = greene_series_scaled([phi] * 4, [eps] * 3, 1, N)
-        series_minus_p = series - rational_to_padic(p, p, N)
-        trunc = _truncated(half, p, N)
-        out.append(CongruenceReport.from_sides(
-            "thm1.1", p, {}, 2, trunc, series_minus_p))
-        g = table.coefficient(p)
-        rep_ = CongruenceReport.from_sides(
-            "thm1.2", p, {"gamma": g, "deligne_ok": hecke_bound_ok(table, p)},
-            4, series_minus_p, rational_to_padic(g, p, N))
-        if not rep_.params["deligne_ok"]:
-            rep_.passed = False
-        out.append(rep_)
-    return out
+def _apery_side(p: int, N: int) -> tuple[dict, PadicValue]:
+    a = comb.apery((p - 1) // 2)
+    return {"A": str(a)}, rational_to_padic(a, p, N)
 
 
-def check_rv(primes, mod_power: int = 3,
-             horizon: int | None = None) -> list[CongruenceReport]:
-    """Rodriguez-Villegas: truncated 4F3[1/5,2/5,3/5,4/5] against the
-    level-25 form mod p^3, plus the same-parameter framework congruence."""
-    out = []
-    if not primes:
-        return out
-    table = _form(rv_form_coeffs, max(horizon or 0, *primes))
-    args = (Fraction(1, 5), Fraction(2, 5), Fraction(3, 5), Fraction(4, 5))
-    N = mod_power + GUARD
-    for p in primes:
-        if p == 5:
-            raise ValueError("p = 5 is excluded")
-        trunc = _truncated(args, p, N)
-        c = table.coefficient(p)
-        out.append(CongruenceReport.from_sides(
-            "conj1.3", p, {"c": c}, mod_power, trunc, rational_to_padic(c, p, N)))
-        out.extend(check_g_vs_trunc(
-            "conj1.3-framework", {"d": 5, "r": 2}, args, [p], mod_power))
-    return out
+def _greene_minus_p(p: int, N: int) -> tuple[dict, PadicValue]:
+    """The scaled Gaussian series at (phi, phi, phi, phi; eps, eps, eps | 1), minus p."""
+    phi, eps = Character.quadratic(p), Character.trivial(p)
+    series = greene_series_scaled([phi] * 4, [eps] * 3, 1, N)
+    return {}, series - rational_to_padic(p, p, N)
+
+
+class Form(NamedTuple):
+    """One row of FORMS: a sequence side against the p-th coefficient of a
+    weight-4 form.  Each check looks the builder up by name in this module."""
+
+    builder: str  # the name, so that a builder patched here is the one used
+    key: str  # the params key of the coefficient
+    mod: int  # default modulus
+    side: Callable[[int, int], tuple[dict, PadicValue]]  # (p, N) -> (params, side mod p^N)
+    deligne: bool = False  # add deligne_ok, |a(p)| <= 2 p^(3/2); a failed bound fails the row
+
+
+FORMS = {
+    # Apery numbers A((p-1)/2) against the level-8 form
+    "beukers": Form("gamma_coeffs", "gamma", 2, _apery_side),
+    # the scaled Gaussian series minus p against the level-8 form: both are
+    # integers bounded by 2p^(3/2) + p, so agreement mod p^4 certifies equality
+    "thm1.2": Form("gamma_coeffs", "gamma", 4, _greene_minus_p, deligne=True),
+    # Rodriguez-Villegas: truncated 4F3(1/5, 2/5, 3/5, 4/5) against the level-25 form
+    "conj1.3": Form("rv_form_coeffs", "c", 3, lambda p, N: ({}, _truncated(_FIFTHS, p, N))),
+}
+
+
+def check_form(claim: str, p: int, horizon: int | None = None, mod: int | None = None,
+               side: tuple[dict, PadicValue] | None = None) -> CongruenceReport:
+    """The FORMS row claim at p: its sequence side against the p-th
+    coefficient of its form, mod p^mod (by default the entry's modulus).  The
+    form is built through q^max(horizon, p), once per process; side is the
+    entry's side at (p, mod + GUARD), when the caller has computed it."""
+    f = FORMS[claim]
+    mod = f.mod if mod is None else mod
+    N = mod + GUARD
+    params, lhs = side or f.side(p, N)
+    form = _form(globals()[f.builder], max(horizon or 0, p))
+    c = form.coefficient(p)
+    params = {**params, f.key: c}
+    if f.deligne:
+        params["deligne_ok"] = hecke_bound_ok(form, p)
+    row = CongruenceReport.from_sides(claim, p, params, mod, lhs, rational_to_padic(c, p, N))
+    row.passed = row.passed and params.get("deligne_ok", True)
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +464,25 @@ def _check_trunc(t: Task, args) -> list[CongruenceReport]:
     return check_g_vs_trunc(t.claim, t.params, args, t.primes, t.mod)
 
 
+def _check_ao(t: Task, _) -> list[CongruenceReport]:
+    """thm1.1, truncated 4F3(1/2, 1/2, 1/2, 1/2) = scaled Gaussian series - p
+    mod p^2, and the thm1.2 form row, from one series per prime."""
+    out = []
+    N = FORMS["thm1.2"].mod + GUARD
+    for p in t.primes:
+        side = _greene_minus_p(p, N)
+        out.append(CongruenceReport.from_sides(
+            "thm1.1", p, {}, 2, _truncated((Fraction(1, 2),) * 4, p, N), side[1]))
+        out.append(check_form("thm1.2", p, t.horizon, side=side))
+    return out
+
+
+def _check_conj13(t: Task, args) -> list[CongruenceReport]:
+    """The conj1.3 form row, plus the framework congruence at its arguments."""
+    return ([check_form("conj1.3", p, t.horizon, t.mod) for p in t.primes]
+            + check_g_vs_trunc("conj1.3-framework", {"d": 5, "r": 2}, args, t.primes, t.mod))
+
+
 def _check_thm26(t: Task, args) -> list[CongruenceReport]:
     """Theorem 2.6, plus a companion row: the gamma product s(p) is the floor sign."""
     d1, d2 = t.params["d"], t.params["d2"]
@@ -516,12 +524,11 @@ CLAIMS = {c.id: c for c in (
     Claim("thm2.7", lambda p, q: _thm27_class_ok(p, q["d"], q["r"]), ("d", "r"),
           ({"d": 5, "r": 2}, {"d": 8, "r": 3}, {"d": 12, "r": 5}), (3, 97), 3,
           _check_trunc, args=_thm27_args),
-    Claim("beukers", lambda p, q: True, (), ({},), (3, 97), 2,
-          lambda t, _: check_beukers(t.primes, t.mod, t.horizon)),
-    Claim("ao", lambda p, q: True, (), ({},), (7, 61), None,
-          lambda t, _: check_ao(t.primes, t.horizon)),
-    Claim("conj1.3", lambda p, q: p != 5, (), ({},), (3, 97), 3,
-          lambda t, _: check_rv(t.primes, t.mod, t.horizon)),
+    Claim("beukers", lambda p, q: True, (), ({},), (3, 97), FORMS["beukers"].mod,
+          lambda t, _: [check_form("beukers", p, t.horizon, t.mod) for p in t.primes]),
+    Claim("ao", lambda p, q: True, (), ({},), (7, 61), None, _check_ao),
+    Claim("conj1.3", lambda p, q: p != 5, (), ({},), (3, 97), FORMS["conj1.3"].mod,
+          _check_conj13, args=lambda q: list(_FIFTHS)),
     Claim("lemmas", lambda p, q: p >= 7, (), ({},), (7, 13), None,
           lambda t, _: (check_lemma_suites(t.primes, t.seed) if t.primes
                         else check_bin_harmonic_ids(t.seed)),

@@ -89,12 +89,13 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--z", default="1")
     t.add_argument("-m", "--truncation", type=int, help="default p-1")
     t.add_argument("--p", type=int, help="also reduce mod p^precision")
-    t.add_argument("--precision", type=int, default=3)
+    t.add_argument("--precision", type=int, help="digits of the reduction (default 3)")
 
     q = sub.add_parser("qexp", help="eta-product q-expansions")
-    q.add_argument("--form", choices=["gamma", "rv"],
-                   help="one of the two built-in weight-4 forms")
-    q.add_argument("--eta", help="custom product, e.g. 1^24 or 2^4,4^4")
+    series = q.add_mutually_exclusive_group()
+    series.add_argument("--form", choices=["gamma", "rv"],
+                        help="one of the two built-in weight-4 forms")
+    series.add_argument("--eta", help="custom product, e.g. 1^24 or 2^4,4^4")
     q.add_argument("--truncation", type=int, default=50)
     q.add_argument("--csv", help="write n,coefficient rows to FILE")
 
@@ -179,9 +180,12 @@ def _command(ns) -> int:
             ns.p - 1 if ns.p else None)
         if m is None:
             raise ValueError("give -m or --p to fix the truncation")
+        if ns.precision is not None and ns.p is None:
+            raise ValueError("--precision is the digits of the reduction mod p: give --p too")
         params = HypParams(tuple(top), tuple(bottom), Fraction(ns.z), m)
         exact = truncated_hyp_exact(params)
-        reduced = truncated_hyp(params, ns.p, ns.precision) if ns.p else None
+        N = 3 if ns.precision is None else ns.precision
+        reduced = truncated_hyp(params, ns.p, N) if ns.p else None
         print(exact)  # only once both values are valid: no partial output
         if reduced is not None:
             print(_render_value(reduced))

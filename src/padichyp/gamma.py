@@ -243,21 +243,10 @@ def rep(x, p: int) -> int:
     return r if r else p
 
 
-def gamma_shift(x, j: int, p: int, N: int) -> PadicValue:
-    """Gamma_p(x + j) from Gamma_p(x) and a rising factorial.
-
-    For 0 <= j <= p - rep(x) the shift is (-1)^j Gamma_p(x) (x)_j; past the
-    unique p-divisible step the extra factor (x + p - rep(x)) is divided out.
-    """
-    if not 0 <= j <= p:
-        raise ValueError("shift index must satisfy 0 <= j <= p")
-    x = Fraction(x)
-    return _shift(x, rep(x, p), gamma_p(x, p, N), j, p, N)
-
-
 def _shift(x: Fraction, r: int, gx: PadicValue, j: int, p: int, N: int) -> PadicValue:
-    """gamma_shift from x's rep r and gx = Gamma_p(x) mod p^N, which depend
-    on x alone, for 0 <= j <= p."""
+    """Gamma_p(x + j) mod p^N, 0 <= j <= p, from r = rep(x) and gx = Gamma_p(x):
+    (-1)^j gx (x)_j (Prop 3.8), past j = p - r divided by the factor x + p - r
+    of the unique p-divisible step."""
     if j == 0:
         return gx
     out = gx * rational_to_padic(rising_factorial(x, j), p, N)

@@ -50,19 +50,6 @@ class QSeries:
                     out[n - off] += c
         return QSeries(off, out, trunc)
 
-    def __mul__(self, other: "QSeries") -> "QSeries":
-        off = self.offset + other.offset
-        trunc = min(self.truncation + other.offset, other.truncation + self.offset)
-        out = [0] * (trunc - off + 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    k = i + j
-                    if off + k > trunc:
-                        break
-                    out[k] += a * b
-        return QSeries(off, out, trunc)
-
     def scale(self, c: int) -> "QSeries":
         return QSeries(self.offset, [c * a for a in self.coeffs], self.truncation)
 

@@ -12,25 +12,24 @@ identical runs serialize to identical bytes regardless of parallelism.
 
 Each writer yields its text one row at a time, and ``write_reports`` hands
 those chunks to a file's ``writelines``, so a report is never held in memory
-as one string; ``reports_to_json``, ``reports_to_csv`` and
-``reports_to_human`` join the same chunks.
+as one string.
 
 The JSON writer renders each report straight from the fixed schema-1 layout,
-with the bytes of ``json.dumps(rows, indent=2, default=str)`` (rows the
-``to_dict`` values) plus a newline: strings go through the C string encoder
-that ``json.dumps`` uses, ints through ``int.__repr__``.  A ``params`` dict
-with ``str`` keys and ``str``/``int``/``bool``/``None`` values is written
-inline; any other params value (lists, nested dicts, floats, ``Fraction``s,
-non-``str`` keys, an empty dict) is written by ``json.dumps(..., indent=2,
-default=str)`` and re-indented, which is exact because JSON text holds no raw
-newline inside a string.
+with the bytes of ``json.dumps(rows, indent=2, default=str)`` (each row the
+schema-1 dict of a report) plus a newline: strings go through the C string
+encoder that ``json.dumps`` uses, ints through ``int.__repr__``.  A
+``params`` dict with ``str`` keys and ``str``/``int``/``bool``/``None``
+values is written inline; any other params value (lists, nested dicts,
+floats, ``Fraction``s, non-``str`` keys, an empty dict) is written by
+``json.dumps(..., indent=2, default=str)`` and re-indented, which is exact
+because JSON text holds no raw newline inside a string.
 
 Reports sort by (claim, p, params text), the params text being
 ``json.dumps(params, sort_keys=True, default=str)``, which is also the CSV's
 params column; a flat params dict (as above) is written by the same inline
 path with its keys sorted, any other by that ``json.dumps`` call.  The
-``json.dumps`` writers and sort key these replaced are kept as oracles in
-``tests/oracles.py``.
+``json.dumps`` writers and sort key these replaced, and the schema-1 dict of
+a report (``to_dict``), are kept as oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -83,20 +82,6 @@ class CongruenceReport:
 
     def sort_key(self) -> tuple:
         return (self.claim, self.p, _params_text(self.params))
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": SCHEMA_VERSION,
-            "claim": self.claim,
-            "p": self.p,
-            "params": self.params,
-            "mod_power": self.mod_power,
-            "lhs": {"val": self.lhs_val, "unit": self.lhs_unit},
-            "rhs": {"val": self.rhs_val, "unit": self.rhs_unit},
-            "diff_valuation": self.diff_valuation,
-            "pass": self.passed,
-            "ms": None,
-        }
 
     def to_csv_row(self) -> list:
         return [SCHEMA_VERSION, self.claim, self.p, _params_text(self.params),
@@ -234,16 +219,3 @@ def write_reports(reports, fmt: str, fh) -> None:
     """Write the reports to the text file fh in format fmt ("json", "csv" or
     "human"), one row per write."""
     fh.writelines(_CHUNKS[fmt](reports))
-
-
-def reports_to_json(reports) -> str:
-    """The reports as one indented JSON list, in the order given."""
-    return "".join(_json_chunks(reports))
-
-
-def reports_to_csv(reports) -> str:
-    return "".join(_csv_chunks(reports))
-
-
-def reports_to_human(reports) -> str:
-    return "".join(_human_chunks(reports))

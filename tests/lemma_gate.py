@@ -31,8 +31,7 @@ def main() -> int:
     for p in primes_in(7, 61):
         rows = 0
         for fast, slow in SUITES:
-            got = [r.to_dict() for r in fast(p)]
-            want = [r.to_dict() for r in slow(p)]
+            got, want = fast(p), slow(p)
             if got != want:
                 i = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
                          min(len(got), len(want)))

@@ -2,16 +2,16 @@
 
 These are the straightforward per-term Fraction (and truncated-power-series)
 evaluations that the package replaced by integer num/den kernels for speed,
-the per-entry Greene binomial table replaced by one chirp correlation, the
-one-binomial-at-a-time eta-product expansion replaced by Euler's pentagonal
-series, two evaluations of Gamma_p (the defining product, swept once over
-every residue, and the block formula with exact tables and every S_i(K), log
-and exp term taken separately), and the section-3 suites evaluated one (x, j)
-point at a time with Fraction harmonic sums, the report JSON as json.dumps
-writes it, which the fixed-schema row writer replaced, the CSV and human
-writers that built one string before the streamed ones, and the report sort
-key through json.dumps.  They stay here so that every fast kernel is
-compared with an independent exact evaluation of the same quantity."""
+the per-entry Greene binomial table (one character sum per entry) replaced
+by one chirp correlation, the one-binomial-at-a-time eta-product expansion
+replaced by Euler's pentagonal series, two evaluations of Gamma_p (the
+defining product, swept once over every residue, and the block formula with
+exact tables and every S_i(K), log and exp term taken separately), the
+section-3 suites evaluated one (x, j) point at a time with Fraction harmonic
+sums, json.dumps of each report's schema-1 dict, which the row writer
+replaced, the one-string CSV and human writers the streamed ones replaced,
+and the report sort key through json.dumps.  They stay here so that every
+fast kernel is compared with an independent exact evaluation of it."""
 
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from padichyp.characters import Character, _beta_residue
+from padichyp.characters import Character, _dlog_table, _omega_powers
 from padichyp.gamma import (_as_residue, default_x_grid, gamma_p, gamma_residue, rep,
                             split_by_rep)
 from padichyp.hyp import HypParams
@@ -102,6 +102,37 @@ def truncated_hyp_exact(params: HypParams) -> Fraction:
         term = term * num * params.z / den
         total += term
     return total
+
+
+def char_value(chi: Character, x: int, N: int) -> PadicValue:
+    """chi(x) as a PadicValue: a (p-1)-th root of unity, or zero at x = 0."""
+    p = chi.prime
+    x %= p
+    if x == 0:
+        return PadicValue.zero(p)
+    _, dlog = _dlog_table(p)
+    return PadicValue(p, 0, _omega_powers(p, N)[(-chi.exponent * dlog[x]) % (p - 1)], N)
+
+
+def _beta_residue(p: int, ea: int, eb: int, N: int) -> int:
+    """beta(wbar^ea, wbar^eb) = wbar^eb(-1) * sum_x wbar^ea(x) wbar^(-eb)(1-x)."""
+    _, dlog = _dlog_table(p)
+    pw = _omega_powers(p, N)
+    order = p - 1
+    pN = p**N
+    total = 0
+    for x in range(2, p):  # x = 0 and x = 1 drop out via chi(0) = 0
+        total += pw[(-ea * dlog[x] + eb * dlog[(1 - x) % p]) % order]
+    total = total * pw[(-eb * dlog[p - 1]) % order]
+    return total % pN
+
+
+def char_binomial_scaled(A: Character, B: Character, N: int) -> PadicValue:
+    """The scaled Greene binomial beta(A, B) = B(-1) sum_x A(x) Bbar(1-x)."""
+    if A.prime != B.prime:
+        raise ValueError("mixed primes")
+    r = _beta_residue(A.prime, A.exponent, B.exponent, N)
+    return PadicValue.from_residue(r, A.prime, N)
 
 
 def binomial_table(A: Character, B: Character, N: int) -> tuple[int, ...]:
@@ -448,9 +479,25 @@ def check_gamma_properties(p: int) -> list[CongruenceReport]:
     return out
 
 
+def to_dict(r: CongruenceReport) -> dict:
+    """The schema-1 dict of a report."""
+    return {
+        "schema": 1,
+        "claim": r.claim,
+        "p": r.p,
+        "params": r.params,
+        "mod_power": r.mod_power,
+        "lhs": {"val": r.lhs_val, "unit": r.lhs_unit},
+        "rhs": {"val": r.rhs_val, "unit": r.rhs_unit},
+        "diff_valuation": r.diff_valuation,
+        "pass": r.passed,
+        "ms": None,
+    }
+
+
 def reports_to_json(reports) -> str:
     """The report list through json.dumps: every row's to_dict, indent 2."""
-    rows = [r.to_dict() for r in reports]
+    rows = [to_dict(r) for r in reports]
     return json.dumps(rows, indent=2, default=str) + "\n"
 
 
@@ -466,7 +513,7 @@ def reports_to_csv(reports) -> str:
                 "lhs_val", "lhs_unit", "rhs_val", "rhs_unit",
                 "diff_valuation", "pass", "ms"])
     for r in reports:
-        d = r.to_dict()
+        d = to_dict(r)
         w.writerow([d["schema"], d["claim"], d["p"],
                     json.dumps(d["params"], sort_keys=True, default=str),
                     d["mod_power"], d["lhs"]["val"], d["lhs"]["unit"],

@@ -21,14 +21,21 @@ from hypothesis import strategies as st
 from padichyp import characters, checks, cli, qseries
 from padichyp.padic import PadicValue, rational_to_padic, valuation_of_int
 from padichyp.qseries import QSeries
-from padichyp.report import (CSV_COLUMNS, CongruenceReport, reports_to_csv, reports_to_human,
-                             reports_to_json, sort_reports)
+from padichyp.report import CSV_COLUMNS, CongruenceReport, sort_reports, write_reports
 
 
 def _task(claim, primes, **params):
     """Reports of one registry task at the claim's default modulus."""
     mod = checks.CLAIMS[claim].mod
-    return checks.run_task(checks.Task(claim, params, primes, mod, checks.DEFAULT_SEED))
+    return checks.run_task(checks.Task(claim, params, primes, mod, checks.DEFAULT_SEED,
+                                       max(primes, default=None)))
+
+
+def _text(reports, fmt):
+    """The reports as write_reports writes them in format fmt."""
+    buf = io.StringIO()
+    write_reports(reports, fmt, buf)
+    return buf.getvalue()
 
 
 def _split(claim, params, lo, hi):
@@ -129,6 +136,35 @@ def test_g_vs_trunc_fails_without_the_sp_term(monkeypatch, claim, primes, params
     assert all(not r.passed and r.diff_valuation == 1 for r in rows)
 
 
+def _grid_rows(claim, row_claim):
+    """The row_claim rows of claim's default grid."""
+    tasks, _ = checks.CLAIMS[claim].plan()
+    return [r for t in tasks for r in checks.run_task(t) if r.claim == row_claim]
+
+
+@pytest.mark.parametrize("claim", ["thm2.4", "thm2.5"])
+def test_g_vs_trunc_fails_with_p_to_the_k_minus_1_on_the_truncated_side(monkeypatch, claim):
+    k = checks.CLAIMS[claim].mod
+    base = _grid_rows(claim, claim)
+    assert base and all(r.passed for r in base)
+    truncated = checks._truncated
+    monkeypatch.setattr(checks, "_truncated", lambda args, p, N: (
+        truncated(args, p, N) + rational_to_padic(p ** (k - 1), p, N)))
+    rows = _grid_rows(claim, claim)
+    assert len(rows) == len(base)
+    assert all(not r.passed and r.diff_valuation == k - 1 for r in rows)
+
+
+def test_thm26_sign_rows_fail_with_the_sign_negated(monkeypatch):
+    base = _grid_rows("thm2.6", "thm2.6-sign")
+    assert base and all(r.passed for r in base)
+    sign = checks.theorem26_sign
+    monkeypatch.setattr(checks, "theorem26_sign", lambda p, d1, d2: -sign(p, d1, d2))
+    rows = _grid_rows("thm2.6", "thm2.6-sign")
+    assert len(rows) == len(base)
+    assert all(not r.passed and r.diff_valuation == 0 for r in rows)
+
+
 def test_prop22_fails_with_a_shifted_greene_table_entry(monkeypatch):
     tasks, _ = checks.CLAIMS["prop2.2"].plan()
     assert all(r.passed for t in tasks for r in checks.run_task(t))
@@ -150,7 +186,7 @@ def test_thm11_fails_without_its_minus_p_term(monkeypatch):
     # the Greene series plus p, so that series - p is the bare series
     monkeypatch.setattr(checks, "greene_series_scaled", lambda top, bottom, x, N: (
         series(top, bottom, x, N) + rational_to_padic(top[0].prime, top[0].prime, N)))
-    rows = [r for r in checks.check_ao(primes) if r.claim == "thm1.1"]
+    rows = [r for r in _task("ao", primes) if r.claim == "thm1.1"]
     assert len(rows) == len(primes)
     assert all(not r.passed and r.diff_valuation == 1 for r in rows)
 
@@ -172,18 +208,18 @@ def test_thm12_and_beukers_fail_with_shifted_form_coefficients(perturb_form):
     perturb_form(checks, "gamma_coeffs", lambda M: QSeries(
         form(M).offset, [c + 1 for c in form(M).coeffs], M))
     primes = checks.primes_in(7, 61)
-    ao = checks.check_ao(primes)
+    ao = _task("ao", primes)
     assert [r.passed for r in ao if r.claim == "thm1.1"] == [True] * len(primes)
-    rows = [r for r in ao if r.claim == "thm1.2"] + checks.check_beukers(checks.primes_in(3, 97))
+    rows = [r for r in ao if r.claim == "thm1.2"] + _task("beukers", checks.primes_in(3, 97))
     assert len(rows) == len(primes) + len(checks.primes_in(3, 97))
     assert all(not r.passed and r.diff_valuation == 0 for r in rows)
 
 
 def test_conj13_fails_with_a_changed_form_weight(perturb_form):
     primes = [p for p in checks.primes_in(3, 97) if p != 5]
-    assert all(r.passed for r in checks.check_rv(primes))
+    assert all(r.passed for r in _task("conj1.3", primes))
     perturb_form(qseries, "_RV_WEIGHTS", (2, 5, 20, 25, 25))
-    rows = checks.check_rv(primes)
+    rows = _task("conj1.3", primes)
     main = [r for r in rows if r.claim == "conj1.3"]
     assert len(main) == len(primes) and all(not r.passed for r in main)
     assert all(r.passed for r in rows if r.claim == "conj1.3-framework")
@@ -206,12 +242,12 @@ def test_ao_agrees_with_quartic_halves_route():
         series = greene_series_scaled([phi] * 4, [eps] * 3, 1, 5)
         g = g_function(GArguments(p, (Fraction(1, 2),) * 4, 5))
         assert congruent_mod(series, g, 5)
-    reports = checks.check_ao([7, 13]) + _task("thm2.6", [7, 13], d=2, d2=2)
+    reports = _task("ao", [7, 13]) + _task("thm2.6", [7, 13], d=2, d2=2)
     assert all(r.passed for r in reports)
 
 
 def test_beukers_hand_instances():
-    reports = checks.check_beukers([3, 5])
+    reports = _task("beukers", [3, 5])
     by_p = {r.p: r for r in reports}
     assert by_p[3].params == {"A": "5", "gamma": -4}
     assert (5 - (-4)) % 9 == 0
@@ -222,7 +258,7 @@ def test_beukers_hand_instances():
 
 def test_report_schema_and_pass_recomputable():
     reports = _task("thm2.6", [7], d=2, d2=3)
-    d = reports[0].to_dict()
+    d = json.loads(_text(reports, "json"))[0]
     assert list(d.keys()) == ["schema", "claim", "p", "params", "mod_power",
                               "lhs", "rhs", "diff_valuation", "pass", "ms"]
     assert d["schema"] == 1 and d["ms"] is None
@@ -275,7 +311,7 @@ _reports = st.builds(
           CongruenceReport("c", 7, {}, 1, 0, 1, 0, 1, 3, True),
           CongruenceReport("c", 7, {1: "int key", None: 2, 2.5: 3, False: 4}, 1, 0, 1, 0, 1, 3, True)])
 def test_json_writer_equals_the_json_dumps_oracle(reports):
-    assert reports_to_json(reports) == oracles.reports_to_json(reports)
+    assert _text(reports, "json") == oracles.reports_to_json(reports)
 
 
 @given(st.lists(_reports, max_size=4))
@@ -283,14 +319,14 @@ def test_json_writer_equals_the_json_dumps_oracle(reports):
 @example([CongruenceReport("c", 7, {"x": '1/2"\t', "j": -10**25, "t": True, "n": None,
                                     "é": "😀"}, 4, None, 0, -1, 5, None, False)])
 def test_csv_and_human_writers_equal_their_oracles(reports):
-    assert reports_to_human(reports) == oracles.reports_to_human(reports)
+    assert _text(reports, "human") == oracles.reports_to_human(reports)
     try:
         want = oracles.reports_to_csv(reports)
     except TypeError:  # json.dumps cannot sort keys of mixed types
         with pytest.raises(TypeError):
-            reports_to_csv(reports)
+            _text(reports, "csv")
     else:
-        assert reports_to_csv(reports) == want
+        assert _text(reports, "csv") == want
 
 
 # params whose keys json.dumps(sort_keys=True) can sort: all str or all int
@@ -324,7 +360,7 @@ def test_sort_order_equals_the_json_dumps_oracle(reports):
 
 def test_csv_columns_mirror_schema():
     reports = _task("thm2.4", [7], d=3)
-    text = reports_to_csv(reports)
+    text = _text(reports, "csv")
     header = text.splitlines()[0].split(",")
     assert header == CSV_COLUMNS
 
@@ -333,7 +369,7 @@ def test_runner_is_deterministic_across_jobs():
     tasks, _ = checks.CLAIMS["thm2.4"].plan(7, 31, {"d": 3})
     serial = checks.run_tasks(tasks, jobs=1)
     parallel = checks.run_tasks(tasks, jobs=2)
-    assert reports_to_json(serial) == reports_to_json(parallel)
+    assert _text(serial, "json") == _text(parallel, "json")
 
 
 def test_run_config_plan_and_override():
@@ -418,6 +454,12 @@ def test_cli_trunc_exact_value():
     assert r.stdout.strip() == "89/64"
 
 
+def test_cli_trunc_reduces_to_three_digits_by_default():
+    code, out, _ = _main("trunc", "--args", "1/2,1/2", "--p", "7")
+    assert code == 0
+    assert out.splitlines()[1].endswith("+ O(7^3)")
+
+
 def test_cli_qexp_csv(tmp_path):
     out = tmp_path / "coeffs.csv"
     r = _cli("qexp", "--form", "gamma", "--truncation", "9", "--csv", str(out))
@@ -475,6 +517,8 @@ def _main(*argv):
     (["qexp", "--form", "rv", "--truncation", "0"], "truncation must be >= 1"),
     (["trunc", "--args", "1/2,1/2", "--p", "7", "--precision", "0"],
      "need at least one digit of precision"),
+    (["trunc", "--args", "1/2,1/2", "-m", "3", "--precision", "7"], "give --p"),
+    (["qexp", "--form", "gamma", "--eta", "1^24"], "--eta: not allowed with argument --form"),
 ])
 def test_cli_usage_errors_exit_2(argv, message):
     with patch.object(checks, "run_config") as run:
@@ -639,7 +683,7 @@ def test_cli_import_does_not_load_the_process_pool():
 def test_conj13_builds_one_truncated_series_per_prime():
     checks._truncated.cache_clear()
     with patch.object(checks, "truncated_hyp", wraps=checks.truncated_hyp) as trunc:
-        reports = checks.check_rv([7, 11, 13])
+        reports = _task("conj1.3", [7, 11, 13])
     assert trunc.call_count == 3
     assert len(reports) == 6 and all(r.passed for r in reports)
 
