@@ -19,7 +19,7 @@ from .characters import Character, characters_for_arguments, greene_series_scale
 from .gamma import gamma_p
 from .gfunction import GArguments, g_function
 from .hyp import HypParams, truncated_hyp, truncated_hyp_exact
-from .padic import PadicValue, PrecisionError
+from .padic import PadicValue, PrecisionError, check_prime
 from .qseries import eta_product, gamma_coeffs, rv_form_coeffs, write_coefficients_csv
 from .report import write_reports
 
@@ -174,10 +174,12 @@ def _command(ns) -> int:
         print(_render_value(greene_series_scaled(top, bottom, ns.x, ns.precision)))
         return 0
     if ns.command == "trunc":
+        if ns.p is not None:
+            check_prime(ns.p)  # before --p fixes the truncation
         top = _fractions(ns.args)
         bottom = _fractions(ns.bottom) if ns.bottom else [Fraction(1)] * (len(top) - 1)
         m = ns.truncation if ns.truncation is not None else (
-            ns.p - 1 if ns.p else None)
+            ns.p - 1 if ns.p is not None else None)
         if m is None:
             raise ValueError("give -m or --p to fix the truncation")
         if ns.precision is not None and ns.p is None:
@@ -185,7 +187,7 @@ def _command(ns) -> int:
         params = HypParams(tuple(top), tuple(bottom), Fraction(ns.z), m)
         exact = truncated_hyp_exact(params)
         N = 3 if ns.precision is None else ns.precision
-        reduced = truncated_hyp(params, ns.p, N) if ns.p else None
+        reduced = truncated_hyp(params, ns.p, N) if ns.p is not None else None
         print(exact)  # only once both values are valid: no partial output
         if reduced is not None:
             print(_render_value(reduced))

@@ -11,7 +11,32 @@ For arguments m_1/d_1, ..., m_(n+1)/d_(n+1) in (0,1) with d_i coprime to p,
 with <.> the fractional part.  Both m_i/d_i and j/(p-1) lie in [0, 1), so
 every floor is -1 or 0 and the (-p) factor only ever multiplies by 1 or -p;
 the whole sum stays inside Z_p and is computed here in plain residue
-arithmetic mod p^N, each distinct gamma value evaluated once.
+arithmetic mod p^N.
+
+Index plan.  Every Gamma_p argument of the sum is k/D for an integer index
+0 <= k < D, D = lcm(d_i) (p-1) = L (p-1): j/(p-1) is index jL, m_i/d_i is
+index c_i = m_i (L/d_i) (p-1), and <m_i/d_i - j/(p-1)> is index
+(c_i - jL) mod D, whose floor is -1 exactly when c_i < jL.  With
+c_i = rho_i + L q_i, that index is rho_i + L ((q_i - j) mod (p-1)): as j
+runs, argument i walks the whole column rho_i (the indices congruent to
+rho_i mod L) backwards from q_i, and j/(p-1) walks column 0.  So the sum needs the
+columns {0} and {rho_i}, each a list of p - 1 values; each argument's row is
+two slices of its column, and a term with N or more factors -p is 0 mod p^N
+and is dropped.  Only the column entries are reduced mod p^N (k times the
+inverse of D), with no per-(j, argument) modular product.
+
+Reflection.  Index k and index D - k are x and 1 - x.  Only the member with
+2k <= D goes through gamma_residues; the other follows from
+
+    Gamma_p(1 - x) = (-1)^rep(x) / Gamma_p(x),   rep(x) in {1, ..., p},
+    rep(x) = x mod p as in gamma.rep,
+
+with every inverse taken by one batched (Montgomery) inversion.  The
+partner of column rho is column L - rho (column 0 for rho = 0), read
+backwards.  This halves the block evaluations whenever the arguments are
+closed under a -> 1 - a, as every argument set of the claims is.  The
+identity holds exactly in Z_p, so each value is the residue gamma_residues
+would give.
 """
 
 from __future__ import annotations
@@ -50,52 +75,80 @@ class GArguments:
 def g_function(ga: GArguments) -> PadicValue:
     """Evaluate the G function; the result lies in Z_p (asserted)."""
     p, N = ga.prime, ga.precision
-    pN = p**N
     P = p - 1
-
-    # a = m/d and j/(p-1) give a - j/(p-1) = (m(p-1) - jd) / (d(p-1)): its floor
-    # is -1 exactly when m(p-1) < jd, and the residue of its fractional part is
-    # an integer numerator times the inverse of d(p-1)
-    fracs = [(a.numerator, a.denominator, pow(a.denominator * P, -1, pN))
-             for a in ga.args]
-    inv_P = pow(P, -1, pN)
-    queries = set()
-    plan = []  # per j: (residue of j/(p-1), [(frac residue, floor == -1)])
-    for j in range(P):
-        rj = j * inv_P % pN
-        row = []
-        for m, d, inv in fracs:
-            t = m * P - j * d
-            row.append((t % (d * P) * inv % pN, t < 0))
-        plan.append((rj, row))
-        queries.add(rj)
-        queries.update(r for r, _ in row)
-    denom_res = [m * pow(d, -1, pN) % pN for m, d, _ in fracs]
-    queries.update(denom_res)
-    queries = list(queries)
-    table = dict(zip(queries, gamma_residues(queries, p, N)))
-
-    denom = 1
-    for r in denom_res:
-        denom = denom * table[r] % pN
-    denom_inv = pow(denom, -1, pN)
-
+    L = math.lcm(*(a.denominator for a in ga.args))
+    # argument i is index c_i = rho_i + L q_i (0 <= rho_i < L), so <a_i - j/(p-1)>
+    # is index rho_i + L ((q_i - j) mod (p-1)): the indices of argument i fill
+    # column rho_i, and those of j/(p-1) fill column 0
+    tops = sorted(divmod(a.numerator * (L // a.denominator) * P, L) for a in ga.args)
+    column = _gamma_columns({0, *(rho for _, rho in tops)}, L, p, N)
+    # term j: ((-1)^j Gamma_p(j/(p-1)))^(n+1) (-p)^b_j prod_i Gamma_p(<a_i - j/(p-1)>),
+    # b_j the number of arguments with q_i < j (floor -1); b_j steps up past
+    # each q_i.  Terms with b_j >= N vanish mod p^N, so scale stops before them
+    # and so does the zip below.
     n1 = len(ga.args)
-    total = 0
-    for j, (rj, row) in enumerate(plan):
-        t = table[rj]
-        if j % 2:
-            t = -t % pN
-        term = pow(t, n1, pN)
-        for r, below in row:
-            term = term * table[r] % pN
-            if below:
-                term = term * (pN - p) % pN
-        total = (total + term) % pN
-    total = total * denom_inv % pN
-    total = -total * inv_P % pN
+    scale = []
+    for b, end in enumerate(([q + 1 for q, _ in tops] + [P])[:N]):
+        scale += [(-p) ** b] * (end - len(scale))
+    if n1 % 2:
+        scale[1::2] = [-x for x in scale[1::2]]
+    rows = [column[rho][q::-1] + column[rho][:q:-1] for q, rho in tops]
+    pN = p**N
+    total = sum(map(math.prod, zip(scale, *[column[0]] * n1, *rows))) % pN
+    denom = math.prod(column[rho][q] for q, rho in tops) % pN
+    total = -total * pow(denom * P, -1, pN) % pN
     out = PadicValue.from_residue(total, p, N)
     assert out.is_zero or out.valuation >= 0
+    return out
+
+
+def _gamma_columns(classes, L: int, p: int, N: int) -> dict[int, list[int]]:
+    """{rho: [Gamma_p(k/D) mod p^N for k = rho, rho + L, ..., rho + L(p-2)]}
+    with D = L(p-1), for each rho in classes.  Each k <= D/2 goes through
+    gamma_residues; each other k is the reflection of D - k, which is in
+    column L - rho (column 0 for rho = 0)."""
+    pN = p**N
+    P = p - 1
+    D = L * P
+    inv_D = pow(D, -1, pN)
+    partner = {rho: -rho % L for rho in classes}
+    # the residues of k/D for k = rho, rho + L, ... <= D/2, by steps of L/D
+    step = L * inv_D
+    low = {rho: [x % pN for x in range(rho * inv_D, (D // 2 + 1) * inv_D, step)]
+           for rho in {*classes, *partner.values()}}
+    values = gamma_residues([r for rs in low.values() for r in rs], p, N)
+    gammas, at = {}, 0
+    for rho, rs in low.items():
+        gammas[rho] = values[at:at + len(rs)]
+        at += len(rs)
+    # column rho at t > T (T + 1 = its low count) reflects column rho' at
+    # P - t (rho = 0) or P - 1 - t (rho > 0): a reversed slice of rho''s low part
+    cuts = {rho: slice(P - len(low[rho]) - (rho > 0), None if rho else 0, -1)
+            for rho in classes}
+    refl = _reflected([g for rho in classes for g in gammas[partner[rho]][cuts[rho]]],
+                      [r % p or p for rho in classes for r in low[partner[rho]][cuts[rho]]],
+                      pN)
+    out, at = {}, 0
+    for rho in classes:
+        n = P - len(low[rho])
+        out[rho] = gammas[rho] + refl[at:at + n]
+        at += n
+    return out
+
+
+def _reflected(gammas, reps, pN: int) -> list[int]:
+    """Gamma_p(1 - x) = (-1)^rep(x) / Gamma_p(x) mod pN, for the values
+    Gamma_p(x) and rep(x) of each x, by one modular inversion."""
+    prefix, acc = [], 1
+    for g in gammas:
+        prefix.append(acc)
+        acc = acc * g % pN
+    inv = pow(acc, -1, pN)  # 1 / (the product of all the gammas)
+    out = []
+    for g, pre, r in zip(reversed(gammas), reversed(prefix), reversed(reps)):
+        out.append(pN - inv * pre % pN if r % 2 else inv * pre % pN)
+        inv = inv * g % pN
+    out.reverse()
     return out
 
 

@@ -7,10 +7,17 @@ The truncated series
 is accumulated as one integer num/den pair: with the term ratios
 u_k/v_k = prod(a_i + k - 1) * z / (k * prod(b_j + k - 1)) over integers, a
 backward Horner pass num, den = v_k*den + u_k*num, v_k*den needs no gcd per
-term.  The pair is reduced p-adically only at the end (valuations of num and
-den, then the unit times an inverse mod p^N), so p-divisible numerators along
-the way cost nothing.  A Fraction appears only at the API boundary:
-:func:`truncated_hyp_exact` and :func:`rising_factorial`.
+term.  A Fraction appears only at the API boundary: :func:`truncated_hyp_exact`
+and :func:`rising_factorial`.
+
+Reduction mod p^N.  :func:`truncated_hyp` runs the same pass with num and den
+reduced mod p^M, M = N + 1.  When every v_k is a p-adic unit (den mod p != 0;
+always so for bottom parameters of 1 at truncation <= p - 1), the series is
+num/den with num known mod p^M: a nonzero num of valuation v <= M - N leaves
+N relative digits, and the unit is num / p^v times the inverse of den.
+Otherwise (a p in some v_k, num = 0 mod p^M, or v > M - N) the exact pair
+decides: its valuations are read off num and den and the unit is reduced
+once, so p-divisible factors along the way cost nothing.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .padic import PadicValue, _ratio_to_padic
+from .padic import PadicValue, PrecisionError, _ratio_to_padic, check_prime, valuation_of_int
 
 
 def rising_factorial(a, n: int) -> Fraction:
@@ -50,8 +57,9 @@ class HypParams:
                 raise ValueError("bottom parameters may not be zero or negative integers")
 
 
-def _series_pair(params: HypParams) -> tuple[int, int]:
-    """(num, den), integers with num/den the truncated series (not reduced)."""
+def _series_pair(params: HypParams, modulus: int | None = None) -> tuple[int, int]:
+    """(num, den), integers with num/den the truncated series (not reduced);
+    with a modulus, both are reduced mod it after every step."""
     # a + k - 1 = (a.num + (k-1) a.den) / a.den: the parameter denominators
     # come out of every ratio as the constants ca and cb
     top = [(a.numerator, a.denominator) for a in params.top]
@@ -68,6 +76,8 @@ def _series_pair(params: HypParams) -> tuple[int, int]:
         for bn, bd in bottom:
             v *= bn + (k - 1) * bd
         num, den = v * den + u * num, v * den  # 1 + (u/v) * (num/den)
+        if modulus:
+            num, den = num % modulus, den % modulus
     return num, den
 
 
@@ -82,9 +92,19 @@ def truncated_hyp(params: HypParams, p: int, N: int) -> PadicValue:
     Requires p-integral parameters and truncation <= p - 1 so that no k!
     picks up a factor of p.
     """
+    check_prime(p)
     for q in (*params.top, *params.bottom, params.z):
         if q.denominator % p == 0:
             raise ValueError("parameters must be p-integral")
     if params.truncation > p - 1:
         raise ValueError("truncation beyond p - 1 is outside the guaranteed range")
+    if N < 1:
+        raise PrecisionError("need at least one digit of precision")
+    M = N + 1
+    num, den = _series_pair(params, p**M)
+    if num and den % p:
+        v = valuation_of_int(num, p)
+        if v <= M - N:
+            pN = p**N
+            return PadicValue(p, v, num // p**v * pow(den, -1, pN) % pN, N)
     return _ratio_to_padic(*_series_pair(params), p, N)

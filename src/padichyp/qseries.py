@@ -39,20 +39,6 @@ class QSeries:
             return 0
         return self.coeffs[n - self.offset]
 
-    def __add__(self, other: "QSeries") -> "QSeries":
-        off = min(self.offset, other.offset)
-        trunc = min(self.truncation, other.truncation)
-        out = [0] * (trunc - off + 1)
-        for src in (self, other):
-            for k, c in enumerate(src.coeffs):
-                n = src.offset + k
-                if n <= trunc:
-                    out[n - off] += c
-        return QSeries(off, out, trunc)
-
-    def scale(self, c: int) -> "QSeries":
-        return QSeries(self.offset, [c * a for a in self.coeffs], self.truncation)
-
 
 def eta_product(factors, truncation: int) -> QSeries:
     """prod_i eta(scale_i * z)^(exponent_i) up to q^truncation.
@@ -78,16 +64,22 @@ def eta_product(factors, truncation: int) -> QSeries:
     co = [0] * length
     co[0] = 1
     for s, e in factors:
-        terms = _euler_terms(s, length)
-        for _ in range(e):
-            for i in range(length - 1, 0, -1):
-                acc = co[i]
-                for d, sign in terms:
-                    if d > i:
-                        break
-                    acc += sign * co[i - d]
-                co[i] = acc
+        _times_eta(co, s, e)
     return QSeries(offset, co, truncation)
+
+
+def _times_eta(co: list[int], s: int, e: int) -> None:
+    """Multiply the power series co (through q^(len(co) - 1)) in place by
+    prod_(n>=1) (1 - q^(s n))^e: e pentagonal passes."""
+    terms = _euler_terms(s, len(co))
+    for _ in range(e):
+        for i in range(len(co) - 1, 0, -1):
+            acc = co[i]
+            for d, sign in terms:
+                if d > i:
+                    break
+                acc += sign * co[i - d]
+            co[i] = acc
 
 
 def _euler_terms(s: int, length: int) -> list[tuple[int, int]]:
@@ -116,18 +108,26 @@ _RV_WEIGHTS = (1, 5, 20, 25, 25)
 
 def rv_form_coeffs(truncation: int) -> QSeries:
     """The weight-4 level-25 combination f1 + 5 f2 + 20 f3 + 25 f4 + 25 f5
-    with f_i = eta(z)^(5-i) eta(5z)^4 eta(25z)^(i-1); f_i starts at q^i."""
+    with f_i = eta(z)^(5-i) eta(5z)^4 eta(25z)^(i-1); f_i starts at q^i.
+
+    The tails eta(5z)^4 eta(z)^k are built once, for k = 0..4 in turn, and
+    each f_i multiplies its power of eta(25z) into a copy: 18 pentagonal
+    passes instead of 40."""
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
-    total = QSeries(1, [0] * truncation, truncation)
-    for i in range(1, 6):
-        if i > truncation:
-            continue  # f_i starts at q^i, beyond the window
-        fi = eta_product([(1, 5 - i), (5, 4), (25, i - 1)], truncation)
-        if fi.offset != i:
-            raise AssertionError(f"f_{i} leading power {fi.offset} != {i}")
-        total = total + fi.scale(_RV_WEIGHTS[i - 1])
-    return total
+    out = [0] * truncation  # the coefficients of q^1..q^truncation
+    base = [1] + [0] * (truncation - 1)
+    _times_eta(base, 5, 4)
+    for i in range(5, 0, -1):
+        if i < 5:
+            _times_eta(base, 1, 1)  # now the tail of eta(z)^(5-i) eta(5z)^4
+        if i <= truncation:
+            fi = base[:truncation - i + 1]
+            _times_eta(fi, 25, i - 1)
+            w = _RV_WEIGHTS[i - 1]
+            for k, c in enumerate(fi, i - 1):
+                out[k] += w * c
+    return QSeries(1, out, truncation)
 
 
 def hecke_bound_ok(series: QSeries, p: int) -> bool:

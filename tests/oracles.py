@@ -20,9 +20,10 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+from padichyp import qseries
 from padichyp.characters import Character, _dlog_table, _omega_powers
-from padichyp.gamma import (_as_residue, default_x_grid, gamma_p, gamma_residue, rep,
-                            split_by_rep)
+from padichyp.gamma import (_as_residue, default_x_grid, gamma_p, gamma_residue, gamma_residues,
+                            rep, split_by_rep)
 from padichyp.hyp import HypParams
 from padichyp.padic import PadicValue, rational_to_padic
 from padichyp.report import CongruenceReport
@@ -161,6 +162,66 @@ def eta_product(factors, truncation: int) -> tuple[int, list[int]]:
                     co[i] -= co[i - k]
             n += 1
     return offset, co
+
+
+def rv_form_coeffs(truncation: int) -> list[int]:
+    """The coefficients of q^1..q^truncation of the level-25 form
+    f1 + 5 f2 + 20 f3 + 25 f4 + 25 f5, each f_i expanded by itself from its
+    three eta factors (the sum the shared build in qseries replaced)."""
+    out = [0] * truncation
+    for i, w in zip(range(1, 6), (1, 5, 20, 25, 25)):
+        if i > truncation:
+            break
+        fi = qseries.eta_product([(1, 5 - i), (5, 4), (25, i - 1)], truncation)
+        assert fi.offset == i
+        for k, c in enumerate(fi.coeffs):
+            out[i - 1 + k] += w * c
+    return out
+
+
+def g_function(ga) -> PadicValue:
+    """The G function by the j-sum over residues: each Gamma_p argument is
+    reduced mod p^N per (j, argument), and every distinct residue, 1 - x as
+    well as x, is evaluated by the block formula (no reflection)."""
+    p, N = ga.prime, ga.precision
+    pN = p**N
+    P = p - 1
+    fracs = [(a.numerator, a.denominator, pow(a.denominator * P, -1, pN))
+             for a in ga.args]
+    inv_P = pow(P, -1, pN)
+    queries = set()
+    plan = []  # per j: (residue of j/(p-1), [(frac residue, floor == -1)])
+    for j in range(P):
+        rj = j * inv_P % pN
+        row = []
+        for m, d, inv in fracs:
+            t = m * P - j * d
+            row.append((t % (d * P) * inv % pN, t < 0))
+        plan.append((rj, row))
+        queries.add(rj)
+        queries.update(r for r, _ in row)
+    denom_res = [m * pow(d, -1, pN) % pN for m, d, _ in fracs]
+    queries.update(denom_res)
+    queries = list(queries)
+    table = dict(zip(queries, gamma_residues(queries, p, N)))
+
+    denom = 1
+    for r in denom_res:
+        denom = denom * table[r] % pN
+    total = 0
+    for j, (rj, row) in enumerate(plan):
+        t = table[rj]
+        if j % 2:
+            t = -t % pN
+        term = pow(t, len(ga.args), pN)
+        for r, below in row:
+            term = term * table[r] % pN
+            if below:
+                term = term * (pN - p) % pN
+        total = (total + term) % pN
+    total = total * pow(denom, -1, pN) % pN
+    total = -total * inv_P % pN
+    return PadicValue.from_residue(total, p, N)
 
 
 def gamma_sweep(p: int, N: int) -> list[int]:

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from padichyp import characters, checks, cli, qseries
+from padichyp import characters, checks, cli, gfunction, qseries
 from padichyp.padic import PadicValue, rational_to_padic, valuation_of_int
 from padichyp.qseries import QSeries
 from padichyp.report import CSV_COLUMNS, CongruenceReport, sort_reports, write_reports
@@ -223,6 +223,47 @@ def test_conj13_fails_with_a_changed_form_weight(perturb_form):
     main = [r for r in rows if r.claim == "conj1.3"]
     assert len(main) == len(primes) and all(not r.passed for r in main)
     assert all(r.passed for r in rows if r.claim == "conj1.3-framework")
+
+
+@pytest.mark.parametrize("i", [1, 2, 3])
+def test_conj13_fails_with_another_wrong_weight(perturb_form, i):
+    # f5 = q^5 (...)(q^5) has no coefficient at a prime p != 5, so its weight
+    # cannot show; each of f2..f4 moves c(p) at some primes of the grid
+    primes = [p for p in checks.primes_in(3, 97) if p != 5]
+    weights = list(qseries._RV_WEIGHTS)
+    weights[i] += 1
+    perturb_form(qseries, "_RV_WEIGHTS", tuple(weights))
+    rows = _task("conj1.3", primes)
+    assert any(not r.passed for r in rows if r.claim == "conj1.3")
+    assert all(r.passed for r in rows if r.claim == "conj1.3-framework")
+
+
+@pytest.mark.parametrize("claim, row_claim", [
+    ("prop2.2", "prop2.2"), ("thm2.4", "thm2.4"), ("conj1.3", "conj1.3-framework")])
+def test_g_rows_fail_with_the_reflection_sign_flipped(monkeypatch, claim, row_claim):
+    base = _grid_rows(claim, row_claim)
+    assert base and all(r.passed for r in base)
+    reflected = gfunction._reflected
+    monkeypatch.setattr(gfunction, "_reflected", lambda gammas, reps, pN: reflected(
+        gammas, [r + 1 for r in reps], pN))
+    rows = _grid_rows(claim, row_claim)
+    assert len(rows) == len(base)
+    assert any(not r.passed for r in rows)
+    if claim == "prop2.2":
+        # with every argument 1/2 the flipped signs cancel in pairs; any
+        # other argument set fails at every prime
+        for r in rows:
+            assert r.passed == (set(r.params["args"].split(",")) == {"1/2"}), r.params
+
+
+def test_power_sum_rows_fail_when_the_sum_is_perturbed(monkeypatch):
+    rows = [r for r in checks.check_lemma_suites([7, 11]) if r.claim == "eq3.2"]
+    assert len(rows) == 2 * (6 + 10) and all(r.passed for r in rows)
+    # one more than each true power sum: pow is looked up in the checks module
+    monkeypatch.setattr(checks, "pow", lambda j, k, p: pow(j, k, p) + (j == 1), raising=False)
+    rows = [r for r in checks.check_lemma_suites([7, 11]) if r.claim == "eq3.2"]
+    assert len(rows) == 2 * (6 + 10)
+    assert all(not r.passed and r.diff_valuation == 0 for r in rows)
 
 
 def test_theorem23_precondition():
@@ -519,6 +560,10 @@ def _main(*argv):
      "need at least one digit of precision"),
     (["trunc", "--args", "1/2,1/2", "-m", "3", "--precision", "7"], "give --p"),
     (["qexp", "--form", "gamma", "--eta", "1^24"], "--eta: not allowed with argument --form"),
+    (["trunc", "--args", "1/2,1/2", "-m", "3", "--p", "0"], "p=0 is not an odd prime"),
+    (["trunc", "--args", "1/2,1/2", "-m", "3", "--p", "-7"], "p=-7 is not an odd prime"),
+    (["trunc", "--args", "1/2,1/2", "-m", "3", "--p", "9"], "p=9 is not an odd prime"),
+    (["trunc", "--args", "1/2,1/2", "--p", "-7"], "p=-7 is not an odd prime"),
 ])
 def test_cli_usage_errors_exit_2(argv, message):
     with patch.object(checks, "run_config") as run:

@@ -2,13 +2,17 @@
 argument validation and the s(p) unit factors."""
 
 import itertools
+import math
+import random
 from fractions import Fraction
 
+import oracles
 import pytest
 
 from padichyp.characters import Character, characters_for_arguments, greene_series_scaled
-from padichyp.gamma import rep
-from padichyp.gfunction import GArguments, g_function, s_factor, theorem26_sign
+from padichyp.checks import primes_in
+from padichyp.gamma import gamma_residue, rep
+from padichyp.gfunction import GArguments, _reflected, g_function, s_factor, theorem26_sign
 from padichyp.hyp import HypParams, truncated_hyp
 from padichyp.padic import congruent_mod, rational_to_padic
 
@@ -113,3 +117,66 @@ def test_quintic_s_factor_is_a_sign_from_pairing():
     s = s_factor(fr, p, N)
     sign = (-1) ** (rep(Fraction(1, 5), p) + rep(Fraction(2, 5), p))
     assert congruent_mod(s, rational_to_padic(sign, p, N), N)
+
+
+# -- the reflection-paired index plan against the residue j-sum oracle
+
+F = Fraction
+ORACLE_SETS = [
+    (F(1, 2), F(1, 2)),                                  # self-paired 1/2
+    (F(1, 2), F(1, 2), F(1, 2)),                         # odd n + 1
+    (F(1, 2),) * 4,
+    (F(1, 3), F(2, 3)),
+    (F(1, 2), F(1, 3), F(2, 3)),
+    (F(1, 5), F(2, 5), F(3, 5), F(4, 5)),
+    (F(1, 12), F(5, 12), F(7, 12), F(11, 12)),
+    (F(1, 4), F(1, 2), F(5, 7)),                         # not closed under a -> 1 - a
+    (F(1, 3), F(1, 3), F(3, 4)),
+    (F(2, 9), F(1, 11)),
+]
+
+
+def _admissible(args, p):
+    return all(a.denominator % p for a in args)
+
+
+def test_g_function_equals_the_jsum_oracle_at_every_small_prime():
+    split = unsplit = 0
+    for p in primes_in(3, 97):
+        for args in ORACLE_SETS:
+            if not _admissible(args, p):
+                continue
+            L = math.lcm(*(a.denominator for a in args))
+            split += (p - 1) % L == 0
+            unsplit += (p - 1) % L != 0
+            for N in range(1, 6):
+                ga = GArguments(p, args, N)
+                assert g_function(ga) == oracles.g_function(ga), (p, args, N)
+    assert split > 100 and unsplit > 100  # every d | p - 1, and some d not
+
+
+@pytest.mark.parametrize("p, top", [(3, 11), (5, 9), (7, 7)])
+def test_g_function_equals_the_oracle_past_p_minus_1_digits(p, top):
+    # the Gamma_p tables carry guard digits here
+    for args in ORACLE_SETS:
+        if _admissible(args, p):
+            for N in range(1, top + 1):
+                ga = GArguments(p, args, N)
+                assert g_function(ga) == oracles.g_function(ga), (p, args, N)
+
+
+@pytest.mark.parametrize("p", [449, 461, 499])
+def test_g_function_equals_the_oracle_at_large_primes(p):
+    for args in [ORACLE_SETS[2], ORACLE_SETS[5], ORACLE_SETS[7]]:
+        ga = GArguments(p, args, 4)
+        assert g_function(ga) == oracles.g_function(ga), (p, args)
+
+
+def test_reflection_rule_and_its_sign():
+    # Gamma_p(1 - x) = (-1)^rep(x) / Gamma_p(x), with rep(x) in {1, ..., p}
+    rng = random.Random(3)
+    for p, N in [(3, 6), (7, 3), (11, 4), (499, 4)]:
+        pN = p**N
+        xs = [0, 1, p, pN - 1, *rng.sample(range(pN), 30)]
+        got = _reflected([gamma_residue(x, p, N) for x in xs], [x % p or p for x in xs], pN)
+        assert got == [gamma_residue((1 - x) % pN, p, N) for x in xs], p

@@ -9,6 +9,7 @@ import pytest
 import oracles
 from padichyp.checks import CLAIMS, GUARD
 from padichyp.combinatorics import apery
+from padichyp import hyp
 from padichyp.hyp import HypParams, rising_factorial, truncated_hyp, truncated_hyp_exact
 from padichyp.padic import congruent_mod, rational_to_padic
 
@@ -163,3 +164,40 @@ def test_random_series_match_oracle_exactly_and_mod_p():
             zero_seen += v.is_zero
             nonzero_seen += not v.is_zero
     assert zero_seen and nonzero_seen > 50
+
+
+F = Fraction
+ONES = (F(1),) * 3
+
+
+@pytest.mark.parametrize("params, p, exact_pair", [
+    # a p-adic unit, and valuation 1: the pair mod p^(N+1) keeps N digits
+    (HypParams((F(1, 5),) * 4, ONES, F(1), 10), 11, False),
+    (HypParams((F(1, 2),) * 2, ONES[:1], F(1), 1), 5, False),  # 5/4
+    # z with p in its numerator: term k carries p^k, the ratios stay units
+    (HypParams((F(1, 2), F(1, 3)), ONES[:1], F(7, 2), 6), 7, False),
+    # valuations 2 and 3: fewer than N digits survive mod p^(N+1)
+    (HypParams((F(1, 3),) * 3, ONES[:2], F(1), 3), 5, True),
+    (HypParams((F(1, 4),) * 4, ONES, F(1), 5), 7, True),
+    # an exactly zero series, 1 - 1
+    (HypParams((F(-1),), (), F(1), 1), 7, True),
+    # a bottom factor divisible by p: 1/2 + 3 = 7/2 at k = 4
+    (HypParams((F(1, 3),), (F(1, 2),), F(1), 6), 7, True),
+], ids=["unit", "valuation-1", "p-in-z", "valuation-2", "valuation-3", "zero",
+        "p-in-bottom"])
+def test_mod_pm_pair_and_the_exact_fallback_match_the_oracle(monkeypatch, params, p, exact_pair):
+    exact = oracles.truncated_hyp_exact(params)
+    calls = []
+    reduce_pair = hyp._ratio_to_padic
+    monkeypatch.setattr(hyp, "_ratio_to_padic", lambda *a: calls.append(a) or reduce_pair(*a))
+    for N in (1, 2, 3, 5):
+        calls.clear()
+        assert truncated_hyp(params, p, N) == rational_to_padic(exact, p, N), N
+        assert bool(calls) == exact_pair, N
+
+
+def test_reduction_checks_the_prime_first():
+    params = HypParams((F(1, 2),) * 2, ONES[:1], F(1), 3)
+    for p in (0, -7, 9, 1):
+        with pytest.raises(ValueError, match=f"p={p} is not an odd prime"):
+            truncated_hyp(params, p, 3)

@@ -113,13 +113,6 @@ def test_negative_exponent_rejected():
         eta_product([(1, -4), (2, 5)], 10)
 
 
-def test_series_addition_alignment():
-    a = QSeries(1, [1, 2, 3], 3)
-    b = QSeries(2, [10, 20], 3)
-    c = a + b
-    assert (c.offset, c.coeffs) == (1, [1, 12, 23])
-
-
 def test_coefficient_window():
     s = QSeries(2, [5, 6], 3)
     assert s.coefficient(1) == 0
@@ -171,3 +164,10 @@ def test_forms_match_binomial_oracle():
                 for k, c in enumerate(poly):
                     expected[off + k - 1] += w * c
         assert rv_form_coeffs(M).coeffs == expected, M
+
+
+@pytest.mark.parametrize("M", [1, 2, 3, 4, 5, 6, 600])
+def test_shared_level25_build_equals_the_per_form_sum(M):
+    f = rv_form_coeffs(M)
+    assert (f.offset, f.truncation) == (1, M)
+    assert f.coeffs == oracles.rv_form_coeffs(M)
