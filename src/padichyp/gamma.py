@@ -24,11 +24,9 @@ with K = m // p, s = m % p.  P(kp)/P(0) lies in 1 + pZ_p and
     c_i = lambda_i p^i = (-1)^(i+1) p^i sum_{t<p} t^(-i) / i,
 
 where S_i(K) = sum_{k<K} k^i is a Faulhaber polynomial in K.  L(K) lies in
-pZ_p, and each value costs three Horner passes: u = L(K)/p,
-exp(p u) = sum_j (p^j/j!) u^j and Q_s(Kp).  At small N they run over exact
-integers, reduced mod p^N after the first and at the end; where those
-integers would grow long (large N), every step is reduced.  _horner_data
-builds the tables once per (p, N), with exact guard digits past N = p - 1:
+pZ_p, and each value costs three Horner passes mod p^N: u = L(K)/p,
+exp(p u) = sum_j (p^j/j!) u^j and Q_s(Kp).  _horner_data builds the tables
+once per (p, N), with exact guard digits past N = p - 1:
 
 - Log terms.  c_i S_i(K) has valuation >= i - v_p(i), so only i < I count,
   I the least index with i - v_p(i) >= N for every i >= I (no i >= 2N
@@ -155,11 +153,6 @@ def _gamma_blocks(rs, p: int, N: int) -> list[int]:
     """Gamma_p(r) mod p^N for each residue r by the block formula: three
     Horner passes per value, for the log, the exp and the partial block."""
     pN, logpoly, expc, qpolys = _horner_data(p, N)
-    # A pass of d coefficients over exact integers ends near d bits(p^N) bits
-    # and costs about d^2/2 products, against 3d with a reduction per step.
-    # Timed, the exact passes win up to about 900 bits; past 512 bits every
-    # step is reduced.
-    each = max(len(logpoly), len(expc)) * pN.bit_length() > 512
     out = []
     for r in rs:
         if r == 0:
@@ -168,21 +161,14 @@ def _gamma_blocks(rs, p: int, N: int) -> list[int]:
         K, s = divmod(r - 1, p)
         u = 0
         for c in logpoly:
-            u = u * K + c
-            if each:
-                u %= pN
-        u %= pN
+            u = (u * K + c) % pN
         e = 0
         for c in expc:
-            e = e * u + c
-            if each:
-                e %= pN
+            e = (e * u + c) % pN
         y = K * p
         q = 0
         for c in qpolys[s]:
-            q = q * y + c
-            if each:
-                q %= pN
+            q = (q * y + c) % pN
         v = e * q % pN
         out.append(-v % pN if (r + K) % 2 else v)
     return out

@@ -31,12 +31,14 @@ Reflection.  Index k and index D - k are x and 1 - x.  Only the member with
     Gamma_p(1 - x) = (-1)^rep(x) / Gamma_p(x),   rep(x) in {1, ..., p},
     rep(x) = x mod p as in gamma.rep,
 
-with every inverse taken by one batched (Montgomery) inversion.  The
-partner of column rho is column L - rho (column 0 for rho = 0), read
-backwards.  This halves the block evaluations whenever the arguments are
-closed under a -> 1 - a, as every argument set of the claims is.  The
-identity holds exactly in Z_p, so each value is the residue gamma_residues
-would give.
+and is kept as the fraction (-1)^rep(x) / Gamma_p(x).  The partner of column
+rho is column L - rho (column 0 for rho = 0), read backwards.  This halves
+the block evaluations whenever the arguments are closed under a -> 1 - a, as
+every argument set of the claims is.  Each term of the sum is then a
+fraction whose denominator is the product of its reflected values, and the
+terms add up as one running fraction mod p^N, so the whole sum takes one
+inversion.  The identity holds exactly in Z_p, so each value is the residue
+gamma_residues would give.
 """
 
 from __future__ import annotations
@@ -92,21 +94,32 @@ def g_function(ga: GArguments) -> PadicValue:
         scale += [(-p) ** b] * (end - len(scale))
     if n1 % 2:
         scale[1::2] = [-x for x in scale[1::2]]
-    rows = [column[rho][q::-1] + column[rho][:q:-1] for q, rho in tops]
+    # each value is a fraction num/den (den 1 unless it is a reflection), so
+    # term j is a/b with a = scale_j times the nums and b the product of the
+    # dens; the sum runs as one fraction with one inversion at the end
+    rows = [[values[q::-1] + values[:q:-1] for values in column[rho]] for q, rho in tops]
+    nums0, dens0 = column[0]
     pN = p**N
-    total = sum(map(math.prod, zip(scale, *[column[0]] * n1, *rows))) % pN
-    denom = math.prod(column[rho][q] for q, rho in tops) % pN
-    total = -total * pow(denom * P, -1, pN) % pN
+    total, den = 0, 1
+    for a, b in zip(map(math.prod, zip(scale, *[nums0] * n1, *(r[0] for r in rows))),
+                    map(math.prod, zip(*[dens0] * n1, *(r[1] for r in rows)))):
+        total = (total * b + a * den) % pN
+        den = den * b % pN
+    # divided by prod_i Gamma_p(a_i), the value at t = q_i of column rho_i
+    gnum = math.prod(column[rho][0][q] for q, rho in tops)
+    gden = math.prod(column[rho][1][q] for q, rho in tops)
+    total = -total * gden * pow(den * gnum * P, -1, pN) % pN
     out = PadicValue.from_residue(total, p, N)
     assert out.is_zero or out.valuation >= 0
     return out
 
 
-def _gamma_columns(classes, L: int, p: int, N: int) -> dict[int, list[int]]:
-    """{rho: [Gamma_p(k/D) mod p^N for k = rho, rho + L, ..., rho + L(p-2)]}
-    with D = L(p-1), for each rho in classes.  Each k <= D/2 goes through
-    gamma_residues; each other k is the reflection of D - k, which is in
-    column L - rho (column 0 for rho = 0)."""
+def _gamma_columns(classes, L: int, p: int, N: int) -> dict[int, tuple[list[int], list[int]]]:
+    """{rho: (nums, dens)} with Gamma_p(k/D) = nums[t] / dens[t] mod p^N for
+    k = rho + L t, t = 0, ..., p-2, D = L(p-1), for each rho in classes.  Each
+    k <= D/2 goes through gamma_residues (den 1); each other k is the
+    reflection of D - k, which is in column L - rho (column 0 for rho = 0):
+    num (-1)^rep((D-k)/D), den Gamma_p((D-k)/D)."""
     pN = p**N
     P = p - 1
     D = L * P
@@ -123,33 +136,19 @@ def _gamma_columns(classes, L: int, p: int, N: int) -> dict[int, list[int]]:
         at += len(rs)
     # column rho at t > T (T + 1 = its low count) reflects column rho' at
     # P - t (rho = 0) or P - 1 - t (rho > 0): a reversed slice of rho''s low part
-    cuts = {rho: slice(P - len(low[rho]) - (rho > 0), None if rho else 0, -1)
-            for rho in classes}
-    refl = _reflected([g for rho in classes for g in gammas[partner[rho]][cuts[rho]]],
-                      [r % p or p for rho in classes for r in low[partner[rho]][cuts[rho]]],
-                      pN)
-    out, at = {}, 0
+    out = {}
     for rho in classes:
-        n = P - len(low[rho])
-        out[rho] = gammas[rho] + refl[at:at + n]
-        at += n
+        cut = slice(P - len(low[rho]) - (rho > 0), None if rho else 0, -1)
+        part = partner[rho]
+        out[rho] = (gammas[rho] + _reflection_signs([r % p or p for r in low[part][cut]]),
+                    [1] * len(low[rho]) + gammas[part][cut])
     return out
 
 
-def _reflected(gammas, reps, pN: int) -> list[int]:
-    """Gamma_p(1 - x) = (-1)^rep(x) / Gamma_p(x) mod pN, for the values
-    Gamma_p(x) and rep(x) of each x, by one modular inversion."""
-    prefix, acc = [], 1
-    for g in gammas:
-        prefix.append(acc)
-        acc = acc * g % pN
-    inv = pow(acc, -1, pN)  # 1 / (the product of all the gammas)
-    out = []
-    for g, pre, r in zip(reversed(gammas), reversed(prefix), reversed(reps)):
-        out.append(pN - inv * pre % pN if r % 2 else inv * pre % pN)
-        inv = inv * g % pN
-    out.reverse()
-    return out
+def _reflection_signs(reps) -> list[int]:
+    """(-1)^rep(x) for each rep(x) in {1, ..., p}: the numerator of
+    Gamma_p(1 - x) = (-1)^rep(x) / Gamma_p(x)."""
+    return [-1 if r % 2 else 1 for r in reps]
 
 
 def s_factor(fracs, p: int, N: int) -> PadicValue:

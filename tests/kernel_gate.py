@@ -55,13 +55,14 @@ def main() -> int:
             D = L * (p - 1)
             inv_D = pow(D, -1, pN)
             classes = {0, *(a.numerator * (L // a.denominator) * (p - 1) % L for a in args)}
-            for rho, column in _gamma_columns(classes, L, p, N).items():
-                for k, v in zip(range(rho, D, L), column):
+            for rho, (nums, dens) in _gamma_columns(classes, L, p, N).items():
+                for k, num, den in zip(range(rho, D, L), nums, dens):
+                    v = num * pow(den, -1, pN) % pN
                     want = gamma_residue(k * inv_D % pN, p, N)
                     if v != want:
                         print(f"MISMATCH p={p} N={N} Gamma_p({k}/{D}): plan {v}, block {want}")
                         return 1
-                values += len(column)
+                values += len(nums)
             ga = GArguments(p, args, N)
             got, want = g_function(ga), oracles.g_function(ga)
             if got != want:

@@ -243,9 +243,8 @@ def test_conj13_fails_with_another_wrong_weight(perturb_form, i):
 def test_g_rows_fail_with_the_reflection_sign_flipped(monkeypatch, claim, row_claim):
     base = _grid_rows(claim, row_claim)
     assert base and all(r.passed for r in base)
-    reflected = gfunction._reflected
-    monkeypatch.setattr(gfunction, "_reflected", lambda gammas, reps, pN: reflected(
-        gammas, [r + 1 for r in reps], pN))
+    signs = gfunction._reflection_signs
+    monkeypatch.setattr(gfunction, "_reflection_signs", lambda reps: signs([r + 1 for r in reps]))
     rows = _grid_rows(claim, row_claim)
     assert len(rows) == len(base)
     assert any(not r.passed for r in rows)

@@ -112,16 +112,6 @@ def test_block_kernel_matches_per_value_oracle_at_large_primes():
             assert _gamma_blocks(rs, p, N) == [oracles.gamma_block(r, p, N) for r in rs], (p, N)
 
 
-@pytest.mark.parametrize("p, N", [(251, 7), (251, 8), (97, 12), (3, 30)])
-def test_block_kernel_matches_per_value_oracle_on_both_sides_of_the_reduction_rule(p, N):
-    # the Horner passes run over exact integers while their end values stay
-    # within 512 bits, as at (251, 7), and reduce at every step past that
-    pN = p**N
-    rng = random.Random(N)
-    rs = [0, 1, p, pN - 1] + [rng.randrange(pN) for _ in range(200)]
-    assert _gamma_blocks(rs, p, N) == [oracles.gamma_block(r, p, N) for r in rs]
-
-
 def test_batched_residues_equal_single_residues(monkeypatch):
     rng = random.Random(5)
     # (3, 4) and (5, 6) have N > p - 1 and carry guard digits

@@ -12,7 +12,7 @@ import pytest
 from padichyp.characters import Character, characters_for_arguments, greene_series_scaled
 from padichyp.checks import primes_in
 from padichyp.gamma import gamma_residue, rep
-from padichyp.gfunction import GArguments, _reflected, g_function, s_factor, theorem26_sign
+from padichyp.gfunction import GArguments, _reflection_signs, g_function, s_factor, theorem26_sign
 from padichyp.hyp import HypParams, truncated_hyp
 from padichyp.padic import congruent_mod, rational_to_padic
 
@@ -178,5 +178,6 @@ def test_reflection_rule_and_its_sign():
     for p, N in [(3, 6), (7, 3), (11, 4), (499, 4)]:
         pN = p**N
         xs = [0, 1, p, pN - 1, *rng.sample(range(pN), 30)]
-        got = _reflected([gamma_residue(x, p, N) for x in xs], [x % p or p for x in xs], pN)
+        signs = _reflection_signs([x % p or p for x in xs])
+        got = [s * pow(gamma_residue(x, p, N), -1, pN) % pN for s, x in zip(signs, xs)]
         assert got == [gamma_residue((1 - x) % pN, p, N) for x in xs], p
