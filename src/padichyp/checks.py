@@ -21,12 +21,10 @@ from typing import Callable, NamedTuple
 
 from . import combinatorics as comb
 from .characters import Character, characters_for_arguments, greene_series_scaled
-from .gamma import (_as_residue, _gamma_values, _LogDerivs, _shift, default_x_grid,
-                    lemma_check_gamma_suite, rep)
+from .gamma import check_gamma_properties, lemma_check_gamma_suite
 from .gfunction import GArguments, g_function, s_factor, theorem26_sign
 from .hyp import HypParams, truncated_hyp
-from .padic import (PRIME_BOUND, PadicValue, _ratio_to_padic, check_prime,
-                    rational_to_padic)
+from .padic import PRIME_BOUND, PadicValue, check_prime, rational_to_padic
 from .qseries import gamma_coeffs, hecke_bound_ok, rv_form_coeffs  # noqa: F401 (FORMS)
 from .report import CongruenceReport, sort_reports
 
@@ -217,7 +215,7 @@ def check_form(claim: str, p: int, horizon: int | None = None, mod: int | None =
 
 
 # ---------------------------------------------------------------------------
-# section-3 property suite
+# section-3 grids: power sums, lemma sums and the rational identities
 # ---------------------------------------------------------------------------
 
 
@@ -263,85 +261,6 @@ def check_lemma_pq(p: int, seed: int = DEFAULT_SEED) -> list[CongruenceReport]:
         out.append(CongruenceReport.from_sides(
             "lemmaQ", p, {"a": list(a)}, 1,
             comb.lemma_Q_sum(a, p), rational_to_padic(eQ, p, 2)))
-    return out
-
-
-def check_gamma_properties(p: int) -> list[CongruenceReport]:
-    """Props 3.1-3.2, Cors 3.4-3.5, the Taylor law and the shift formula,
-    over the standard denominator-grid of x values.  Per x, the residue of x
-    mod p^5 is computed once and every other argument is an integer sum."""
-    N, M = 4, 2
-    out = []
-    xs = default_x_grid(p)
-    derivs = _LogDerivs(p)
-    res = {x: _as_residue(x, p, 5) for x in xs}
-    one = rational_to_padic(1, p, N)
-    for x in xs:
-        a, r = res[x], rep(x, p)
-        gx, gx1, gy = _gamma_values([a, a + 1, 1 - a], p, N)
-        # functional equation
-        if x.numerator % p == 0:
-            rhs = -gx
-        else:
-            rhs = -(rational_to_padic(x, p, N) * gx)
-        out.append(CongruenceReport.from_sides(
-            "prop3.1.1", p, {"x": str(x)}, N, gx1, rhs))
-        # reflection
-        out.append(CongruenceReport.from_sides(
-            "prop3.1.2", p, {"x": str(x)}, N, gx * gy,
-            rational_to_padic((-1) ** r, p, N)))
-        # continuity: arguments agreeing mod p^n give values agreeing mod p^n
-        # (evaluated at higher precision, where the two residues differ)
-        for n in (1, 2, 3):
-            gyn, gxn = _gamma_values([a + p**n, a], p, n + 2)
-            out.append(CongruenceReport.from_sides(
-                "prop3.1.3", p, {"x": str(x), "n": n}, n, gyn, gxn))
-        # shift formula against direct evaluation
-        direct = _gamma_values([a + j for j in range(p + 1)], p, N)
-        for j in range(0, p + 1):
-            out.append(CongruenceReport.from_sides(
-                "prop3.8", p, {"x": str(x), "j": j}, N,
-                _shift(x, r, gx, j, p, N), direct[j]))
-    for x in xs:
-        a = res[x]
-        # at x, x + 1, 1 - x, x + p and x + 2p
-        rs = [a, a + 1, 1 - a, a + p, a + 2 * p]
-        u1, v1, w1, *z1 = derivs.g1(rs, M)
-        u2, v2, w2, *z2 = derivs.g2(rs, M)
-        unit = x.numerator % p != 0
-        # G1 step
-        rhs = _ratio_to_padic(x.denominator, x.numerator, p, M) if unit \
-            else PadicValue.zero(p, M)
-        out.append(CongruenceReport.from_sides(
-            "prop3.2.1", p, {"x": str(x)}, M, v1 - u1, rhs))
-        # (G1^2 - G2) step
-        rhs = _ratio_to_padic(x.denominator**2, x.numerator**2, p, M) if unit \
-            else PadicValue.zero(p, M)
-        out.append(CongruenceReport.from_sides(
-            "prop3.2.2", p, {"x": str(x)}, M,
-            v1 * v1 - v2 - u1 * u1 + u2, rhs))
-        # symmetry and its derivative
-        out.append(CongruenceReport.from_sides(
-            "prop3.2.3", p, {"x": str(x)}, M, u1, w1))
-        out.append(CongruenceReport.from_sides(
-            "prop3.2.4", p, {"x": str(x)}, M,
-            u1 * u1 - u2, -(w1 * w1) + w2))
-        gx = _gamma_values([a], p, N)[0]
-        for t, zx1, zx2 in zip((1, 2), z1, z2):
-            z = t * p
-            out.append(CongruenceReport.from_sides(
-                "cor3.4", p, {"x": str(x), "z": str(z), "which": "g1"}, 1, zx1, u1))
-            out.append(CongruenceReport.from_sides(
-                "cor3.4", p, {"x": str(x), "z": str(z), "which": "g2"}, 1, zx2, u2))
-            ze = _ratio_to_padic(z, 1, p, M + 1)
-            out.append(CongruenceReport.from_sides(
-                "cor3.5", p, {"x": str(x), "z": str(z)}, 2,
-                u1, zx1 + ze * (zx1 * zx1 - zx2)))
-            # Taylor law mod p^3
-            taylor = gx * (one + ze * u1 + _ratio_to_padic(z * z, 2, p, N) * u2)
-            out.append(CongruenceReport.from_sides(
-                "prop3.3.2", p, {"x": str(x), "z": str(z)}, 3,
-                _gamma_values([a + z], p, N)[0], taylor))
     return out
 
 

@@ -164,11 +164,11 @@ def _command(ns) -> int:
         print(_render_value(v))
         return 0
     if ns.command == "gfun":
-        ga = GArguments(ns.p, tuple(_fractions(ns.args)), ns.precision)
+        ga = GArguments(ns.p, tuple(checks.parse_args(ns.args)), ns.precision)
         print(_render_value(g_function(ga)))
         return 0
     if ns.command == "greene":
-        args = _fractions(ns.args)
+        args = checks.parse_args(ns.args)
         top = characters_for_arguments(args, ns.p)
         bottom = [Character.trivial(ns.p)] * (len(args) - 1)
         print(_render_value(greene_series_scaled(top, bottom, ns.x, ns.precision)))

@@ -51,12 +51,14 @@ For N < p, I = J = N and G = 0.  The table prep is polynomial in (p, N):
 O(p I) for the partial blocks and O(I^2 + J) for the rest.  gamma_residues
 evaluates a batch of residues with the checks done once.
 
-Suites.  lemma_check_gamma_suite (Lemmas 3.9-3.13) and the property checks
-of checks.check_gamma_properties work on integer residues.  Each x is reduced
-mod p^5 once, with rep(x) and split_by_rep(x); the residues of x + j,
-1 - x + j and 1 + j are integer sums.  G_1 and G_2 come from _LogDerivs, which
-memoises them by (residue, M) for one suite call and takes each batch's
-Gamma_p values from one gamma_residues call.  The right-hand sides are integer
+Suites.  Both section-3 suites live here and work on integer residues:
+check_gamma_properties (Props 3.1-3.3 and 3.8, Cors 3.4-3.5) and
+lemma_check_gamma_suite (Lemmas 3.9-3.13).  They share one per-x preparation
+(_points: the label, the residue of x mod p^5 and rep(x)) and one p >= 7
+check; the residues of x + j, 1 - x + j and 1 + j are integer sums.  G_1 and
+G_2 come from the batch functions _g1s and _g2s, with no memo: each batch
+takes its Gamma_p values from one gamma_residues call, and a suite builds
+each derivative list once per x.  The right-hand sides are integer
 (num, den) pairs built from the scaled harmonic prefix tables of
 combinatorics (L H^(1) and L^2 H^(2) with L = lcm(1..2p-2)) and reduced once
 by _ratio_to_padic.  Where sides combine PadicValues (a product, a quotient,
@@ -81,6 +83,7 @@ from .padic import (
     rational_to_padic,
     valuation_of_int,
 )
+from .report import CongruenceReport
 
 # memo of computed values, keyed (p, N) -> {residue: unit}
 _value_cache: dict[tuple[int, int], dict[int, int]] = {}
@@ -219,6 +222,7 @@ def _as_residue(x, p: int, N: int) -> int:
 
 def gamma_p(x, p: int, N: int) -> PadicValue:
     """Gamma_p(x) mod p^N for x in Z_p; always a unit."""
+    check_prime(p)  # before x is reduced mod p^N
     u = gamma_residue(_as_residue(x, p, N), p, N)
     return PadicValue(p, 0, u, N)
 
@@ -257,74 +261,60 @@ def _shift(x: Fraction, r: int, gx: PadicValue, j: int, p: int, N: int) -> Padic
     return out
 
 
-class _LogDerivs:
-    """G_1 and G_2 mod p^M at integers, for one prime, memoised by (residue, M).
-
-    Each method reduces its integers mod its working precision, p^(2M+1) for
-    g1 and p^(2ceil(M/2)+M+1) for g2, so any integer congruent to x mod a
-    higher power stands for x; the Gamma_p values a batch needs come from one
-    gamma_residues call.
-    """
-
-    def __init__(self, p: int):
-        if p < 7:
-            raise ValueError("logarithmic derivatives require p >= 7")
-        self.p = p
-        self._memo: dict[tuple[str, int, int], PadicValue] = {}
-
-    def _batch(self, name: str, rs, M: int, steps, Ng: int, kernel) -> list[PadicValue]:
-        """[kernel(Gamma_p(r + s) mod p^Ng for s in steps) for r in rs], memoised."""
-        p, memo, pN = self.p, self._memo, self.p**Ng
-        rs = [r % pN for r in rs]
-        missing = [r for r in dict.fromkeys(rs) if (name, r, M) not in memo]
-        if missing:
-            n = len(missing)
-            vals = gamma_residues([(r + s) % pN for s in steps for r in missing], p, Ng)
-            for i, r in enumerate(missing):
-                memo[name, r, M] = kernel(*vals[i::n])
-        return [memo[name, r, M] for r in rs]
-
-    def g1(self, rs, M: int) -> list[PadicValue]:
-        """Forward difference quotient (Gamma_p(x+h)/Gamma_p(x) - 1)/h with
-        h = p^M; the discarded terms start at (h/2)G_2(x), so the quotient is
-        exact to M digits by integrality of G_2 (valid for p >= 7)."""
-        p, Ng = self.p, 2 * M + 1
-        pN, h = p**Ng, p**M
-
-        def kernel(g0, gh):
-            q = (gh * pow(g0, -1, pN) - 1) % pN
-            return PadicValue.from_residue(q // h % p**M, p, M)
-        return self._batch("g1", rs, M, (0, h), Ng, kernel)
-
-    def g2(self, rs, M: int) -> list[PadicValue]:
-        """Symmetric second difference with step h = p^ceil(M/2): the leading
-        error 2 h^2 Gamma_p''''(x)/(4! Gamma_p(x)) is p-integral for p >= 7,
-        giving 2*ceil(M/2) >= M certified digits."""
-        p, m = self.p, (M + 1) // 2
-        Ng = 2 * m + M + 1
-        pN, h = p**Ng, p**m
-
-        def kernel(g0, gp, gm):
-            num = (gp - 2 * g0 + gm) % pN
-            return PadicValue.from_residue(num // (h * h) * pow(g0, -1, pN) % p**M, p, M)
-        return self._batch("g2", rs, M, (0, h, -h), Ng, kernel)
+def _g1s(rs, p: int, M: int) -> list[PadicValue]:
+    """[G_1(r) mod p^M for r in rs], for integers r: the forward difference
+    quotient (Gamma_p(r+h)/Gamma_p(r) - 1)/h with h = p^M.  The discarded
+    terms start at (h/2)G_2(r), so the quotient is exact to M digits by
+    integrality of G_2 (valid for p >= 7).  The Gamma_p values are taken mod
+    p^(2M+1), so any integer congruent to x mod a higher power stands for x."""
+    Ng = 2 * M + 1
+    pN, h = p**Ng, p**M
+    n = len(rs)
+    vals = gamma_residues([(r + s) % pN for s in (0, h) for r in rs], p, Ng)
+    out = []
+    for g0, gh in zip(vals[:n], vals[n:]):
+        q = (gh * pow(g0, -1, pN) - 1) % pN
+        out.append(PadicValue.from_residue(q // h % p**M, p, M))
+    return out
 
 
-def _certified(p: int, M: int) -> _LogDerivs:
-    derivs = _LogDerivs(p)
+def _g2s(rs, p: int, M: int) -> list[PadicValue]:
+    """[G_2(r) mod p^M for r in rs], for integers r: the symmetric second
+    difference with step h = p^ceil(M/2).  Its leading error
+    2 h^2 Gamma_p''''(x)/(4! Gamma_p(x)) is p-integral for p >= 7, giving
+    2*ceil(M/2) >= M certified digits.  The Gamma_p values are taken mod
+    p^(2ceil(M/2)+M+1)."""
+    m = (M + 1) // 2
+    Ng = 2 * m + M + 1
+    pN, h = p**Ng, p**m
+    n = len(rs)
+    vals = gamma_residues([(r + s) % pN for s in (0, h, -h) for r in rs], p, Ng)
+    out = []
+    for g0, gp, gm in zip(vals[:n], vals[n:2 * n], vals[2 * n:]):
+        num = (gp - 2 * g0 + gm) % pN
+        out.append(PadicValue.from_residue(num // (h * h) * pow(g0, -1, pN) % p**M, p, M))
+    return out
+
+
+def _certified(p: int, M: int) -> None:
+    """Raise unless G_1 and G_2 are certified mod p^M: p a prime >= 7, M >= 1."""
+    check_prime(p)
+    if p < 7:
+        raise ValueError("logarithmic derivatives require p >= 7")
     if M < 1:
         raise PrecisionError("need at least one certified digit")
-    return derivs
 
 
 def g1(x, p: int, M: int) -> PadicValue:
     """First logarithmic derivative Gamma_p'(x)/Gamma_p(x), certified mod p^M."""
-    return _certified(p, M).g1([_as_residue(x, p, 2 * M + 1)], M)[0]
+    _certified(p, M)
+    return _g1s([_as_residue(x, p, 2 * M + 1)], p, M)[0]
 
 
 def g2(x, p: int, M: int) -> PadicValue:
     """Second logarithmic derivative Gamma_p''(x)/Gamma_p(x), certified mod p^M."""
-    return _certified(p, M).g2([_as_residue(x, p, 2 * ((M + 1) // 2) + M + 1)], M)[0]
+    _certified(p, M)
+    return _g2s([_as_residue(x, p, 2 * ((M + 1) // 2) + M + 1)], p, M)[0]
 
 
 def _gamma_values(rs, p: int, N: int) -> list[PadicValue]:
@@ -334,8 +324,9 @@ def _gamma_values(rs, p: int, N: int) -> list[PadicValue]:
 
 
 # ---------------------------------------------------------------------------
-# The shifted-gamma congruence families (Lemmas 3.9-3.13) over full (x, j)
-# grids.  See the module docstring for how they are evaluated.
+# The section-3 suites: the Gamma_p properties (Props 3.1-3.3 and 3.8, Cors
+# 3.4-3.5) and the shifted-gamma congruence families (Lemmas 3.9-3.13) over
+# full (x, j) grids.  See the module docstring for how they are evaluated.
 # ---------------------------------------------------------------------------
 
 
@@ -350,15 +341,85 @@ def split_by_rep(x: Fraction, p: int) -> tuple[Fraction, Fraction]:
     return (x, 1 - x) if rx >= ry else (1 - x, x)
 
 
-def default_x_grid(p: int, max_den: int = 10) -> list[Fraction]:
-    """Reduced fractions a/b with 0 < a < b, 2 <= b <= max_den, p !| b."""
+def default_x_grid(p: int) -> list[Fraction]:
+    """Reduced fractions a/b with 0 < a < b, 2 <= b <= 10, p !| b."""
     out = []
-    for b in range(2, max_den + 1):
+    for b in range(2, 11):
         if b % p == 0:
             continue
         for a in range(1, b):
             if math.gcd(a, b) == 1:
                 out.append(Fraction(a, b))
+    return out
+
+
+def _points(p: int, xs=None) -> list[tuple[Fraction, str, int, int]]:
+    """(x, label, residue of x mod p^5, rep(x)) for each x of a suite, by
+    default of default_x_grid(p); both suites use G_1 and G_2 mod p^2, so p
+    must be a prime >= 7."""
+    _certified(p, 2)
+    if xs is None:
+        xs = default_x_grid(p)
+    return [(x, str(x), _as_residue(x, p, 5), rep(x, p)) for x in map(Fraction, xs)]
+
+
+def check_gamma_properties(p: int) -> list[CongruenceReport]:
+    """Props 3.1-3.2, Cors 3.4-3.5, the Taylor law and the shift formula,
+    over the standard denominator-grid of x values."""
+    N, M = 4, 2
+    out = []
+    pts = _points(p)
+    gxs = _gamma_values([a for _, _, a, _ in pts], p, N)
+    one = rational_to_padic(1, p, N)
+
+    def add(claim, params, k, lhs, rhs):
+        out.append(CongruenceReport.from_sides(claim, p, params, k, lhs, rhs))
+
+    for (x, label, a, r), gx in zip(pts, gxs):
+        gx1, gy = _gamma_values([a + 1, 1 - a], p, N)
+        # functional equation
+        if x.numerator % p == 0:
+            rhs = -gx
+        else:
+            rhs = -(rational_to_padic(x, p, N) * gx)
+        add("prop3.1.1", {"x": label}, N, gx1, rhs)
+        # reflection
+        add("prop3.1.2", {"x": label}, N, gx * gy, rational_to_padic((-1) ** r, p, N))
+        # continuity: arguments agreeing mod p^n give values agreeing mod p^n
+        # (evaluated at higher precision, where the two residues differ)
+        for n in (1, 2, 3):
+            gyn, gxn = _gamma_values([a + p**n, a], p, n + 2)
+            add("prop3.1.3", {"x": label, "n": n}, n, gyn, gxn)
+        # shift formula against direct evaluation
+        direct = _gamma_values([a + j for j in range(p + 1)], p, N)
+        for j in range(0, p + 1):
+            add("prop3.8", {"x": label, "j": j}, N, _shift(x, r, gx, j, p, N), direct[j])
+    for (x, label, a, _), gx in zip(pts, gxs):
+        # at x, x + 1, 1 - x, x + p and x + 2p
+        rs = [a, a + 1, 1 - a, a + p, a + 2 * p]
+        u1, v1, w1, *z1 = _g1s(rs, p, M)
+        u2, v2, w2, *z2 = _g2s(rs, p, M)
+        unit = x.numerator % p != 0
+        # G1 step
+        rhs = _ratio_to_padic(x.denominator, x.numerator, p, M) if unit \
+            else PadicValue.zero(p, M)
+        add("prop3.2.1", {"x": label}, M, v1 - u1, rhs)
+        # (G1^2 - G2) step
+        rhs = _ratio_to_padic(x.denominator**2, x.numerator**2, p, M) if unit \
+            else PadicValue.zero(p, M)
+        add("prop3.2.2", {"x": label}, M, v1 * v1 - v2 - u1 * u1 + u2, rhs)
+        # symmetry and its derivative
+        add("prop3.2.3", {"x": label}, M, u1, w1)
+        add("prop3.2.4", {"x": label}, M, u1 * u1 - u2, -(w1 * w1) + w2)
+        for t, zx1, zx2 in zip((1, 2), z1, z2):
+            z = t * p
+            add("cor3.4", {"x": label, "z": str(z), "which": "g1"}, 1, zx1, u1)
+            add("cor3.4", {"x": label, "z": str(z), "which": "g2"}, 1, zx2, u2)
+            ze = _ratio_to_padic(z, 1, p, M + 1)
+            add("cor3.5", {"x": label, "z": str(z)}, 2, u1, zx1 + ze * (zx1 * zx1 - zx2))
+            # Taylor law mod p^3
+            taylor = gx * (one + ze * u1 + _ratio_to_padic(z * z, 2, p, N) * u2)
+            add("prop3.3.2", {"x": label, "z": str(z)}, 3, _gamma_values([a + z], p, N)[0], taylor)
     return out
 
 
@@ -377,7 +438,7 @@ def _harmonic_diff(table, a: int, b: int, pole: int) -> tuple[int, int]:
     return (t[a] - t[b]) * pole - S, S * pole
 
 
-def lemma_check_gamma_suite(p: int, xs=None) -> list:
+def lemma_check_gamma_suite(p: int, xs=None) -> list[CongruenceReport]:
     """The five shifted-gamma congruence families over full (x, j) grids;
     one CongruenceReport per (family, x, j), family by family:
 
@@ -392,47 +453,39 @@ def lemma_check_gamma_suite(p: int, xs=None) -> list:
     - lemma3.13: G_1(x+j) + G_1(1-x+j) - 2 G_1(1+j) against harmonic sums
       (mod p^2) for j < rep(m1).
     """
-    from .report import CongruenceReport
-
-    if p < 7:
-        raise ValueError("the derivative-based families require p >= 7")
-    if xs is None:
-        xs = default_x_grid(p)
-    derivs = _LogDerivs(p)
+    pts = _points(p, xs)
     H1, H2 = _scaled_harmonic(2 * p - 2, 1), _scaled_harmonic(2 * p - 2, 2)
-    # per x: label, residue mod p^5, rep(x), r1 - m1 as (num, den), r1, r2
-    pts = []
-    for x in map(Fraction, xs):
+    # per x: r1 - m1 as (num, den), r1 and r2
+    pairs = []
+    for x, *_ in pts:
         m1, m2 = split_by_rep(x, p)
         r1 = rep(m1, p)
-        pts.append((str(x), _as_residue(x, p, 5), rep(x, p),
-                    (r1 * m1.denominator - m1.numerator, m1.denominator), r1, rep(m2, p)))
+        pairs.append(((r1 * m1.denominator - m1.numerator, m1.denominator), r1, rep(m2, p)))
     reports = []
 
     def add(claim, label, j, k, lhs, rhs, N):
         reports.append(CongruenceReport.from_sides(
             claim, p, {"x": label, "j": j}, k, lhs, _ratio_to_padic(*rhs, p, N)))
 
-    for label, a, r, *_ in pts:
+    for _, label, a, r in pts:
         lhs = _gamma_values([a + j for j in range(p + 1)], p, 2)
         for j in range(p + 1):
             add("lemma3.9", label, j, 1, lhs[j], _factorial_rhs(r, j, p), 3)
     ones = range(1, p + 1)  # 1 + j
-    lb = derivs.g1(ones, 1)
-    for label, a, r, *_ in pts:
-        la = derivs.g1([a + j for j in range(p)], 1)
+    lb = _g1s(ones, p, 1)
+    las = [_g1s([a + j for j in range(p)], p, 1) for _, _, a, _ in pts]
+    for (_, label, _, r), la in zip(pts, las):
         for j in range(p):
             add("lemma3.10", label, j, 1, la[j] - lb[j],
                 _harmonic_diff(H1, r - 1 + j, j, p if j > p - r else 0), 3)
-    lb2 = derivs.g2(ones, 1)
-    for label, a, r, *_ in pts:
-        la = derivs.g1([a + j for j in range(p)], 1)
-        la2 = derivs.g2([a + j for j in range(p)], 1)
+    lb2 = _g2s(ones, p, 1)
+    for (_, label, a, r), la in zip(pts, las):
+        la2 = _g2s([a + j for j in range(p)], p, 1)
         for j in range(p):
             lhs = la[j] * la[j] - la2[j] - lb[j] * lb[j] + lb2[j]
             add("lemma3.11", label, j, 1, lhs,
                 _harmonic_diff(H2, r - 1 + j, j, p**2 if j > p - r else 0), 4)
-    for label, a, _, (dn, dd), r1, r2 in pts:
+    for (_, label, a, _), ((dn, dd), r1, r2) in zip(pts, pairs):
         ga = _gamma_values([a + j for j in range(r1)], p, 5)
         gb = _gamma_values([1 - a + j for j in range(r1)], p, 5)
         den_inv = (ga[0] * gb[0]).inverse()
@@ -446,11 +499,11 @@ def lemma_check_gamma_suite(p: int, xs=None) -> list:
             s = (-1) ** j * math.comb(r1 - 1 + j, j) * math.comb(r1 - 1, j)
             add("lemma3.12", label, j, 2, lhs,
                 (s * (dd * hd - dn * hn), dd * hd * (pole or 1)), 5)
-    lb = derivs.g1(ones, 2)
+    lb = _g1s(ones, p, 2)
     S1, t1 = H1
-    for label, a, _, (dn, dd), r1, r2 in pts:
-        ga = derivs.g1([a + j for j in range(r1)], 2)
-        gb = derivs.g1([1 - a + j for j in range(r1)], 2)
+    for (_, label, a, _), ((dn, dd), r1, r2) in zip(pts, pairs):
+        ga = _g1s([a + j for j in range(r1)], p, 2)
+        gb = _g1s([1 - a + j for j in range(r1)], p, 2)
         for j in range(r1):
             lhs = ga[j] + gb[j] - lb[j] - lb[j]
             # H_(r1-1+j) + H_(r1-1-j) - 2H_j - alpha

@@ -18,8 +18,8 @@ import sys
 import time
 
 import oracles
-from padichyp.checks import check_gamma_properties, primes_in
-from padichyp.gamma import lemma_check_gamma_suite
+from padichyp.checks import primes_in
+from padichyp.gamma import check_gamma_properties, lemma_check_gamma_suite
 
 SUITES = [(lemma_check_gamma_suite, oracles.lemma_check_gamma_suite),
           (check_gamma_properties, oracles.check_gamma_properties)]

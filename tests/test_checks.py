@@ -563,6 +563,14 @@ def _main(*argv):
     (["trunc", "--args", "1/2,1/2", "-m", "3", "--p", "-7"], "p=-7 is not an odd prime"),
     (["trunc", "--args", "1/2,1/2", "-m", "3", "--p", "9"], "p=9 is not an odd prime"),
     (["trunc", "--args", "1/2,1/2", "--p", "-7"], "p=-7 is not an odd prime"),
+    (["gamma", "1/2", "--p", "2"], "p=2 is not an odd prime"),
+    (["gamma", "1/2", "--p", "1"], "p=1 is not an odd prime"),
+    (["gamma", "1/2", "--p", "0"], "p=0 is not an odd prime"),
+    (["gamma", "1/3", "--p", "9"], "p=9 is not an odd prime"),
+    (["greene", "--args", "1/2,0", "--p", "7"], "argument 0 is not strictly inside (0, 1)"),
+    (["greene", "--args", "1/2,3/2", "--p", "7"], "argument 3/2 is not strictly inside (0, 1)"),
+    (["greene", "--args", "1/2,-1/2", "--p", "7"],
+     "argument -1/2 is not strictly inside (0, 1)"),
 ])
 def test_cli_usage_errors_exit_2(argv, message):
     with patch.object(checks, "run_config") as run:

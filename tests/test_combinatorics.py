@@ -226,6 +226,30 @@ def test_identity_one_check_fails_with_the_rhs_negated(monkeypatch):
     assert len(rows) == 465 and not any(r.passed for r in rows)
 
 
+def test_identity_two_check_fails_with_a_doubled_tail_term(monkeypatch):
+    rows = [r for r in check_bin_harmonic_ids() if r.claim == "binharm.id2"]
+    assert rows and all(r.passed for r in rows)
+    tail = combinatorics._tail
+
+    def doubled(m, n):
+        D, terms = tail(m, n)
+        return D, [(k, 2 * t if k == n + 1 else t) for k, t in terms]
+
+    monkeypatch.setattr(combinatorics, "_tail", doubled)
+    new = [r for r in check_bin_harmonic_ids() if r.claim == "binharm.id2"]
+    assert [r.params for r in new] == [r.params for r in rows]
+    H = oracles.harmonic
+    for r in new:
+        l, m, n = r.params["l"], r.params["m"], r.params["n"]
+        c1, c2 = Fraction(r.params["c1"]), Fraction(r.params["c2"])
+        # the k = n + 1 term (nonzero, present when m > n) times its harmonic factor
+        factor = c1 * (H(2 * n + 1) - H(l)) + c2 * (H(m + n + 1) - H(l + n - m))
+        assert r.passed == (m == n or factor == 0), r.params
+        if not r.passed:
+            assert r.diff_valuation is not None and r.diff_valuation < r.mod_power
+    assert sum(not r.passed for r in new) > len(new) // 2
+
+
 @pytest.mark.parametrize("p", [7, 11, 13])
 def test_lemma_pq_check_fails_against_shifted_expected_values(monkeypatch, p):
     rows = check_lemma_pq(p)

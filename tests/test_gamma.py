@@ -13,6 +13,7 @@ from padichyp import gamma
 from padichyp.gamma import (
     _gamma_blocks,
     _horner_data,
+    check_gamma_properties,
     default_x_grid,
     g1,
     g2,
@@ -333,10 +334,22 @@ def test_taylor_law_with_independent_derivatives():
 
 
 def test_derivatives_require_p_at_least_7():
-    with pytest.raises(ValueError):
-        g1(1, 5, 1)
-    with pytest.raises(ValueError):
-        g2(1, 5, 1)
+    for call in (lambda: g1(1, 5, 1), lambda: g2(1, 5, 1),
+                 lambda: check_gamma_properties(5), lambda: lemma_check_gamma_suite(5)):
+        with pytest.raises(ValueError, match="require p >= 7"):
+            call()
+
+
+@pytest.mark.parametrize("p", [0, 1, 2, 9])
+def test_the_prime_is_checked_before_the_argument(p):
+    # 1/2 and 1/3 are not p-integral or not invertible mod p^N at these p
+    for call in (gamma_p, g1, g2):
+        for x in (Fraction(1, 2), Fraction(1, 3)):
+            with pytest.raises(ValueError, match=f"p={p} is not an odd prime"):
+                call(x, p, 2)
+    for suite in (check_gamma_properties, lemma_check_gamma_suite):
+        with pytest.raises(ValueError, match=f"p={p} is not an odd prime"):
+            suite(p)
 
 
 # -- shifted-gamma congruence families ---------------------------------------
@@ -425,7 +438,6 @@ def test_block_log_series_matches_power_series_oracle():
 @pytest.mark.parametrize("p", [7, 11, 13, 17, 19])
 def test_suites_equal_the_per_point_oracles(p):
     # 7, 11, 13 are the check-all grid; the golden SHA does not reach 17, 19
-    from padichyp.checks import check_gamma_properties
     for fast, slow in ((lemma_check_gamma_suite, oracles.lemma_check_gamma_suite),
                        (check_gamma_properties, oracles.check_gamma_properties)):
         rows = fast(p)
@@ -507,3 +519,65 @@ def test_factorial_family_fails_with_its_rhs_plus_one(monkeypatch):
     rows = [r for r in lemma_check_gamma_suite(p) if r.claim == "lemma3.9"]
     assert len(rows) == len(default_x_grid(p)) * (p + 1)
     assert all(not r.passed and r.diff_valuation == 0 for r in rows)
+
+
+def _plus_last_digit(shift):
+    return lambda x, r, gx, j, p, N: (
+        shift(x, r, gx, j, p, N) + rational_to_padic(p ** (N - 1), p, N))
+
+
+def _plus_digit_one(derivs):
+    # a term that changes when the argument moves by p, which Cor 3.4 forbids mod p
+    return lambda rs, p, M: [g + rational_to_padic(r // p, p, M)
+                             for r, g in zip(rs, derivs(rs, p, M))]
+
+
+_DERIVATIVE_FAMILIES = {"prop3.2.1", "prop3.2.2", "prop3.2.3", "prop3.2.4", "prop3.3.2", "cor3.5"}
+# Each row is (function of the gamma module, its perturbation as a function of
+# the original, the families with FAIL rows, the families whose every row
+# fails), at the check-all primes.  Together they cover every family of
+# check_gamma_properties.
+_PROPERTY_CONTROLS = [
+    ("_shift", _plus_last_digit, {"prop3.8"}, {"prop3.8"}),
+    # the (-1)^r of the definition dropped: Gamma_p(x + 1) and Gamma_p(x + p^n)
+    # change sign against Gamma_p(x); the residues of x and 1 - x sum to p^N + 1,
+    # so they have one parity and the reflection rows still pass
+    ("gamma_residues",
+     lambda gr: lambda rs, p, N: [-u % p**N if r % 2 else u for r, u in zip(rs, gr(rs, p, N))],
+     {"prop3.1.1", "prop3.1.3", "prop3.3.2", "prop3.8", "prop3.2.1", "prop3.2.2",
+      "prop3.2.4", "cor3.4", "cor3.5"},
+     {"prop3.1.1", "prop3.1.3"}),
+    # every value doubled: only the reflection rows see the normalisation
+    ("gamma_residues", lambda gr: lambda rs, p, N: [2 * u % p**N for u in gr(rs, p, N)],
+     {"prop3.1.2"}, {"prop3.1.2"}),
+    ("_g1s", lambda g1s: lambda rs, p, M: g1s([r + 1 for r in rs], p, M),
+     _DERIVATIVE_FAMILIES, {"prop3.2.1"}),
+    ("_g2s", lambda g2s: lambda rs, p, M: g2s([r + 1 for r in rs], p, M),
+     _DERIVATIVE_FAMILIES - {"prop3.2.1", "prop3.2.3"}, set()),
+    ("_g1s", _plus_digit_one, _DERIVATIVE_FAMILIES | {"cor3.4"}, {"prop3.2.4", "cor3.5"}),
+    ("_g2s", _plus_digit_one, {"prop3.2.2", "prop3.2.4", "prop3.3.2", "cor3.4", "cor3.5"},
+     set()),
+]
+
+
+@pytest.mark.parametrize("name, perturb, failing, all_fail", _PROPERTY_CONTROLS)
+def test_property_families_fail_when_perturbed(monkeypatch, name, perturb, failing, all_fail):
+    primes = (7, 11, 13)
+    base = [r for p in primes for r in check_gamma_properties(p)]
+    assert all(r.passed for r in base)
+    monkeypatch.setattr(gamma, name, perturb(getattr(gamma, name)))
+    rows = [r for p in primes for r in check_gamma_properties(p)]
+    assert [(r.claim, r.params) for r in rows] == [(r.claim, r.params) for r in base]
+    failed = [r for r in rows if not r.passed]
+    assert all(r.diff_valuation < r.mod_power for r in failed)
+    assert {r.claim for r in failed} == failing
+    for claim in all_fail:
+        assert all(not r.passed for r in rows if r.claim == claim), claim
+    if name == "_shift":
+        assert all(r.diff_valuation == r.mod_power - 1 for r in failed)
+
+
+def test_every_property_family_has_a_negative_control():
+    claims = {r.claim for r in check_gamma_properties(7)}
+    assert set().union(*(failing for _, _, failing, _ in _PROPERTY_CONTROLS)) == claims
+
