@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .padic import PadicValue, PrecisionError, check_prime
+from .padic import PadicValue, _modulus, check_prime
 
 
 @lru_cache(maxsize=None)
@@ -65,10 +65,8 @@ def _dlog_table(p: int) -> tuple[int, tuple[int, ...]]:
 @lru_cache(maxsize=None)
 def _omega_powers(p: int, N: int) -> tuple[int, ...]:
     """omega(g)^k mod p^N for k in [0, p-2], g the cached primitive root."""
-    if N < 1:
-        raise PrecisionError(f"need at least one digit, got N={N}")
+    pN = _modulus(p, N)
     g, _ = _dlog_table(p)
-    pN = p**N
     zeta = pow(g, p ** (N - 1), pN)
     out = [1] * (p - 1)
     for k in range(1, p - 1):

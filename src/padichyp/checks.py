@@ -24,7 +24,7 @@ from .characters import Character, characters_for_arguments, greene_series_scale
 from .gamma import check_gamma_properties, lemma_check_gamma_suite
 from .gfunction import GArguments, g_function, s_factor, theorem26_sign
 from .hyp import HypParams, truncated_hyp
-from .padic import PRIME_BOUND, PadicValue, check_prime, rational_to_padic
+from .padic import PRIME_BOUND, PadicValue, check_prime, primes_in, rational_to_padic
 from .qseries import gamma_coeffs, hecke_bound_ok, rv_form_coeffs  # noqa: F401 (FORMS)
 from .report import CongruenceReport, sort_reports
 
@@ -35,18 +35,6 @@ GUARD = 1
 
 # every claim parameter the CLI can pass; each claim accepts a subset
 PARAMS = ("d", "d2", "r", "args")
-
-
-def primes_in(lo: int, hi: int) -> list[int]:
-    """All primes in [lo, hi]."""
-    if hi < 2:
-        return []
-    sieve = bytearray([1]) * (hi + 1)
-    sieve[0:2] = b"\x00\x00"
-    for i in range(2, int(hi**0.5) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = b"\x00" * len(sieve[i * i :: i])
-    return [i for i in range(max(lo, 2), hi + 1) if sieve[i]]
 
 
 def _pm1(p: int, d: int) -> bool:
@@ -79,12 +67,21 @@ def _truncated(args: tuple, p: int, N: int) -> PadicValue:
     return truncated_hyp(HypParams(args, bottom, Fraction(1), p - 1), p, N)
 
 
+def parse_fractions(text: str, flag: str) -> list[Fraction]:
+    """The comma-separated fractions of a flag; a field that is empty or not a
+    fraction is a usage error that names it."""
+    out = []
+    for i, part in enumerate(str(text).split(","), 1):
+        try:
+            out.append(Fraction(part))
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"{flag} wants fractions m1/d1,...; field {i} is {part!r}") from None
+    return out
+
+
 def parse_args(text: str) -> list[Fraction]:
     """G-function arguments m1/d1,...: at least two, each strictly inside (0, 1)."""
-    try:
-        args = [Fraction(a) for a in str(text).split(",")]
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"--args wants fractions m1/d1,m2/d2,...; got {text!r}") from None
+    args = parse_fractions(text, "--args")
     if len(args) < 2:
         raise ValueError("--args needs at least two fractions")
     for a in args:

@@ -23,10 +23,6 @@ from .padic import PadicValue, PrecisionError, check_prime
 from .qseries import eta_product, gamma_coeffs, rv_form_coeffs, write_coefficients_csv
 from .report import write_reports
 
-def _fractions(text: str) -> list[Fraction]:
-    return [Fraction(part) for part in text.split(",") if part]
-
-
 def _render_value(v: PadicValue) -> str:
     if v.is_zero:
         return f"0 + O({v.prime}^{v.abs_prec})"
@@ -176,8 +172,9 @@ def _command(ns) -> int:
     if ns.command == "trunc":
         if ns.p is not None:
             check_prime(ns.p)  # before --p fixes the truncation
-        top = _fractions(ns.args)
-        bottom = _fractions(ns.bottom) if ns.bottom else [Fraction(1)] * (len(top) - 1)
+        top = checks.parse_fractions(ns.args, "--args")
+        bottom = (checks.parse_fractions(ns.bottom, "--bottom") if ns.bottom is not None
+                  else [Fraction(1)] * (len(top) - 1))
         m = ns.truncation if ns.truncation is not None else (
             ns.p - 1 if ns.p is not None else None)
         if m is None:

@@ -49,16 +49,19 @@ once per (p, N), with exact guard digits past N = p - 1:
 
 For N < p, I = J = N and G = 0.  The table prep is polynomial in (p, N):
 O(p I) for the partial blocks and O(I^2 + J) for the rest.  gamma_residues
-evaluates a batch of residues with the checks done once.
+evaluates a batch of residues with the checks done once.  _as_residue is
+the one reduction of an argument into Z/p^k; rep(x) is its residue mod p, or
+p for 0.
 
 Suites.  Both section-3 suites live here and work on integer residues:
 check_gamma_properties (Props 3.1-3.3 and 3.8, Cors 3.4-3.5) and
 lemma_check_gamma_suite (Lemmas 3.9-3.13).  They share one per-x preparation
-(_points: the label, the residue of x mod p^5 and rep(x)) and one p >= 7
-check; the residues of x + j, 1 - x + j and 1 + j are integer sums.  G_1 and
-G_2 come from the batch functions _g1s and _g2s, with no memo: each batch
-takes its Gamma_p values from one gamma_residues call, and a suite builds
-each derivative list once per x.  The right-hand sides are integer
+(_points: the label, the residue a of x mod p^5 and rep(x) = a mod p or p)
+and one p >= 7 check; the residues of x + j, 1 - x + j and 1 + j are integer
+sums, and Lemmas 3.12-3.13 split x, 1 - x by rep(1 - x) = p + 1 - rep(x).
+G_1 and G_2 come from the batch functions _g1s and _g2s, with no memo: each
+batch takes its Gamma_p values from one gamma_residues call, and a suite
+builds each derivative list once per x.  The right-hand sides are integer
 (num, den) pairs built from the scaled harmonic prefix tables of
 combinatorics (L H^(1) and L^2 H^(2) with L = lcm(1..2p-2)) and reduced once
 by _ratio_to_padic.  Where sides combine PadicValues (a product, a quotient,
@@ -78,6 +81,7 @@ from .hyp import rising_factorial
 from .padic import (
     PadicValue,
     PrecisionError,
+    _modulus,
     _ratio_to_padic,
     check_prime,
     rational_to_padic,
@@ -87,13 +91,6 @@ from .report import CongruenceReport
 
 # memo of computed values, keyed (p, N) -> {residue: unit}
 _value_cache: dict[tuple[int, int], dict[int, int]] = {}
-
-
-def _modulus(p: int, N: int) -> int:
-    """p^N, for N >= 1 digits."""
-    if N < 1:
-        raise PrecisionError(f"need at least one digit, got N={N}")
-    return p**N
 
 
 @lru_cache(maxsize=None)
@@ -230,21 +227,7 @@ def gamma_p(x, p: int, N: int) -> PadicValue:
 def rep(x, p: int) -> int:
     """The representative of x in {1, ..., p} congruent to x mod p."""
     check_prime(p)
-    if isinstance(x, PadicValue):
-        if x.prime != p:
-            raise ValueError("mixed primes")
-        if x.is_zero:
-            r = 0
-        else:
-            if x.valuation < 0:
-                raise ValueError("rep requires valuation >= 0")
-            r = x.residue(1)
-    else:
-        q = Fraction(x)
-        if q.denominator % p == 0:
-            raise ValueError("rep requires a p-integral argument")
-        r = q.numerator * pow(q.denominator, -1, p) % p
-    return r if r else p
+    return _as_residue(x, p, 1) or p
 
 
 def _shift(x: Fraction, r: int, gx: PadicValue, j: int, p: int, N: int) -> PadicValue:
@@ -330,17 +313,6 @@ def _gamma_values(rs, p: int, N: int) -> list[PadicValue]:
 # ---------------------------------------------------------------------------
 
 
-def split_by_rep(x: Fraction, p: int) -> tuple[Fraction, Fraction]:
-    """(m1, m2) with {m1, m2} = {x, 1-x} and rep(m1) maximal.
-
-    rep(x) + rep(1-x) = p + 1, so a tie means both equal (p+1)/2, which
-    happens exactly when x = 1/2 mod p; either choice is then valid and we
-    keep m1 = x.
-    """
-    rx, ry = rep(x, p), rep(1 - x, p)
-    return (x, 1 - x) if rx >= ry else (1 - x, x)
-
-
 def default_x_grid(p: int) -> list[Fraction]:
     """Reduced fractions a/b with 0 < a < b, 2 <= b <= 10, p !| b."""
     out = []
@@ -360,7 +332,7 @@ def _points(p: int, xs=None) -> list[tuple[Fraction, str, int, int]]:
     _certified(p, 2)
     if xs is None:
         xs = default_x_grid(p)
-    return [(x, str(x), _as_residue(x, p, 5), rep(x, p)) for x in map(Fraction, xs)]
+    return [(x, str(x), (a := _as_residue(x, p, 5)), a % p or p) for x in map(Fraction, xs)]
 
 
 def check_gamma_properties(p: int) -> list[CongruenceReport]:
@@ -455,12 +427,12 @@ def lemma_check_gamma_suite(p: int, xs=None) -> list[CongruenceReport]:
     """
     pts = _points(p, xs)
     H1, H2 = _scaled_harmonic(2 * p - 2, 1), _scaled_harmonic(2 * p - 2, 2)
-    # per x: r1 - m1 as (num, den), r1 and r2
+    # per x: r1 - m1 as (num, den), r1, r2; m1 of x, 1 - x has the larger rep, x on a tie
     pairs = []
-    for x, *_ in pts:
-        m1, m2 = split_by_rep(x, p)
-        r1 = rep(m1, p)
-        pairs.append(((r1 * m1.denominator - m1.numerator, m1.denominator), r1, rep(m2, p)))
+    for x, _, _, r in pts:
+        r1 = max(r, p + 1 - r)
+        m1 = x if r1 == r else 1 - x
+        pairs.append(((r1 * m1.denominator - m1.numerator, m1.denominator), r1, p + 1 - r1))
     reports = []
 
     def add(claim, label, j, k, lhs, rhs, N):

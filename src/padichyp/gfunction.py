@@ -47,7 +47,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .gamma import gamma_residues
+from .gamma import _as_residue, gamma_residues
 from .padic import PadicValue, check_prime
 
 
@@ -157,9 +157,8 @@ def s_factor(fracs, p: int, N: int) -> PadicValue:
     The theorem instances use [1/d1, (d1-1)/d1, 1/d2, (d2-1)/d2] and
     [1/d, r/d, (d-r)/d, (d-1)/d]; reflection pairs each product into +-1.
     """
-    pN = p**N
-    rs = [f.numerator * pow(f.denominator, -1, pN) % pN for f in map(Fraction, fracs)]
-    return PadicValue.from_residue(math.prod(gamma_residues(rs, p, N)) % pN, p, N)
+    rs = [_as_residue(f, p, N) for f in fracs]
+    return PadicValue.from_residue(math.prod(gamma_residues(rs, p, N)), p, N)
 
 
 def theorem26_sign(p: int, d1: int, d2: int) -> int:

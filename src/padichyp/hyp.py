@@ -11,13 +11,13 @@ term.  A Fraction appears only at the API boundary: :func:`truncated_hyp_exact`
 and :func:`rising_factorial`.
 
 Reduction mod p^N.  :func:`truncated_hyp` runs the same pass with num and den
-reduced mod p^M, M = N + 1.  When every v_k is a p-adic unit (den mod p != 0;
+reduced mod p^(N+1).  When every v_k is a p-adic unit (den mod p != 0;
 always so for bottom parameters of 1 at truncation <= p - 1), the series is
-num/den with num known mod p^M: a nonzero num of valuation v <= M - N leaves
-N relative digits, and the unit is num / p^v times the inverse of den.
-Otherwise (a p in some v_k, num = 0 mod p^M, or v > M - N) the exact pair
-decides: its valuations are read off num and den and the unit is reduced
-once, so p-divisible factors along the way cost nothing.
+num/den with num known mod p^(N+1): a nonzero num of valuation v <= 1 leaves
+N relative digits.  Otherwise (a p in some v_k, num = 0 mod p^(N+1), or
+v > 1) the exact pair decides, so p-divisible factors along the way cost
+nothing.  Either pair goes through the one unit path, _ratio_to_padic, which
+reads the valuations off num and den and reduces the unit once.
 """
 
 from __future__ import annotations
@@ -100,11 +100,7 @@ def truncated_hyp(params: HypParams, p: int, N: int) -> PadicValue:
         raise ValueError("truncation beyond p - 1 is outside the guaranteed range")
     if N < 1:
         raise PrecisionError("need at least one digit of precision")
-    M = N + 1
-    num, den = _series_pair(params, p**M)
-    if num and den % p:
-        v = valuation_of_int(num, p)
-        if v <= M - N:
-            pN = p**N
-            return PadicValue(p, v, num // p**v * pow(den, -1, pN) % pN, N)
-    return _ratio_to_padic(*_series_pair(params), p, N)
+    num, den = _series_pair(params, p ** (N + 1))
+    if not (num and den % p and valuation_of_int(num, p) <= 1):
+        num, den = _series_pair(params)
+    return _ratio_to_padic(num, den, p, N)

@@ -9,8 +9,8 @@ finite for zeros produced by cancelling additions.  Keeping the finite bound
 is what makes :func:`congruent_mod` sound: it can never certify a congruence
 past what the inputs actually determine.
 
-Only odd primes are supported, and primes are capped at PRIME_BOUND = 500 so
-that downstream table builders stay desk-sized.
+Only the odd primes up to PRIME_BOUND = 500 are supported, so that downstream
+table builders stay desk-sized; check_prime reads them from one table.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from numbers import Rational
 
 PRIME_BOUND = 500
@@ -28,23 +27,25 @@ class PrecisionError(ArithmeticError):
     """A computation or comparison was requested past certified precision."""
 
 
-@lru_cache(maxsize=None)
-def is_odd_prime(p: int) -> bool:
-    if p < 3 or p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 2
-    return True
+def primes_in(lo: int, hi: int) -> list[int]:
+    """All primes in [lo, hi]."""
+    if hi < 2:
+        return []
+    sieve = bytearray([1]) * (hi + 1)
+    sieve[0:2] = b"\x00\x00"
+    for i in range(2, int(hi**0.5) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = b"\x00" * len(sieve[i * i :: i])
+    return [i for i in range(max(lo, 2), hi + 1) if sieve[i]]
+
+
+_ODD_PRIMES = frozenset(primes_in(3, PRIME_BOUND))
 
 
 def check_prime(p: int) -> None:
-    # the bound first, so that a huge p never reaches the trial division
-    if p > PRIME_BOUND:
-        raise ValueError(f"p={p} exceeds the prime bound {PRIME_BOUND}")
-    if not is_odd_prime(p):
+    if p not in _ODD_PRIMES:
+        if p > PRIME_BOUND:
+            raise ValueError(f"p={p} exceeds the prime bound {PRIME_BOUND}")
         raise ValueError(f"p={p} is not an odd prime")
 
 
@@ -57,6 +58,13 @@ def valuation_of_int(n: int, p: int) -> int:
         n //= p
         v += 1
     return v
+
+
+def _modulus(p: int, N: int) -> int:
+    """p^N, for N >= 1 digits."""
+    if N < 1:
+        raise PrecisionError(f"need at least one digit, got N={N}")
+    return p**N
 
 
 @dataclass(frozen=True)
@@ -130,14 +138,6 @@ class PadicValue:
         if self.valuation < 0:
             raise ValueError("negative valuation has no integer residue")
         return (self.unit * self.prime**self.valuation) % self.prime**k
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        if self.is_zero:
-            return f"O({self.prime}^{self.rel_prec})"
-        return (
-            f"{self.unit}*{self.prime}^{self.valuation}"
-            f" + O({self.prime}^{self.abs_prec})"
-        )
 
     # -- arithmetic --------------------------------------------------------
 
@@ -256,22 +256,18 @@ def congruent_mod(a: PadicValue, b: PadicValue, k: int) -> bool:
     Both operands must carry absolute precision >= k; anything less is a hard
     :class:`PrecisionError`, never a silent pass or fail.
     """
-    a._require_same_prime(b)
-    _require_abs_prec(a, b, k)
+    v = _diff_valuation(a, b, k)
+    return v is None or v >= k
+
+
+def _diff_valuation(a: PadicValue, b: PadicValue, k: int) -> int | None:
+    """The valuation of a - b (None if it vanishes to working precision); mixed
+    primes raise first, then a PrecisionError if a or b is known below p^k."""
     d = a - b
-    if d.is_zero:
-        return True
-    return d.valuation >= k
-
-
-def _require_abs_prec(a: PadicValue, b: PadicValue, k: int) -> None:
-    """The PrecisionError of a congruence mod p^k between a and b that the
-    operands do not determine."""
     if a.abs_prec < k or b.abs_prec < k:
-        raise PrecisionError(
-            f"congruence mod p^{k} requested but operands are only known "
-            f"mod p^{a.abs_prec} and p^{b.abs_prec}"
-        )
+        raise PrecisionError(f"congruence mod p^{k} requested but operands are only known "
+                             f"mod p^{a.abs_prec} and p^{b.abs_prec}")
+    return d.valuation
 
 
 def teichmuller(a: int, p: int, N: int) -> PadicValue:

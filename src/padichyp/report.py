@@ -38,7 +38,7 @@ import json
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_str
 
-from .padic import PadicValue, _require_abs_prec
+from .padic import PadicValue, _diff_valuation
 
 SCHEMA_VERSION = 1
 
@@ -65,10 +65,7 @@ class CongruenceReport:
     @classmethod
     def from_sides(cls, claim: str, p: int, params: dict, k: int,
                    lhs: PadicValue, rhs: PadicValue) -> "CongruenceReport":
-        # congruent_mod(lhs, rhs, k), with the difference computed once
-        diff = lhs - rhs
-        _require_abs_prec(lhs, rhs, k)
-        dv = None if diff.is_zero else diff.valuation
+        dv = _diff_valuation(lhs, rhs, k)  # the valuation congruent_mod tests
         return cls(claim, p, dict(params), k,
                    lhs.valuation, lhs.unit, rhs.valuation, rhs.unit,
                    dv, dv is None or dv >= k)

@@ -8,7 +8,8 @@ replaced by Euler's pentagonal series, two evaluations of Gamma_p (the
 defining product, swept once over every residue, and the block formula with
 exact tables and every S_i(K), log and exp term taken separately), the
 section-3 suites evaluated one (x, j) point at a time with Fraction harmonic
-sums, json.dumps of each report's schema-1 dict, which the row writer
+sums (the (m1, m2) split of x, 1 - x by rep included), trial division for
+the prime table, json.dumps of each report's schema-1 dict, which the row writer
 replaced, the one-string CSV and human writers the streamed ones replaced,
 and the report sort key through json.dumps.  They stay here so that every
 fast kernel is compared with an independent exact evaluation of it."""
@@ -23,10 +24,22 @@ from functools import lru_cache
 from padichyp import qseries
 from padichyp.characters import Character, _dlog_table, _omega_powers
 from padichyp.gamma import (_as_residue, default_x_grid, gamma_p, gamma_residue, gamma_residues,
-                            rep, split_by_rep)
+                            rep)
 from padichyp.hyp import HypParams
 from padichyp.padic import PadicValue, rational_to_padic
 from padichyp.report import CongruenceReport
+
+
+def is_odd_prime(p: int) -> bool:
+    """Trial division, the oracle of the prime table behind padic.check_prime."""
+    if p < 3 or p % 2 == 0:
+        return False
+    f = 3
+    while f * f <= p:
+        if p % f == 0:
+            return False
+        f += 2
+    return True
 
 
 def id1_lhs(m: int, n: int) -> Fraction:
@@ -368,6 +381,17 @@ def g2(x, p: int, M: int) -> PadicValue:
     num = (gamma_residue((r + h) % pN, p, Ng) - 2 * g0
            + gamma_residue((r - h) % pN, p, Ng)) % pN
     return PadicValue.from_residue(num // (h * h) * pow(g0, -1, pN) % p**M, p, M)
+
+
+def split_by_rep(x: Fraction, p: int) -> tuple[Fraction, Fraction]:
+    """(m1, m2) with {m1, m2} = {x, 1-x} and rep(m1) maximal.
+
+    rep(x) + rep(1-x) = p + 1, so a tie means both equal (p+1)/2, which
+    happens exactly when x = 1/2 mod p; either choice is then valid and we
+    keep m1 = x.
+    """
+    rx, ry = rep(x, p), rep(1 - x, p)
+    return (x, 1 - x) if rx >= ry else (1 - x, x)
 
 
 def shifted_gamma_factorial(x: Fraction, j: int, p: int):

@@ -571,6 +571,13 @@ def _main(*argv):
     (["greene", "--args", "1/2,3/2", "--p", "7"], "argument 3/2 is not strictly inside (0, 1)"),
     (["greene", "--args", "1/2,-1/2", "--p", "7"],
      "argument -1/2 is not strictly inside (0, 1)"),
+    (["trunc", "--args", ",", "-m", "3"], "--args wants fractions m1/d1,...; field 1 is ''"),
+    (["trunc", "--args", "1/2,,1/2", "-m", "3"],
+     "--args wants fractions m1/d1,...; field 2 is ''"),
+    (["trunc", "--args", "1/0,1/2", "-m", "3"],
+     "--args wants fractions m1/d1,...; field 1 is '1/0'"),
+    (["trunc", "--args", "1/2,1/2", "--bottom", "x", "-m", "3"],
+     "--bottom wants fractions m1/d1,...; field 1 is 'x'"),
 ])
 def test_cli_usage_errors_exit_2(argv, message):
     with patch.object(checks, "run_config") as run:

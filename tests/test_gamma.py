@@ -22,7 +22,6 @@ from padichyp.gamma import (
     gamma_residues,
     lemma_check_gamma_suite,
     rep,
-    split_by_rep,
 )
 from oracles import (
     paired_g1_harmonic,
@@ -30,6 +29,7 @@ from oracles import (
     shifted_g1_harmonic,
     shifted_g1g2_harmonic,
     shifted_gamma_factorial,
+    split_by_rep,
 )
 from padichyp.padic import PadicValue, PrecisionError, congruent_mod, rational_to_padic
 
@@ -226,6 +226,33 @@ def test_rep_examples_and_reflection_rule():
     for p in (7, 11, 13):
         for x in default_x_grid(p):
             assert rep(1 - x, p) == p + 1 - rep(x, p)
+
+
+@pytest.mark.parametrize("p", [7, 11, 499])
+def test_rep_is_the_residue_mod_p_or_p(p):
+    def outcome(f, x):
+        try:
+            return f(x)
+        except (ValueError, PrecisionError) as exc:
+            return type(exc)
+
+    def via_residue(x):
+        return gamma._as_residue(x, p, 1) or p
+
+    good = [0, 1, -1, p, -p, 2 * p + 3, 10**20 + 7, Fraction(1, 2), Fraction(-3, 5),
+            Fraction(p - 1, p + 1), Fraction(5 * p, 3), PadicValue.zero(p),
+            PadicValue.zero(p, 1), rational_to_padic(Fraction(2, 3), p, 3),
+            rational_to_padic(p * p, p, 2), rational_to_padic(Fraction(-1, 4), p, 1)]
+    bad = [Fraction(1, p), Fraction(3, p * p), rational_to_padic(Fraction(1, p), p, 3),
+           PadicValue.zero(p, 0), PadicValue.zero(5)]
+    for x in good:
+        r = rep(x, p)
+        assert r == via_residue(x) and 1 <= r <= p, x
+        if type(x) is int:
+            assert r == (x % p or p)
+    for x in bad:
+        err = outcome(lambda y: rep(y, p), x)
+        assert err in (ValueError, PrecisionError) and err is outcome(via_residue, x), x
 
 
 def test_rep_floor_formula():

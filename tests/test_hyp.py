@@ -187,13 +187,16 @@ ONES = (F(1),) * 3
         "p-in-bottom"])
 def test_mod_pm_pair_and_the_exact_fallback_match_the_oracle(monkeypatch, params, p, exact_pair):
     exact = oracles.truncated_hyp_exact(params)
-    calls = []
-    reduce_pair = hyp._ratio_to_padic
-    monkeypatch.setattr(hyp, "_ratio_to_padic", lambda *a: calls.append(a) or reduce_pair(*a))
+    moduli = []
+    series_pair = hyp._series_pair
+    monkeypatch.setattr(hyp, "_series_pair",
+                        lambda params, modulus=None: moduli.append(modulus)
+                        or series_pair(params, modulus))
     for N in (1, 2, 3, 5):
-        calls.clear()
+        moduli.clear()
         assert truncated_hyp(params, p, N) == rational_to_padic(exact, p, N), N
-        assert bool(calls) == exact_pair, N
+        # the exact pair is taken when _series_pair runs with no modulus
+        assert (None in moduli) == exact_pair, N
 
 
 def test_reduction_checks_the_prime_first():

@@ -7,11 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
+
 from padichyp.padic import (
     PadicValue,
     PrecisionError,
+    PRIME_BOUND,
+    check_prime,
     congruent_mod,
-    is_odd_prime,
     padic_add,
     padic_inv,
     padic_mul,
@@ -153,7 +156,20 @@ def test_teichmuller_rejects_multiples_of_p():
 
 
 def test_is_odd_prime():
-    assert [p for p in range(20) if is_odd_prime(p)] == [3, 5, 7, 11, 13, 17, 19]
+    """check_prime accepts exactly the odd primes up to the bound, by the
+    trial-division oracle, and gives each of its two messages."""
+    for p in range(-2, PRIME_BOUND + 21):
+        if p > PRIME_BOUND:
+            with pytest.raises(ValueError, match=f"p={p} exceeds the prime bound {PRIME_BOUND}"):
+                check_prime(p)
+        elif oracles.is_odd_prime(p):
+            check_prime(p)
+        else:
+            with pytest.raises(ValueError, match=f"p={p} is not an odd prime"):
+                check_prime(p)
+    # a huge p is rejected by the bound, with no primality test to run
+    with pytest.raises(ValueError, match="exceeds the prime bound"):
+        check_prime(10**30)
 
 
 # -- property tests ---------------------------------------------------------
