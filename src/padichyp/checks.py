@@ -5,6 +5,8 @@ congruence-class preconditions of the theorems), accepted parameters, default
 grid, prime range and modulus, and checker.  Planning, validation, check-all
 and the CLI all read it.  Every form row (a sequence side against the p-th
 coefficient of a modular form) is one entry of FORMS, which check_form reads.
+Every result is a congruence at one prime, so a Task is one claim on one
+parameter set at one prime p, and every row builder takes that one p.
 Every run reports the primes it skipped rather than silently narrowing a
 range; the defaults reproduce the acceptance suite.
 """
@@ -53,7 +55,7 @@ def _thm27_class_ok(p: int, d: int, r: int) -> bool:
 def _form(builder, horizon: int):
     """builder(horizon): a form's coefficients through q^horizon, built once
     per process for each (builder, horizon).  The checkers ask for the larger
-    of their task's horizon and their largest prime, so every task of a plan
+    of their task's horizon and its prime, so every task of a plan
     shares one form.  Code that perturbs a form clears the memo with
     _form.cache_clear()."""
     return builder(horizon)
@@ -115,43 +117,35 @@ def _thm27_args(q: dict) -> list[Fraction]:
 # ---------------------------------------------------------------------------
 
 
-def check_prop22(args, primes, mod_power: int = 4) -> list[CongruenceReport]:
-    """G function against the scaled Gaussian series, exactly mod p^mod_power."""
+def check_prop22(args, p: int, mod_power: int = 4) -> CongruenceReport:
+    """G function against the scaled Gaussian series at p, exactly mod p^mod_power."""
     args = [Fraction(a) for a in args]
     params = {"d": [a.denominator for a in args], "args": ",".join(map(str, args))}
-    n = len(args) - 1
     N = mod_power + GUARD
-    out = []
-    for p in primes:
-        lhs = g_function(GArguments(p, tuple(args), N))
-        top = characters_for_arguments(args, p)
-        rhs = greene_series_scaled(top, [Character.trivial(p)] * n, 1, N)
-        out.append(CongruenceReport.from_sides("prop2.2", p, params, mod_power, lhs, rhs))
-    return out
+    lhs = g_function(GArguments(p, tuple(args), N))
+    top = characters_for_arguments(args, p)
+    rhs = greene_series_scaled(top, [Character.trivial(p)] * (len(args) - 1), 1, N)
+    return CongruenceReport.from_sides("prop2.2", p, params, mod_power, lhs, rhs)
 
 
-def check_g_vs_trunc(claim: str, params: dict, args, primes,
-                     k: int) -> list[CongruenceReport]:
+def check_g_vs_trunc(claim: str, params: dict, args, p: int, k: int) -> CongruenceReport:
     """The Theorem 2.3 shape shared by Theorems 2.3-2.7 and the
     Rodriguez-Villegas framework row:
 
         G(args)_p = truncated series + s(p) p [sum(args) = n - 1]  (mod p^k),
 
-    with s(p) = prod Gamma_p(1 - a) over the arguments."""
+    with s(p) = prod Gamma_p(1 - a) over the arguments, at p."""
     args = [Fraction(a) for a in args]
     n = len(args) - 1
     S = sum(args)
     if S < n - 1:
         raise ValueError("theorem requires the argument sum to be >= n - 1")
     N = k + GUARD
-    out = []
-    for p in primes:
-        lhs = g_function(GArguments(p, tuple(args), N))
-        rhs = _truncated(tuple(args), p, N)
-        if S == n - 1:
-            rhs = rhs + s_factor([1 - a for a in args], p, N) * rational_to_padic(p, p, N)
-        out.append(CongruenceReport.from_sides(claim, p, params, k, lhs, rhs))
-    return out
+    lhs = g_function(GArguments(p, tuple(args), N))
+    rhs = _truncated(tuple(args), p, N)
+    if S == n - 1:
+        rhs = rhs + s_factor([1 - a for a in args], p, N) * rational_to_padic(p, p, N)
+    return CongruenceReport.from_sides(claim, p, params, k, lhs, rhs)
 
 
 _FIFTHS = (Fraction(1, 5), Fraction(2, 5), Fraction(3, 5), Fraction(4, 5))
@@ -249,16 +243,11 @@ def check_power_sums(p: int) -> list[CongruenceReport]:
 
 
 def check_lemma_pq(p: int, seed: int = DEFAULT_SEED) -> list[CongruenceReport]:
-    out = []
-    for a in _pq_tuples(p, seed):
-        eP, eQ = comb.lemma_PQ_expected(a, p)
-        out.append(CongruenceReport.from_sides(
-            "lemmaP", p, {"a": list(a)}, 1,
-            comb.lemma_P_sum(a, p), rational_to_padic(eP, p, 2)))
-        out.append(CongruenceReport.from_sides(
-            "lemmaQ", p, {"a": list(a)}, 1,
-            comb.lemma_Q_sum(a, p), rational_to_padic(eQ, p, 2)))
-    return out
+    return [CongruenceReport.from_sides(claim, p, {"a": list(a)}, 1,
+                                        value, rational_to_padic(expected, p, 2))
+            for a in _pq_tuples(p, seed)
+            for claim, value, expected in zip(("lemmaP", "lemmaQ"), comb._pq_sums(a, p),
+                                              comb.lemma_PQ_expected(a, p))]
 
 
 def check_bin_harmonic_ids(seed: int = DEFAULT_SEED) -> list[CongruenceReport]:
@@ -285,15 +274,10 @@ def check_bin_harmonic_ids(seed: int = DEFAULT_SEED) -> list[CongruenceReport]:
     return out
 
 
-def check_lemma_suites(primes, seed: int = DEFAULT_SEED) -> list[CongruenceReport]:
-    """The section-3 grids of criterion 9 for each prime."""
-    out = []
-    for p in primes:
-        out.extend(lemma_check_gamma_suite(p))
-        out.extend(check_gamma_properties(p))
-        out.extend(check_power_sums(p))
-        out.extend(check_lemma_pq(p, seed))
-    return out
+def check_lemma_suites(p: int, seed: int = DEFAULT_SEED) -> list[CongruenceReport]:
+    """The section-3 grids of criterion 9 at p."""
+    return (lemma_check_gamma_suite(p) + check_gamma_properties(p)
+            + check_power_sums(p) + check_lemma_pq(p, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -302,13 +286,14 @@ def check_lemma_suites(primes, seed: int = DEFAULT_SEED) -> list[CongruenceRepor
 
 
 class Task(NamedTuple):
-    """One unit of work: a claim's checker on one parameter set.  The
-    horizon is the largest prime of the task's plan, the truncation the
-    form-based checkers build their q-expansions to."""
+    """One unit of work: a claim's checker on one parameter set at one prime
+    p (None only for the prime-free task of a claim).  The horizon is the
+    largest prime of the task's plan, the truncation the form-based checkers
+    build their q-expansions to."""
 
     claim: str
     params: dict
-    primes: list[int]
+    p: int | None
     mod: int | None
     seed: int
     horizon: int | None = None
@@ -370,46 +355,41 @@ class Claim:
         if not runs:
             raise ValueError(f"no prime in {lo}..{hi} satisfies the preconditions of {self.id}")
         horizon = max(p for _, p in runs)
-        tasks = [Task(self.id, q, [p], mod, seed, horizon) for q, p in runs]
+        tasks = [Task(self.id, q, p, mod, seed, horizon) for q, p in runs]
         if self.prime_free:
-            tasks.append(Task(self.id, {}, [], mod, seed, horizon))
+            tasks.append(Task(self.id, {}, None, mod, seed, horizon))
         return tasks, skipped
 
 
 def _check_trunc(t: Task, args) -> list[CongruenceReport]:
-    return check_g_vs_trunc(t.claim, t.params, args, t.primes, t.mod)
+    return [check_g_vs_trunc(t.claim, t.params, args, t.p, t.mod)]
 
 
 def _check_ao(t: Task, _) -> list[CongruenceReport]:
     """thm1.1, truncated 4F3(1/2, 1/2, 1/2, 1/2) = scaled Gaussian series - p
-    mod p^2, and the thm1.2 form row, from one series per prime."""
-    out = []
-    N = FORMS["thm1.2"].mod + GUARD
-    for p in t.primes:
-        side = _greene_minus_p(p, N)
-        out.append(CongruenceReport.from_sides(
-            "thm1.1", p, {}, 2, _truncated((Fraction(1, 2),) * 4, p, N), side[1]))
-        out.append(check_form("thm1.2", p, t.horizon, side=side))
-    return out
+    mod p^2, and the thm1.2 form row, from one series."""
+    p, N = t.p, FORMS["thm1.2"].mod + GUARD
+    side = _greene_minus_p(p, N)
+    return [CongruenceReport.from_sides(
+                "thm1.1", p, {}, 2, _truncated((Fraction(1, 2),) * 4, p, N), side[1]),
+            check_form("thm1.2", p, t.horizon, side=side)]
 
 
 def _check_conj13(t: Task, args) -> list[CongruenceReport]:
     """The conj1.3 form row, plus the framework congruence at its arguments."""
-    return ([check_form("conj1.3", p, t.horizon, t.mod) for p in t.primes]
-            + check_g_vs_trunc("conj1.3-framework", {"d": 5, "r": 2}, args, t.primes, t.mod))
+    return [check_form("conj1.3", t.p, t.horizon, t.mod),
+            check_g_vs_trunc("conj1.3-framework", {"d": 5, "r": 2}, args, t.p, t.mod)]
 
 
 def _check_thm26(t: Task, args) -> list[CongruenceReport]:
     """Theorem 2.6, plus a companion row: the gamma product s(p) is the floor sign."""
-    d1, d2 = t.params["d"], t.params["d2"]
-    out = check_g_vs_trunc("thm2.6", {"d1": d1, "d2": d2}, args, t.primes, t.mod)
+    p, d1, d2 = t.p, t.params["d"], t.params["d2"]
     N = t.mod + GUARD
-    for p in t.primes:
-        sign = theorem26_sign(p, d1, d2)
-        out.append(CongruenceReport.from_sides(
-            "thm2.6-sign", p, {"d1": d1, "d2": d2, "sign": sign}, N,
-            s_factor(args, p, N), rational_to_padic(sign, p, N)))
-    return out
+    sign = theorem26_sign(p, d1, d2)
+    return [check_g_vs_trunc("thm2.6", {"d1": d1, "d2": d2}, args, p, t.mod),
+            CongruenceReport.from_sides(
+                "thm2.6-sign", p, {"d1": d1, "d2": d2, "sign": sign}, N,
+                s_factor(args, p, N), rational_to_padic(sign, p, N))]
 
 
 def _denominators_split(p: int, q: dict) -> bool:
@@ -421,12 +401,12 @@ CLAIMS = {c.id: c for c in (
     Claim("prop2.2", _denominators_split, ("args",),
           tuple({"args": a} for a in ("1/2,1/2", "1/3,2/3", "1/2,1/3,2/3",
                                       "1/2,1/2,1/2,1/2", "1/5,2/5,3/5,4/5")),
-          (7, 61), 4, lambda t, args: check_prop22(args, t.primes, t.mod),
+          (7, 61), 4, lambda t, args: [check_prop22(args, t.p, t.mod)],
           args=lambda q: parse_args(q["args"])),
     Claim("thm2.3", _denominators_split, ("args",), (), (7, 61), 2,
-          lambda t, args: check_g_vs_trunc(
+          lambda t, args: [check_g_vs_trunc(
               "thm2.3", {"args": ",".join(map(str, args)), "S": str(sum(args))},
-              args, t.primes, t.mod),
+              args, t.p, t.mod)],
           args=_thm23_args),
     Claim("thm2.4", lambda p, q: _pm1(p, q["d"]), ("d",),
           ({"d": 3}, {"d": 4}, {"d": 5}, {"d": 6}), (7, 97), 2,
@@ -441,13 +421,13 @@ CLAIMS = {c.id: c for c in (
           ({"d": 5, "r": 2}, {"d": 8, "r": 3}, {"d": 12, "r": 5}), (3, 97), 3,
           _check_trunc, args=_thm27_args),
     Claim("beukers", lambda p, q: True, (), ({},), (3, 97), FORMS["beukers"].mod,
-          lambda t, _: [check_form("beukers", p, t.horizon, t.mod) for p in t.primes]),
+          lambda t, _: [check_form("beukers", t.p, t.horizon, t.mod)]),
     Claim("ao", lambda p, q: True, (), ({},), (7, 61), None, _check_ao),
     Claim("conj1.3", lambda p, q: p != 5, (), ({},), (3, 97), FORMS["conj1.3"].mod,
           _check_conj13, args=lambda q: list(_FIFTHS)),
     Claim("lemmas", lambda p, q: p >= 7, (), ({},), (7, 13), None,
-          lambda t, _: (check_lemma_suites(t.primes, t.seed) if t.primes
-                        else check_bin_harmonic_ids(t.seed)),
+          lambda t, _: (check_bin_harmonic_ids(t.seed) if t.p is None
+                        else check_lemma_suites(t.p, t.seed)),
           prime_free=True),
 )}
 
@@ -469,10 +449,7 @@ def run_tasks(tasks, jobs: int = 1) -> list[CongruenceReport]:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunks = list(pool.map(run_task, tasks, chunksize=1))
-    out = []
-    for ch in chunks:
-        out.extend(ch)
-    return sort_reports(out)
+    return sort_reports([r for ch in chunks for r in ch])
 
 
 @dataclass

@@ -29,6 +29,15 @@ def _render_value(v: PadicValue) -> str:
     return f"{v.unit} * {v.prime}^{v.valuation} + O({v.prime}^{v.abs_prec})"
 
 
+def _fraction(text: str, name: str) -> Fraction:
+    """The one fraction m/d of argument name; anything else is a usage error."""
+    try:
+        (q,) = checks.parse_fractions(text, name)
+        return q
+    except ValueError:
+        raise ValueError(f"{name} wants one fraction m/d; got {text!r}") from None
+
+
 def _prime_range(text: str) -> tuple[int, int]:
     try:
         lo, hi = text.split("..")
@@ -156,7 +165,7 @@ def _run_checks(ns) -> int:
 
 def _command(ns) -> int:
     if ns.command == "gamma":
-        v = gamma_p(Fraction(ns.x), ns.p, ns.precision)
+        v = gamma_p(_fraction(ns.x, "x"), ns.p, ns.precision)
         print(_render_value(v))
         return 0
     if ns.command == "gfun":
@@ -181,7 +190,7 @@ def _command(ns) -> int:
             raise ValueError("give -m or --p to fix the truncation")
         if ns.precision is not None and ns.p is None:
             raise ValueError("--precision is the digits of the reduction mod p: give --p too")
-        params = HypParams(tuple(top), tuple(bottom), Fraction(ns.z), m)
+        params = HypParams(tuple(top), tuple(bottom), _fraction(ns.z, "--z"), m)
         exact = truncated_hyp_exact(params)
         N = 3 if ns.precision is None else ns.precision
         reduced = truncated_hyp(params, ns.p, N) if ns.p is not None else None
@@ -194,11 +203,14 @@ def _command(ns) -> int:
             series = gamma_coeffs(ns.truncation)
         elif ns.form == "rv":
             series = rv_form_coeffs(ns.truncation)
-        elif ns.eta:
+        elif ns.eta is not None:
             factors = []
-            for part in ns.eta.split(","):
+            for i, part in enumerate(ns.eta.split(","), 1):
                 base, _, expo = part.partition("^")
-                factors.append((int(base), int(expo or 1)))
+                try:
+                    factors.append((int(base), int(expo or 1)))
+                except ValueError:
+                    raise ValueError(f"--eta wants s1^e1,...; field {i} is {part!r}") from None
             series = eta_product(factors, ns.truncation)
         else:
             raise ValueError("give --form or --eta")

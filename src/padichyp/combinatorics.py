@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .padic import PadicValue, check_prime, rational_to_padic
+from .padic import PadicValue, _ratio_to_padic, check_prime
 
 
 @lru_cache(maxsize=None)
@@ -36,7 +36,8 @@ def apery(n: int) -> int:
     return sum(math.comb(n + j, j) ** 2 * math.comb(n, j) ** 2 for j in range(n + 1))
 
 
-def _pq_sum(a, p: int, second_order: bool) -> PadicValue:
+def _pq_sums(a, p: int) -> tuple[PadicValue, PadicValue]:
+    """(P, Q) of the lemma sums at a, from one pass over j = 0..p-1, each mod p^2."""
     a = tuple(int(x) for x in a)
     check_prime(p)
     if any(x < 1 for x in a):
@@ -45,22 +46,18 @@ def _pq_sum(a, p: int, second_order: bool) -> PadicValue:
         raise ValueError("T out of range")
     # h1 scaled by L, h2 by L^2; (j+1)_a = (j+a)!/j! is an integer
     L, H1 = _scaled_harmonic(max(a) + p - 1, 1)
-    if second_order:
-        _, H2 = _scaled_harmonic(max(a) + p - 1, 2)
-    scale = 2 * L * L if second_order else L
-    total = 0
+    _, H2 = _scaled_harmonic(max(a) + p - 1, 2)
+    P = Q = 0
     for j in range(p):
         prod = 1
         for ai in a:
             prod *= math.perm(j + ai, ai)
         h1 = sum(H1[ai + j] for ai in a) - len(a) * H1[j]
-        if not second_order:
-            total += prod * (L + j * h1)  # scale * prod (1 + j h1)
-        else:
-            h2 = sum(H2[ai + j] for ai in a) - len(a) * H2[j]
-            # scale * prod (j h1 + j^2/2 (h1^2 - h2))
-            total += prod * (2 * L * j * h1 + j * j * (h1 * h1 - h2))
-    return rational_to_padic(Fraction(total, scale), p, 2)
+        h2 = sum(H2[ai + j] for ai in a) - len(a) * H2[j]
+        P += prod * (L + j * h1)  # L * prod (1 + j h1)
+        # 2 L^2 * prod (j h1 + j^2/2 (h1^2 - h2))
+        Q += prod * (2 * L * j * h1 + j * j * (h1 * h1 - h2))
+    return _ratio_to_padic(P, L, p, 2), _ratio_to_padic(Q, 2 * L * L, p, 2)
 
 
 def lemma_P_sum(a, p: int) -> PadicValue:
@@ -69,12 +66,12 @@ def lemma_P_sum(a, p: int) -> PadicValue:
     For T = sum(a_i) <= 2(p-1) the value is 0 mod p, except exactly 1 at the
     boundary T = 2(p-1).
     """
-    return _pq_sum(a, p, False)
+    return _pq_sums(a, p)[0]
 
 
 def lemma_Q_sum(a, p: int) -> PadicValue:
     """Second-derivative companion of :func:`lemma_P_sum`; boundary value -1."""
-    return _pq_sum(a, p, True)
+    return _pq_sums(a, p)[1]
 
 
 def lemma_PQ_expected(a, p: int) -> tuple[int, int]:

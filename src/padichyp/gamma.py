@@ -80,7 +80,6 @@ from .combinatorics import _scaled_harmonic
 from .hyp import rising_factorial
 from .padic import (
     PadicValue,
-    PrecisionError,
     _modulus,
     _ratio_to_padic,
     check_prime,
@@ -284,8 +283,7 @@ def _certified(p: int, M: int) -> None:
     check_prime(p)
     if p < 7:
         raise ValueError("logarithmic derivatives require p >= 7")
-    if M < 1:
-        raise PrecisionError("need at least one certified digit")
+    _modulus(p, M)
 
 
 def g1(x, p: int, M: int) -> PadicValue:

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .gamma import _as_residue, gamma_residues
-from .padic import PadicValue, check_prime
+from .padic import PadicValue, _modulus, check_prime
 
 
 @dataclass(frozen=True)
@@ -65,8 +65,7 @@ class GArguments:
         object.__setattr__(self, "args", args)
         if len(args) < 2:
             raise ValueError("need at least two arguments (n >= 1)")
-        if self.precision < 1:
-            raise ValueError("precision must be >= 1")
+        _modulus(self.prime, self.precision)
         for a in args:
             if not 0 < a < 1:
                 raise ValueError(f"argument {a} is not strictly inside (0, 1)")

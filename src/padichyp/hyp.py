@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .padic import PadicValue, PrecisionError, _ratio_to_padic, check_prime, valuation_of_int
+from .padic import PadicValue, _modulus, _ratio_to_padic, check_prime, valuation_of_int
 
 
 def rising_factorial(a, n: int) -> Fraction:
@@ -98,9 +98,7 @@ def truncated_hyp(params: HypParams, p: int, N: int) -> PadicValue:
             raise ValueError("parameters must be p-integral")
     if params.truncation > p - 1:
         raise ValueError("truncation beyond p - 1 is outside the guaranteed range")
-    if N < 1:
-        raise PrecisionError("need at least one digit of precision")
-    num, den = _series_pair(params, p ** (N + 1))
+    num, den = _series_pair(params, _modulus(p, N) * p)
     if not (num and den % p and valuation_of_int(num, p) <= 1):
         num, den = _series_pair(params)
     return _ratio_to_padic(num, den, p, N)

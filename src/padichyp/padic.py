@@ -61,7 +61,7 @@ def valuation_of_int(n: int, p: int) -> int:
 
 
 def _modulus(p: int, N: int) -> int:
-    """p^N, for N >= 1 digits."""
+    """p^N, for N >= 1 digits: the one guard against a request for no digit."""
     if N < 1:
         raise PrecisionError(f"need at least one digit, got N={N}")
     return p**N
@@ -105,10 +105,7 @@ class PadicValue:
     @classmethod
     def from_residue(cls, r: int, p: int, N: int) -> "PadicValue":
         """Interpret an integer known modulo p^N as a p-adic value."""
-        if N < 1:
-            raise PrecisionError("need at least one digit of precision")
-        pN = p**N
-        r %= pN
+        r %= _modulus(p, N)
         if r == 0:
             return cls.zero(p, N)
         v = valuation_of_int(r, p)
@@ -177,13 +174,11 @@ def _ratio_to_padic(num: int, den: int, p: int, N: int) -> PadicValue:
     """num/den into Q_p with unit known mod p^N, for integers num and den != 0
     in any form: nothing needs the pair in lowest terms."""
     check_prime(p)
-    if N < 1:
-        raise PrecisionError("need at least one digit of precision")
+    pN = _modulus(p, N)
     if num == 0:
         return PadicValue.zero(p)
     vn = valuation_of_int(num, p)
     vd = valuation_of_int(den, p)
-    pN = p**N
     unit = num // p**vn * pow(den // p**vd, -1, pN) % pN
     return PadicValue(p, vn - vd, unit, N)
 
@@ -275,7 +270,5 @@ def teichmuller(a: int, p: int, N: int) -> PadicValue:
     check_prime(p)
     if a % p == 0:
         raise ValueError("Teichmuller lift requires gcd(a, p) = 1")
-    if N < 1:
-        raise PrecisionError("need at least one digit of precision")
-    u = pow(a, p ** (N - 1), p**N)
+    u = pow(a, p ** (N - 1), _modulus(p, N))
     return PadicValue(p, 0, u, N)

@@ -142,9 +142,9 @@ def _evaluated_tables():
     runs = []
     for lo, hi in ((None, None), (449, 499)):
         tasks, _ = checks.CLAIMS["prop2.2"].plan(lo, hi)
-        runs += [(checks.parse_args(t.params["args"]), t.primes[0]) for t in tasks]
+        runs += [(checks.parse_args(t.params["args"]), t.p) for t in tasks]
         tasks, _ = checks.CLAIMS["ao"].plan(lo, hi)
-        runs += [([Fraction(1, 2)] * 4, t.primes[0]) for t in tasks]
+        runs += [([Fraction(1, 2)] * 4, t.p) for t in tasks]
     runs += [(checks.parse_args(a), 7) for a in GREENE_CLI_ARGS]
     pairs = {(a, Character.trivial(p)) for args, p in runs
              for a in characters_for_arguments(args, p)}

@@ -25,10 +25,10 @@ from padichyp.report import CSV_COLUMNS, CongruenceReport, sort_reports, write_r
 
 
 def _task(claim, primes, **params):
-    """Reports of one registry task at the claim's default modulus."""
+    """Reports of the claim's registry tasks, one per prime, at its default modulus."""
     mod = checks.CLAIMS[claim].mod
-    return checks.run_task(checks.Task(claim, params, primes, mod, checks.DEFAULT_SEED,
-                                       max(primes, default=None)))
+    return [r for p in primes for r in checks.run_task(
+        checks.Task(claim, params, p, mod, checks.DEFAULT_SEED, max(primes)))]
 
 
 def _text(reports, fmt):
@@ -41,7 +41,7 @@ def _text(reports, fmt):
 def _split(claim, params, lo, hi):
     """(admissible, skipped) odd primes in [lo, hi], read off the claim's plan."""
     tasks, skipped = checks.CLAIMS[claim].plan(lo, hi, params)
-    return [t.primes[0] for t in tasks], [s[2] for s in skipped]
+    return [t.p for t in tasks], [s[2] for s in skipped]
 
 
 def test_prime_filter_prop22():
@@ -104,10 +104,11 @@ def test_default_args_for_dlists():
 
 def test_theorem23_delta_branches():
     # two halves: argument sum 1 > n-1 = 0, correction inactive
-    reports = checks.check_g_vs_trunc("thm2.3", {}, [Fraction(1, 2)] * 2, [5, 13], 2)
+    reports = [checks.check_g_vs_trunc("thm2.3", {}, [Fraction(1, 2)] * 2, p, 2)
+               for p in (5, 13)]
     assert all(r.passed for r in reports)
     # four halves: argument sum 2 = n-1, correction p * prod(Gamma) required
-    reports = checks.check_g_vs_trunc("thm2.3", {}, [Fraction(1, 2)] * 4, [11], 2)
+    reports = [checks.check_g_vs_trunc("thm2.3", {}, [Fraction(1, 2)] * 4, 11, 2)]
     assert all(r.passed for r in reports)
     # without the correction the congruence must fail
     from padichyp.gfunction import GArguments, g_function
@@ -131,7 +132,8 @@ def test_g_vs_trunc_fails_without_the_sp_term(monkeypatch, claim, primes, params
     rows = [r for r in _task(claim, primes, **params) if r.claim == claim]
     assert len(rows) == len(primes) and all(r.passed for r in rows)
     monkeypatch.setattr(checks, "s_factor", lambda fracs, p, N: PadicValue.zero(p))
-    rows = checks.check_g_vs_trunc(claim, params, args, primes, checks.CLAIMS[claim].mod)
+    rows = [checks.check_g_vs_trunc(claim, params, args, p, checks.CLAIMS[claim].mod)
+            for p in primes]
     assert len(rows) == len(primes)
     assert all(not r.passed and r.diff_valuation == 1 for r in rows)
 
@@ -256,18 +258,20 @@ def test_g_rows_fail_with_the_reflection_sign_flipped(monkeypatch, claim, row_cl
 
 
 def test_power_sum_rows_fail_when_the_sum_is_perturbed(monkeypatch):
-    rows = [r for r in checks.check_lemma_suites([7, 11]) if r.claim == "eq3.2"]
+    rows = [r for r in checks.check_lemma_suites(7) + checks.check_lemma_suites(11)
+            if r.claim == "eq3.2"]
     assert len(rows) == 2 * (6 + 10) and all(r.passed for r in rows)
     # one more than each true power sum: pow is looked up in the checks module
     monkeypatch.setattr(checks, "pow", lambda j, k, p: pow(j, k, p) + (j == 1), raising=False)
-    rows = [r for r in checks.check_lemma_suites([7, 11]) if r.claim == "eq3.2"]
+    rows = [r for r in checks.check_lemma_suites(7) + checks.check_lemma_suites(11)
+            if r.claim == "eq3.2"]
     assert len(rows) == 2 * (6 + 10)
     assert all(not r.passed and r.diff_valuation == 0 for r in rows)
 
 
 def test_theorem23_precondition():
     with pytest.raises(ValueError):  # argument sum < n-1
-        checks.check_g_vs_trunc("thm2.3", {}, [Fraction(1, 9)] * 6, [7], 2)
+        checks.check_g_vs_trunc("thm2.3", {}, [Fraction(1, 9)] * 6, 7, 2)
     with pytest.raises(ValueError):  # rejected when planned, before any check runs
         checks.CLAIMS["thm2.3"].plan(params={"args": ",".join(["1/9"] * 6)})
 
@@ -427,7 +431,7 @@ def test_lemma_tasks_include_rational_identities():
     tasks, skipped = checks.CLAIMS["lemmas"].plan()
     assert {t.claim for t in tasks} == {"lemmas"}
     # one task per prime, then the prime-independent rational identities
-    assert [t.primes for t in tasks] == [[7], [11], [13], []]
+    assert [t.p for t in tasks] == [7, 11, 13, None]
     tasks, skipped = checks.CLAIMS["lemmas"].plan(3, 13)
     assert any(s[2] in (3, 5) for s in skipped)  # p < 7 recorded, not run
 
@@ -556,7 +560,7 @@ def _main(*argv):
      "need at least one digit, got N=0"),
     (["qexp", "--form", "rv", "--truncation", "0"], "truncation must be >= 1"),
     (["trunc", "--args", "1/2,1/2", "--p", "7", "--precision", "0"],
-     "need at least one digit of precision"),
+     "need at least one digit, got N=0"),
     (["trunc", "--args", "1/2,1/2", "-m", "3", "--precision", "7"], "give --p"),
     (["qexp", "--form", "gamma", "--eta", "1^24"], "--eta: not allowed with argument --form"),
     (["trunc", "--args", "1/2,1/2", "-m", "3", "--p", "0"], "p=0 is not an odd prime"),
@@ -578,6 +582,21 @@ def _main(*argv):
      "--args wants fractions m1/d1,...; field 1 is '1/0'"),
     (["trunc", "--args", "1/2,1/2", "--bottom", "x", "-m", "3"],
      "--bottom wants fractions m1/d1,...; field 1 is 'x'"),
+    (["gfun", "--args", "1/2,1/2", "--p", "7", "--precision", "0"],
+     "need at least one digit, got N=0"),
+    (["gamma", "1/0", "--p", "7"], "x wants one fraction m/d; got '1/0'"),
+    (["gamma", "x", "--p", "7"], "x wants one fraction m/d; got 'x'"),
+    (["gamma", "1/3,1/2", "--p", "7"], "x wants one fraction m/d; got '1/3,1/2'"),
+    (["gamma", "", "--p", "7"], "x wants one fraction m/d; got ''"),
+    (["trunc", "--args", "1/2,1/2", "-m", "3", "--z", "1/0"],
+     "--z wants one fraction m/d; got '1/0'"),
+    (["trunc", "--args", "1/2,1/2", "-m", "3", "--z", "x"], "--z wants one fraction m/d; got 'x'"),
+    (["trunc", "--args", "1/2,1/2", "-m", "3", "--z", ""], "--z wants one fraction m/d; got ''"),
+    (["trunc", "--args", "1/2,1/2", "-m", "3", "--z", "1,2"],
+     "--z wants one fraction m/d; got '1,2'"),
+    (["qexp", "--eta", "2^x"], "--eta wants s1^e1,...; field 1 is '2^x'"),
+    (["qexp", "--eta", "1^24,^4"], "--eta wants s1^e1,...; field 2 is '^4'"),
+    (["qexp", "--eta", ""], "--eta wants s1^e1,...; field 1 is ''"),
 ])
 def test_cli_usage_errors_exit_2(argv, message):
     with patch.object(checks, "run_config") as run:

@@ -116,12 +116,12 @@ def _evaluated_series():
     for cid in ("thm2.4", "thm2.5", "thm2.6", "thm2.7"):
         claim = CLAIMS[cid]
         for t in claim.plan()[0]:
-            out.add((tuple(claim.args(t.params)), t.primes[0], t.mod + GUARD))
+            out.add((tuple(claim.args(t.params)), t.p, t.mod + GUARD))
     half = (Fraction(1, 2),) * 4
     quint = tuple(Fraction(i, 5) for i in range(1, 5))
     for lo, hi in [(None, None), (449, 499)]:
-        out.update((half, t.primes[0], 5) for t in CLAIMS["ao"].plan(lo, hi)[0])
-        out.update((quint, t.primes[0], CLAIMS["conj1.3"].mod + GUARD)
+        out.update((half, t.p, 5) for t in CLAIMS["ao"].plan(lo, hi)[0])
+        out.update((quint, t.p, CLAIMS["conj1.3"].mod + GUARD)
                    for t in CLAIMS["conj1.3"].plan(lo, hi)[0])
     return sorted(out)
 

@@ -9,6 +9,10 @@ from hypothesis import strategies as st
 
 import oracles
 
+from padichyp.characters import Character, greene_series_scaled
+from padichyp.gamma import g1, gamma_p
+from padichyp.gfunction import GArguments
+from padichyp.hyp import HypParams, truncated_hyp
 from padichyp.padic import (
     PadicValue,
     PrecisionError,
@@ -268,3 +272,27 @@ def test_sub_equals_add_of_negation(pair):
     got = a - b
     assert (got.prime, got.valuation, got.unit, got.rel_prec) == \
         (want.prime, want.valuation, want.unit, want.rel_prec)
+
+
+
+HALF = Fraction(1, 2)
+
+# every entry point that takes a digit count N, called with N = 0
+NO_DIGIT = {
+    "from_residue": lambda: PadicValue.from_residue(3, 7, 0),
+    "rational_to_padic": lambda: rational_to_padic(Fraction(1, 3), 7, 0),
+    "teichmuller": lambda: teichmuller(3, 7, 0),
+    "truncated_hyp": lambda: truncated_hyp(HypParams((HALF, HALF), (Fraction(1),), 1, 6), 7, 0),
+    "g1": lambda: g1(Fraction(1, 3), 7, 0),
+    "GArguments": lambda: GArguments(7, (HALF, HALF), 0),
+    "gamma_p": lambda: gamma_p(Fraction(1, 3), 7, 0),
+    "greene_series_scaled": lambda: greene_series_scaled(
+        [Character.quadratic(7)] * 2, [Character.trivial(7)], 1, 0),
+}
+
+
+@pytest.mark.parametrize("entry", list(NO_DIGIT))
+def test_no_digit_raises_the_one_modulus_error(entry):
+    """At N = 0 every entry point stops at padic._modulus, with its one message."""
+    with pytest.raises(PrecisionError, match=r"^need at least one digit, got N=0$"):
+        NO_DIGIT[entry]()
