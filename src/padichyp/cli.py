@@ -206,9 +206,9 @@ def _command(ns) -> int:
         elif ns.eta is not None:
             factors = []
             for i, part in enumerate(ns.eta.split(","), 1):
-                base, _, expo = part.partition("^")
+                base, caret, expo = part.partition("^")
                 try:
-                    factors.append((int(base), int(expo or 1)))
+                    factors.append((int(base), int(expo if caret else 1)))
                 except ValueError:
                     raise ValueError(f"--eta wants s1^e1,...; field {i} is {part!r}") from None
             series = eta_product(factors, ns.truncation)

@@ -597,6 +597,7 @@ def _main(*argv):
     (["qexp", "--eta", "2^x"], "--eta wants s1^e1,...; field 1 is '2^x'"),
     (["qexp", "--eta", "1^24,^4"], "--eta wants s1^e1,...; field 2 is '^4'"),
     (["qexp", "--eta", ""], "--eta wants s1^e1,...; field 1 is ''"),
+    (["qexp", "--eta", "1^22,2^"], "--eta wants s1^e1,...; field 2 is '2^'"),
 ])
 def test_cli_usage_errors_exit_2(argv, message):
     with patch.object(checks, "run_config") as run:
