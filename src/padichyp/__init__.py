@@ -24,17 +24,7 @@ from .gamma import (
 )
 from .gfunction import GArguments, g_function, s_factor, theorem26_sign
 from .hyp import HypParams, rising_factorial, truncated_hyp, truncated_hyp_exact
-from .padic import (
-    PadicValue,
-    PrecisionError,
-    congruent_mod,
-    padic_add,
-    padic_inv,
-    padic_mul,
-    padic_neg,
-    rational_to_padic,
-    teichmuller,
-)
+from .padic import PadicValue, PrecisionError, congruent_mod, rational_to_padic
 from .checks import RunConfig, run_config
 from .qseries import QSeries, eta_product, gamma_coeffs, rv_form_coeffs
 from .report import CongruenceReport
@@ -47,8 +37,7 @@ __all__ = [
     "bin_harmonic_id2", "characters_for_arguments", "congruent_mod",
     "eta_product", "g1", "g2", "g_function", "gamma_coeffs", "gamma_p",
     "greene_series_scaled", "lemma_P_sum", "lemma_PQ_expected",
-    "lemma_Q_sum", "lemma_check_gamma_suite", "padic_add", "padic_inv",
-    "padic_mul", "padic_neg", "rational_to_padic", "rep",
+    "lemma_Q_sum", "lemma_check_gamma_suite", "rational_to_padic", "rep",
     "rising_factorial", "run_config", "rv_form_coeffs", "s_factor",
-    "teichmuller", "theorem26_sign", "truncated_hyp", "truncated_hyp_exact",
+    "theorem26_sign", "truncated_hyp", "truncated_hyp_exact",
 ]

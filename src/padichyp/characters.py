@@ -31,10 +31,10 @@ the series stays an independent check of the G function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from ._record import FrozenRecord
 from .padic import PadicValue, _modulus, check_prime
 
 
@@ -74,16 +74,16 @@ def _omega_powers(p: int, N: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Character:
-    """chi = wbar^exponent on F_p*, extended by chi(0) = 0."""
+class Character(FrozenRecord):
+    """chi = wbar^exponent on F_p*, extended by chi(0) = 0; the exponent is
+    stored mod p - 1."""
 
-    prime: int
-    exponent: int
+    __slots__ = ("prime", "exponent")
 
-    def __post_init__(self) -> None:
-        check_prime(self.prime)
-        object.__setattr__(self, "exponent", self.exponent % (self.prime - 1))
+    def __init__(self, prime: int, exponent: int) -> None:
+        check_prime(prime)
+        object.__setattr__(self, "prime", prime)
+        object.__setattr__(self, "exponent", exponent % (prime - 1))
 
     @classmethod
     def trivial(cls, p: int) -> "Character":

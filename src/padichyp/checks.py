@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import math
 import os
-import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from . import combinatorics as comb
+from ._record import FrozenRecord, Record
 from .characters import Character, characters_for_arguments, greene_series_scaled
 from .gamma import check_gamma_properties, lemma_check_gamma_suite
 from .gfunction import GArguments, g_function, s_factor, theorem26_sign
@@ -212,6 +211,8 @@ def check_form(claim: str, p: int, horizon: int | None = None, mod: int | None =
 
 def _pq_tuples(p: int, seed: int, count: int = 100) -> list[tuple[int, ...]]:
     """Seeded a-tuples with T <= 2(p-1), always including boundary cases."""
+    import random
+
     rng = random.Random(seed * 1_000_003 + p)
     tuples = [(2 * (p - 1),), (p - 1, p - 1), (2 * p - 3, 1),
               (p - 1, p - 2, 1), (1,), (1, 1, 1)]
@@ -252,6 +253,8 @@ def check_lemma_pq(p: int, seed: int = DEFAULT_SEED) -> list[CongruenceReport]:
 
 def check_bin_harmonic_ids(seed: int = DEFAULT_SEED) -> list[CongruenceReport]:
     """Both identities, exactly zero over Q on their full grids."""
+    import random
+
     out = []
     for m in range(1, 31):
         for n in range(1, m + 1):
@@ -299,20 +302,29 @@ class Task(NamedTuple):
     horizon: int | None = None
 
 
-@dataclass(frozen=True)
-class Claim:
-    """One claim family of the registry."""
+class Claim(FrozenRecord):
+    """One claim family of the registry:
+    - admissible(p, params): the precondition holds at p;
+    - accepts: a subset of PARAMS, which a run gives all of or none of;
+    - grid: the parameter sets run when none are given;
+    - primes: the default prime range;
+    - mod: the default modulus, or None where the checker fixes its moduli;
+    - check(task, args): the rows of a task;
+    - args(params): the G-function arguments of a parameter set, raising
+      ValueError on an invalid one;
+    - prime_free: also plan one task with no prime."""
 
-    id: str
-    admissible: Callable[[int, dict], bool]  # (p, params): precondition holds
-    accepts: tuple[str, ...]  # subset of PARAMS; a run gives all of them or none
-    grid: tuple[dict, ...]  # the parameter sets run when none are given
-    primes: tuple[int, int]  # default prime range
-    mod: int | None  # default modulus; None: the checker fixes its moduli
-    check: Callable[[Task, list[Fraction]], list[CongruenceReport]]
-    # the G-function arguments of a parameter set; ValueError on an invalid one
-    args: Callable[[dict], list[Fraction]] = lambda q: []
-    prime_free: bool = False  # also plans one task with no prime
+    __slots__ = ("id", "admissible", "accepts", "grid", "primes", "mod", "check",
+                 "args", "prime_free")
+
+    def __init__(self, id: str, admissible: Callable[[int, dict], bool],
+                 accepts: tuple[str, ...], grid: tuple[dict, ...], primes: tuple[int, int],
+                 mod: int | None, check: Callable[[Task, list[Fraction]], list[CongruenceReport]],
+                 args: Callable[[dict], list[Fraction]] = lambda q: [],
+                 prime_free: bool = False) -> None:
+        for name, value in zip(self.__slots__, (id, admissible, accepts, grid, primes, mod,
+                                                check, args, prime_free)):
+            object.__setattr__(self, name, value)
 
     def plan(self, lo: int | None = None, hi: int | None = None,
              params: dict | None = None, mod: int | None = None,
@@ -452,18 +464,23 @@ def run_tasks(tasks, jobs: int = 1) -> list[CongruenceReport]:
     return sort_reports([r for ch in chunks for r in ch])
 
 
-@dataclass
-class RunConfig:
+class RunConfig(Record):
     """One reproducible harness run; the defaults reproduce the shipped
-    acceptance grids (claim None means check-all)."""
+    acceptance grids (claim None means check-all), and params holds values
+    for PARAMS."""
 
-    claim: str | None = None
-    p_min: int | None = None
-    p_max: int | None = None
-    mod_power: int | None = None
-    params: dict = field(default_factory=dict)  # values for PARAMS
-    jobs: int = 1
-    seed: int = DEFAULT_SEED
+    __slots__ = ("claim", "p_min", "p_max", "mod_power", "params", "jobs", "seed")
+
+    def __init__(self, claim: str | None = None, p_min: int | None = None,
+                 p_max: int | None = None, mod_power: int | None = None,
+                 params: dict | None = None, jobs: int = 1, seed: int = DEFAULT_SEED) -> None:
+        self.claim = claim
+        self.p_min = p_min
+        self.p_max = p_max
+        self.mod_power = mod_power
+        self.params = {} if params is None else params
+        self.jobs = jobs
+        self.seed = seed
 
     def plan(self):
         """(tasks, skipped); raises ValueError on any input the run cannot honour."""

@@ -151,11 +151,13 @@ def _emit_reports(reports, skipped, ns) -> int:
 
 
 def _run_checks(ns) -> int:
-    cfg = checks.RunConfig(jobs=ns.jobs, seed=ns.seed)
     if ns.command == "check":
-        cfg.claim, cfg.mod_power = ns.claim, ns.precision
-        cfg.p_min, cfg.p_max = (ns.p, ns.p) if ns.p is not None else ns.p_range or (None, None)
-        cfg.params = {name: getattr(ns, name) for name in checks.PARAMS}
+        lo, hi = (ns.p, ns.p) if ns.p is not None else ns.p_range or (None, None)
+        cfg = checks.RunConfig(claim=ns.claim, p_min=lo, p_max=hi, mod_power=ns.precision,
+                               params={name: getattr(ns, name) for name in checks.PARAMS},
+                               jobs=ns.jobs, seed=ns.seed)
+    else:
+        cfg = checks.RunConfig(jobs=ns.jobs, seed=ns.seed)
     cfg.plan()  # raises on any usage error before a check runs
     if ns.out:
         _check_out(ns.out)

@@ -202,17 +202,18 @@ def gamma_residues(rs, p: int, N: int) -> list[int]:
 
 
 def _as_residue(x, p: int, N: int) -> int:
-    """Reduce x (int, Fraction or PadicValue in Z_p) to its residue mod p^N."""
+    """Reduce x (int, Fraction or PadicValue in Z_p) to its residue mod p^N;
+    an x outside Z_p is a ValueError that names x and p."""
     pN = _modulus(p, N)
     if isinstance(x, PadicValue):
         if x.prime != p:
             raise ValueError("mixed primes")
         if not x.is_zero and x.valuation < 0:
-            raise ValueError("gamma requires valuation >= 0")
+            raise ValueError(f"a {p}-adic value of valuation {x.valuation} is not in Z_{p}")
         return x.residue(N)
     q = Fraction(x)
     if q.denominator % p == 0:
-        raise ValueError("gamma requires a p-integral argument")
+        raise ValueError(f"{q} is not in Z_{p}: p={p} divides its denominator")
     return q.numerator * pow(q.denominator, -1, pN) % pN
 
 

@@ -44,33 +44,33 @@ gamma_residues would give.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import FrozenRecord
 from .gamma import _as_residue, gamma_residues
 from .padic import PadicValue, _modulus, check_prime
 
 
-@dataclass(frozen=True)
-class GArguments:
-    """Validated argument pack for :func:`g_function`."""
+class GArguments(FrozenRecord):
+    """Validated argument pack for :func:`g_function`; args are stored as a
+    tuple of Fractions."""
 
-    prime: int
-    args: tuple[Fraction, ...]
-    precision: int
+    __slots__ = ("prime", "args", "precision")
 
-    def __post_init__(self) -> None:
-        check_prime(self.prime)
-        args = tuple(Fraction(a) for a in self.args)
-        object.__setattr__(self, "args", args)
+    def __init__(self, prime: int, args, precision: int) -> None:
+        check_prime(prime)
+        args = tuple(Fraction(a) for a in args)
         if len(args) < 2:
             raise ValueError("need at least two arguments (n >= 1)")
-        _modulus(self.prime, self.precision)
+        _modulus(prime, precision)
         for a in args:
             if not 0 < a < 1:
                 raise ValueError(f"argument {a} is not strictly inside (0, 1)")
-            if a.denominator % self.prime == 0:
-                raise ValueError(f"p={self.prime} divides the denominator of {a}")
+            if a.denominator % prime == 0:
+                raise ValueError(f"p={prime} divides the denominator of {a}")
+        object.__setattr__(self, "prime", prime)
+        object.__setattr__(self, "args", args)
+        object.__setattr__(self, "precision", precision)
 
 
 def g_function(ga: GArguments) -> PadicValue:

@@ -11,21 +11,25 @@ term.  A Fraction appears only at the API boundary: :func:`truncated_hyp_exact`
 and :func:`rising_factorial`.
 
 Reduction mod p^N.  :func:`truncated_hyp` runs the same pass with num and den
-reduced mod p^(N+1).  When every v_k is a p-adic unit (den mod p != 0;
-always so for bottom parameters of 1 at truncation <= p - 1), the series is
-num/den with num known mod p^(N+1): a nonzero num of valuation v <= 1 leaves
-N relative digits.  Otherwise (a p in some v_k, num = 0 mod p^(N+1), or
-v > 1) the exact pair decides, so p-divisible factors along the way cost
-nothing.  Either pair goes through the one unit path, _ratio_to_padic, which
-reads the valuations off num and den and reduces the unit once.
+reduced mod p^(N+r), r spare digits for the r top parameters.  When every v_k
+is a p-adic unit (den mod p != 0; always so for bottom parameters of 1 at
+truncation <= p - 1), the series is num/den with num known mod p^(N+r): a
+nonzero num of valuation v <= r leaves N relative digits.  In check-all every
+series that vanishes mod p does so to order at most r - 1 (mod p^2 for the
+three-parameter series of thm2.5, mod p^3 for the four-parameter series of
+thm2.6 at (d1, d2) = (3, 4)), so each takes this one pass.  Only as the last
+resort (a p in some v_k, num = 0 mod p^(N+r), or v > r) does the exact pair
+decide, so p-divisible factors along the way cost nothing.  Either pair goes
+through the one unit path, _ratio_to_padic, which reads the valuations off
+num and den and reduces the unit once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import FrozenRecord
 from .padic import PadicValue, _modulus, _ratio_to_padic, check_prime, valuation_of_int
 
 
@@ -39,22 +43,25 @@ def rising_factorial(a, n: int) -> Fraction:
     return Fraction(math.prod(num + k * den for k in range(n)), den**n)
 
 
-@dataclass(frozen=True)
-class HypParams:
-    top: tuple[Fraction, ...]
-    bottom: tuple[Fraction, ...]
-    z: Fraction
-    truncation: int
+class HypParams(FrozenRecord):
+    """The parameters of a truncated series; top and bottom are stored as
+    tuples of Fractions, z as a Fraction."""
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "top", tuple(Fraction(a) for a in self.top))
-        object.__setattr__(self, "bottom", tuple(Fraction(b) for b in self.bottom))
-        object.__setattr__(self, "z", Fraction(self.z))
-        if self.truncation < 0:
+    __slots__ = ("top", "bottom", "z", "truncation")
+
+    def __init__(self, top, bottom, z, truncation: int) -> None:
+        top = tuple(Fraction(a) for a in top)
+        bottom = tuple(Fraction(b) for b in bottom)
+        z = Fraction(z)
+        if truncation < 0:
             raise ValueError("truncation must be >= 0")
-        for b in self.bottom:
+        for b in bottom:
             if b <= 0 and b.denominator == 1:
                 raise ValueError("bottom parameters may not be zero or negative integers")
+        object.__setattr__(self, "top", top)
+        object.__setattr__(self, "bottom", bottom)
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "truncation", truncation)
 
 
 def _series_pair(params: HypParams, modulus: int | None = None) -> tuple[int, int]:
@@ -98,7 +105,8 @@ def truncated_hyp(params: HypParams, p: int, N: int) -> PadicValue:
             raise ValueError("parameters must be p-integral")
     if params.truncation > p - 1:
         raise ValueError("truncation beyond p - 1 is outside the guaranteed range")
-    num, den = _series_pair(params, _modulus(p, N) * p)
-    if not (num and den % p and valuation_of_int(num, p) <= 1):
+    r = len(params.top)
+    num, den = _series_pair(params, _modulus(p, N) * p**r)
+    if not (num and den % p and valuation_of_int(num, p) <= r):
         num, den = _series_pair(params)
     return _ratio_to_padic(num, den, p, N)

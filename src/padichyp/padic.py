@@ -16,9 +16,10 @@ table builders stay desk-sized; check_prime reads them from one table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
+
+from ._record import FrozenRecord
 
 PRIME_BOUND = 500
 
@@ -67,34 +68,34 @@ def _modulus(p: int, N: int) -> int:
     return p**N
 
 
-@dataclass(frozen=True)
-class PadicValue:
+class PadicValue(FrozenRecord):
     """An element of Q_p known to fixed relative precision.
 
     ``valuation is None`` encodes zero; then ``unit == 0`` and ``rel_prec``
     holds the absolute precision to which the value is known to vanish.
     """
 
-    prime: int
-    valuation: int | None
-    unit: int
-    rel_prec: int | float
+    __slots__ = ("prime", "valuation", "unit", "rel_prec")
 
-    def __post_init__(self) -> None:
-        check_prime(self.prime)
-        if self.valuation is None:
-            if self.unit != 0:
+    def __init__(self, prime: int, valuation: int | None, unit: int,
+                 rel_prec: int | float) -> None:
+        check_prime(prime)
+        if valuation is None:
+            if unit != 0:
                 raise ValueError("zero value must have unit 0")
             # rel_prec holds the absolute precision here; it may be negative
             # (a cancelled sum of negative-valuation values) or infinite
         else:
-            if self.rel_prec < 1:
+            if rel_prec < 1:
                 raise PrecisionError("relative precision fell below 1")
-            modulus = self.prime**self.rel_prec
-            if not 0 < self.unit < modulus:
+            if not 0 < unit < prime**rel_prec:
                 raise ValueError("unit out of range for stated precision")
-            if self.unit % self.prime == 0:
+            if unit % prime == 0:
                 raise ValueError("unit must be coprime to p")
+        object.__setattr__(self, "prime", prime)
+        object.__setattr__(self, "valuation", valuation)
+        object.__setattr__(self, "unit", unit)
+        object.__setattr__(self, "rel_prec", rel_prec)
 
     # -- constructors ------------------------------------------------------
 
@@ -143,22 +144,50 @@ class PadicValue:
             raise ValueError("mixed primes")
 
     def __add__(self, other: "PadicValue") -> "PadicValue":
-        return padic_add(self, other)
+        self._require_same_prime(other)
+        p = self.prime
+        a, b = self, other
+        if a.is_zero and b.is_zero:
+            return PadicValue.zero(p, min(a.abs_prec, b.abs_prec))
+        if a.is_zero:
+            a, b = b, a
+        if b.is_zero:
+            if b.abs_prec >= a.abs_prec:
+                return a
+            if b.abs_prec <= a.valuation:
+                return PadicValue.zero(p, b.abs_prec)
+            return PadicValue(p, a.valuation, a.unit % p ** (b.abs_prec - a.valuation),
+                              b.abs_prec - a.valuation)
+        return _nonzero_sum(a, b, 1)
 
     def __sub__(self, other: "PadicValue") -> "PadicValue":
         if self.is_zero or other.is_zero:
-            return padic_add(self, padic_neg(other))
+            return self + -other
         self._require_same_prime(other)
         return _nonzero_sum(self, other, -1)
 
     def __mul__(self, other: "PadicValue") -> "PadicValue":
-        return padic_mul(self, other)
+        self._require_same_prime(other)
+        p = self.prime
+        if self.is_zero or other.is_zero:
+            # val(xy) >= bound(x) + val(y); exact zeros stay exact
+            za = self.abs_prec if self.is_zero else self.valuation
+            zb = other.abs_prec if other.is_zero else other.valuation
+            return PadicValue.zero(p, za + zb)
+        n = min(self.rel_prec, other.rel_prec)
+        return PadicValue(p, self.valuation + other.valuation, self.unit * other.unit % p**n, n)
 
     def __neg__(self) -> "PadicValue":
-        return padic_neg(self)
+        if self.is_zero:
+            return self
+        return PadicValue(self.prime, self.valuation, -self.unit % self.prime**self.rel_prec,
+                          self.rel_prec)
 
     def inverse(self) -> "PadicValue":
-        return padic_inv(self)
+        if self.is_zero:
+            raise ZeroDivisionError("inversion of p-adic zero")
+        n = self.rel_prec
+        return PadicValue(self.prime, -self.valuation, pow(self.unit, -1, self.prime**n), n)
 
 
 def rational_to_padic(q: Rational | int, p: int, N: int) -> PadicValue:
@@ -183,23 +212,6 @@ def _ratio_to_padic(num: int, den: int, p: int, N: int) -> PadicValue:
     return PadicValue(p, vn - vd, unit, N)
 
 
-def padic_add(a: PadicValue, b: PadicValue) -> PadicValue:
-    a._require_same_prime(b)
-    p = a.prime
-    if a.is_zero and b.is_zero:
-        return PadicValue.zero(p, min(a.abs_prec, b.abs_prec))
-    if a.is_zero:
-        a, b = b, a
-    if b.is_zero:
-        if b.abs_prec >= a.abs_prec:
-            return a
-        if b.abs_prec <= a.valuation:
-            return PadicValue.zero(p, b.abs_prec)
-        return PadicValue(p, a.valuation, a.unit % p ** (b.abs_prec - a.valuation),
-                          b.abs_prec - a.valuation)
-    return _nonzero_sum(a, b, 1)
-
-
 def _nonzero_sum(a: PadicValue, b: PadicValue, sign: int) -> PadicValue:
     """a + sign*b for nonzero a and b of one prime, sign = 1 or -1: the
     digits of the result are computed once, so a - b builds no -b."""
@@ -220,31 +232,6 @@ def _nonzero_sum(a: PadicValue, b: PadicValue, sign: int) -> PadicValue:
     return PadicValue(p, v + t, (s // p**t) % p ** (n - t), n - t)
 
 
-def padic_mul(a: PadicValue, b: PadicValue) -> PadicValue:
-    a._require_same_prime(b)
-    p = a.prime
-    if a.is_zero or b.is_zero:
-        # val(xy) >= bound(x) + val(y); exact zeros stay exact
-        za = a.abs_prec if a.is_zero else a.valuation
-        zb = b.abs_prec if b.is_zero else b.valuation
-        return PadicValue.zero(p, za + zb)
-    n = min(a.rel_prec, b.rel_prec)
-    return PadicValue(p, a.valuation + b.valuation, a.unit * b.unit % p**n, n)
-
-
-def padic_neg(a: PadicValue) -> PadicValue:
-    if a.is_zero:
-        return a
-    return PadicValue(a.prime, a.valuation, -a.unit % a.prime**a.rel_prec, a.rel_prec)
-
-
-def padic_inv(a: PadicValue) -> PadicValue:
-    if a.is_zero:
-        raise ZeroDivisionError("inversion of p-adic zero")
-    n = a.rel_prec
-    return PadicValue(a.prime, -a.valuation, pow(a.unit, -1, a.prime**n), n)
-
-
 def congruent_mod(a: PadicValue, b: PadicValue, k: int) -> bool:
     """True iff valuation(a - b) >= k.
 
@@ -263,12 +250,3 @@ def _diff_valuation(a: PadicValue, b: PadicValue, k: int) -> int | None:
         raise PrecisionError(f"congruence mod p^{k} requested but operands are only known "
                              f"mod p^{a.abs_prec} and p^{b.abs_prec}")
     return d.valuation
-
-
-def teichmuller(a: int, p: int, N: int) -> PadicValue:
-    """The (p-1)-th root of unity congruent to a mod p: a^(p^(N-1)) mod p^N."""
-    check_prime(p)
-    if a % p == 0:
-        raise ValueError("Teichmuller lift requires gcd(a, p) = 1")
-    u = pow(a, p ** (N - 1), _modulus(p, N))
-    return PadicValue(p, 0, u, N)

@@ -11,26 +11,26 @@ Coefficients are exact integers throughout.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
 from fractions import Fraction
 
+from ._record import Record
 
-@dataclass
-class QSeries:
+
+class QSeries(Record):
     """Truncated integer q-series: coeffs[k] is the coefficient of
-    q^(offset + k), valid through q^truncation inclusive."""
+    q^(offset + k), valid through q^truncation inclusive (by default, the
+    last coefficient given)."""
 
-    offset: int
-    coeffs: list[int]
-    truncation: int = field(default=-1)
+    __slots__ = ("offset", "coeffs", "truncation")
 
-    def __post_init__(self) -> None:
-        if self.truncation < 0:
-            self.truncation = self.offset + len(self.coeffs) - 1
-        expected = self.truncation - self.offset + 1
-        if len(self.coeffs) != expected:
+    def __init__(self, offset: int, coeffs: list[int], truncation: int = -1) -> None:
+        if truncation < 0:
+            truncation = offset + len(coeffs) - 1
+        if len(coeffs) != truncation - offset + 1:
             raise ValueError("coefficient window does not match truncation")
+        self.offset = offset
+        self.coeffs = coeffs
+        self.truncation = truncation
 
     def coefficient(self, n: int) -> int:
         if n > self.truncation:
@@ -137,6 +137,8 @@ def hecke_bound_ok(series: QSeries, p: int) -> bool:
 
 def write_coefficients_csv(series: QSeries, fileobj) -> None:
     """Two columns n, coefficient from the leading power to the truncation."""
+    import csv
+
     w = csv.writer(fileobj)
     w.writerow(["n", "coefficient"])
     for n in range(series.offset, series.truncation + 1):

@@ -35,9 +35,9 @@ a report (``to_dict``), are kept as oracles in ``tests/oracles.py``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_str
 
+from ._record import Record
 from .padic import PadicValue, _diff_valuation
 
 SCHEMA_VERSION = 1
@@ -49,18 +49,25 @@ CSV_COLUMNS = [
 ]
 
 
-@dataclass(slots=True)
-class CongruenceReport:
-    claim: str
-    p: int
-    params: dict
-    mod_power: int
-    lhs_val: int | None
-    lhs_unit: int
-    rhs_val: int | None
-    rhs_unit: int
-    diff_valuation: int | None
-    passed: bool
+class CongruenceReport(Record):
+    """One row: the sides of a congruence at p, mod p^mod_power, and its verdict."""
+
+    __slots__ = ("claim", "p", "params", "mod_power", "lhs_val", "lhs_unit",
+                 "rhs_val", "rhs_unit", "diff_valuation", "passed")
+
+    def __init__(self, claim: str, p: int, params: dict, mod_power: int,
+                 lhs_val: int | None, lhs_unit: int, rhs_val: int | None, rhs_unit: int,
+                 diff_valuation: int | None, passed: bool) -> None:
+        self.claim = claim
+        self.p = p
+        self.params = params
+        self.mod_power = mod_power
+        self.lhs_val = lhs_val
+        self.lhs_unit = lhs_unit
+        self.rhs_val = rhs_val
+        self.rhs_unit = rhs_unit
+        self.diff_valuation = diff_valuation
+        self.passed = passed
 
     @classmethod
     def from_sides(cls, claim: str, p: int, params: dict, k: int,

@@ -9,7 +9,7 @@ defining product, swept once over every residue, and the block formula with
 exact tables and every S_i(K), log and exp term taken separately), the
 section-3 suites evaluated one (x, j) point at a time with Fraction harmonic
 sums (the (m1, m2) split of x, 1 - x by rep included), trial division for
-the prime table, json.dumps of each report's schema-1 dict, which the row writer
+the prime table, the Teichmuller lift by one power, json.dumps of each report's schema-1 dict, which the row writer
 replaced, the one-string CSV and human writers the streamed ones replaced,
 and the report sort key through json.dumps.  They stay here so that every
 fast kernel is compared with an independent exact evaluation of it."""
@@ -116,6 +116,15 @@ def truncated_hyp_exact(params: HypParams) -> Fraction:
         term = term * num * params.z / den
         total += term
     return total
+
+
+def teichmuller(a: int, p: int, N: int) -> PadicValue:
+    """The Teichmuller lift omega(a), the (p-1)-th root of unity congruent to
+    a mod p, as a^(p^(N-1)) mod p^N: the value the characters' omega powers
+    must take."""
+    if a % p == 0:
+        raise ValueError("Teichmuller lift requires gcd(a, p) = 1")
+    return PadicValue(p, 0, pow(a, p ** (N - 1), p**N), N)
 
 
 def char_value(chi: Character, x: int, N: int) -> PadicValue:

@@ -555,7 +555,8 @@ def _main(*argv):
     (["check", "thm2.4", "--timing"], "unrecognized arguments: --timing"),
     (["gamma", "1/3", "--p", "7", "--precision", "0"], "need at least one digit, got N=0"),
     (["gamma", "1/3", "--p", "7", "--precision", "-1"], "need at least one digit, got N=-1"),
-    (["gamma", "1/7", "--p", "7", "--precision", "3"], "gamma requires a p-integral argument"),
+    (["gamma", "1/7", "--p", "7", "--precision", "3"],
+     "1/7 is not in Z_7: p=7 divides its denominator"),
     (["greene", "--args", "1/2,1/2", "--p", "7", "--precision", "0"],
      "need at least one digit, got N=0"),
     (["qexp", "--form", "rv", "--truncation", "0"], "truncation must be >= 1"),

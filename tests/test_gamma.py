@@ -158,6 +158,21 @@ def test_negative_valuation_rejected():
         gamma_p(Fraction(1, 7), 7, 2)
 
 
+@pytest.mark.parametrize("caller", ["gamma_p", "rep", "g1", "g2", "s_factor"])
+def test_an_argument_outside_z_p_names_itself_for_every_caller(caller):
+    """Every function that reduces an argument into Z_p gives the same
+    message, which is worded for none of them in particular."""
+    from padichyp.gamma import g1, g2
+    from padichyp.gfunction import s_factor
+    call = {"gamma_p": lambda x: gamma_p(x, 7, 2), "rep": lambda x: rep(x, 7),
+            "g1": lambda x: g1(x, 7, 2), "g2": lambda x: g2(x, 7, 2),
+            "s_factor": lambda x: s_factor([Fraction(1, 2), x], 7, 2)}[caller]
+    with pytest.raises(ValueError, match=r"^1/7 is not in Z_7: p=7 divides its denominator$"):
+        call(Fraction(1, 7))
+    with pytest.raises(ValueError, match=r"^a 7-adic value of valuation -1 is not in Z_7$"):
+        call(rational_to_padic(Fraction(1, 7), 7, 3))
+
+
 def test_reflection():
     for p in (7, 11, 13):
         for x in default_x_grid(p):

@@ -171,20 +171,23 @@ ONES = (F(1),) * 3
 
 
 @pytest.mark.parametrize("params, p, exact_pair", [
-    # a p-adic unit, and valuation 1: the pair mod p^(N+1) keeps N digits
+    # a p-adic unit, and valuation 1: the pair mod p^(N+r), r top
+    # parameters, keeps N digits
     (HypParams((F(1, 5),) * 4, ONES, F(1), 10), 11, False),
     (HypParams((F(1, 2),) * 2, ONES[:1], F(1), 1), 5, False),  # 5/4
     # z with p in its numerator: term k carries p^k, the ratios stay units
     (HypParams((F(1, 2), F(1, 3)), ONES[:1], F(7, 2), 6), 7, False),
-    # valuations 2 and 3: fewer than N digits survive mod p^(N+1)
-    (HypParams((F(1, 3),) * 3, ONES[:2], F(1), 3), 5, True),
-    (HypParams((F(1, 4),) * 4, ONES, F(1), 5), 7, True),
+    # valuations 2 and 3 with r = 3 and 4: still N digits mod p^(N+r)
+    (HypParams((F(1, 3),) * 3, ONES[:2], F(1), 3), 5, False),
+    (HypParams((F(1, 4),) * 4, ONES, F(1), 5), 7, False),
+    # valuation 2 with r = 1: fewer than N digits survive mod p^(N+1)
+    (HypParams((F(1, 6),), (), F(1), 4), 5, True),
     # an exactly zero series, 1 - 1
     (HypParams((F(-1),), (), F(1), 1), 7, True),
     # a bottom factor divisible by p: 1/2 + 3 = 7/2 at k = 4
     (HypParams((F(1, 3),), (F(1, 2),), F(1), 6), 7, True),
-], ids=["unit", "valuation-1", "p-in-z", "valuation-2", "valuation-3", "zero",
-        "p-in-bottom"])
+], ids=["unit", "valuation-1", "p-in-z", "valuation-2", "valuation-3",
+        "valuation-past-headroom", "zero", "p-in-bottom"])
 def test_mod_pm_pair_and_the_exact_fallback_match_the_oracle(monkeypatch, params, p, exact_pair):
     exact = oracles.truncated_hyp_exact(params)
     moduli = []
