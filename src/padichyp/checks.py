@@ -3,21 +3,22 @@
 Each claim family is one entry of the CLAIMS registry: admissibility (the
 congruence-class preconditions of the theorems), accepted parameters, default
 grid, prime range and modulus, and checker.  Planning, validation, check-all
-and the CLI all read it.  Every form row (a sequence side against the p-th
-coefficient of a modular form) is one entry of FORMS, which check_form reads.
-Every result is a congruence at one prime, so a Task is one claim on one
-parameter set at one prime p, and every row builder takes that one p.
-Every run reports the primes it skipped rather than silently narrowing a
-range; the defaults reproduce the acceptance suite.
+and the CLI all read it.  Every result is a congruence at one prime, so a
+Task is one claim on one parameter set at one prime p.  Every claim but
+lemmas lists its rows (claim, params, k, lhs, rhs) from a few side
+functions (G, the Greene series, the truncated series + s(p) p, a form
+coefficient), and one function, _evaluate, turns rows into reports.  Every
+run reports the primes it skipped rather than silently narrowing a range;
+the defaults reproduce the acceptance suite.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, NamedTuple
 
 from . import combinatorics as comb
 from ._record import FrozenRecord, Record
@@ -26,7 +27,7 @@ from .gamma import check_gamma_properties, lemma_check_gamma_suite
 from .gfunction import GArguments, g_function, s_factor, theorem26_sign
 from .hyp import HypParams, truncated_hyp
 from .padic import PRIME_BOUND, PadicValue, check_prime, primes_in, rational_to_padic
-from .qseries import gamma_coeffs, hecke_bound_ok, rv_form_coeffs  # noqa: F401 (FORMS)
+from .qseries import gamma_coeffs, hecke_bound_ok, rv_form_coeffs
 from .report import CongruenceReport, sort_reports
 
 DEFAULT_SEED = 20260810
@@ -53,10 +54,8 @@ def _thm27_class_ok(p: int, d: int, r: int) -> bool:
 @lru_cache(maxsize=None)
 def _form(builder, horizon: int):
     """builder(horizon): a form's coefficients through q^horizon, built once
-    per process for each (builder, horizon).  The checkers ask for the larger
-    of their task's horizon and its prime, so every task of a plan
-    shares one form.  Code that perturbs a form clears the memo with
-    _form.cache_clear()."""
+    per process for each (builder, horizon).  Code that perturbs a form
+    clears the memo with _form.cache_clear()."""
     return builder(horizon)
 
 
@@ -112,96 +111,102 @@ def _thm27_args(q: dict) -> list[Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# claim checkers
+# the sides of the congruences, and the one path from rows to reports
 # ---------------------------------------------------------------------------
 
 
-def check_prop22(args, p: int, mod_power: int = 4) -> CongruenceReport:
-    """G function against the scaled Gaussian series at p, exactly mod p^mod_power."""
-    args = [Fraction(a) for a in args]
-    params = {"d": [a.denominator for a in args], "args": ",".join(map(str, args))}
-    N = mod_power + GUARD
-    lhs = g_function(GArguments(p, tuple(args), N))
+def _g(args, p: int, N: int) -> PadicValue:
+    """McCarthy's G(args)_p mod p^N."""
+    return g_function(GArguments(p, tuple(args), N))
+
+
+def _greene(args, p: int, N: int) -> PadicValue:
+    """The scaled Gaussian series at the characters of args over trivial
+    ones, at 1, mod p^N: the Proposition 2.2 side of G(args)."""
     top = characters_for_arguments(args, p)
-    rhs = greene_series_scaled(top, [Character.trivial(p)] * (len(args) - 1), 1, N)
-    return CongruenceReport.from_sides("prop2.2", p, params, mod_power, lhs, rhs)
+    return greene_series_scaled(top, [Character.trivial(p)] * (len(args) - 1), 1, N)
 
 
-def check_g_vs_trunc(claim: str, params: dict, args, p: int, k: int) -> CongruenceReport:
-    """The Theorem 2.3 shape shared by Theorems 2.3-2.7 and the
-    Rodriguez-Villegas framework row:
+def _truncated_sp(args, p: int, N: int) -> PadicValue:
+    """The Theorem 2.3 side of G(args), shared by Theorems 2.3-2.7 and the
+    Rodriguez-Villegas framework row, mod p^N:
 
-        G(args)_p = truncated series + s(p) p [sum(args) = n - 1]  (mod p^k),
+        truncated series + s(p) p [sum(args) = n - 1],
 
     with s(p) = prod Gamma_p(1 - a) over the arguments, at p."""
-    args = [Fraction(a) for a in args]
-    n = len(args) - 1
-    S = sum(args)
-    if S < n - 1:
-        raise ValueError("theorem requires the argument sum to be >= n - 1")
-    N = k + GUARD
-    lhs = g_function(GArguments(p, tuple(args), N))
-    rhs = _truncated(tuple(args), p, N)
-    if S == n - 1:
-        rhs = rhs + s_factor([1 - a for a in args], p, N) * rational_to_padic(p, p, N)
-    return CongruenceReport.from_sides(claim, p, params, k, lhs, rhs)
+    side = _truncated(tuple(args), p, N)
+    if sum(args) == len(args) - 2:
+        side = side + s_factor([1 - a for a in args], p, N) * rational_to_padic(p, p, N)
+    return side
 
 
-_FIFTHS = (Fraction(1, 5), Fraction(2, 5), Fraction(3, 5), Fraction(4, 5))
+def _form_at(builder, t):
+    """builder's form through q^max(horizon, p), once per process, so that
+    every task of a plan shares one form.  Each claim names its builder at
+    call time, so a builder patched in this module is the one used."""
+    return _form(builder, max(t.horizon or 0, t.p))
 
 
-def _apery_side(p: int, N: int) -> tuple[dict, PadicValue]:
-    a = comb.apery((p - 1) // 2)
-    return {"A": str(a)}, rational_to_padic(a, p, N)
+def _evaluate(t, rows) -> list[CongruenceReport]:
+    """The reports of a task's rows (claim, params, k, lhs, rhs), each the
+    congruence lhs = rhs mod p^k at t.p.  A side is a PadicValue or an
+    integer, which is read mod p^(k + GUARD); a params deligne_ok of False
+    fails its row."""
+    out = []
+    for claim, params, k, lhs, rhs in rows:
+        lhs, rhs = (rational_to_padic(s, t.p, k + GUARD) if isinstance(s, int) else s
+                    for s in (lhs, rhs))
+        row = CongruenceReport.from_sides(claim, t.p, params, k, lhs, rhs)
+        row.passed = row.passed and params.get("deligne_ok", True)
+        out.append(row)
+    return out
 
 
-def _greene_minus_p(p: int, N: int) -> tuple[dict, PadicValue]:
-    """The scaled Gaussian series at (phi, phi, phi, phi; eps, eps, eps | 1), minus p."""
-    phi, eps = Character.quadratic(p), Character.trivial(p)
-    series = greene_series_scaled([phi] * 4, [eps] * 3, 1, N)
-    return {}, series - rational_to_padic(p, p, N)
+def _g_row(claim: str, params: dict, t, args, side=_truncated_sp) -> tuple:
+    """The row G(args) = side(args) mod p^mod at the task's prime and modulus,
+    the side by default the Theorem 2.3 one."""
+    N = t.mod + GUARD
+    return (claim, params, t.mod, _g(args, t.p, N), side(args, t.p, N))
 
 
-class Form(NamedTuple):
-    """One row of FORMS: a sequence side against the p-th coefficient of a
-    weight-4 form.  Each check looks the builder up by name in this module."""
-
-    builder: str  # the name, so that a builder patched here is the one used
-    key: str  # the params key of the coefficient
-    mod: int  # default modulus
-    side: Callable[[int, int], tuple[dict, PadicValue]]  # (p, N) -> (params, side mod p^N)
-    deligne: bool = False  # add deligne_ok, |a(p)| <= 2 p^(3/2); a failed bound fails the row
-
-
-FORMS = {
-    # Apery numbers A((p-1)/2) against the level-8 form
-    "beukers": Form("gamma_coeffs", "gamma", 2, _apery_side),
-    # the scaled Gaussian series minus p against the level-8 form: both are
-    # integers bounded by 2p^(3/2) + p, so agreement mod p^4 certifies equality
-    "thm1.2": Form("gamma_coeffs", "gamma", 4, _greene_minus_p, deligne=True),
-    # Rodriguez-Villegas: truncated 4F3(1/5, 2/5, 3/5, 4/5) against the level-25 form
-    "conj1.3": Form("rv_form_coeffs", "c", 3, lambda p, N: ({}, _truncated(_FIFTHS, p, N))),
-}
-
-
-def check_form(claim: str, p: int, horizon: int | None = None, mod: int | None = None,
-               side: tuple[dict, PadicValue] | None = None) -> CongruenceReport:
-    """The FORMS row claim at p: its sequence side against the p-th
-    coefficient of its form, mod p^mod (by default the entry's modulus).  The
-    form is built through q^max(horizon, p), once per process; side is the
-    entry's side at (p, mod + GUARD), when the caller has computed it."""
-    f = FORMS[claim]
-    mod = f.mod if mod is None else mod
-    N = mod + GUARD
-    params, lhs = side or f.side(p, N)
-    form = _form(globals()[f.builder], max(horizon or 0, p))
+def _ao(t, args) -> list[CongruenceReport]:
+    """thm1.1, truncated 4F3(1/2, 1/2, 1/2, 1/2) = scaled Gaussian series - p
+    mod p^2, and thm1.2, that series - p = gamma(p) mod p^4: both integers
+    bounded by 2p^(3/2) + p, so agreement mod p^4 certifies equality.  One
+    series at 4 + GUARD digits serves both rows."""
+    p, N = t.p, 4 + GUARD
+    side = _greene(args, p, N) - rational_to_padic(p, p, N)
+    form = _form_at(gamma_coeffs, t)
     c = form.coefficient(p)
-    params = {**params, f.key: c}
-    if f.deligne:
-        params["deligne_ok"] = hecke_bound_ok(form, p)
-    row = CongruenceReport.from_sides(claim, p, params, mod, lhs, rational_to_padic(c, p, N))
-    row.passed = row.passed and params.get("deligne_ok", True)
-    return row
+    return _evaluate(t, [
+        ("thm1.1", {}, 2, _truncated(tuple(args), p, N), side),
+        ("thm1.2", {"gamma": c, "deligne_ok": hecke_bound_ok(form, p)}, 4, side, c)])
+
+
+def _beukers(t, _) -> list[CongruenceReport]:
+    """The Apery number A((p-1)/2) against gamma(p) of the level-8 form."""
+    a, c = comb.apery((t.p - 1) // 2), _form_at(gamma_coeffs, t).coefficient(t.p)
+    return _evaluate(t, [("beukers", {"A": str(a), "gamma": c}, t.mod, a, c)])
+
+
+def _conj13(t, args) -> list[CongruenceReport]:
+    """Rodriguez-Villegas: the truncated 4F3(1/5, 2/5, 3/5, 4/5) against c(p)
+    of the level-25 form, and the framework congruence at those arguments,
+    from one truncated series."""
+    p, N = t.p, t.mod + GUARD
+    c = _form_at(rv_form_coeffs, t).coefficient(p)
+    return _evaluate(t, [("conj1.3", {"c": c}, t.mod, _truncated(tuple(args), p, N), c),
+                         _g_row("conj1.3-framework", {"d": 5, "r": 2}, t, args)])
+
+
+def _thm26(t, args) -> list[CongruenceReport]:
+    """Theorem 2.6, and a companion row: the gamma product s(p) is the floor
+    sign, at all N digits."""
+    p, N, d1, d2 = t.p, t.mod + GUARD, t.params["d"], t.params["d2"]
+    sign = theorem26_sign(p, d1, d2)
+    return _evaluate(t, [_g_row("thm2.6", {"d1": d1, "d2": d2}, t, args),
+                         ("thm2.6-sign", {"d1": d1, "d2": d2, "sign": sign}, N,
+                          s_factor(args, p, N), rational_to_padic(sign, p, N))])
 
 
 # ---------------------------------------------------------------------------
@@ -288,18 +293,11 @@ def check_lemma_suites(p: int, seed: int = DEFAULT_SEED) -> list[CongruenceRepor
 # ---------------------------------------------------------------------------
 
 
-class Task(NamedTuple):
-    """One unit of work: a claim's checker on one parameter set at one prime
-    p (None only for the prime-free task of a claim).  The horizon is the
-    largest prime of the task's plan, the truncation the form-based checkers
-    build their q-expansions to."""
-
-    claim: str
-    params: dict
-    p: int | None
-    mod: int | None
-    seed: int
-    horizon: int | None = None
+Task = namedtuple("Task", "claim params p mod seed horizon", defaults=(None,))
+Task.__doc__ = """One unit of work: a claim's checker on one parameter set at one prime
+p (None only for the prime-free task of a claim).  The horizon is the
+largest prime of the task's plan, the truncation the form rows build their
+q-expansions to."""
 
 
 class Claim(FrozenRecord):
@@ -309,7 +307,7 @@ class Claim(FrozenRecord):
     - grid: the parameter sets run when none are given;
     - primes: the default prime range;
     - mod: the default modulus, or None where the checker fixes its moduli;
-    - check(task, args): the rows of a task;
+    - check(task, args): the reports of a task;
     - args(params): the G-function arguments of a parameter set, raising
       ValueError on an invalid one;
     - prime_free: also plan one task with no prime."""
@@ -317,10 +315,8 @@ class Claim(FrozenRecord):
     __slots__ = ("id", "admissible", "accepts", "grid", "primes", "mod", "check",
                  "args", "prime_free")
 
-    def __init__(self, id: str, admissible: Callable[[int, dict], bool],
-                 accepts: tuple[str, ...], grid: tuple[dict, ...], primes: tuple[int, int],
-                 mod: int | None, check: Callable[[Task, list[Fraction]], list[CongruenceReport]],
-                 args: Callable[[dict], list[Fraction]] = lambda q: [],
+    def __init__(self, id: str, admissible, accepts: tuple[str, ...], grid: tuple[dict, ...],
+                 primes: tuple[int, int], mod: int | None, check, args=lambda q: [],
                  prime_free: bool = False) -> None:
         for name, value in zip(self.__slots__, (id, admissible, accepts, grid, primes, mod,
                                                 check, args, prime_free)):
@@ -373,35 +369,9 @@ class Claim(FrozenRecord):
         return tasks, skipped
 
 
-def _check_trunc(t: Task, args) -> list[CongruenceReport]:
-    return [check_g_vs_trunc(t.claim, t.params, args, t.p, t.mod)]
-
-
-def _check_ao(t: Task, _) -> list[CongruenceReport]:
-    """thm1.1, truncated 4F3(1/2, 1/2, 1/2, 1/2) = scaled Gaussian series - p
-    mod p^2, and the thm1.2 form row, from one series."""
-    p, N = t.p, FORMS["thm1.2"].mod + GUARD
-    side = _greene_minus_p(p, N)
-    return [CongruenceReport.from_sides(
-                "thm1.1", p, {}, 2, _truncated((Fraction(1, 2),) * 4, p, N), side[1]),
-            check_form("thm1.2", p, t.horizon, side=side)]
-
-
-def _check_conj13(t: Task, args) -> list[CongruenceReport]:
-    """The conj1.3 form row, plus the framework congruence at its arguments."""
-    return [check_form("conj1.3", t.p, t.horizon, t.mod),
-            check_g_vs_trunc("conj1.3-framework", {"d": 5, "r": 2}, args, t.p, t.mod)]
-
-
-def _check_thm26(t: Task, args) -> list[CongruenceReport]:
-    """Theorem 2.6, plus a companion row: the gamma product s(p) is the floor sign."""
-    p, d1, d2 = t.p, t.params["d"], t.params["d2"]
-    N = t.mod + GUARD
-    sign = theorem26_sign(p, d1, d2)
-    return [check_g_vs_trunc("thm2.6", {"d1": d1, "d2": d2}, args, p, t.mod),
-            CongruenceReport.from_sides(
-                "thm2.6-sign", p, {"d1": d1, "d2": d2, "sign": sign}, N,
-                s_factor(args, p, N), rational_to_padic(sign, p, N))]
+def _g_vs_trunc(t, args) -> list[CongruenceReport]:
+    """The one row of Theorems 2.4, 2.5 and 2.7, labelled with the task's params."""
+    return _evaluate(t, [_g_row(t.claim, t.params, t, args)])
 
 
 def _denominators_split(p: int, q: dict) -> bool:
@@ -413,30 +383,32 @@ CLAIMS = {c.id: c for c in (
     Claim("prop2.2", _denominators_split, ("args",),
           tuple({"args": a} for a in ("1/2,1/2", "1/3,2/3", "1/2,1/3,2/3",
                                       "1/2,1/2,1/2,1/2", "1/5,2/5,3/5,4/5")),
-          (7, 61), 4, lambda t, args: [check_prop22(args, t.p, t.mod)],
+          (7, 61), 4,
+          lambda t, args: _evaluate(t, [_g_row(
+              "prop2.2", {"d": [a.denominator for a in args], "args": ",".join(map(str, args))},
+              t, args, _greene)]),
           args=lambda q: parse_args(q["args"])),
     Claim("thm2.3", _denominators_split, ("args",), (), (7, 61), 2,
-          lambda t, args: [check_g_vs_trunc(
-              "thm2.3", {"args": ",".join(map(str, args)), "S": str(sum(args))},
-              args, t.p, t.mod)],
+          lambda t, args: _evaluate(t, [_g_row(
+              "thm2.3", {"args": ",".join(map(str, args)), "S": str(sum(args))}, t, args)]),
           args=_thm23_args),
     Claim("thm2.4", lambda p, q: _pm1(p, q["d"]), ("d",),
           ({"d": 3}, {"d": 4}, {"d": 5}, {"d": 6}), (7, 97), 2,
-          _check_trunc, args=lambda q: _pair(q["d"])),
+          _g_vs_trunc, args=lambda q: _pair(q["d"])),
     Claim("thm2.5", lambda p, q: _pm1(p, q["d"]), ("d",),
           ({"d": 3}, {"d": 4}, {"d": 5}, {"d": 6}), (7, 97), 2,
-          _check_trunc, args=lambda q: [Fraction(1, 2), *_pair(q["d"])]),
+          _g_vs_trunc, args=lambda q: [Fraction(1, 2), *_pair(q["d"])]),
     Claim("thm2.6", lambda p, q: _pm1(p, q["d"]) and _pm1(p, q["d2"]), ("d", "d2"),
           ({"d": 2, "d2": 2}, {"d": 2, "d2": 3}, {"d": 3, "d2": 4}, {"d": 2, "d2": 5}),
-          (3, 97), 3, _check_thm26, args=lambda q: _pair(q["d"]) + _pair(q["d2"])),
+          (3, 97), 3, _thm26, args=lambda q: _pair(q["d"]) + _pair(q["d2"])),
     Claim("thm2.7", lambda p, q: _thm27_class_ok(p, q["d"], q["r"]), ("d", "r"),
           ({"d": 5, "r": 2}, {"d": 8, "r": 3}, {"d": 12, "r": 5}), (3, 97), 3,
-          _check_trunc, args=_thm27_args),
-    Claim("beukers", lambda p, q: True, (), ({},), (3, 97), FORMS["beukers"].mod,
-          lambda t, _: [check_form("beukers", t.p, t.horizon, t.mod)]),
-    Claim("ao", lambda p, q: True, (), ({},), (7, 61), None, _check_ao),
-    Claim("conj1.3", lambda p, q: p != 5, (), ({},), (3, 97), FORMS["conj1.3"].mod,
-          _check_conj13, args=lambda q: list(_FIFTHS)),
+          _g_vs_trunc, args=_thm27_args),
+    Claim("beukers", lambda p, q: True, (), ({},), (3, 97), 2, _beukers),
+    Claim("ao", lambda p, q: True, (), ({},), (7, 61), None, _ao,
+          args=lambda q: [Fraction(1, 2)] * 4),
+    Claim("conj1.3", lambda p, q: p != 5, (), ({},), (3, 97), 3, _conj13,
+          args=lambda q: [Fraction(k, 5) for k in range(1, 5)]),
     Claim("lemmas", lambda p, q: p >= 7, (), ({},), (7, 13), None,
           lambda t, _: (check_bin_harmonic_ids(t.seed) if t.p is None
                         else check_lemma_suites(t.p, t.seed)),

@@ -104,12 +104,11 @@ def test_default_args_for_dlists():
 
 def test_theorem23_delta_branches():
     # two halves: argument sum 1 > n-1 = 0, correction inactive
-    reports = [checks.check_g_vs_trunc("thm2.3", {}, [Fraction(1, 2)] * 2, p, 2)
-               for p in (5, 13)]
-    assert all(r.passed for r in reports)
+    reports = _task("thm2.3", [5, 13], args="1/2,1/2")
+    assert len(reports) == 2 and all(r.passed for r in reports)
     # four halves: argument sum 2 = n-1, correction p * prod(Gamma) required
-    reports = [checks.check_g_vs_trunc("thm2.3", {}, [Fraction(1, 2)] * 4, 11, 2)]
-    assert all(r.passed for r in reports)
+    reports = _task("thm2.3", [11], args="1/2,1/2,1/2,1/2")
+    assert len(reports) == 1 and all(r.passed for r in reports)
     # without the correction the congruence must fail
     from padichyp.gfunction import GArguments, g_function
     from padichyp.hyp import HypParams, truncated_hyp
@@ -132,8 +131,7 @@ def test_g_vs_trunc_fails_without_the_sp_term(monkeypatch, claim, primes, params
     rows = [r for r in _task(claim, primes, **params) if r.claim == claim]
     assert len(rows) == len(primes) and all(r.passed for r in rows)
     monkeypatch.setattr(checks, "s_factor", lambda fracs, p, N: PadicValue.zero(p))
-    rows = [checks.check_g_vs_trunc(claim, params, args, p, checks.CLAIMS[claim].mod)
-            for p in primes]
+    rows = [r for r in _task(claim, primes, **params) if r.claim == claim]
     assert len(rows) == len(primes)
     assert all(not r.passed and r.diff_valuation == 1 for r in rows)
 
@@ -217,6 +215,18 @@ def test_thm12_and_beukers_fail_with_shifted_form_coefficients(perturb_form):
     assert all(not r.passed and r.diff_valuation == 0 for r in rows)
 
 
+def test_thm12_fails_when_the_deligne_bound_fails(perturb_form):
+    # a coefficient past |a(p)| <= 2 p^(3/2) fails its row even where the
+    # congruence holds; the thm1.1 rows read no form
+    perturb_form(checks, "hecke_bound_ok", lambda form, p: False)
+    rows = _grid_rows("ao", "thm1.2")
+    assert len(rows) == len(checks.primes_in(7, 61)) == 15
+    assert all(not r.passed and r.diff_valuation is None and r.params["deligne_ok"] is False
+               for r in rows)
+    rows = _grid_rows("ao", "thm1.1")
+    assert len(rows) == 15 and all(r.passed for r in rows)
+
+
 def test_conj13_fails_with_a_changed_form_weight(perturb_form):
     primes = [p for p in checks.primes_in(3, 97) if p != 5]
     assert all(r.passed for r in _task("conj1.3", primes))
@@ -270,8 +280,8 @@ def test_power_sum_rows_fail_when_the_sum_is_perturbed(monkeypatch):
 
 
 def test_theorem23_precondition():
-    with pytest.raises(ValueError):  # argument sum < n-1
-        checks.check_g_vs_trunc("thm2.3", {}, [Fraction(1, 9)] * 6, 7, 2)
+    with pytest.raises(ValueError):  # argument sum < n-1, when a task runs
+        _task("thm2.3", [7], args=",".join(["1/9"] * 6))
     with pytest.raises(ValueError):  # rejected when planned, before any check runs
         checks.CLAIMS["thm2.3"].plan(params={"args": ",".join(["1/9"] * 6)})
 
@@ -765,6 +775,15 @@ def test_conj13_builds_one_truncated_series_per_prime():
     with patch.object(checks, "truncated_hyp", wraps=checks.truncated_hyp) as trunc:
         reports = _task("conj1.3", [7, 11, 13])
     assert trunc.call_count == 3
+    assert len(reports) == 6 and all(r.passed for r in reports)
+
+
+def test_ao_builds_one_greene_series_per_prime():
+    # thm1.1 and thm1.2 share one series, the cost of ao at large primes
+    primes = [7, 11, 13]
+    with patch.object(checks, "greene_series_scaled", wraps=checks.greene_series_scaled) as greene:
+        reports = _task("ao", primes)
+    assert greene.call_count == len(primes)
     assert len(reports) == 6 and all(r.passed for r in reports)
 
 
