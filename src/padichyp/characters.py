@@ -150,10 +150,10 @@ def greene_series_scaled(top, bottom, x: int, N: int) -> PadicValue:
     for c in (*top, *bottom):
         if c.prime != p:
             raise ValueError("mixed primes")
+    pN = _modulus(p, N)
     x %= p
     if x == 0:
         return PadicValue.zero(p)
-    pN = p**N
     order = p - 1
     pairs = [(top[0], Character.trivial(p)), *zip(top[1:], bottom)]
     built = {pair: binomial_table(*pair, N) for pair in set(pairs)}

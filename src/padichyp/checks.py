@@ -4,12 +4,15 @@ Each claim family is one entry of the CLAIMS registry: admissibility (the
 congruence-class preconditions of the theorems), accepted parameters, default
 grid, prime range and modulus, and checker.  Planning, validation, check-all
 and the CLI all read it.  Every result is a congruence at one prime, so a
-Task is one claim on one parameter set at one prime p.  Every claim but
-lemmas lists its rows (claim, params, k, lhs, rhs) from a few side
+Task is one claim on one parameter set at one prime p.  Every claim lists
+its rows (claim, params, k, lhs, rhs): the side-pair claims from a few side
 functions (G, the Greene series, the truncated series + s(p) p, a form
-coefficient), and one function, _evaluate, turns rows into reports.  Every
-run reports the primes it skipped rather than silently narrowing a range;
-the defaults reproduce the acceptance suite.
+coefficient), a lemmas task at p from _lemma_rows (the power sums, lemma P
+and Q, and the section-3 Gamma_p suites of gamma).  One function,
+_evaluate, turns rows into reports; only the prime-free lemmas task, the
+exact rational identities, builds its reports itself.  Every run reports the
+primes it skipped rather than silently narrowing a range; the defaults
+reproduce the acceptance suite.
 """
 
 from __future__ import annotations
@@ -147,16 +150,16 @@ def _form_at(builder, t):
     return _form(builder, max(t.horizon or 0, t.p))
 
 
-def _evaluate(t, rows) -> list[CongruenceReport]:
-    """The reports of a task's rows (claim, params, k, lhs, rhs), each the
-    congruence lhs = rhs mod p^k at t.p.  A side is a PadicValue or an
-    integer, which is read mod p^(k + GUARD); a params deligne_ok of False
-    fails its row."""
+def _evaluate(p: int, rows) -> list[CongruenceReport]:
+    """The reports of rows (claim, params, k, lhs, rhs), each the congruence
+    lhs = rhs mod p^k at p; every side-pair report of every claim is made
+    here.  A side is a PadicValue or an integer, which is read mod
+    p^(k + GUARD); a params deligne_ok of False fails its row."""
     out = []
     for claim, params, k, lhs, rhs in rows:
-        lhs, rhs = (rational_to_padic(s, t.p, k + GUARD) if isinstance(s, int) else s
+        lhs, rhs = (rational_to_padic(s, p, k + GUARD) if isinstance(s, int) else s
                     for s in (lhs, rhs))
-        row = CongruenceReport.from_sides(claim, t.p, params, k, lhs, rhs)
+        row = CongruenceReport.from_sides(claim, p, params, k, lhs, rhs)
         row.passed = row.passed and params.get("deligne_ok", True)
         out.append(row)
     return out
@@ -178,7 +181,7 @@ def _ao(t, args) -> list[CongruenceReport]:
     side = _greene(args, p, N) - rational_to_padic(p, p, N)
     form = _form_at(gamma_coeffs, t)
     c = form.coefficient(p)
-    return _evaluate(t, [
+    return _evaluate(p, [
         ("thm1.1", {}, 2, _truncated(tuple(args), p, N), side),
         ("thm1.2", {"gamma": c, "deligne_ok": hecke_bound_ok(form, p)}, 4, side, c)])
 
@@ -186,7 +189,7 @@ def _ao(t, args) -> list[CongruenceReport]:
 def _beukers(t, _) -> list[CongruenceReport]:
     """The Apery number A((p-1)/2) against gamma(p) of the level-8 form."""
     a, c = comb.apery((t.p - 1) // 2), _form_at(gamma_coeffs, t).coefficient(t.p)
-    return _evaluate(t, [("beukers", {"A": str(a), "gamma": c}, t.mod, a, c)])
+    return _evaluate(t.p, [("beukers", {"A": str(a), "gamma": c}, t.mod, a, c)])
 
 
 def _conj13(t, args) -> list[CongruenceReport]:
@@ -195,7 +198,7 @@ def _conj13(t, args) -> list[CongruenceReport]:
     from one truncated series."""
     p, N = t.p, t.mod + GUARD
     c = _form_at(rv_form_coeffs, t).coefficient(p)
-    return _evaluate(t, [("conj1.3", {"c": c}, t.mod, _truncated(tuple(args), p, N), c),
+    return _evaluate(p, [("conj1.3", {"c": c}, t.mod, _truncated(tuple(args), p, N), c),
                          _g_row("conj1.3-framework", {"d": 5, "r": 2}, t, args)])
 
 
@@ -204,7 +207,7 @@ def _thm26(t, args) -> list[CongruenceReport]:
     sign, at all N digits."""
     p, N, d1, d2 = t.p, t.mod + GUARD, t.params["d"], t.params["d2"]
     sign = theorem26_sign(p, d1, d2)
-    return _evaluate(t, [_g_row("thm2.6", {"d1": d1, "d2": d2}, t, args),
+    return _evaluate(p, [_g_row("thm2.6", {"d1": d1, "d2": d2}, t, args),
                          ("thm2.6-sign", {"d1": d1, "d2": d2, "sign": sign}, N,
                           s_factor(args, p, N), rational_to_padic(sign, p, N))])
 
@@ -237,23 +240,19 @@ def _pq_tuples(p: int, seed: int, count: int = 100) -> list[tuple[int, ...]]:
     return tuples
 
 
-def check_power_sums(p: int) -> list[CongruenceReport]:
-    out = []
+def _lemma_rows(p: int, seed: int):
+    """The rows of a lemmas task at p: the power sums (3.2) over
+    k = 1..2(p-1), lemma P and Q at the seeded a-tuples, then the section-3
+    Gamma_p suites, which need p >= 7."""
     for k in range(1, 2 * (p - 1) + 1):
-        s = sum(pow(j, k, p) for j in range(1, p)) % p
-        expected = -1 if k % (p - 1) == 0 else 0
-        out.append(CongruenceReport.from_sides(
-            "eq3.2", p, {"k": k}, 1,
-            rational_to_padic(s, p, 2), rational_to_padic(expected, p, 2)))
-    return out
-
-
-def check_lemma_pq(p: int, seed: int = DEFAULT_SEED) -> list[CongruenceReport]:
-    return [CongruenceReport.from_sides(claim, p, {"a": list(a)}, 1,
-                                        value, rational_to_padic(expected, p, 2))
-            for a in _pq_tuples(p, seed)
-            for claim, value, expected in zip(("lemmaP", "lemmaQ"), comb._pq_sums(a, p),
-                                              comb.lemma_PQ_expected(a, p))]
+        yield ("eq3.2", {"k": k}, 1, sum(pow(j, k, p) for j in range(1, p)) % p,
+               -1 if k % (p - 1) == 0 else 0)
+    for a in _pq_tuples(p, seed):
+        for claim, value, expected in zip(("lemmaP", "lemmaQ"), comb._pq_sums(a, p),
+                                          comb.lemma_PQ_expected(a, p)):
+            yield claim, {"a": list(a)}, 1, value, expected
+    yield from lemma_check_gamma_suite(p)
+    yield from check_gamma_properties(p)
 
 
 def check_bin_harmonic_ids(seed: int = DEFAULT_SEED) -> list[CongruenceReport]:
@@ -282,12 +281,6 @@ def check_bin_harmonic_ids(seed: int = DEFAULT_SEED) -> list[CongruenceReport]:
     return out
 
 
-def check_lemma_suites(p: int, seed: int = DEFAULT_SEED) -> list[CongruenceReport]:
-    """The section-3 grids of criterion 9 at p."""
-    return (lemma_check_gamma_suite(p) + check_gamma_properties(p)
-            + check_power_sums(p) + check_lemma_pq(p, seed))
-
-
 # ---------------------------------------------------------------------------
 # the claim registry, planning and the runner
 # ---------------------------------------------------------------------------
@@ -307,7 +300,8 @@ class Claim(FrozenRecord):
     - grid: the parameter sets run when none are given;
     - primes: the default prime range;
     - mod: the default modulus, or None where the checker fixes its moduli;
-    - check(task, args): the reports of a task;
+    - check(task, args): the reports of a task, which _evaluate makes from
+      its rows (the prime-free task's exact identities aside);
     - args(params): the G-function arguments of a parameter set, raising
       ValueError on an invalid one;
     - prime_free: also plan one task with no prime."""
@@ -371,7 +365,7 @@ class Claim(FrozenRecord):
 
 def _g_vs_trunc(t, args) -> list[CongruenceReport]:
     """The one row of Theorems 2.4, 2.5 and 2.7, labelled with the task's params."""
-    return _evaluate(t, [_g_row(t.claim, t.params, t, args)])
+    return _evaluate(t.p, [_g_row(t.claim, t.params, t, args)])
 
 
 def _denominators_split(p: int, q: dict) -> bool:
@@ -384,12 +378,12 @@ CLAIMS = {c.id: c for c in (
           tuple({"args": a} for a in ("1/2,1/2", "1/3,2/3", "1/2,1/3,2/3",
                                       "1/2,1/2,1/2,1/2", "1/5,2/5,3/5,4/5")),
           (7, 61), 4,
-          lambda t, args: _evaluate(t, [_g_row(
+          lambda t, args: _evaluate(t.p, [_g_row(
               "prop2.2", {"d": [a.denominator for a in args], "args": ",".join(map(str, args))},
               t, args, _greene)]),
           args=lambda q: parse_args(q["args"])),
     Claim("thm2.3", _denominators_split, ("args",), (), (7, 61), 2,
-          lambda t, args: _evaluate(t, [_g_row(
+          lambda t, args: _evaluate(t.p, [_g_row(
               "thm2.3", {"args": ",".join(map(str, args)), "S": str(sum(args))}, t, args)]),
           args=_thm23_args),
     Claim("thm2.4", lambda p, q: _pm1(p, q["d"]), ("d",),
@@ -411,7 +405,7 @@ CLAIMS = {c.id: c for c in (
           args=lambda q: [Fraction(k, 5) for k in range(1, 5)]),
     Claim("lemmas", lambda p, q: p >= 7, (), ({},), (7, 13), None,
           lambda t, _: (check_bin_harmonic_ids(t.seed) if t.p is None
-                        else check_lemma_suites(t.p, t.seed)),
+                        else _evaluate(t.p, _lemma_rows(t.p, t.seed))),
           prime_free=True),
 )}
 

@@ -49,13 +49,17 @@ once per (p, N), with exact guard digits past N = p - 1:
 
 For N < p, I = J = N and G = 0.  The table prep is polynomial in (p, N):
 O(p I) for the partial blocks and O(I^2 + J) for the rest.  gamma_residues
-evaluates a batch of residues with the checks done once.  _as_residue is
-the one reduction of an argument into Z/p^k; rep(x) is its residue mod p, or
-p for 0.
+is the one path to a value: it checks the prime, the modulus and the range
+once per batch and computes the residues missing from the value cache in one
+batch; gamma_residue is its one-residue view.  _as_residue is the one
+reduction of an argument into Z/p^k; rep(x) is its residue mod p, or p for 0.
 
 Suites.  Both section-3 suites live here and work on integer residues:
 check_gamma_properties (Props 3.1-3.3 and 3.8, Cors 3.4-3.5) and
-lemma_check_gamma_suite (Lemmas 3.9-3.13).  They share one per-x preparation
+lemma_check_gamma_suite (Lemmas 3.9-3.13).  Each yields rows (claim, params,
+k, lhs, rhs), the congruence lhs = rhs mod p^k with each side a PadicValue,
+and builds no report: checks._evaluate turns the rows into reports, as it
+does for every other claim.  They share one per-x preparation
 (_points: the label, the residue a of x mod p^5 and rep(x) = a mod p or p)
 and one p >= 7 check; the residues of x + j, 1 - x + j and 1 + j are integer
 sums, and Lemmas 3.12-3.13 split x, 1 - x by rep(1 - x) = p + 1 - rep(x).
@@ -67,7 +71,7 @@ combinatorics (L H^(1) and L^2 H^(2) with L = lcm(1..2p-2)) and reduced once
 by _ratio_to_padic.  Where sides combine PadicValues (a product, a quotient,
 G_1^2 - G_2), those exact operations are kept, as they fix the relative
 precision of zero and non-unit sides.  tests/oracles.py keeps the per-(x, j)
-Fraction evaluation that the suites must equal row for row.
+Fraction evaluation whose reports the evaluated rows must equal row for row.
 """
 
 from __future__ import annotations
@@ -86,7 +90,6 @@ from .padic import (
     rational_to_padic,
     valuation_of_int,
 )
-from .report import CongruenceReport
 
 # memo of computed values, keyed (p, N) -> {residue: unit}
 _value_cache: dict[tuple[int, int], dict[int, int]] = {}
@@ -175,20 +178,13 @@ def _gamma_blocks(rs, p: int, N: int) -> list[int]:
 
 def gamma_residue(r: int, p: int, N: int) -> int:
     """Gamma_p(r) mod p^N as a unit residue, for 0 <= r < p^N."""
-    check_prime(p)
-    pN = _modulus(p, N)
-    if not 0 <= r < pN:
-        raise ValueError("residue out of range")
-    cache = _value_cache.setdefault((p, N), {})
-    v = cache.get(r)
-    if v is None:
-        v = cache[r] = _gamma_blocks((r,), p, N)[0]
-    return v
+    return gamma_residues((r,), p, N)[0]
 
 
 def gamma_residues(rs, p: int, N: int) -> list[int]:
-    """[gamma_residue(r, p, N) for r in rs], with the prime and the modulus
-    checked once and the values missing from the cache computed in one batch."""
+    """[Gamma_p(r) mod p^N for r in rs], each 0 <= r < p^N, with the prime and
+    the modulus checked once and the values missing from the cache computed in
+    one batch."""
     check_prime(p)
     pN = _modulus(p, N)
     rs = list(rs)
@@ -334,18 +330,14 @@ def _points(p: int, xs=None) -> list[tuple[Fraction, str, int, int]]:
     return [(x, str(x), (a := _as_residue(x, p, 5)), a % p or p) for x in map(Fraction, xs)]
 
 
-def check_gamma_properties(p: int) -> list[CongruenceReport]:
-    """Props 3.1-3.2, Cors 3.4-3.5, the Taylor law and the shift formula,
-    over the standard denominator-grid of x values."""
+def check_gamma_properties(p: int):
+    """The rows (claim, params, k, lhs, rhs) of Props 3.1-3.2, Cors 3.4-3.5,
+    the Taylor law and the shift formula, over the standard denominator-grid
+    of x values, each side a PadicValue."""
     N, M = 4, 2
-    out = []
     pts = _points(p)
     gxs = _gamma_values([a for _, _, a, _ in pts], p, N)
     one = rational_to_padic(1, p, N)
-
-    def add(claim, params, k, lhs, rhs):
-        out.append(CongruenceReport.from_sides(claim, p, params, k, lhs, rhs))
-
     for (x, label, a, r), gx in zip(pts, gxs):
         gx1, gy = _gamma_values([a + 1, 1 - a], p, N)
         # functional equation
@@ -353,18 +345,18 @@ def check_gamma_properties(p: int) -> list[CongruenceReport]:
             rhs = -gx
         else:
             rhs = -(rational_to_padic(x, p, N) * gx)
-        add("prop3.1.1", {"x": label}, N, gx1, rhs)
+        yield "prop3.1.1", {"x": label}, N, gx1, rhs
         # reflection
-        add("prop3.1.2", {"x": label}, N, gx * gy, rational_to_padic((-1) ** r, p, N))
+        yield "prop3.1.2", {"x": label}, N, gx * gy, rational_to_padic((-1) ** r, p, N)
         # continuity: arguments agreeing mod p^n give values agreeing mod p^n
         # (evaluated at higher precision, where the two residues differ)
         for n in (1, 2, 3):
             gyn, gxn = _gamma_values([a + p**n, a], p, n + 2)
-            add("prop3.1.3", {"x": label, "n": n}, n, gyn, gxn)
+            yield "prop3.1.3", {"x": label, "n": n}, n, gyn, gxn
         # shift formula against direct evaluation
         direct = _gamma_values([a + j for j in range(p + 1)], p, N)
         for j in range(0, p + 1):
-            add("prop3.8", {"x": label, "j": j}, N, _shift(x, r, gx, j, p, N), direct[j])
+            yield "prop3.8", {"x": label, "j": j}, N, _shift(x, r, gx, j, p, N), direct[j]
     for (x, label, a, _), gx in zip(pts, gxs):
         # at x, x + 1, 1 - x, x + p and x + 2p
         rs = [a, a + 1, 1 - a, a + p, a + 2 * p]
@@ -374,24 +366,24 @@ def check_gamma_properties(p: int) -> list[CongruenceReport]:
         # G1 step
         rhs = _ratio_to_padic(x.denominator, x.numerator, p, M) if unit \
             else PadicValue.zero(p, M)
-        add("prop3.2.1", {"x": label}, M, v1 - u1, rhs)
+        yield "prop3.2.1", {"x": label}, M, v1 - u1, rhs
         # (G1^2 - G2) step
         rhs = _ratio_to_padic(x.denominator**2, x.numerator**2, p, M) if unit \
             else PadicValue.zero(p, M)
-        add("prop3.2.2", {"x": label}, M, v1 * v1 - v2 - u1 * u1 + u2, rhs)
+        yield "prop3.2.2", {"x": label}, M, v1 * v1 - v2 - u1 * u1 + u2, rhs
         # symmetry and its derivative
-        add("prop3.2.3", {"x": label}, M, u1, w1)
-        add("prop3.2.4", {"x": label}, M, u1 * u1 - u2, -(w1 * w1) + w2)
+        yield "prop3.2.3", {"x": label}, M, u1, w1
+        yield "prop3.2.4", {"x": label}, M, u1 * u1 - u2, -(w1 * w1) + w2
         for t, zx1, zx2 in zip((1, 2), z1, z2):
             z = t * p
-            add("cor3.4", {"x": label, "z": str(z), "which": "g1"}, 1, zx1, u1)
-            add("cor3.4", {"x": label, "z": str(z), "which": "g2"}, 1, zx2, u2)
+            yield "cor3.4", {"x": label, "z": str(z), "which": "g1"}, 1, zx1, u1
+            yield "cor3.4", {"x": label, "z": str(z), "which": "g2"}, 1, zx2, u2
             ze = _ratio_to_padic(z, 1, p, M + 1)
-            add("cor3.5", {"x": label, "z": str(z)}, 2, u1, zx1 + ze * (zx1 * zx1 - zx2))
+            yield "cor3.5", {"x": label, "z": str(z)}, 2, u1, zx1 + ze * (zx1 * zx1 - zx2)
             # Taylor law mod p^3
             taylor = gx * (one + ze * u1 + _ratio_to_padic(z * z, 2, p, N) * u2)
-            add("prop3.3.2", {"x": label, "z": str(z)}, 3, _gamma_values([a + z], p, N)[0], taylor)
-    return out
+            gz = _gamma_values([a + z], p, N)[0]
+            yield "prop3.3.2", {"x": label, "z": str(z)}, 3, gz, taylor
 
 
 def _factorial_rhs(r: int, j: int, p: int) -> tuple[int, int]:
@@ -409,9 +401,10 @@ def _harmonic_diff(table, a: int, b: int, pole: int) -> tuple[int, int]:
     return (t[a] - t[b]) * pole - S, S * pole
 
 
-def lemma_check_gamma_suite(p: int, xs=None) -> list[CongruenceReport]:
-    """The five shifted-gamma congruence families over full (x, j) grids;
-    one CongruenceReport per (family, x, j), family by family:
+def lemma_check_gamma_suite(p: int, xs=None):
+    """The five shifted-gamma congruence families over full (x, j) grids: one
+    row (claim, {"x", "j"}, k, lhs, rhs) per (family, x, j), family by family,
+    each side a PadicValue:
 
     - lemma3.9: Gamma_p(x+j) = (rep(x)+j-1)! (-1)^(rep(x)+j) delta (mod p)
       for j = 0..p, delta = 1 below the p-divisible step and 1/p from it on;
@@ -432,30 +425,25 @@ def lemma_check_gamma_suite(p: int, xs=None) -> list[CongruenceReport]:
         r1 = max(r, p + 1 - r)
         m1 = x if r1 == r else 1 - x
         pairs.append(((r1 * m1.denominator - m1.numerator, m1.denominator), r1, p + 1 - r1))
-    reports = []
-
-    def add(claim, label, j, k, lhs, rhs, N):
-        reports.append(CongruenceReport.from_sides(
-            claim, p, {"x": label, "j": j}, k, lhs, _ratio_to_padic(*rhs, p, N)))
-
     for _, label, a, r in pts:
         lhs = _gamma_values([a + j for j in range(p + 1)], p, 2)
         for j in range(p + 1):
-            add("lemma3.9", label, j, 1, lhs[j], _factorial_rhs(r, j, p), 3)
+            yield ("lemma3.9", {"x": label, "j": j}, 1, lhs[j],
+                   _ratio_to_padic(*_factorial_rhs(r, j, p), p, 3))
     ones = range(1, p + 1)  # 1 + j
     lb = _g1s(ones, p, 1)
     las = [_g1s([a + j for j in range(p)], p, 1) for _, _, a, _ in pts]
     for (_, label, _, r), la in zip(pts, las):
         for j in range(p):
-            add("lemma3.10", label, j, 1, la[j] - lb[j],
-                _harmonic_diff(H1, r - 1 + j, j, p if j > p - r else 0), 3)
+            rhs = _harmonic_diff(H1, r - 1 + j, j, p if j > p - r else 0)
+            yield "lemma3.10", {"x": label, "j": j}, 1, la[j] - lb[j], _ratio_to_padic(*rhs, p, 3)
     lb2 = _g2s(ones, p, 1)
     for (_, label, a, r), la in zip(pts, las):
         la2 = _g2s([a + j for j in range(p)], p, 1)
         for j in range(p):
             lhs = la[j] * la[j] - la2[j] - lb[j] * lb[j] + lb2[j]
-            add("lemma3.11", label, j, 1, lhs,
-                _harmonic_diff(H2, r - 1 + j, j, p**2 if j > p - r else 0), 4)
+            rhs = _harmonic_diff(H2, r - 1 + j, j, p**2 if j > p - r else 0)
+            yield "lemma3.11", {"x": label, "j": j}, 1, lhs, _ratio_to_padic(*rhs, p, 4)
     for (_, label, a, _), ((dn, dd), r1, r2) in zip(pts, pairs):
         ga = _gamma_values([a + j for j in range(r1)], p, 5)
         gb = _gamma_values([1 - a + j for j in range(r1)], p, 5)
@@ -468,8 +456,8 @@ def lemma_check_gamma_suite(p: int, xs=None) -> list[CongruenceReport]:
             pole = p if j >= r2 else 0
             hn, hd = _harmonic_diff(H1, r1 - 1 + j, r2 - 1 + j, pole)
             s = (-1) ** j * math.comb(r1 - 1 + j, j) * math.comb(r1 - 1, j)
-            add("lemma3.12", label, j, 2, lhs,
-                (s * (dd * hd - dn * hn), dd * hd * (pole or 1)), 5)
+            yield ("lemma3.12", {"x": label, "j": j}, 2, lhs,
+                   _ratio_to_padic(s * (dd * hd - dn * hn), dd * hd * (pole or 1), p, 5))
     lb = _g1s(ones, p, 2)
     S1, t1 = H1
     for (_, label, a, _), ((dn, dd), r1, r2) in zip(pts, pairs):
@@ -484,5 +472,5 @@ def lemma_check_gamma_suite(p: int, xs=None) -> list[CongruenceReport]:
             if j >= r2:
                 an, ad = an * p - S1, S1 * p
             bn, bd = _harmonic_diff(H2, r1 - 1 + j, r2 - 1 + j, p**2 if j >= r2 else 0)
-            add("lemma3.13", label, j, 2, lhs, (an * dd * bd + dn * bn * ad, ad * dd * bd), 5)
-    return reports
+            yield ("lemma3.13", {"x": label, "j": j}, 2, lhs,
+                   _ratio_to_padic(an * dd * bd + dn * bn * ad, ad * dd * bd, p, 5))

@@ -322,7 +322,8 @@ def gamma_block(r: int, p: int, N: int) -> int:
 # Every argument is a Fraction reduced separately, G_1 and G_2 call
 # gamma_residue once per Gamma_p value, and the right-hand sides are Fraction
 # harmonic sums.  lemma_check_gamma_suite and check_gamma_properties here give
-# the report rows that the residue-level suites of the package must equal.
+# the report rows that the rows of the residue-level suites of the package,
+# turned into reports by checks._evaluate, must equal.
 
 _harmonic_cache: dict[int, list[Fraction]] = {}
 

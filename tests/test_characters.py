@@ -18,7 +18,7 @@ from padichyp.characters import (
     greene_series_scaled,
 )
 from padichyp.gfunction import GArguments, g_function
-from padichyp.padic import congruent_mod, rational_to_padic
+from padichyp.padic import PrecisionError, congruent_mod, rational_to_padic
 from padichyp.qseries import gamma_coeffs
 
 
@@ -77,6 +77,13 @@ def test_series_vanishes_at_argument_zero():
     p = 7
     phi, eps = Character.quadratic(p), Character.trivial(p)
     assert greene_series_scaled([phi, phi], [eps], 0, 3).is_zero
+
+
+@pytest.mark.parametrize("x, N", [(0, 0), (14, -2), (1, 0)])
+def test_series_checks_the_precision_at_any_argument(x, N):
+    phi, eps = Character.quadratic(7), Character.trivial(7)
+    with pytest.raises(PrecisionError, match=f"need at least one digit, got N={N}"):
+        greene_series_scaled([phi, phi], [eps], x, N)
 
 
 def test_series_matches_two_term_g_value():

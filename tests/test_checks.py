@@ -268,13 +268,11 @@ def test_g_rows_fail_with_the_reflection_sign_flipped(monkeypatch, claim, row_cl
 
 
 def test_power_sum_rows_fail_when_the_sum_is_perturbed(monkeypatch):
-    rows = [r for r in checks.check_lemma_suites(7) + checks.check_lemma_suites(11)
-            if r.claim == "eq3.2"]
+    rows = [r for r in _task("lemmas", [7, 11]) if r.claim == "eq3.2"]
     assert len(rows) == 2 * (6 + 10) and all(r.passed for r in rows)
     # one more than each true power sum: pow is looked up in the checks module
     monkeypatch.setattr(checks, "pow", lambda j, k, p: pow(j, k, p) + (j == 1), raising=False)
-    rows = [r for r in checks.check_lemma_suites(7) + checks.check_lemma_suites(11)
-            if r.claim == "eq3.2"]
+    rows = [r for r in _task("lemmas", [7, 11]) if r.claim == "eq3.2"]
     assert len(rows) == 2 * (6 + 10)
     assert all(not r.passed and r.diff_valuation == 0 for r in rows)
 
@@ -446,6 +444,21 @@ def test_lemma_tasks_include_rational_identities():
     assert any(s[2] in (3, 5) for s in skipped)  # p < 7 recorded, not run
 
 
+def test_every_lemma_report_comes_out_of_evaluate(monkeypatch):
+    made = []
+    evaluate = checks._evaluate
+
+    def recorded(p, rows):
+        out = evaluate(p, rows)
+        made.extend(out)
+        return out
+
+    monkeypatch.setattr(checks, "_evaluate", recorded)
+    reports = _task("lemmas", [7])
+    assert {r.claim for r in reports} >= {"eq3.2", "lemmaP", "lemmaQ", "lemma3.9", "prop3.8"}
+    assert len(made) == len(reports) and all(a is b for a, b in zip(made, reports))
+
+
 # -- CLI ---------------------------------------------------------------------
 
 
@@ -609,6 +622,8 @@ def _main(*argv):
     (["qexp", "--eta", "1^24,^4"], "--eta wants s1^e1,...; field 2 is '^4'"),
     (["qexp", "--eta", ""], "--eta wants s1^e1,...; field 1 is ''"),
     (["qexp", "--eta", "1^22,2^"], "--eta wants s1^e1,...; field 2 is '2^'"),
+    (["greene", "--args", "1/2,1/2", "--p", "7", "--x", "14", "--precision", "-2"],
+     "need at least one digit, got N=-2"),
 ])
 def test_cli_usage_errors_exit_2(argv, message):
     with patch.object(checks, "run_config") as run:

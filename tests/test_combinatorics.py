@@ -1,6 +1,7 @@
 """Harmonic sums, Apery numbers, the rising-factorial lemma sums and the
 exact binomial/harmonic identities."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -18,8 +19,7 @@ from padichyp.combinatorics import (
     lemma_PQ_expected,
     lemma_Q_sum,
 )
-from padichyp.checks import (DEFAULT_SEED, _pq_tuples, check_bin_harmonic_ids,
-                             check_lemma_pq, check_power_sums)
+from padichyp.checks import DEFAULT_SEED, _pq_tuples, check_bin_harmonic_ids
 from padichyp.padic import congruent_mod, rational_to_padic
 
 
@@ -57,9 +57,18 @@ def test_apery_values():
     assert [apery(n) for n in range(5)] == [1, 5, 73, 1445, 33001]
 
 
+def _leading_reports(p, n):
+    """The reports of the first n rows of a lemmas task at p.  Its 2(p - 1)
+    power sums come first, then lemma P and Q; the Gamma_p suites after them,
+    which need p >= 7, are not reached."""
+    return checks._evaluate(p, itertools.islice(checks._lemma_rows(p, DEFAULT_SEED), n))
+
+
 def test_power_sums():
     def passed(p):
-        return {r.params["k"]: r.passed for r in check_power_sums(p)}
+        rows = _leading_reports(p, 2 * (p - 1))
+        assert {r.claim for r in rows} == {"eq3.2"}
+        return {r.params["k"]: r.passed for r in rows}
 
     assert passed(5)[4]   # divisible case: sum = -1
     assert passed(5)[3]   # generic case: sum = 0
@@ -252,7 +261,11 @@ def test_identity_two_check_fails_with_a_doubled_tail_term(monkeypatch):
 
 @pytest.mark.parametrize("p", [7, 11, 13])
 def test_lemma_pq_check_fails_against_shifted_expected_values(monkeypatch, p):
-    rows = check_lemma_pq(p)
+    def pq_reports(p):
+        return [r for r in _leading_reports(p, 2 * (p - 1) + 200) if r.claim != "eq3.2"]
+
+    rows = pq_reports(p)
+    assert len(rows) == 200 and {r.claim for r in rows} == {"lemmaP", "lemmaQ"}
     assert all(r.passed for r in rows)
     # the sums are not their expected values mod p^2: a kernel returning the
     # expected value would show no difference of valuation exactly 1
@@ -261,5 +274,5 @@ def test_lemma_pq_check_fails_against_shifted_expected_values(monkeypatch, p):
     expected = combinatorics.lemma_PQ_expected
     monkeypatch.setattr(checks.comb, "lemma_PQ_expected",
                         lambda a, q: tuple(e + 1 for e in expected(a, q)))
-    rows = check_lemma_pq(p)
+    rows = pq_reports(p)
     assert len(rows) == 200 and not any(r.passed for r in rows)

@@ -10,6 +10,7 @@ import pytest
 
 import oracles
 from padichyp import gamma
+from padichyp.checks import _evaluate
 from padichyp.gamma import (
     _gamma_blocks,
     _horner_data,
@@ -377,7 +378,8 @@ def test_taylor_law_with_independent_derivatives():
 
 def test_derivatives_require_p_at_least_7():
     for call in (lambda: g1(1, 5, 1), lambda: g2(1, 5, 1),
-                 lambda: check_gamma_properties(5), lambda: lemma_check_gamma_suite(5)):
+                 lambda: list(check_gamma_properties(5)),
+                 lambda: list(lemma_check_gamma_suite(5))):
         with pytest.raises(ValueError, match="require p >= 7"):
             call()
 
@@ -391,7 +393,7 @@ def test_the_prime_is_checked_before_the_argument(p):
                 call(x, p, 2)
     for suite in (check_gamma_properties, lemma_check_gamma_suite):
         with pytest.raises(ValueError, match=f"p={p} is not an odd prime"):
-            suite(p)
+            list(suite(p))
 
 
 # -- shifted-gamma congruence families ---------------------------------------
@@ -451,7 +453,7 @@ def test_second_order_harmonic_family_spot():
 
 
 def test_suite_runs_clean_and_reports_per_point():
-    reports = lemma_check_gamma_suite(7, xs=[Fraction(1, 3), Fraction(1, 2)])
+    reports = _evaluate(7, lemma_check_gamma_suite(7, xs=[Fraction(1, 3), Fraction(1, 2)]))
     assert all(r.passed for r in reports)
     claims = {r.claim for r in reports}
     assert claims == {"lemma3.9", "lemma3.10", "lemma3.11", "lemma3.12", "lemma3.13"}
@@ -482,14 +484,15 @@ def test_suites_equal_the_per_point_oracles(p):
     # 7, 11, 13 are the check-all grid; the golden SHA does not reach 17, 19
     for fast, slow in ((lemma_check_gamma_suite, oracles.lemma_check_gamma_suite),
                        (check_gamma_properties, oracles.check_gamma_properties)):
-        rows = fast(p)
+        rows = _evaluate(p, fast(p))
         assert rows and rows == slow(p), (fast.__name__, p)
 
 
 def test_suite_takes_any_x_list_like_the_oracle():
     xs = [Fraction(1, 3), Fraction(8, 9), 2, Fraction(-5, 4), Fraction(7, 12)]
     for p in (7, 11):
-        assert lemma_check_gamma_suite(p, xs) == oracles.lemma_check_gamma_suite(p, xs)
+        rows = _evaluate(p, lemma_check_gamma_suite(p, xs))
+        assert rows == oracles.lemma_check_gamma_suite(p, xs)
 
 
 def test_derivatives_equal_the_difference_quotient_oracles():
@@ -526,7 +529,7 @@ def _entry_weight(row, p, order, n):
 @pytest.mark.parametrize("order, n", [(1, 9), (1, 10), (2, 12), (2, 5)])
 def test_harmonic_families_fail_with_a_shifted_prefix_entry(monkeypatch, order, n):
     p = 11
-    base = lemma_check_gamma_suite(p)
+    base = _evaluate(p, lemma_check_gamma_suite(p))
     assert all(r.passed for r in base)
     scaled = gamma._scaled_harmonic
 
@@ -535,7 +538,7 @@ def test_harmonic_families_fail_with_a_shifted_prefix_entry(monkeypatch, order, 
         return (S, t[:n] + (t[n] + 1,) + t[n + 1:]) if i == order else (S, t)
 
     monkeypatch.setattr(gamma, "_scaled_harmonic", shifted)
-    rows = lemma_check_gamma_suite(p)
+    rows = _evaluate(p, lemma_check_gamma_suite(p))
     assert len(rows) == len(base)
     failed = set()
     for old, new in zip(base, rows):
@@ -558,7 +561,7 @@ def test_factorial_family_fails_with_its_rhs_plus_one(monkeypatch):
         return num + den, den
 
     monkeypatch.setattr(gamma, "_factorial_rhs", plus_one)
-    rows = [r for r in lemma_check_gamma_suite(p) if r.claim == "lemma3.9"]
+    rows = [r for r in _evaluate(p, lemma_check_gamma_suite(p)) if r.claim == "lemma3.9"]
     assert len(rows) == len(default_x_grid(p)) * (p + 1)
     assert all(not r.passed and r.diff_valuation == 0 for r in rows)
 
@@ -605,10 +608,10 @@ _PROPERTY_CONTROLS = [
 @pytest.mark.parametrize("name, perturb, failing, all_fail", _PROPERTY_CONTROLS)
 def test_property_families_fail_when_perturbed(monkeypatch, name, perturb, failing, all_fail):
     primes = (7, 11, 13)
-    base = [r for p in primes for r in check_gamma_properties(p)]
+    base = [r for p in primes for r in _evaluate(p, check_gamma_properties(p))]
     assert all(r.passed for r in base)
     monkeypatch.setattr(gamma, name, perturb(getattr(gamma, name)))
-    rows = [r for p in primes for r in check_gamma_properties(p)]
+    rows = [r for p in primes for r in _evaluate(p, check_gamma_properties(p))]
     assert [(r.claim, r.params) for r in rows] == [(r.claim, r.params) for r in base]
     failed = [r for r in rows if not r.passed]
     assert all(r.diff_valuation < r.mod_power for r in failed)
@@ -620,6 +623,6 @@ def test_property_families_fail_when_perturbed(monkeypatch, name, perturb, faili
 
 
 def test_every_property_family_has_a_negative_control():
-    claims = {r.claim for r in check_gamma_properties(7)}
+    claims = {claim for claim, *_ in check_gamma_properties(7)}
     assert set().union(*(failing for _, _, failing, _ in _PROPERTY_CONTROLS)) == claims
 
