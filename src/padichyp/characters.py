@@ -40,26 +40,22 @@ from .padic import PadicValue, _modulus, check_prime
 
 @lru_cache(maxsize=None)
 def _dlog_table(p: int) -> tuple[int, tuple[int, ...]]:
-    """(primitive root g, index table) with table[x] = log_g(x) for x in [1, p-1]."""
+    """(least primitive root g, index table) with table[x] = log_g(x) for x in
+    [1, p-1], from one walk over the powers of each candidate g: the walk of
+    g fills the table, and a return to 1 before p - 1 steps rejects g (the
+    primitive root's walk then overwrites every entry)."""
     check_prime(p)
     order = p - 1
+    table = [0] * p
     for g in range(2, p):
-        seen, acc = 0, 1
-        for _ in range(order):
+        acc = 1
+        for k in range(order):
+            table[acc] = k
             acc = acc * g % p
-            seen += 1
             if acc == 1:
                 break
-        if seen == order:
-            break
-    else:  # pragma: no cover - every prime has a primitive root
-        raise AssertionError("no primitive root found")
-    table = [0] * p
-    acc = 1
-    for k in range(order):
-        table[acc] = k
-        acc = acc * g % p
-    return g, tuple(table)
+        if k == order - 1:
+            return g, tuple(table)
 
 
 @lru_cache(maxsize=None)

@@ -57,8 +57,10 @@ def _thm27_class_ok(p: int, d: int, r: int) -> bool:
 @lru_cache(maxsize=None)
 def _form(builder, horizon: int):
     """builder(horizon): a form's coefficients through q^horizon, built once
-    per process for each (builder, horizon).  Code that perturbs a form
-    clears the memo with _form.cache_clear()."""
+    per process for each (builder, horizon), so that every task of a plan,
+    called with its horizon, shares one form.  Each claim names its builder
+    at call time, so a builder patched in this module is the one used; code
+    that perturbs a form clears the memo with _form.cache_clear()."""
     return builder(horizon)
 
 
@@ -123,11 +125,11 @@ def _g(args, p: int, N: int) -> PadicValue:
     return g_function(GArguments(p, tuple(args), N))
 
 
-def _greene(args, p: int, N: int) -> PadicValue:
+def _greene(args, p: int, N: int, x: int = 1) -> PadicValue:
     """The scaled Gaussian series at the characters of args over trivial
-    ones, at 1, mod p^N: the Proposition 2.2 side of G(args)."""
+    ones, at x, mod p^N: at x = 1 the Proposition 2.2 side of G(args)."""
     top = characters_for_arguments(args, p)
-    return greene_series_scaled(top, [Character.trivial(p)] * (len(args) - 1), 1, N)
+    return greene_series_scaled(top, [Character.trivial(p)] * (len(args) - 1), x, N)
 
 
 def _truncated_sp(args, p: int, N: int) -> PadicValue:
@@ -141,13 +143,6 @@ def _truncated_sp(args, p: int, N: int) -> PadicValue:
     if sum(args) == len(args) - 2:
         side = side + s_factor([1 - a for a in args], p, N) * rational_to_padic(p, p, N)
     return side
-
-
-def _form_at(builder, t):
-    """builder's form through q^max(horizon, p), once per process, so that
-    every task of a plan shares one form.  Each claim names its builder at
-    call time, so a builder patched in this module is the one used."""
-    return _form(builder, max(t.horizon or 0, t.p))
 
 
 def _evaluate(p: int, rows) -> list[CongruenceReport]:
@@ -179,7 +174,7 @@ def _ao(t, args) -> list[CongruenceReport]:
     series at 4 + GUARD digits serves both rows."""
     p, N = t.p, 4 + GUARD
     side = _greene(args, p, N) - rational_to_padic(p, p, N)
-    form = _form_at(gamma_coeffs, t)
+    form = _form(gamma_coeffs, t.horizon)
     c = form.coefficient(p)
     return _evaluate(p, [
         ("thm1.1", {}, 2, _truncated(tuple(args), p, N), side),
@@ -188,7 +183,7 @@ def _ao(t, args) -> list[CongruenceReport]:
 
 def _beukers(t, _) -> list[CongruenceReport]:
     """The Apery number A((p-1)/2) against gamma(p) of the level-8 form."""
-    a, c = comb.apery((t.p - 1) // 2), _form_at(gamma_coeffs, t).coefficient(t.p)
+    a, c = comb.apery((t.p - 1) // 2), _form(gamma_coeffs, t.horizon).coefficient(t.p)
     return _evaluate(t.p, [("beukers", {"A": str(a), "gamma": c}, t.mod, a, c)])
 
 
@@ -197,7 +192,7 @@ def _conj13(t, args) -> list[CongruenceReport]:
     of the level-25 form, and the framework congruence at those arguments,
     from one truncated series."""
     p, N = t.p, t.mod + GUARD
-    c = _form_at(rv_form_coeffs, t).coefficient(p)
+    c = _form(rv_form_coeffs, t.horizon).coefficient(p)
     return _evaluate(p, [("conj1.3", {"c": c}, t.mod, _truncated(tuple(args), p, N), c),
                          _g_row("conj1.3-framework", {"d": 5, "r": 2}, t, args)])
 
@@ -271,8 +266,6 @@ def check_bin_harmonic_ids(seed: int = DEFAULT_SEED) -> list[CongruenceReport]:
     for l in range(2, 21):
         for m in range((l + 1) // 2, l):
             for n in range((l + 1) // 2, m + 1):
-                if 2 * n < l:
-                    continue
                 for c1, c2 in pairs:
                     out.append(CongruenceReport.exact_rational(
                         "binharm.id2",
@@ -286,7 +279,7 @@ def check_bin_harmonic_ids(seed: int = DEFAULT_SEED) -> list[CongruenceReport]:
 # ---------------------------------------------------------------------------
 
 
-Task = namedtuple("Task", "claim params p mod seed horizon", defaults=(None,))
+Task = namedtuple("Task", "claim params p mod seed horizon")
 Task.__doc__ = """One unit of work: a claim's checker on one parameter set at one prime
 p (None only for the prime-free task of a claim).  The horizon is the
 largest prime of the task's plan, the truncation the form rows build their

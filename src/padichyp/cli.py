@@ -15,9 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import checks
-from .characters import Character, characters_for_arguments, greene_series_scaled
 from .gamma import gamma_p
-from .gfunction import GArguments, g_function
 from .hyp import HypParams, truncated_hyp, truncated_hyp_exact
 from .padic import PadicValue, PrecisionError, check_prime
 from .qseries import eta_product, gamma_coeffs, rv_form_coeffs, write_coefficients_csv
@@ -53,15 +51,6 @@ def _add_run_flags(sp) -> None:
     sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--seed", type=int, default=checks.DEFAULT_SEED)
     sp.add_argument("--out", help="write the report to FILE instead of stdout")
-
-
-def _add_range_flags(sp) -> None:
-    """Prime range and modulus flags, for check only (check-all runs fixed grids)."""
-    primes = sp.add_mutually_exclusive_group()
-    primes.add_argument("--p", type=int, help="single prime")
-    primes.add_argument("--p-range", type=_prime_range, help="inclusive prime range A..B")
-    sp.add_argument("--precision", type=int,
-                    help="override the asserted modulus exponent k")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -108,7 +97,11 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("claim", choices=list(checks.CLAIMS))
     for name in checks.PARAMS:
         c.add_argument(f"--{name}", type=str if name == "args" else int)
-    _add_range_flags(c)
+    # prime range and modulus: check only, since check-all runs fixed grids
+    primes = c.add_mutually_exclusive_group()
+    primes.add_argument("--p", type=int, help="single prime")
+    primes.add_argument("--p-range", type=_prime_range, help="inclusive prime range A..B")
+    c.add_argument("--precision", type=int, help="override the asserted modulus exponent k")
     _add_run_flags(c)
 
     ca = sub.add_parser("check-all", help="run the full acceptance grid")
@@ -117,15 +110,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_out(path: str) -> None:
-    """Raise the error open(path, "w") would raise for a missing or unwritable
-    directory or a path that is a directory, without creating the file."""
+    """Raise the error open(path, "w") would raise for an empty path, a
+    missing directory, a path that is a directory, or an unwritable file (or,
+    for a file yet to be made, directory), without creating the file."""
     parent = os.path.dirname(path) or "."
-    if not os.path.isdir(parent):
+    if not path:
+        code = errno.ENOENT
+    elif not os.path.isdir(parent):
         code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
     elif os.path.isdir(path):
         code = errno.EISDIR
-    elif not os.access(parent, os.W_OK) or (
-            os.path.exists(path) and not os.access(path, os.W_OK)):
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
         code = errno.EACCES
     else:
         return
@@ -134,7 +129,7 @@ def _check_out(path: str) -> None:
 
 def _emit_reports(reports, skipped, ns) -> int:
     # opened only now, so a failed run leaves no empty file behind
-    if ns.out:
+    if ns.out is not None:
         with open(ns.out, "w", encoding="utf-8") as fh:
             write_reports(reports, ns.format, fh)
     else:
@@ -159,7 +154,7 @@ def _run_checks(ns) -> int:
     else:
         cfg = checks.RunConfig(jobs=ns.jobs, seed=ns.seed)
     cfg.plan()  # raises on any usage error before a check runs
-    if ns.out:
+    if ns.out is not None:
         _check_out(ns.out)
     reports, skipped = checks.run_config(cfg)
     return _emit_reports(reports, skipped, ns)
@@ -171,14 +166,11 @@ def _command(ns) -> int:
         print(_render_value(v))
         return 0
     if ns.command == "gfun":
-        ga = GArguments(ns.p, tuple(checks.parse_args(ns.args)), ns.precision)
-        print(_render_value(g_function(ga)))
+        print(_render_value(checks._g(checks.parse_args(ns.args), ns.p, ns.precision)))
         return 0
     if ns.command == "greene":
         args = checks.parse_args(ns.args)
-        top = characters_for_arguments(args, ns.p)
-        bottom = [Character.trivial(ns.p)] * (len(args) - 1)
-        print(_render_value(greene_series_scaled(top, bottom, ns.x, ns.precision)))
+        print(_render_value(checks._greene(args, ns.p, ns.precision, ns.x)))
         return 0
     if ns.command == "trunc":
         if ns.p is not None:
@@ -216,7 +208,7 @@ def _command(ns) -> int:
             series = eta_product(factors, ns.truncation)
         else:
             raise ValueError("give --form or --eta")
-        if ns.csv:
+        if ns.csv is not None:
             with open(ns.csv, "w", encoding="utf-8", newline="") as fh:
                 write_coefficients_csv(series, fh)
         else:

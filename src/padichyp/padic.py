@@ -139,35 +139,15 @@ class PadicValue(FrozenRecord):
 
     # -- arithmetic --------------------------------------------------------
 
-    def _require_same_prime(self, other: "PadicValue") -> None:
-        if self.prime != other.prime:
-            raise ValueError("mixed primes")
-
     def __add__(self, other: "PadicValue") -> "PadicValue":
-        self._require_same_prime(other)
-        p = self.prime
-        a, b = self, other
-        if a.is_zero and b.is_zero:
-            return PadicValue.zero(p, min(a.abs_prec, b.abs_prec))
-        if a.is_zero:
-            a, b = b, a
-        if b.is_zero:
-            if b.abs_prec >= a.abs_prec:
-                return a
-            if b.abs_prec <= a.valuation:
-                return PadicValue.zero(p, b.abs_prec)
-            return PadicValue(p, a.valuation, a.unit % p ** (b.abs_prec - a.valuation),
-                              b.abs_prec - a.valuation)
-        return _nonzero_sum(a, b, 1)
+        return _sum(self, other, 1)
 
     def __sub__(self, other: "PadicValue") -> "PadicValue":
-        if self.is_zero or other.is_zero:
-            return self + -other
-        self._require_same_prime(other)
-        return _nonzero_sum(self, other, -1)
+        return _sum(self, other, -1)
 
     def __mul__(self, other: "PadicValue") -> "PadicValue":
-        self._require_same_prime(other)
+        if self.prime != other.prime:
+            raise ValueError("mixed primes")
         p = self.prime
         if self.is_zero or other.is_zero:
             # val(xy) >= bound(x) + val(y); exact zeros stay exact
@@ -212,24 +192,31 @@ def _ratio_to_padic(num: int, den: int, p: int, N: int) -> PadicValue:
     return PadicValue(p, vn - vd, unit, N)
 
 
-def _nonzero_sum(a: PadicValue, b: PadicValue, sign: int) -> PadicValue:
-    """a + sign*b for nonzero a and b of one prime, sign = 1 or -1: the
-    digits of the result are computed once, so a - b builds no -b."""
+def _sum(a: PadicValue, b: PadicValue, sign: int) -> PadicValue:
+    """a + sign*b for sign = 1 or -1, the one sum rule: the digits of the
+    result are computed once, so a - b builds no -b, and a zero operand adds
+    no digit, only its bound.  Mixed primes raise before any precision is read."""
+    if a.prime != b.prime:
+        raise ValueError("mixed primes")
     p = a.prime
     absprec = min(a.abs_prec, b.abs_prec)
-    v = min(a.valuation, b.valuation)
-    n = absprec - v
+    va, vb = a.valuation, b.valuation
+    if va is None:
+        if vb is None:
+            return PadicValue.zero(p, absprec)
+        va = vb  # a's unit is 0: any valuation adds nothing
+    elif vb is None:
+        vb = va
+    v = min(va, vb)
+    n = absprec - v  # >= 1 unless a zero's bound lies at or below v
     if n <= 0:
         return PadicValue.zero(p, absprec)
-    pn = p**n
-    s = (a.unit * p ** (a.valuation - v) + sign * b.unit * p ** (b.valuation - v)) % pn
+    s = (a.unit * p ** (va - v) + sign * b.unit * p ** (vb - v)) % p**n
     if s == 0:
         # all known digits cancelled; the sum vanishes to absolute precision
         return PadicValue.zero(p, absprec)
-    t = valuation_of_int(s, p)
-    if v + t >= absprec:
-        return PadicValue.zero(p, absprec)
-    return PadicValue(p, v + t, (s // p**t) % p ** (n - t), n - t)
+    t = valuation_of_int(s, p)  # t < n, since 0 < s < p^n
+    return PadicValue(p, v + t, s // p**t, n - t)
 
 
 def congruent_mod(a: PadicValue, b: PadicValue, k: int) -> bool:

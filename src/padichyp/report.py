@@ -10,9 +10,10 @@ and mod_power = 0; their pass flag means "identically zero over Q".  Reports
 carry no wall clock: the ms field is always null (reserved in schema 1), so
 identical runs serialize to identical bytes regardless of parallelism.
 
-Each writer yields its text one row at a time, and ``write_reports`` hands
-those chunks to a file's ``writelines``, so a report is never held in memory
-as one string.
+``write_reports`` writes one row at a time, so a report is never held in
+memory as one string: the JSON and human writers yield their text row by
+row to the file's ``writelines``, and the CSV goes through
+``csv.writer(fh)``, which writes each row as it formats it.
 
 The JSON writer renders each report straight from the fixed schema-1 layout,
 with the bytes of ``json.dumps(rows, indent=2, default=str)`` (each row the
@@ -187,25 +188,6 @@ def _json_chunks(reports):
     yield "[]\n" if sep == "[\n" else "\n]\n"
 
 
-class _Echo:
-    """A file whose write returns its text, so csv.writer's writerow returns
-    the row it formatted."""
-
-    @staticmethod
-    def write(text: str) -> str:
-        return text
-
-
-def _csv_chunks(reports):
-    """A header line, then one CSV line per report."""
-    import csv
-
-    w = csv.writer(_Echo())
-    yield w.writerow(CSV_COLUMNS)
-    for r in reports:
-        yield w.writerow(r.to_csv_row())
-
-
 def _human_chunks(reports):
     """One line per report, then a pass count."""
     n = n_pass = 0
@@ -216,10 +198,15 @@ def _human_chunks(reports):
     yield f"-- {n_pass}/{n} passed\n"
 
 
-_CHUNKS = {"json": _json_chunks, "csv": _csv_chunks, "human": _human_chunks}
-
-
 def write_reports(reports, fmt: str, fh) -> None:
     """Write the reports to the text file fh in format fmt ("json", "csv" or
-    "human"), one row per write."""
-    fh.writelines(_CHUNKS[fmt](reports))
+    "human"), one row per write; any other fmt raises KeyError."""
+    if fmt == "csv":
+        import csv
+
+        w = csv.writer(fh)
+        w.writerow(CSV_COLUMNS)
+        for r in reports:
+            w.writerow(r.to_csv_row())
+    else:
+        fh.writelines({"json": _json_chunks, "human": _human_chunks}[fmt](reports))

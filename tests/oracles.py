@@ -2,8 +2,9 @@
 
 These are the straightforward per-term Fraction (and truncated-power-series)
 evaluations that the package replaced by integer num/den kernels for speed,
-the per-entry Greene binomial table (one character sum per entry) replaced
-by one chirp correlation, the one-binomial-at-a-time eta-product expansion
+the p-adic sum with its own branches for zero operands, which one sum rule
+replaced, the per-entry Greene binomial table (one character sum per entry)
+replaced by one chirp correlation, the one-binomial-at-a-time eta-product expansion
 replaced by Euler's pentagonal series, two evaluations of Gamma_p (the
 defining product, swept once over every residue, and the block formula with
 exact tables and every S_i(K), log and exp term taken separately), the
@@ -26,7 +27,7 @@ from padichyp.characters import Character, _dlog_table, _omega_powers
 from padichyp.gamma import (_as_residue, default_x_grid, gamma_p, gamma_residue, gamma_residues,
                             rep)
 from padichyp.hyp import HypParams
-from padichyp.padic import PadicValue, rational_to_padic
+from padichyp.padic import PadicValue, rational_to_padic, valuation_of_int
 from padichyp.report import CongruenceReport
 
 
@@ -40,6 +41,42 @@ def is_odd_prime(p: int) -> bool:
             return False
         f += 2
     return True
+
+
+def padic_sum(a: PadicValue, b: PadicValue, sign: int) -> PadicValue:
+    """a + sign*b for sign = 1 or -1, by the rule PadicValue's one sum
+    replaced: a - b with a zero operand as a + (-b), a zero operand through
+    its own branches, and two nonzero ones by a digit sum that checks each
+    bound."""
+    if a.prime != b.prime:
+        raise ValueError("mixed primes")
+    p = a.prime
+    if a.is_zero or b.is_zero:
+        if sign == -1:
+            b = -b
+        if a.is_zero and b.is_zero:
+            return PadicValue.zero(p, min(a.abs_prec, b.abs_prec))
+        if a.is_zero:
+            a, b = b, a
+        if b.abs_prec >= a.abs_prec:
+            return a
+        if b.abs_prec <= a.valuation:
+            return PadicValue.zero(p, b.abs_prec)
+        return PadicValue(p, a.valuation, a.unit % p ** (b.abs_prec - a.valuation),
+                          b.abs_prec - a.valuation)
+    absprec = min(a.abs_prec, b.abs_prec)
+    v = min(a.valuation, b.valuation)
+    n = absprec - v
+    if n <= 0:
+        return PadicValue.zero(p, absprec)
+    pn = p**n
+    s = (a.unit * p ** (a.valuation - v) + sign * b.unit * p ** (b.valuation - v)) % pn
+    if s == 0:
+        return PadicValue.zero(p, absprec)
+    t = valuation_of_int(s, p)
+    if v + t >= absprec:
+        return PadicValue.zero(p, absprec)
+    return PadicValue(p, v + t, (s // p**t) % p ** (n - t), n - t)
 
 
 def id1_lhs(m: int, n: int) -> Fraction:

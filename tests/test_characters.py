@@ -13,13 +13,33 @@ from oracles import char_binomial_scaled, char_value
 from padichyp import checks
 from padichyp.characters import (
     Character,
+    _dlog_table,
     binomial_table,
     characters_for_arguments,
     greene_series_scaled,
 )
 from padichyp.gfunction import GArguments, g_function
-from padichyp.padic import PrecisionError, congruent_mod, rational_to_padic
+from padichyp.padic import (
+    PRIME_BOUND,
+    PrecisionError,
+    congruent_mod,
+    primes_in,
+    rational_to_padic,
+)
 from padichyp.qseries import gamma_coeffs
+
+
+def test_dlog_table_is_the_least_primitive_root_and_its_logs():
+    def order(g, p):
+        k, acc = 1, g
+        while acc != 1:
+            k, acc = k + 1, acc * g % p
+        return k
+
+    for p in primes_in(3, PRIME_BOUND):
+        g, table = _dlog_table(p)
+        assert g == next(b for b in range(2, p) if order(b, p) == p - 1), p
+        assert all(pow(g, table[x], p) == x for x in range(1, p)), p
 
 
 def test_trivial_character_values():

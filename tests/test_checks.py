@@ -417,6 +417,13 @@ def test_csv_columns_mirror_schema():
     assert header == CSV_COLUMNS
 
 
+def test_unknown_report_format_raises():
+    buf = io.StringIO()
+    with pytest.raises(KeyError):
+        write_reports(_task("thm2.4", [7], d=3), "xml", buf)
+    assert buf.getvalue() == ""
+
+
 def test_runner_is_deterministic_across_jobs():
     tasks, _ = checks.CLAIMS["thm2.4"].plan(7, 31, {"d": 3})
     serial = checks.run_tasks(tasks, jobs=1)
@@ -624,6 +631,10 @@ def _main(*argv):
     (["qexp", "--eta", "1^22,2^"], "--eta wants s1^e1,...; field 2 is '2^'"),
     (["greene", "--args", "1/2,1/2", "--p", "7", "--x", "14", "--precision", "-2"],
      "need at least one digit, got N=-2"),
+    (["check", "thm2.4", "--d", "3", "--p", "7", "--format", "csv", "--out", ""],
+     "error: [Errno 2] No such file or directory: ''"),
+    (["qexp", "--form", "gamma", "--truncation", "3", "--csv", ""],
+     "error: [Errno 2] No such file or directory: ''"),
 ])
 def test_cli_usage_errors_exit_2(argv, message):
     with patch.object(checks, "run_config") as run:
@@ -672,6 +683,18 @@ def test_cli_out_in_an_unwritable_directory_exits_2(tmp_path):
     assert err == f"error: [Errno 13] Permission denied: '{path}'\n"
     run.assert_not_called()
     assert not path.exists()
+
+
+def test_cli_out_to_a_writable_file_in_an_unwritable_directory(tmp_path):
+    # open(path, "w") on an existing file needs write permission on the file only
+    path = tmp_path / "r.json"
+    path.write_text("old")
+    access = {str(tmp_path): False, str(path): True}
+    with patch.object(cli.os, "access", lambda p, mode: access[str(p)]):
+        code, out, err = _main("check", "thm2.4", "--d", "3", "--p", "7",
+                               "--format", "json", "--out", str(path))
+    assert (code, out, err) == (0, "", "")
+    assert json.loads(path.read_text())[0]["claim"] == "thm2.4"
 
 
 @pytest.mark.parametrize("argv, read", [

@@ -271,6 +271,25 @@ def test_sub_equals_add_of_negation(pair):
         (want.prime, want.valuation, want.unit, want.rel_prec)
 
 
+def _fields(v):
+    return v.prime, v.valuation, v.unit, v.rel_prec
+
+
+@given(padic_pairs())
+@settings(max_examples=400, deadline=None)
+@example((PadicValue(7, 0, 1, 3), PadicValue(7, 0, 1, 3)))
+@example((PadicValue(7, 0, 1, 3), PadicValue(7, 0, 1, 5)))
+@example((PadicValue(7, 1, 2, 2), PadicValue.zero(7, 2)))
+@example((PadicValue.zero(7, 4), PadicValue(7, -1, 3, 2)))
+@example((PadicValue.zero(7), PadicValue.zero(7, -1)))
+def test_sum_matches_the_branchwise_oracle(pair):
+    # the one sum rule against the zero branches and digit sum it replaced
+    a, b = pair
+    assert _fields(a + b) == _fields(oracles.padic_sum(a, b, 1))
+    assert _fields(a - b) == _fields(oracles.padic_sum(a, b, -1))
+    assert _fields(b - a) == _fields(oracles.padic_sum(b, a, -1))
+
+
 
 HALF = Fraction(1, 2)
 
