@@ -193,6 +193,8 @@ def _command(ns) -> int:
             print(_render_value(reduced))
         return 0
     if ns.command == "qexp":
+        if ns.csv is not None:
+            _check_out(ns.csv)  # before any coefficient is computed
         if ns.form == "gamma":
             series = gamma_coeffs(ns.truncation)
         elif ns.form == "rv":

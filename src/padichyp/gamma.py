@@ -63,14 +63,15 @@ does for every other claim.  They share one per-x preparation
 (_points: the label, the residue a of x mod p^5 and rep(x) = a mod p or p)
 and one p >= 7 check; the residues of x + j, 1 - x + j and 1 + j are integer
 sums, and Lemmas 3.12-3.13 split x, 1 - x by rep(1 - x) = p + 1 - rep(x).
-G_1 and G_2 come from the batch functions _g1s and _g2s, with no memo: each
-batch takes its Gamma_p values from one gamma_residues call, and a suite
-builds each derivative list once per x.  The right-hand sides are integer
-(num, den) pairs built from the scaled harmonic prefix tables of
-combinatorics (L H^(1) and L^2 H^(2) with L = lcm(1..2p-2)) and reduced once
-by _ratio_to_padic.  Where sides combine PadicValues (a product, a quotient,
-G_1^2 - G_2), those exact operations are kept, as they fix the relative
-precision of zero and non-unit sides.  tests/oracles.py keeps the per-(x, j)
+Sides that are always units (the Prop 3.8 shift, the right side of Prop
+3.1.1, the left side of Lemma 3.12) are integer products of residues.  G_1
+and G_2 come from the batch functions _g1s and _g2s, each taking its Gamma_p
+values from one gamma_residues call.  The harmonic right-hand sides are
+integer (num, den) pairs from the scaled prefix tables of combinatorics
+(L H^(1) and L^2 H^(2), L = lcm(1..2p-2)), reduced once by _ratio_to_padic.
+Where a side may vanish or carry a valuation (G_1, G_2 and their
+combinations), PadicValue arithmetic fixes its relative precision.  gamma
+imports only combinatorics and padic; tests/oracles.py keeps the per-(x, j)
 Fraction evaluation whose reports the evaluated rows must equal row for row.
 """
 
@@ -81,13 +82,11 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .combinatorics import _scaled_harmonic
-from .hyp import rising_factorial
 from .padic import (
     PadicValue,
     _modulus,
     _ratio_to_padic,
     check_prime,
-    rational_to_padic,
     valuation_of_int,
 )
 
@@ -226,18 +225,15 @@ def rep(x, p: int) -> int:
     return _as_residue(x, p, 1) or p
 
 
-def _shift(x: Fraction, r: int, gx: PadicValue, j: int, p: int, N: int) -> PadicValue:
-    """Gamma_p(x + j) mod p^N, 0 <= j <= p, from r = rep(x) and gx = Gamma_p(x):
-    (-1)^j gx (x)_j (Prop 3.8), past j = p - r divided by the factor x + p - r
-    of the unique p-divisible step."""
-    if j == 0:
-        return gx
-    out = gx * rational_to_padic(rising_factorial(x, j), p, N)
-    if j > p - r:
-        out = out * rational_to_padic(x + p - r, p, N).inverse()
-    if j % 2:
-        out = -out
-    return out
+def _shift(a: int, r: int, gx: PadicValue, j: int, p: int, N: int) -> PadicValue:
+    """Gamma_p(x + j) mod p^N, 0 <= j <= p, from the residue a of x mod p^N or
+    finer, r = rep(x) and gx = Gamma_p(x): (-1)^j gx (x)_j (Prop 3.8), less
+    the factor x + p - r of the p-divisible step that j > p - r reaches."""
+    u = gx.unit
+    for i in range(j):
+        if i != p - r:
+            u *= a + i
+    return PadicValue(p, 0, (-u if j % 2 else u) % p**N, N)
 
 
 def _g1s(rs, p: int, M: int) -> list[PadicValue]:
@@ -337,17 +333,14 @@ def check_gamma_properties(p: int):
     N, M = 4, 2
     pts = _points(p)
     gxs = _gamma_values([a for _, _, a, _ in pts], p, N)
-    one = rational_to_padic(1, p, N)
+    one = _ratio_to_padic(1, 1, p, N)
     for (x, label, a, r), gx in zip(pts, gxs):
         gx1, gy = _gamma_values([a + 1, 1 - a], p, N)
         # functional equation
-        if x.numerator % p == 0:
-            rhs = -gx
-        else:
-            rhs = -(rational_to_padic(x, p, N) * gx)
+        rhs = PadicValue(p, 0, -(a if r < p else 1) * gx.unit % p**N, N)
         yield "prop3.1.1", {"x": label}, N, gx1, rhs
         # reflection
-        yield "prop3.1.2", {"x": label}, N, gx * gy, rational_to_padic((-1) ** r, p, N)
+        yield "prop3.1.2", {"x": label}, N, gx * gy, _ratio_to_padic((-1) ** r, 1, p, N)
         # continuity: arguments agreeing mod p^n give values agreeing mod p^n
         # (evaluated at higher precision, where the two residues differ)
         for n in (1, 2, 3):
@@ -356,7 +349,7 @@ def check_gamma_properties(p: int):
         # shift formula against direct evaluation
         direct = _gamma_values([a + j for j in range(p + 1)], p, N)
         for j in range(0, p + 1):
-            yield "prop3.8", {"x": label, "j": j}, N, _shift(x, r, gx, j, p, N), direct[j]
+            yield "prop3.8", {"x": label, "j": j}, N, _shift(a, r, gx, j, p, N), direct[j]
     for (x, label, a, _), gx in zip(pts, gxs):
         # at x, x + 1, 1 - x, x + p and x + 2p
         rs = [a, a + 1, 1 - a, a + p, a + 2 * p]
@@ -445,12 +438,11 @@ def lemma_check_gamma_suite(p: int, xs=None):
             rhs = _harmonic_diff(H2, r - 1 + j, j, p**2 if j > p - r else 0)
             yield "lemma3.11", {"x": label, "j": j}, 1, lhs, _ratio_to_padic(*rhs, p, 4)
     for (_, label, a, _), ((dn, dd), r1, r2) in zip(pts, pairs):
-        ga = _gamma_values([a + j for j in range(r1)], p, 5)
-        gb = _gamma_values([1 - a + j for j in range(r1)], p, 5)
-        den_inv = (ga[0] * gb[0]).inverse()
+        g = gamma_residues([(b + j) % p**5 for b in (a, 1 - a) for j in range(r1)], p, 5)
         for j in range(r1):
-            fact = _ratio_to_padic(math.factorial(j) ** 2, 1, p, 5)
-            lhs = ga[j] * gb[j] * den_inv * fact.inverse()
+            # every factor is a unit for j < p
+            u = g[j] * g[r1 + j] * pow(g[0] * g[r1] * math.factorial(j) ** 2, -1, p**5)
+            lhs = PadicValue(p, 0, u % p**5, 5)
             # alpha (1 - (r1 - m1)(H_(r1-1+j) - H_(r2-1+j) - beta)) times the
             # binomials, with alpha = beta = 1/p from j = r2 on
             pole = p if j >= r2 else 0

@@ -74,7 +74,7 @@ class GArguments(FrozenRecord):
 
 
 def g_function(ga: GArguments) -> PadicValue:
-    """Evaluate the G function; the result lies in Z_p (asserted)."""
+    """Evaluate the G function; the result lies in Z_p."""
     p, N = ga.prime, ga.precision
     P = p - 1
     L = math.lcm(*(a.denominator for a in ga.args))
@@ -108,9 +108,7 @@ def g_function(ga: GArguments) -> PadicValue:
     gnum = math.prod(column[rho][0][q] for q, rho in tops)
     gden = math.prod(column[rho][1][q] for q, rho in tops)
     total = -total * gden * pow(den * gnum * P, -1, pN) % pN
-    out = PadicValue.from_residue(total, p, N)
-    assert out.is_zero or out.valuation >= 0
-    return out
+    return PadicValue.from_residue(total, p, N)
 
 
 def _gamma_columns(classes, L: int, p: int, N: int) -> dict[int, tuple[list[int], list[int]]]:

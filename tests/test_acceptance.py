@@ -258,6 +258,36 @@ def test_large_prime_json_matches_bench_reference(tmp_path, name):
           f"({time.perf_counter() - t0:.1f}s)")
 
 
+# check-all under python -I -S: no site-packages and no PYTHONPATH, so src
+# goes on sys.path in the code itself; the child reports what the run loaded
+_STDLIB_RUN = """
+import contextlib, hashlib, io, json, sys
+sys.path.insert(0, "src")
+from padichyp.cli import main
+with open("perfbench/reference.json") as fh:
+    argv = json.load(fh)["check-all"]["argv"]
+out = io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    code = main(argv)
+loaded = {m.partition(".")[0] for m in sys.modules} - {"__main__", "padichyp"}
+print(json.dumps({"code": code, "sha256": hashlib.sha256(out.getvalue().encode()).hexdigest(),
+                  "outside": sorted(loaded - set(sys.stdlib_module_names)),
+                  "slow": sorted({"dataclasses", "typing"} & set(sys.modules))}))
+"""
+
+
+def test_check_all_runs_on_the_stdlib_alone():
+    r = subprocess.run([sys.executable, "-I", "-S", "-c", _STDLIB_RUN],
+                       cwd=BENCH_REFERENCE.parent.parent, capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    got = json.loads(r.stdout)
+    ref = json.loads(BENCH_REFERENCE.read_text(encoding="utf-8"))["check-all"]
+    assert (got["code"], got["sha256"]) == (0, ref["sha256"])
+    assert got["outside"] == []  # only stdlib modules
+    # each costs every process its start-up time
+    assert got["slow"] == [], "check-all loaded " + ", ".join(got["slow"])
+
+
 @pytest.mark.parametrize("name, builder", [("ao", "gamma_coeffs"),
                                            ("conj1.3", "rv_form_coeffs")])
 def test_large_prime_plan_builds_its_form_once(tmp_path, monkeypatch, name, builder):

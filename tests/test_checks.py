@@ -661,17 +661,36 @@ def test_cli_unwritable_output_file_exits_2(tmp_path, argv):
                          ids=["check", "check-all"])
 @pytest.mark.parametrize("where", ["missing dir", "a directory", "under a file"])
 def test_cli_out_path_is_checked_before_any_task(tmp_path, argv, where):
-    (tmp_path / "file").write_text("")
-    path = {"missing dir": tmp_path / "missing" / "x.json", "a directory": tmp_path,
-            "under a file": tmp_path / "file" / "x.json"}[where]
-    with pytest.raises(OSError) as opened:
-        open(path, "w")
+    path, opened = _bad_path(tmp_path, where)
     with patch.object(checks, "run_config") as run:
         code, out, err = _main(*argv, "--format", "json", "--out", str(path))
     assert code == 2 and out == ""
-    assert err == f"error: {opened.value}\n"  # the error open() gives
+    assert err == f"error: {opened}\n"  # the error open() gives
     run.assert_not_called()
     assert sorted(os.listdir(tmp_path)) == ["file"]
+
+
+@pytest.mark.parametrize("where", ["missing dir", "a directory", "under a file"])
+def test_cli_qexp_csv_path_is_checked_before_any_coefficient(tmp_path, where):
+    path, opened = _bad_path(tmp_path, where)
+    with patch.object(cli, "rv_form_coeffs") as build:
+        code, out, err = _main("qexp", "--form", "rv", "--truncation", "20000",
+                               "--csv", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: {opened}\n"
+    build.assert_not_called()
+    assert sorted(os.listdir(tmp_path)) == ["file"]
+
+
+def _bad_path(tmp_path, where):
+    """A path that open(path, "w") refuses, next to a file named "file", and
+    the error it raises."""
+    (tmp_path / "file").write_text("")
+    path = {"missing dir": tmp_path / "missing" / "x.out", "a directory": tmp_path,
+            "under a file": tmp_path / "file" / "x.out"}[where]
+    with pytest.raises(OSError) as opened:
+        open(path, "w")
+    return path, opened.value
 
 
 def test_cli_out_in_an_unwritable_directory_exits_2(tmp_path):

@@ -286,7 +286,7 @@ def test_rep_floor_formula():
 
 def _shift(x, j, p, N):
     """Gamma_p(x + j) by the Prop 3.8 shift of check_gamma_properties."""
-    return gamma._shift(x, rep(x, p), gamma_p(x, p, N), j, p, N)
+    return gamma._shift(gamma._as_residue(x, p, N), rep(x, p), gamma_p(x, p, N), j, p, N)
 
 
 def test_shift_formula_matches_direct_evaluation():
@@ -549,26 +549,67 @@ def test_harmonic_families_fail_with_a_shifted_prefix_entry(monkeypatch, order, 
             failed.add(new.claim)
         else:
             assert new == old
-    assert failed == {"lemma3.10" if order == 1 else "lemma3.11", "lemma3.13"}
+    assert failed == _PREFIX_FAILING[order]
+
+
+# the families that fail when an entry of the H^(order) prefix table shifts
+_PREFIX_FAILING = {1: {"lemma3.10", "lemma3.13"}, 2: {"lemma3.11", "lemma3.13"}}
+
+
+def _plus_one(rhs):
+    def plus_one(r, j, q):
+        num, den = rhs(r, j, q)
+        return num + den, den
+    return plus_one
 
 
 def test_factorial_family_fails_with_its_rhs_plus_one(monkeypatch):
     p = 11
-    rhs = gamma._factorial_rhs
-
-    def plus_one(r, j, q):
-        num, den = rhs(r, j, q)
-        return num + den, den
-
-    monkeypatch.setattr(gamma, "_factorial_rhs", plus_one)
+    monkeypatch.setattr(gamma, "_factorial_rhs", _plus_one(gamma._factorial_rhs))
     rows = [r for r in _evaluate(p, lemma_check_gamma_suite(p)) if r.claim == "lemma3.9"]
     assert len(rows) == len(default_x_grid(p)) * (p + 1)
     assert all(not r.passed and r.diff_valuation == 0 for r in rows)
 
 
+def _pole_sign_flipped(diff):
+    def flipped(table, a, b, pole):
+        # H_a - H_b + 1/pole for H_a - H_b - 1/pole
+        num, den = diff(table, a, b, pole)
+        return (num + 2 * table[0] if pole else num), den
+    return flipped
+
+
+# Each row is (function of the gamma module, its perturbation as a function of
+# the original, the families with FAIL rows) at the check-all primes.  With
+# the shifted prefix entries above they cover every lemma family.
+_LEMMA_CONTROLS = [
+    ("_factorial_rhs", _plus_one, {"lemma3.9"}),
+    ("_harmonic_diff", _pole_sign_flipped, {"lemma3.10", "lemma3.11", "lemma3.12", "lemma3.13"}),
+]
+
+
+@pytest.mark.parametrize("name, perturb, failing", _LEMMA_CONTROLS)
+def test_lemma_families_fail_when_perturbed(monkeypatch, name, perturb, failing):
+    primes = (7, 11, 13)
+    base = [r for p in primes for r in _evaluate(p, lemma_check_gamma_suite(p))]
+    assert all(r.passed for r in base)
+    monkeypatch.setattr(gamma, name, perturb(getattr(gamma, name)))
+    rows = [r for p in primes for r in _evaluate(p, lemma_check_gamma_suite(p))]
+    assert [(r.claim, r.params) for r in rows] == [(r.claim, r.params) for r in base]
+    failed = [r for r in rows if not r.passed]
+    assert all(r.diff_valuation < r.mod_power for r in failed)
+    assert {r.claim for r in failed} == failing
+
+
+def test_every_lemma_family_has_a_negative_control():
+    claims = {claim for claim, *_ in lemma_check_gamma_suite(7)}
+    covered = set().union(*_PREFIX_FAILING.values(), *(f for _, _, f in _LEMMA_CONTROLS))
+    assert covered == claims
+
+
 def _plus_last_digit(shift):
-    return lambda x, r, gx, j, p, N: (
-        shift(x, r, gx, j, p, N) + rational_to_padic(p ** (N - 1), p, N))
+    return lambda a, r, gx, j, p, N: (
+        shift(a, r, gx, j, p, N) + rational_to_padic(p ** (N - 1), p, N))
 
 
 def _plus_digit_one(derivs):

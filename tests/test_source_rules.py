@@ -6,6 +6,8 @@
   start-up time.
 - Only checks, cli and __init__ import report, so the kernels build no
   report and checks._evaluate makes every side-pair one.
+- gamma imports only combinatorics and padic of the package: the section-3
+  suites build their sides from residues, not from hyp.
 """
 
 import ast
@@ -64,3 +66,9 @@ def test_only_checks_cli_and_init_import_report():
            if path.stem not in ("checks", "cli", "__init__")
            for line, n in _imported(path) if n.rpartition(".")[2] == "report"]
     assert not bad
+
+
+def test_gamma_imports_only_combinatorics_and_padic():
+    package = {path.stem for path in MODULES}
+    inner = {n for _, n in _imported(SRC / "gamma.py") if n in package}
+    assert inner == {"combinatorics", "padic"}
