@@ -35,9 +35,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 from ._record import FrozenRecord
-from .padic import PadicValue, _modulus, check_prime
+from .padic import PadicValue, _modulus, _per_prime, check_prime
 
 
+@_per_prime
 @lru_cache(maxsize=None)
 def _dlog_table(p: int) -> tuple[int, tuple[int, ...]]:
     """(least primitive root g, index table) with table[x] = log_g(x) for x in
@@ -58,6 +59,7 @@ def _dlog_table(p: int) -> tuple[int, tuple[int, ...]]:
             return g, tuple(table)
 
 
+@_per_prime
 @lru_cache(maxsize=None)
 def _omega_powers(p: int, N: int) -> tuple[int, ...]:
     """omega(g)^k mod p^N for k in [0, p-2], g the cached primitive root."""

@@ -29,7 +29,8 @@ from .characters import Character, characters_for_arguments, greene_series_scale
 from .gamma import check_gamma_properties, lemma_check_gamma_suite
 from .gfunction import GArguments, g_function, s_factor, theorem26_sign
 from .hyp import HypParams, truncated_hyp
-from .padic import PRIME_BOUND, PadicValue, check_prime, primes_in, rational_to_padic
+from .padic import (PRIME_BOUND, PadicValue, _at_prime, _per_prime, check_prime, primes_in,
+                    rational_to_padic)
 from .qseries import gamma_coeffs, hecke_bound_ok, rv_form_coeffs
 from .report import CongruenceReport, sort_reports
 
@@ -64,6 +65,7 @@ def _form(builder, horizon: int):
     return builder(horizon)
 
 
+@_per_prime
 @lru_cache(maxsize=None)
 def _truncated(args: tuple, p: int, N: int) -> PadicValue:
     """{n+1}F_n(args; 1, ..., 1 | 1) truncated at p - 1, mod p^N; cached, since
@@ -404,6 +406,7 @@ CLAIMS = {c.id: c for c in (
 
 
 def run_task(task: Task) -> list[CongruenceReport]:
+    _at_prime(task.p)
     claim = CLAIMS[task.claim]
     return claim.check(task, claim.args(task.params))
 
@@ -411,7 +414,11 @@ def run_task(task: Task) -> list[CongruenceReport]:
 def run_tasks(tasks, jobs: int = 1) -> list[CongruenceReport]:
     """Execute tasks (optionally in a process pool) and return reports in the
     canonical (claim, prime, params) order, independent of the jobs count.
-    The pool never outnumbers the tasks or the CPUs."""
+    The tasks run prime by prime, the prime-free task first (a stable sort),
+    so in one process and in each pool worker every claim at a prime shares
+    its tables until _at_prime drops them.  The pool never outnumbers the
+    tasks or the CPUs."""
+    tasks = sorted(tasks, key=lambda t: -1 if t.p is None else t.p)
     jobs = min(jobs, len(tasks), os.cpu_count() or 1)
     if jobs <= 1:
         chunks = map(run_task, tasks)

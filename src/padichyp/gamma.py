@@ -51,8 +51,9 @@ For N < p, I = J = N and G = 0.  The table prep is polynomial in (p, N):
 O(p I) for the partial blocks and O(I^2 + J) for the rest.  gamma_residues
 is the one path to a value: it checks the prime, the modulus and the range
 once per batch and computes the residues missing from the value cache in one
-batch; gamma_residue is its one-residue view.  _as_residue is the one
-reduction of an argument into Z/p^k; rep(x) is its residue mod p, or p for 0.
+batch; gamma_residue is its one-residue view.  The value cache and the tables
+live for one prime (padic._per_prime).  _as_residue is the one reduction of
+an argument into Z/p^k; rep(x) is its residue mod p, or p for 0.
 
 Suites.  Both section-3 suites live here and work on integer residues:
 check_gamma_properties (Props 3.1-3.3 and 3.8, Cors 3.4-3.5) and
@@ -85,15 +86,17 @@ from .combinatorics import _scaled_harmonic
 from .padic import (
     PadicValue,
     _modulus,
+    _per_prime,
     _ratio_to_padic,
     check_prime,
     valuation_of_int,
 )
 
-# memo of computed values, keyed (p, N) -> {residue: unit}
-_value_cache: dict[tuple[int, int], dict[int, int]] = {}
+# memo of computed values at one prime, keyed (p, N) -> {residue: unit}
+_value_cache: dict[tuple[int, int], dict[int, int]] = _per_prime({})
 
 
+@_per_prime
 @lru_cache(maxsize=None)
 def _horner_data(p: int, N: int):
     """Per-(p, N) tables mod p^N, highest degree first: L(K)/p as one

@@ -11,6 +11,10 @@ past what the inputs actually determine.
 
 Only the odd primes up to PRIME_BOUND = 500 are supported, so that downstream
 table builders stay desk-sized; check_prime reads them from one table.
+
+Memos keyed by a prime are registered with _per_prime where they are
+defined; _at_prime(p), called by checks.run_task, empties them all when the
+prime changes, since no entry is read again once its prime is done.
 """
 
 from __future__ import annotations
@@ -48,6 +52,26 @@ def check_prime(p: int) -> None:
         if p > PRIME_BOUND:
             raise ValueError(f"p={p} exceeds the prime bound {PRIME_BOUND}")
         raise ValueError(f"p={p} is not an odd prime")
+
+
+_PRIME_MEMOS = []  # the registered memos: lru_cache functions and dicts
+_prime = None  # the prime of the work at hand, None before any or prime-free
+
+
+def _per_prime(memo):
+    """Register memo, an lru_cache function or a dict whose keys hold a
+    prime, to be emptied by _at_prime; returns memo unchanged."""
+    _PRIME_MEMOS.append(memo)
+    return memo
+
+
+def _at_prime(p: int | None) -> None:
+    """Start work at prime p, None for prime-free work: a new prime empties every memo."""
+    global _prime
+    if p != _prime:
+        _prime = p
+        for memo in _PRIME_MEMOS:
+            (memo.cache_clear if hasattr(memo, "cache_clear") else memo.clear)()
 
 
 def valuation_of_int(n: int, p: int) -> int:

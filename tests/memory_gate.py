@@ -1,0 +1,63 @@
+"""Gate for the lifetime of the per-prime memos: a check's peak memory must
+not grow with its prime range.
+
+For each claim below it runs `check CLAIM --p-range LO..HALF` and
+`check CLAIM --p-range LO..FULL`, each in a fresh
+`python -B -m padichyp.cli ... --format json` with stdout and stderr sent
+to devnull, and reads the max-RSS of the process from os.wait4.  The full
+range must peak at most RATIO times the half range.  Both ranges share the
+prime bound, so the forms and tables of one prime grow only slightly; the
+tables of every prime kept to the end of the run grow with the range.
+
+It prints the eight peaks and exits 1 if a claim exceeds the ratio.  Run it
+from the repository root:
+
+    python tests/memory_gate.py
+
+It imports nothing of padichyp, since a child's max-RSS starts from the
+high-water RSS of the process that started it.  Its name keeps pytest from
+collecting it; a full run takes a few seconds.
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+RATIO = 1.05
+HALF, FULL = 250, 499
+CLAIMS = (("conj1.3", 3), ("thm2.7", 3), ("prop2.2", 7), ("thm2.4", 7))
+
+
+def peak_mb(claim: str, lo: int, hi: int) -> float:
+    """Max-RSS in MB of one fresh check over lo..hi; exits 1 if it fails."""
+    argv = [sys.executable, "-B", "-m", "padichyp.cli", "check", claim,
+            "--p-range", f"{lo}..{hi}", "--format", "json"]
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
+    quiet = [(os.POSIX_SPAWN_OPEN, fd, os.devnull, os.O_WRONLY, 0) for fd in (1, 2)]
+    pid = os.posix_spawn(sys.executable, argv, env, file_actions=quiet)
+    _, status, usage = os.wait4(pid, 0)
+    if os.waitstatus_to_exitcode(status) != 0:
+        print(f"FAILED: {' '.join(argv[1:])} exited {os.waitstatus_to_exitcode(status)}")
+        sys.exit(1)
+    return usage.ru_maxrss / 1024
+
+
+def main() -> int:
+    worst = 0.0
+    for claim, lo in CLAIMS:
+        half, full = peak_mb(claim, lo, HALF), peak_mb(claim, lo, FULL)
+        worst = max(worst, full / half)
+        print(f"{claim:<8} {lo}..{HALF}: {half:6.2f} MB   {lo}..{FULL}: {full:6.2f} MB"
+              f"   ratio {full / half:.3f}")
+    if worst > RATIO:
+        print(f"FAIL: peak memory grows with the prime range (ratio {worst:.3f} > {RATIO})")
+        return 1
+    print(f"peak memory stays flat over the prime range (every ratio <= {RATIO})")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -272,12 +272,15 @@ with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
 loaded = {m.partition(".")[0] for m in sys.modules} - {"__main__", "padichyp"}
 print(json.dumps({"code": code, "sha256": hashlib.sha256(out.getvalue().encode()).hexdigest(),
                   "outside": sorted(loaded - set(sys.stdlib_module_names)),
-                  "slow": sorted({"dataclasses", "typing"} & set(sys.modules))}))
+                  "slow": sorted({"dataclasses", "typing"} & set(sys.modules)),
+                  "no_bytecode": sys.flags.dont_write_bytecode}))
 """
 
 
 def test_check_all_runs_on_the_stdlib_alone():
-    r = subprocess.run([sys.executable, "-I", "-S", "-c", _STDLIB_RUN],
+    # -I ignores PYTHONDONTWRITEBYTECODE: -B keeps the run from writing
+    # bytecode into src, where a later benchmark would time it
+    r = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", _STDLIB_RUN],
                        cwd=BENCH_REFERENCE.parent.parent, capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     got = json.loads(r.stdout)
@@ -286,6 +289,7 @@ def test_check_all_runs_on_the_stdlib_alone():
     assert got["outside"] == []  # only stdlib modules
     # each costs every process its start-up time
     assert got["slow"] == [], "check-all loaded " + ", ".join(got["slow"])
+    assert got["no_bytecode"] == 1
 
 
 @pytest.mark.parametrize("name, builder", [("ao", "gamma_coeffs"),

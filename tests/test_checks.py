@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from padichyp import characters, checks, cli, gfunction, qseries
+from padichyp import characters, checks, cli, gamma, gfunction, padic, qseries
 from padichyp.padic import PadicValue, rational_to_padic, valuation_of_int
 from padichyp.qseries import QSeries
 from padichyp.report import CSV_COLUMNS, CongruenceReport, sort_reports, write_reports
@@ -429,6 +429,55 @@ def test_runner_is_deterministic_across_jobs():
     serial = checks.run_tasks(tasks, jobs=1)
     parallel = checks.run_tasks(tasks, jobs=2)
     assert _text(serial, "json") == _text(parallel, "json")
+
+
+def _held():
+    """What each per-prime memo holds: an lru_cache's size, a dict's entries."""
+    return [m.cache_info().currsize if hasattr(m, "cache_info")
+            else {k: dict(v) for k, v in m.items()} for m in padic._PRIME_MEMOS]
+
+
+def test_the_per_prime_memos_are_the_five_prime_keyed_tables():
+    memos = (gamma._value_cache, gamma._horner_data, characters._dlog_table,
+             characters._omega_powers, checks._truncated)
+    assert sorted(map(id, padic._PRIME_MEMOS)) == sorted(map(id, memos))
+
+
+@pytest.mark.parametrize("claim, lo, hi", [("conj1.3", 3, 97), ("ao", 7, 61)])
+def test_a_run_leaves_the_tables_of_its_last_prime_alone(claim, lo, hi):
+    checks.run_tasks(checks.CLAIMS[claim].plan(lo, hi)[0])
+    after_range = _held()
+    assert all(key[0] == hi for key in gamma._value_cache)
+    assert checks._truncated.cache_info().currsize == 1
+    padic._at_prime(None)
+    assert not any(_held())
+    checks.run_tasks(checks.CLAIMS[claim].plan(hi, hi)[0])
+    assert _held() == after_range
+
+
+def test_run_tasks_goes_prime_by_prime_with_the_prime_free_task_first(monkeypatch):
+    tasks, _ = checks.RunConfig().plan()
+    seen = []
+    monkeypatch.setattr(checks, "run_task", lambda t: seen.append(t) or [])
+    assert checks.run_tasks(tasks, jobs=1) == []
+    assert sorted(seen, key=id) == sorted(tasks, key=id)
+    assert seen[0].p is None and all(t.p is not None for t in seen[1:])
+    primes = [t.p for t in seen[1:]]
+    assert primes == sorted(primes)
+    for p in set(primes):  # stable: the plan's order at each prime
+        assert [t for t in seen if t.p == p] == [t for t in tasks if t.p == p]
+
+
+@pytest.mark.parametrize("argv", [["check", "thm2.4", "--p-range", "7..13"], ["check-all"]],
+                         ids=["check", "check-all"])
+def test_cli_runs_its_checks_through_run_config(monkeypatch, argv):
+    # perfbench/run.py times the CLI's set-up with checks.run_config stubbed
+    # out like this; a CLI that ran its tasks another way would time a check
+    calls = []
+    monkeypatch.setattr(checks, "run_config", lambda cfg: calls.append(cfg) or ([], []))
+    monkeypatch.setattr(checks, "run_tasks", lambda *a: pytest.fail("a check ran"))
+    code, out, _ = _main(*argv, "--format", "json")
+    assert (code, json.loads(out), len(calls)) == (0, [], 1)
 
 
 def test_run_config_plan_and_override():

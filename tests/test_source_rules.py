@@ -8,6 +8,9 @@
   report and checks._evaluate makes every side-pair one.
 - gamma imports only combinatorics and padic of the package: the section-3
   suites build their sides from residues, not from hyp.
+- Every memo keyed by a prime is registered with padic._per_prime where it
+  is defined: each module-level lru_cache function with a parameter p (as
+  the outermost decorator), and the dict gamma._value_cache.
 """
 
 import ast
@@ -72,3 +75,29 @@ def test_gamma_imports_only_combinatorics_and_padic():
     package = {path.stem for path in MODULES}
     inner = {n for _, n in _imported(SRC / "gamma.py") if n in package}
     assert inner == {"combinatorics", "padic"}
+
+
+def _called(node):
+    """The name a decorator or an assigned value calls or is: lru_cache for
+    @lru_cache(maxsize=None), _per_prime for @_per_prime."""
+    node = node.func if isinstance(node, ast.Call) else node
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+def test_memos_keyed_by_a_prime_are_registered_per_prime():
+    unscoped = []
+    for path in MODULES:
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                decorators = [_called(d) for d in node.decorator_list]
+                params = [a.arg for a in node.args.posonlyargs + node.args.args
+                          + node.args.kwonlyargs]
+                if "lru_cache" in decorators and "p" in params \
+                        and decorators[0] != "_per_prime":
+                    unscoped.append(f"{path.name}:{node.lineno}: {node.name}")
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                if "_value_cache" in [getattr(t, "id", None) for t in targets] \
+                        and _called(node.value) != "_per_prime":
+                    unscoped.append(f"{path.name}:{node.lineno}: _value_cache")
+    assert not unscoped
