@@ -49,7 +49,9 @@ def _add_run_flags(sp) -> None:
     """Output and run flags, shared by check and check-all."""
     sp.add_argument("--format", choices=["json", "csv", "human"], default="human")
     sp.add_argument("--jobs", type=int, default=1)
-    sp.add_argument("--seed", type=int, default=checks.DEFAULT_SEED)
+    sp.add_argument("--seed", type=int, default=checks.DEFAULT_SEED,
+                    help="seed of the lemmas claim's lemma P/Q tuples and extra binharm.id2 "
+                         "pairs; no other claim reads it")
     sp.add_argument("--out", help="write the report to FILE instead of stdout")
 
 

@@ -62,18 +62,23 @@ k, lhs, rhs), the congruence lhs = rhs mod p^k with each side a PadicValue,
 and builds no report: checks._evaluate turns the rows into reports, as it
 does for every other claim.  They share one per-x preparation
 (_points: the label, the residue a of x mod p^5 and rep(x) = a mod p or p)
-and one p >= 7 check; the residues of x + j, 1 - x + j and 1 + j are integer
-sums, and Lemmas 3.12-3.13 split x, 1 - x by rep(1 - x) = p + 1 - rep(x).
-Sides that are always units (the Prop 3.8 shift, the right side of Prop
-3.1.1, the left side of Lemma 3.12) are integer products of residues.  G_1
-and G_2 come from the batch functions _g1s and _g2s, each taking its Gamma_p
-values from one gamma_residues call.  The harmonic right-hand sides are
-integer (num, den) pairs from the scaled prefix tables of combinatorics
-(L H^(1) and L^2 H^(2), L = lcm(1..2p-2)), reduced once by _ratio_to_padic.
-Where a side may vanish or carry a valuation (G_1, G_2 and their
-combinations), PadicValue arithmetic fixes its relative precision.  gamma
-imports only combinatorics and padic; tests/oracles.py keeps the per-(x, j)
-Fraction evaluation whose reports the evaluated rows must equal row for row.
+and one p >= 7 check, and go point by point: a point's Gamma_p values at one
+precision come from one gamma_residues batch, its G_1 and G_2 values from
+one call of the batch functions _g1s and _g2s, which return residues mod
+p^M.  The residues of x + j, 1 - x + j and 1 + j are integer sums, and
+Lemmas 3.12-3.13 split x, 1 - x by rep(1 - x) = p + 1 - rep(x).
+
+Every side is read once from an integer: a Gamma_p or G side is one
+PadicValue.from_residue of an integer expression in the residues, a rational
+side one _ratio_to_padic of an integer (num, den) pair, the harmonic ones from
+the scaled prefix tables of combinatorics (L H^(1) and L^2 H^(2), L =
+lcm(1..2p-2)).  These are the digits PadicValue arithmetic would fix: a G
+value has absolute precision exactly M, a sum the least of its terms' and a
+product of G values at least M, so each G side is known mod p^M = p^k; the
+Taylor side Gamma_p(x)(1 + z G_1 + (z^2/2) G_2) is known mod p^3, as z G_1
+is.  gamma imports only combinatorics and padic; tests/oracles.py keeps the
+per-(x, j) Fraction evaluation by PadicValue arithmetic, whose reports the
+evaluated rows must equal row for row.
 """
 
 from __future__ import annotations
@@ -228,18 +233,18 @@ def rep(x, p: int) -> int:
     return _as_residue(x, p, 1) or p
 
 
-def _shift(a: int, r: int, gx: PadicValue, j: int, p: int, N: int) -> PadicValue:
+def _shift(a: int, r: int, g: int, j: int, p: int, N: int) -> PadicValue:
     """Gamma_p(x + j) mod p^N, 0 <= j <= p, from the residue a of x mod p^N or
-    finer, r = rep(x) and gx = Gamma_p(x): (-1)^j gx (x)_j (Prop 3.8), less
-    the factor x + p - r of the p-divisible step that j > p - r reaches."""
-    u = gx.unit
+    finer, r = rep(x) and the residue g of Gamma_p(x): (-1)^j g (x)_j (Prop
+    3.8), less the factor x + p - r of the p-divisible step that j > p - r
+    reaches."""
     for i in range(j):
         if i != p - r:
-            u *= a + i
-    return PadicValue(p, 0, (-u if j % 2 else u) % p**N, N)
+            g *= a + i
+    return PadicValue.from_residue(-g if j % 2 else g, p, N)
 
 
-def _g1s(rs, p: int, M: int) -> list[PadicValue]:
+def _g1s(rs, p: int, M: int) -> list[int]:
     """[G_1(r) mod p^M for r in rs], for integers r: the forward difference
     quotient (Gamma_p(r+h)/Gamma_p(r) - 1)/h with h = p^M.  The discarded
     terms start at (h/2)G_2(r), so the quotient is exact to M digits by
@@ -249,14 +254,10 @@ def _g1s(rs, p: int, M: int) -> list[PadicValue]:
     pN, h = p**Ng, p**M
     n = len(rs)
     vals = gamma_residues([(r + s) % pN for s in (0, h) for r in rs], p, Ng)
-    out = []
-    for g0, gh in zip(vals[:n], vals[n:]):
-        q = (gh * pow(g0, -1, pN) - 1) % pN
-        out.append(PadicValue.from_residue(q // h % p**M, p, M))
-    return out
+    return [(gh * pow(g0, -1, pN) - 1) % pN // h % p**M for g0, gh in zip(vals[:n], vals[n:])]
 
 
-def _g2s(rs, p: int, M: int) -> list[PadicValue]:
+def _g2s(rs, p: int, M: int) -> list[int]:
     """[G_2(r) mod p^M for r in rs], for integers r: the symmetric second
     difference with step h = p^ceil(M/2).  Its leading error
     2 h^2 Gamma_p''''(x)/(4! Gamma_p(x)) is p-integral for p >= 7, giving
@@ -267,11 +268,8 @@ def _g2s(rs, p: int, M: int) -> list[PadicValue]:
     pN, h = p**Ng, p**m
     n = len(rs)
     vals = gamma_residues([(r + s) % pN for s in (0, h, -h) for r in rs], p, Ng)
-    out = []
-    for g0, gp, gm in zip(vals[:n], vals[n:2 * n], vals[2 * n:]):
-        num = (gp - 2 * g0 + gm) % pN
-        out.append(PadicValue.from_residue(num // (h * h) * pow(g0, -1, pN) % p**M, p, M))
-    return out
+    return [(gp - 2 * g0 + gm) % pN // (h * h) * pow(g0, -1, pN) % p**M
+            for g0, gp, gm in zip(vals[:n], vals[n:2 * n], vals[2 * n:])]
 
 
 def _certified(p: int, M: int) -> None:
@@ -285,19 +283,14 @@ def _certified(p: int, M: int) -> None:
 def g1(x, p: int, M: int) -> PadicValue:
     """First logarithmic derivative Gamma_p'(x)/Gamma_p(x), certified mod p^M."""
     _certified(p, M)
-    return _g1s([_as_residue(x, p, 2 * M + 1)], p, M)[0]
+    return PadicValue.from_residue(_g1s([_as_residue(x, p, 2 * M + 1)], p, M)[0], p, M)
 
 
 def g2(x, p: int, M: int) -> PadicValue:
     """Second logarithmic derivative Gamma_p''(x)/Gamma_p(x), certified mod p^M."""
     _certified(p, M)
-    return _g2s([_as_residue(x, p, 2 * ((M + 1) // 2) + M + 1)], p, M)[0]
-
-
-def _gamma_values(rs, p: int, N: int) -> list[PadicValue]:
-    """[gamma_p(r, p, N) for r in rs], for integers r, in one batch."""
-    pN = p**N
-    return [PadicValue(p, 0, u, N) for u in gamma_residues([r % pN for r in rs], p, N)]
+    r = _as_residue(x, p, 2 * ((M + 1) // 2) + M + 1)
+    return PadicValue.from_residue(_g2s([r], p, M)[0], p, M)
 
 
 # ---------------------------------------------------------------------------
@@ -332,29 +325,30 @@ def _points(p: int, xs=None) -> list[tuple[Fraction, str, int, int]]:
 def check_gamma_properties(p: int):
     """The rows (claim, params, k, lhs, rhs) of Props 3.1-3.2, Cors 3.4-3.5,
     the Taylor law and the shift formula, over the standard denominator-grid
-    of x values, each side a PadicValue."""
+    of x values, point by point, each side a PadicValue read from an integer."""
     N, M = 4, 2
     pts = _points(p)
-    gxs = _gamma_values([a for _, _, a, _ in pts], p, N)
-    one = _ratio_to_padic(1, 1, p, N)
-    for (x, label, a, r), gx in zip(pts, gxs):
-        gx1, gy = _gamma_values([a + 1, 1 - a], p, N)
+    pN, half, val = p**N, pow(2, -1, p**3), PadicValue.from_residue
+    for x, label, a, r in pts:
+        # Gamma_p at x + j for j = 0..p, then at 1 - x and x + 2p
+        g = gamma_residues([(a + j) % pN for j in range(p + 1)]
+                           + [(1 - a) % pN, (a + 2 * p) % pN], p, N)
+        gx = g[0]
         # functional equation
-        rhs = PadicValue(p, 0, -(a if r < p else 1) * gx.unit % p**N, N)
-        yield "prop3.1.1", {"x": label}, N, gx1, rhs
+        yield "prop3.1.1", {"x": label}, N, val(g[1], p, N), val(-(a if r < p else 1) * gx, p, N)
         # reflection
-        yield "prop3.1.2", {"x": label}, N, gx * gy, _ratio_to_padic((-1) ** r, 1, p, N)
+        yield ("prop3.1.2", {"x": label}, N, val(gx * g[p + 1], p, N),
+               _ratio_to_padic((-1) ** r, 1, p, N))
         # continuity: arguments agreeing mod p^n give values agreeing mod p^n
         # (evaluated at higher precision, where the two residues differ)
         for n in (1, 2, 3):
-            gyn, gxn = _gamma_values([a + p**n, a], p, n + 2)
-            yield "prop3.1.3", {"x": label, "n": n}, n, gyn, gxn
+            pn = p ** (n + 2)
+            gyn, gxn = gamma_residues([(a + p**n) % pn, a % pn], p, n + 2)
+            yield "prop3.1.3", {"x": label, "n": n}, n, val(gyn, p, n + 2), val(gxn, p, n + 2)
         # shift formula against direct evaluation
-        direct = _gamma_values([a + j for j in range(p + 1)], p, N)
-        for j in range(0, p + 1):
-            yield "prop3.8", {"x": label, "j": j}, N, _shift(a, r, gx, j, p, N), direct[j]
-    for (x, label, a, _), gx in zip(pts, gxs):
-        # at x, x + 1, 1 - x, x + p and x + 2p
+        for j in range(p + 1):
+            yield "prop3.8", {"x": label, "j": j}, N, _shift(a, r, gx, j, p, N), val(g[j], p, N)
+        # G_1 and G_2 at x, x + 1, 1 - x, x + p and x + 2p
         rs = [a, a + 1, 1 - a, a + p, a + 2 * p]
         u1, v1, w1, *z1 = _g1s(rs, p, M)
         u2, v2, w2, *z2 = _g2s(rs, p, M)
@@ -362,24 +356,24 @@ def check_gamma_properties(p: int):
         # G1 step
         rhs = _ratio_to_padic(x.denominator, x.numerator, p, M) if unit \
             else PadicValue.zero(p, M)
-        yield "prop3.2.1", {"x": label}, M, v1 - u1, rhs
+        yield "prop3.2.1", {"x": label}, M, val(v1 - u1, p, M), rhs
         # (G1^2 - G2) step
         rhs = _ratio_to_padic(x.denominator**2, x.numerator**2, p, M) if unit \
             else PadicValue.zero(p, M)
-        yield "prop3.2.2", {"x": label}, M, v1 * v1 - v2 - u1 * u1 + u2, rhs
+        yield "prop3.2.2", {"x": label}, M, val(v1 * v1 - v2 - u1 * u1 + u2, p, M), rhs
         # symmetry and its derivative
-        yield "prop3.2.3", {"x": label}, M, u1, w1
-        yield "prop3.2.4", {"x": label}, M, u1 * u1 - u2, -(w1 * w1) + w2
-        for t, zx1, zx2 in zip((1, 2), z1, z2):
+        yield "prop3.2.3", {"x": label}, M, val(u1, p, M), val(w1, p, M)
+        yield "prop3.2.4", {"x": label}, M, val(u1 * u1 - u2, p, M), val(w2 - w1 * w1, p, M)
+        for t, zx1, zx2, gz in zip((1, 2), z1, z2, (g[p], g[p + 2])):
             z = t * p
-            yield "cor3.4", {"x": label, "z": str(z), "which": "g1"}, 1, zx1, u1
-            yield "cor3.4", {"x": label, "z": str(z), "which": "g2"}, 1, zx2, u2
-            ze = _ratio_to_padic(z, 1, p, M + 1)
-            yield "cor3.5", {"x": label, "z": str(z)}, 2, u1, zx1 + ze * (zx1 * zx1 - zx2)
+            for which, zx, u in (("g1", zx1, u1), ("g2", zx2, u2)):
+                yield ("cor3.4", {"x": label, "z": str(z), "which": which}, 1, val(zx, p, M),
+                       val(u, p, M))
+            yield ("cor3.5", {"x": label, "z": str(z)}, 2, val(u1, p, M),
+                   val(zx1 + z * (zx1 * zx1 - zx2), p, M))
             # Taylor law mod p^3
-            taylor = gx * (one + ze * u1 + _ratio_to_padic(z * z, 2, p, N) * u2)
-            gz = _gamma_values([a + z], p, N)[0]
-            yield "prop3.3.2", {"x": label, "z": str(z)}, 3, gz, taylor
+            yield ("prop3.3.2", {"x": label, "z": str(z)}, 3, val(gz, p, N),
+                   val(gx * (1 + z * u1 + z * z * half * u2), p, 3))
 
 
 def _factorial_rhs(r: int, j: int, p: int) -> tuple[int, int]:
@@ -399,8 +393,9 @@ def _harmonic_diff(table, a: int, b: int, pole: int) -> tuple[int, int]:
 
 def lemma_check_gamma_suite(p: int, xs=None):
     """The five shifted-gamma congruence families over full (x, j) grids: one
-    row (claim, {"x", "j"}, k, lhs, rhs) per (family, x, j), family by family,
-    each side a PadicValue:
+    row (claim, {"x", "j"}, k, lhs, rhs) per (family, x, j), point by point
+    and family by family at each point, each side a PadicValue read once from
+    an integer:
 
     - lemma3.9: Gamma_p(x+j) = (rep(x)+j-1)! (-1)^(rep(x)+j) delta (mod p)
       for j = 0..p, delta = 1 below the p-divisible step and 1/p from it on;
@@ -415,51 +410,47 @@ def lemma_check_gamma_suite(p: int, xs=None):
     """
     pts = _points(p, xs)
     H1, H2 = _scaled_harmonic(2 * p - 2, 1), _scaled_harmonic(2 * p - 2, 2)
-    # per x: r1 - m1 as (num, den), r1, r2; m1 of x, 1 - x has the larger rep, x on a tie
-    pairs = []
-    for x, _, _, r in pts:
-        r1 = max(r, p + 1 - r)
-        m1 = x if r1 == r else 1 - x
-        pairs.append(((r1 * m1.denominator - m1.numerator, m1.denominator), r1, p + 1 - r1))
-    for _, label, a, r in pts:
-        lhs = _gamma_values([a + j for j in range(p + 1)], p, 2)
+    S1, t1 = H1
+    val = PadicValue.from_residue
+    # G_1 and G_2 mod p, and G_1 mod p^2, at 1 + j
+    ones = range(1, p + 1)
+    lb, lb2, lc = _g1s(ones, p, 1), _g2s(ones, p, 1), _g1s(ones, p, 2)
+    for x, label, a, r in pts:
+        g = gamma_residues([(a + j) % p**2 for j in range(p + 1)], p, 2)
         for j in range(p + 1):
-            yield ("lemma3.9", {"x": label, "j": j}, 1, lhs[j],
+            yield ("lemma3.9", {"x": label, "j": j}, 1, val(g[j], p, 2),
                    _ratio_to_padic(*_factorial_rhs(r, j, p), p, 3))
-    ones = range(1, p + 1)  # 1 + j
-    lb = _g1s(ones, p, 1)
-    las = [_g1s([a + j for j in range(p)], p, 1) for _, _, a, _ in pts]
-    for (_, label, _, r), la in zip(pts, las):
+        la = _g1s([a + j for j in range(p)], p, 1)
         for j in range(p):
             rhs = _harmonic_diff(H1, r - 1 + j, j, p if j > p - r else 0)
-            yield "lemma3.10", {"x": label, "j": j}, 1, la[j] - lb[j], _ratio_to_padic(*rhs, p, 3)
-    lb2 = _g2s(ones, p, 1)
-    for (_, label, a, r), la in zip(pts, las):
+            yield ("lemma3.10", {"x": label, "j": j}, 1, val(la[j] - lb[j], p, 1),
+                   _ratio_to_padic(*rhs, p, 3))
         la2 = _g2s([a + j for j in range(p)], p, 1)
         for j in range(p):
             lhs = la[j] * la[j] - la2[j] - lb[j] * lb[j] + lb2[j]
             rhs = _harmonic_diff(H2, r - 1 + j, j, p**2 if j > p - r else 0)
-            yield "lemma3.11", {"x": label, "j": j}, 1, lhs, _ratio_to_padic(*rhs, p, 4)
-    for (_, label, a, _), ((dn, dd), r1, r2) in zip(pts, pairs):
+            yield ("lemma3.11", {"x": label, "j": j}, 1, val(lhs, p, 1),
+                   _ratio_to_padic(*rhs, p, 4))
+        # r1 - m1 as (dn, dd), r1, r2: m1 of x, 1 - x has the larger rep, x on a tie
+        r1 = max(r, p + 1 - r)
+        r2 = p + 1 - r1
+        m1 = x if r1 == r else 1 - x
+        dn, dd = r1 * m1.denominator - m1.numerator, m1.denominator
         g = gamma_residues([(b + j) % p**5 for b in (a, 1 - a) for j in range(r1)], p, 5)
         for j in range(r1):
             # every factor is a unit for j < p
             u = g[j] * g[r1 + j] * pow(g[0] * g[r1] * math.factorial(j) ** 2, -1, p**5)
-            lhs = PadicValue(p, 0, u % p**5, 5)
             # alpha (1 - (r1 - m1)(H_(r1-1+j) - H_(r2-1+j) - beta)) times the
             # binomials, with alpha = beta = 1/p from j = r2 on
             pole = p if j >= r2 else 0
             hn, hd = _harmonic_diff(H1, r1 - 1 + j, r2 - 1 + j, pole)
             s = (-1) ** j * math.comb(r1 - 1 + j, j) * math.comb(r1 - 1, j)
-            yield ("lemma3.12", {"x": label, "j": j}, 2, lhs,
+            yield ("lemma3.12", {"x": label, "j": j}, 2, val(u, p, 5),
                    _ratio_to_padic(s * (dd * hd - dn * hn), dd * hd * (pole or 1), p, 5))
-    lb = _g1s(ones, p, 2)
-    S1, t1 = H1
-    for (_, label, a, _), ((dn, dd), r1, r2) in zip(pts, pairs):
-        ga = _g1s([a + j for j in range(r1)], p, 2)
-        gb = _g1s([1 - a + j for j in range(r1)], p, 2)
+        # G_1 mod p^2 at x + j, then at 1 - x + j
+        gab = _g1s([b + j for b in (a, 1 - a) for j in range(r1)], p, 2)
         for j in range(r1):
-            lhs = ga[j] + gb[j] - lb[j] - lb[j]
+            lhs = gab[j] + gab[r1 + j] - 2 * lc[j]
             # H_(r1-1+j) + H_(r1-1-j) - 2H_j - alpha
             #   + (r1 - m1)(H^(2)_(r1-1+j) - H^(2)_(r2-1+j) - beta),
             # with alpha = 1/p and beta = 1/p^2 from j = r2 on
@@ -467,5 +458,5 @@ def lemma_check_gamma_suite(p: int, xs=None):
             if j >= r2:
                 an, ad = an * p - S1, S1 * p
             bn, bd = _harmonic_diff(H2, r1 - 1 + j, r2 - 1 + j, p**2 if j >= r2 else 0)
-            yield ("lemma3.13", {"x": label, "j": j}, 2, lhs,
+            yield ("lemma3.13", {"x": label, "j": j}, 2, val(lhs, p, 2),
                    _ratio_to_padic(an * dd * bd + dn * bn * ad, ad * dd * bd, p, 5))

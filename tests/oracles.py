@@ -357,10 +357,11 @@ def gamma_block(r: int, p: int, N: int) -> int:
 # -- the section-3 suites as they were evaluated per (x, j) ------------------
 #
 # Every argument is a Fraction reduced separately, G_1 and G_2 call
-# gamma_residue once per Gamma_p value, and the right-hand sides are Fraction
-# harmonic sums.  lemma_check_gamma_suite and check_gamma_properties here give
-# the report rows that the rows of the residue-level suites of the package,
-# turned into reports by checks._evaluate, must equal.
+# gamma_residue once per Gamma_p value, the sides are combined by PadicValue
+# arithmetic and the right-hand sides are Fraction harmonic sums.
+# lemma_check_gamma_suite and check_gamma_properties here give the report rows
+# that the rows of the residue-level suites of the package, turned into
+# reports by checks._evaluate, must equal.
 
 _harmonic_cache: dict[int, list[Fraction]] = {}
 
@@ -518,7 +519,8 @@ def paired_g1_harmonic(x: Fraction, j: int, p: int):
 
 
 def lemma_check_gamma_suite(p: int, xs=None) -> list[CongruenceReport]:
-    """One report per (family, x, j), family by family."""
+    """One report per (family, x, j), point by point and family by family at
+    each point."""
     if xs is None:
         xs = default_x_grid(p)
     families = [
@@ -531,8 +533,8 @@ def lemma_check_gamma_suite(p: int, xs=None) -> list[CongruenceReport]:
          lambda x: range(0, rep(split_by_rep(Fraction(x), p)[0], p))),
     ]
     reports = []
-    for claim, fn, jrange in families:
-        for x in xs:
+    for x in xs:
+        for claim, fn, jrange in families:
             for j in jrange(x):
                 lhs, rhs, k = fn(x, j, p)
                 reports.append(CongruenceReport.from_sides(
@@ -541,8 +543,9 @@ def lemma_check_gamma_suite(p: int, xs=None) -> list[CongruenceReport]:
 
 
 def check_gamma_properties(p: int) -> list[CongruenceReport]:
-    """Props 3.1-3.3, 3.8 and Cors 3.4-3.5 over the default x grid."""
-    N = 4
+    """Props 3.1-3.3, 3.8 and Cors 3.4-3.5 over the default x grid, point by
+    point."""
+    N, M = 4, 2
     out = []
     xs = default_x_grid(p)
     one = rational_to_padic(1, p, N)
@@ -568,8 +571,6 @@ def check_gamma_properties(p: int) -> list[CongruenceReport]:
             out.append(CongruenceReport.from_sides(
                 "prop3.8", p, {"x": str(x), "j": j}, N,
                 gamma_shift(x, j, p, N), gamma_p(x + j, p, N)))
-    M = 2
-    for x in xs:
         u1 = g1(x, p, M)
         u2 = g2(x, p, M)
         v1 = g1(x + 1, p, M)

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from padichyp import characters, checks, cli, gamma, gfunction, padic, qseries
+from padichyp import characters, checks, cli, combinatorics, gamma, gfunction, padic, qseries
 from padichyp.padic import PadicValue, rational_to_padic, valuation_of_int
 from padichyp.qseries import QSeries
 from padichyp.report import CSV_COLUMNS, CongruenceReport, sort_reports, write_reports
@@ -491,6 +491,17 @@ def test_run_config_plan_and_override():
     assert {t[0] for t in tasks} >= {"prop2.2", "thm2.6", "conj1.3", "lemmas"}
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: checks.RunConfig(claim="nope").plan(), "unknown claim id: nope"),
+    (lambda: checks.RunConfig(p_min=7).plan(),
+     "check-all takes no prime range, modulus or claim parameter"),
+    (lambda: combinatorics.apery(-1), "Apery numbers need n >= 0"),
+], ids=["unknown-claim", "check-all-range", "apery"])
+def test_api_rejects_bad_input_with_a_message(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_lemma_tasks_include_rational_identities():
     tasks, skipped = checks.CLAIMS["lemmas"].plan()
     assert {t.claim for t in tasks} == {"lemmas"}
@@ -581,6 +592,26 @@ def test_cli_trunc_reduces_to_three_digits_by_default():
     code, out, _ = _main("trunc", "--args", "1/2,1/2", "--p", "7")
     assert code == 0
     assert out.splitlines()[1].endswith("+ O(7^3)")
+
+
+@pytest.mark.parametrize("argv, stdout", [
+    (["gfun", "--args", "1/2,1/2", "--p", "7", "--precision", "4"], "2400 * 7^0 + O(7^4)\n"),
+    (["greene", "--args", "1/3,2/3", "--p", "7", "--x", "7"], "0 + O(7^inf)\n"),  # exact zero
+    # eta(q)^24 = Delta: Ramanujan's tau(1..5)
+    (["qexp", "--eta", "1^24", "--truncation", "5"], "1 1\n2 -24\n3 252\n4 -1472\n5 4830\n"),
+], ids=["gfun", "greene-zero", "qexp-eta"])
+def test_cli_value_commands_print_their_values(argv, stdout):
+    assert _main(*argv) == (0, stdout, "")
+
+
+def test_cli_seed_moves_only_the_lemmas_claim():
+    # what the --seed help says
+    def run(seed, *argv):
+        return _main(*argv, "--format", "json", "--seed", str(seed))
+
+    for argv in (["check", "ao", "--p", "7"], ["check", "thm2.4", "--d", "3", "--p", "7"]):
+        assert run(1, *argv) == run(2, *argv)
+    assert run(1, "check", "lemmas", "--p", "7")[1] != run(2, "check", "lemmas", "--p", "7")[1]
 
 
 def test_cli_qexp_csv(tmp_path):
@@ -684,6 +715,11 @@ def _main(*argv):
      "error: [Errno 2] No such file or directory: ''"),
     (["qexp", "--form", "gamma", "--truncation", "3", "--csv", ""],
      "error: [Errno 2] No such file or directory: ''"),
+    (["check", "thm2.4", "--p-range", "7..600"],
+     "prime range 7..600 exceeds the prime bound 500"),
+    (["gfun", "--args", "1/2", "--p", "7"], "--args needs at least two fractions"),
+    (["qexp", "--eta", "0^24"], "eta scale must be a positive integer"),
+    (["trunc", "--args", "1/2,1/2", "-m", "-1"], "truncation must be >= 0"),
 ])
 def test_cli_usage_errors_exit_2(argv, message):
     with patch.object(checks, "run_config") as run:

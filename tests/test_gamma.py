@@ -286,7 +286,7 @@ def test_rep_floor_formula():
 
 def _shift(x, j, p, N):
     """Gamma_p(x + j) by the Prop 3.8 shift of check_gamma_properties."""
-    return gamma._shift(gamma._as_residue(x, p, N), rep(x, p), gamma_p(x, p, N), j, p, N)
+    return gamma._shift(gamma._as_residue(x, p, N), rep(x, p), gamma_p(x, p, N).unit, j, p, N)
 
 
 def test_shift_formula_matches_direct_evaluation():
@@ -495,6 +495,19 @@ def test_suite_takes_any_x_list_like_the_oracle():
         assert rows == oracles.lemma_check_gamma_suite(p, xs)
 
 
+def test_suites_read_every_side_from_an_integer(monkeypatch):
+    # each side is one from_residue or _ratio_to_padic: no PadicValue arithmetic
+    def no_arithmetic(*args):
+        raise AssertionError("PadicValue arithmetic in a section-3 suite")
+
+    for name in ("__add__", "__sub__", "__mul__", "__neg__", "inverse"):
+        monkeypatch.setattr(PadicValue, name, no_arithmetic)
+    for p in (7, 11, 13):
+        for suite in (lemma_check_gamma_suite, check_gamma_properties):
+            rows = list(suite(p))
+            assert rows and all(isinstance(s, PadicValue) for row in rows for s in row[3:])
+
+
 def test_derivatives_equal_the_difference_quotient_oracles():
     for p in (7, 11, 13):
         xs = [0, 1, 5, -3, Fraction(1, 3), Fraction(-2, 5), Fraction(p, 2),
@@ -614,8 +627,7 @@ def _plus_last_digit(shift):
 
 def _plus_digit_one(derivs):
     # a term that changes when the argument moves by p, which Cor 3.4 forbids mod p
-    return lambda rs, p, M: [g + rational_to_padic(r // p, p, M)
-                             for r, g in zip(rs, derivs(rs, p, M))]
+    return lambda rs, p, M: [(g + r // p) % p**M for r, g in zip(rs, derivs(rs, p, M))]
 
 
 _DERIVATIVE_FAMILIES = {"prop3.2.1", "prop3.2.2", "prop3.2.3", "prop3.2.4", "prop3.3.2", "cor3.5"}
