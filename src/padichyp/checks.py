@@ -2,17 +2,16 @@
 
 Each claim family is one entry of the CLAIMS registry: admissibility (the
 congruence-class preconditions of the theorems), accepted parameters, default
-grid, prime range and modulus, and checker.  Planning, validation, check-all
+grid, prime range and modulus, and rows.  Planning, validation, check-all
 and the CLI all read it.  Every result is a congruence at one prime, so a
 Task is one claim on one parameter set at one prime p.  Every claim lists
 its rows (claim, params, k, lhs, rhs): the side-pair claims from a few side
 functions (G, the Greene series, the truncated series + s(p) p, a form
-coefficient), a lemmas task at p from _lemma_rows (the power sums, lemma P
-and Q, and the section-3 Gamma_p suites of gamma).  One function,
-_evaluate, turns rows into reports; only the prime-free lemmas task, the
-exact rational identities, builds its reports itself.  Every run reports the
-primes it skipped rather than silently narrowing a range; the defaults
-reproduce the acceptance suite.
+coefficient), the lemmas tasks from _lemma_rows (at p the power sums, lemma
+P and Q and the section-3 Gamma_p suites of gamma; with no prime the exact
+rational identities).  run_task makes every report, through the one
+function _evaluate.  Every run reports the primes it skipped rather than
+silently narrowing a range; the defaults reproduce the acceptance suite.
 """
 
 from __future__ import annotations
@@ -147,13 +146,17 @@ def _truncated_sp(args, p: int, N: int) -> PadicValue:
     return side
 
 
-def _evaluate(p: int, rows) -> list[CongruenceReport]:
+def _evaluate(p: int | None, rows) -> list[CongruenceReport]:
     """The reports of rows (claim, params, k, lhs, rhs), each the congruence
-    lhs = rhs mod p^k at p; every side-pair report of every claim is made
-    here.  A side is a PadicValue or an integer, which is read mod
-    p^(k + GUARD); a params deligne_ok of False fails its row."""
+    lhs = rhs mod p^k at p; every report of every claim is made here.  A
+    side is a PadicValue or an integer, which is read mod p^(k + GUARD); a
+    params deligne_ok of False fails its row.  At p None a row is lhs = rhs
+    exactly over Q."""
     out = []
     for claim, params, k, lhs, rhs in rows:
+        if p is None:
+            out.append(CongruenceReport.exact_rational(claim, params, lhs - rhs))
+            continue
         lhs, rhs = (rational_to_padic(s, p, k + GUARD) if isinstance(s, int) else s
                     for s in (lhs, rhs))
         row = CongruenceReport.from_sides(claim, p, params, k, lhs, rhs)
@@ -169,7 +172,7 @@ def _g_row(claim: str, params: dict, t, args, side=_truncated_sp) -> tuple:
     return (claim, params, t.mod, _g(args, t.p, N), side(args, t.p, N))
 
 
-def _ao(t, args) -> list[CongruenceReport]:
+def _ao(t, args) -> list[tuple]:
     """thm1.1, truncated 4F3(1/2, 1/2, 1/2, 1/2) = scaled Gaussian series - p
     mod p^2, and thm1.2, that series - p = gamma(p) mod p^4: both integers
     bounded by 2p^(3/2) + p, so agreement mod p^4 certifies equality.  One
@@ -178,35 +181,34 @@ def _ao(t, args) -> list[CongruenceReport]:
     side = _greene(args, p, N) - rational_to_padic(p, p, N)
     form = _form(gamma_coeffs, t.horizon)
     c = form.coefficient(p)
-    return _evaluate(p, [
-        ("thm1.1", {}, 2, _truncated(tuple(args), p, N), side),
-        ("thm1.2", {"gamma": c, "deligne_ok": hecke_bound_ok(form, p)}, 4, side, c)])
+    return [("thm1.1", {}, 2, _truncated(tuple(args), p, N), side),
+            ("thm1.2", {"gamma": c, "deligne_ok": hecke_bound_ok(form, p)}, 4, side, c)]
 
 
-def _beukers(t, _) -> list[CongruenceReport]:
+def _beukers(t, _) -> list[tuple]:
     """The Apery number A((p-1)/2) against gamma(p) of the level-8 form."""
     a, c = comb.apery((t.p - 1) // 2), _form(gamma_coeffs, t.horizon).coefficient(t.p)
-    return _evaluate(t.p, [("beukers", {"A": str(a), "gamma": c}, t.mod, a, c)])
+    return [("beukers", {"A": str(a), "gamma": c}, t.mod, a, c)]
 
 
-def _conj13(t, args) -> list[CongruenceReport]:
+def _conj13(t, args) -> list[tuple]:
     """Rodriguez-Villegas: the truncated 4F3(1/5, 2/5, 3/5, 4/5) against c(p)
     of the level-25 form, and the framework congruence at those arguments,
     from one truncated series."""
     p, N = t.p, t.mod + GUARD
     c = _form(rv_form_coeffs, t.horizon).coefficient(p)
-    return _evaluate(p, [("conj1.3", {"c": c}, t.mod, _truncated(tuple(args), p, N), c),
-                         _g_row("conj1.3-framework", {"d": 5, "r": 2}, t, args)])
+    return [("conj1.3", {"c": c}, t.mod, _truncated(tuple(args), p, N), c),
+            _g_row("conj1.3-framework", {"d": 5, "r": 2}, t, args)]
 
 
-def _thm26(t, args) -> list[CongruenceReport]:
+def _thm26(t, args) -> list[tuple]:
     """Theorem 2.6, and a companion row: the gamma product s(p) is the floor
     sign, at all N digits."""
     p, N, d1, d2 = t.p, t.mod + GUARD, t.params["d"], t.params["d2"]
     sign = theorem26_sign(p, d1, d2)
-    return _evaluate(p, [_g_row("thm2.6", {"d1": d1, "d2": d2}, t, args),
-                         ("thm2.6-sign", {"d1": d1, "d2": d2, "sign": sign}, N,
-                          s_factor(args, p, N), rational_to_padic(sign, p, N))])
+    return [_g_row("thm2.6", {"d1": d1, "d2": d2}, t, args),
+            ("thm2.6-sign", {"d1": d1, "d2": d2, "sign": sign}, N,
+             s_factor(args, p, N), rational_to_padic(sign, p, N))]
 
 
 # ---------------------------------------------------------------------------
@@ -237,10 +239,14 @@ def _pq_tuples(p: int, seed: int, count: int = 100) -> list[tuple[int, ...]]:
     return tuples
 
 
-def _lemma_rows(p: int, seed: int):
+def _lemma_rows(p: int | None, seed: int):
     """The rows of a lemmas task at p: the power sums (3.2) over
     k = 1..2(p-1), lemma P and Q at the seeded a-tuples, then the section-3
-    Gamma_p suites, which need p >= 7."""
+    Gamma_p suites, which need p >= 7.  With no prime: both binomial-harmonic
+    identities on their full grids, each a value that is 0 over Q."""
+    if p is None:
+        yield from _bin_harmonic_rows(seed)
+        return
     for k in range(1, 2 * (p - 1) + 1):
         yield ("eq3.2", {"k": k}, 1, sum(pow(j, k, p) for j in range(1, p)) % p,
                -1 if k % (p - 1) == 0 else 0)
@@ -252,15 +258,12 @@ def _lemma_rows(p: int, seed: int):
     yield from check_gamma_properties(p)
 
 
-def check_bin_harmonic_ids(seed: int = DEFAULT_SEED) -> list[CongruenceReport]:
-    """Both identities, exactly zero over Q on their full grids."""
+def _bin_harmonic_rows(seed: int):
     import random
 
-    out = []
     for m in range(1, 31):
         for n in range(1, m + 1):
-            out.append(CongruenceReport.exact_rational(
-                "binharm.id1", {"m": m, "n": n}, comb.bin_harmonic_id1(m, n)))
+            yield "binharm.id1", {"m": m, "n": n}, 0, comb.bin_harmonic_id1(m, n), 0
     rng = random.Random(seed)
     extras = [(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
                Fraction(rng.randint(-9, 9), rng.randint(1, 9))) for _ in range(3)]
@@ -269,11 +272,8 @@ def check_bin_harmonic_ids(seed: int = DEFAULT_SEED) -> list[CongruenceReport]:
         for m in range((l + 1) // 2, l):
             for n in range((l + 1) // 2, m + 1):
                 for c1, c2 in pairs:
-                    out.append(CongruenceReport.exact_rational(
-                        "binharm.id2",
-                        {"l": l, "m": m, "n": n, "c1": str(c1), "c2": str(c2)},
-                        comb.bin_harmonic_id2(l, m, n, c1, c2)))
-    return out
+                    yield ("binharm.id2", {"l": l, "m": m, "n": n, "c1": str(c1), "c2": str(c2)},
+                           0, comb.bin_harmonic_id2(l, m, n, c1, c2), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +282,7 @@ def check_bin_harmonic_ids(seed: int = DEFAULT_SEED) -> list[CongruenceReport]:
 
 
 Task = namedtuple("Task", "claim params p mod seed horizon")
-Task.__doc__ = """One unit of work: a claim's checker on one parameter set at one prime
+Task.__doc__ = """One unit of work: a claim's rows on one parameter set at one prime
 p (None only for the prime-free task of a claim).  The horizon is the
 largest prime of the task's plan, the truncation the form rows build their
 q-expansions to."""
@@ -294,21 +294,21 @@ class Claim(FrozenRecord):
     - accepts: a subset of PARAMS, which a run gives all of or none of;
     - grid: the parameter sets run when none are given;
     - primes: the default prime range;
-    - mod: the default modulus, or None where the checker fixes its moduli;
-    - check(task, args): the reports of a task, which _evaluate makes from
-      its rows (the prime-free task's exact identities aside);
+    - mod: the default modulus, or None where the rows fix their moduli;
+    - rows(task, args): the rows of a task, which run_task turns into its
+      reports;
     - args(params): the G-function arguments of a parameter set, raising
       ValueError on an invalid one;
     - prime_free: also plan one task with no prime."""
 
-    __slots__ = ("id", "admissible", "accepts", "grid", "primes", "mod", "check",
+    __slots__ = ("id", "admissible", "accepts", "grid", "primes", "mod", "rows",
                  "args", "prime_free")
 
     def __init__(self, id: str, admissible, accepts: tuple[str, ...], grid: tuple[dict, ...],
-                 primes: tuple[int, int], mod: int | None, check, args=lambda q: [],
+                 primes: tuple[int, int], mod: int | None, rows, args=lambda q: [],
                  prime_free: bool = False) -> None:
         for name, value in zip(self.__slots__, (id, admissible, accepts, grid, primes, mod,
-                                                check, args, prime_free)):
+                                                rows, args, prime_free)):
             object.__setattr__(self, name, value)
 
     def plan(self, lo: int | None = None, hi: int | None = None,
@@ -358,9 +358,9 @@ class Claim(FrozenRecord):
         return tasks, skipped
 
 
-def _g_vs_trunc(t, args) -> list[CongruenceReport]:
+def _g_vs_trunc(t, args) -> list[tuple]:
     """The one row of Theorems 2.4, 2.5 and 2.7, labelled with the task's params."""
-    return _evaluate(t.p, [_g_row(t.claim, t.params, t, args)])
+    return [_g_row(t.claim, t.params, t, args)]
 
 
 def _denominators_split(p: int, q: dict) -> bool:
@@ -373,13 +373,13 @@ CLAIMS = {c.id: c for c in (
           tuple({"args": a} for a in ("1/2,1/2", "1/3,2/3", "1/2,1/3,2/3",
                                       "1/2,1/2,1/2,1/2", "1/5,2/5,3/5,4/5")),
           (7, 61), 4,
-          lambda t, args: _evaluate(t.p, [_g_row(
+          lambda t, args: [_g_row(
               "prop2.2", {"d": [a.denominator for a in args], "args": ",".join(map(str, args))},
-              t, args, _greene)]),
+              t, args, _greene)],
           args=lambda q: parse_args(q["args"])),
     Claim("thm2.3", _denominators_split, ("args",), (), (7, 61), 2,
-          lambda t, args: _evaluate(t.p, [_g_row(
-              "thm2.3", {"args": ",".join(map(str, args)), "S": str(sum(args))}, t, args)]),
+          lambda t, args: [_g_row(
+              "thm2.3", {"args": ",".join(map(str, args)), "S": str(sum(args))}, t, args)],
           args=_thm23_args),
     Claim("thm2.4", lambda p, q: _pm1(p, q["d"]), ("d",),
           ({"d": 3}, {"d": 4}, {"d": 5}, {"d": 6}), (7, 97), 2,
@@ -399,16 +399,16 @@ CLAIMS = {c.id: c for c in (
     Claim("conj1.3", lambda p, q: p != 5, (), ({},), (3, 97), 3, _conj13,
           args=lambda q: [Fraction(k, 5) for k in range(1, 5)]),
     Claim("lemmas", lambda p, q: p >= 7, (), ({},), (7, 13), None,
-          lambda t, _: (check_bin_harmonic_ids(t.seed) if t.p is None
-                        else _evaluate(t.p, _lemma_rows(t.p, t.seed))),
-          prime_free=True),
+          lambda t, _: _lemma_rows(t.p, t.seed), prime_free=True),
 )}
 
 
 def run_task(task: Task) -> list[CongruenceReport]:
+    """The reports of a task, made from its claim's rows by _evaluate once
+    _at_prime has scoped the per-prime memos to the task's prime."""
     _at_prime(task.p)
     claim = CLAIMS[task.claim]
-    return claim.check(task, claim.args(task.params))
+    return _evaluate(task.p, claim.rows(task, claim.args(task.params)))
 
 
 def run_tasks(tasks, jobs: int = 1) -> list[CongruenceReport]:

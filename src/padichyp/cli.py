@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import errno
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -34,6 +35,13 @@ def _fraction(text: str, name: str) -> Fraction:
         return q
     except ValueError:
         raise ValueError(f"{name} wants one fraction m/d; got {text!r}") from None
+
+
+# argparse reads an argument that starts with "-" as an option unless it
+# matches this; argparse's own pattern takes integers and decimals, this one
+# every negative number Fraction reads (1/3, 0.5, .5, 1e3) and comma lists
+# and ranges of them, so "gamma -1/3" and "--z -1/2" parse
+_NEGATIVE_ARG = re.compile(r"^-\.?\d[\d.,/eE+-]*$")
 
 
 def _prime_range(text: str) -> tuple[int, int]:
@@ -98,7 +106,9 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("check", help="verify one named claim over a prime grid")
     c.add_argument("claim", choices=list(checks.CLAIMS))
     for name in checks.PARAMS:
-        c.add_argument(f"--{name}", type=str if name == "args" else int)
+        takers = [claim.id for claim in checks.CLAIMS.values() if name in claim.accepts]
+        c.add_argument(f"--{name}", type=str if name == "args" else int,
+                       help="taken by " + ", ".join(takers))
     # prime range and modulus: check only, since check-all runs fixed grids
     primes = c.add_mutually_exclusive_group()
     primes.add_argument("--p", type=int, help="single prime")
@@ -108,6 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     ca = sub.add_parser("check-all", help="run the full acceptance grid")
     _add_run_flags(ca)
+    for parser in (ap, *sub.choices.values()):
+        parser._negative_number_matcher = _NEGATIVE_ARG
     return ap
 
 

@@ -273,14 +273,16 @@ loaded = {m.partition(".")[0] for m in sys.modules} - {"__main__", "padichyp"}
 print(json.dumps({"code": code, "sha256": hashlib.sha256(out.getvalue().encode()).hexdigest(),
                   "outside": sorted(loaded - set(sys.stdlib_module_names)),
                   "slow": sorted({"dataclasses", "typing"} & set(sys.modules)),
-                  "no_bytecode": sys.flags.dont_write_bytecode}))
+                  "no_bytecode": sys.flags.dont_write_bytecode,
+                  "warnoptions": sys.warnoptions}))
 """
 
 
 def test_check_all_runs_on_the_stdlib_alone():
     # -I ignores PYTHONDONTWRITEBYTECODE: -B keeps the run from writing
-    # bytecode into src, where a later benchmark would time it
-    r = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", _STDLIB_RUN],
+    # bytecode into src, where a later benchmark would time it; -W error
+    # fails the run on any warning, such as a newer Python's DeprecationWarning
+    r = subprocess.run([sys.executable, "-I", "-S", "-B", "-W", "error", "-c", _STDLIB_RUN],
                        cwd=BENCH_REFERENCE.parent.parent, capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     got = json.loads(r.stdout)
@@ -290,6 +292,7 @@ def test_check_all_runs_on_the_stdlib_alone():
     # each costs every process its start-up time
     assert got["slow"] == [], "check-all loaded " + ", ".join(got["slow"])
     assert got["no_bytecode"] == 1
+    assert got["warnoptions"] == ["error"]
 
 
 @pytest.mark.parametrize("name, builder", [("ao", "gamma_coeffs"),

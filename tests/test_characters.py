@@ -149,6 +149,14 @@ def test_mixed_primes_rejected():
         greene_series_scaled(
             [Character.quadratic(7), Character.quadratic(5)],
             [Character.trivial(7)], 1, 2)
+    with pytest.raises(ValueError, match="^mixed primes$"):
+        binomial_table(Character(7, 1), Character(11, 1), 3)
+
+
+def test_series_needs_a_bottom_character():
+    with pytest.raises(ValueError,
+                       match=r"^need n\+1 top characters and n >= 1 bottom characters$"):
+        greene_series_scaled([Character(7, 3)], [], 1, 3)
 
 
 def test_characters_need_full_order():

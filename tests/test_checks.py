@@ -526,6 +526,27 @@ def test_every_lemma_report_comes_out_of_evaluate(monkeypatch):
     assert len(made) == len(reports) and all(a is b for a, b in zip(made, reports))
 
 
+def test_run_task_makes_its_reports_by_one_evaluate_call(monkeypatch):
+    calls = []
+    evaluate = checks._evaluate
+
+    def recorded(p, rows):
+        out = evaluate(p, rows)
+        calls.append((p, out))
+        return out
+
+    monkeypatch.setattr(checks, "_evaluate", recorded)
+    for claim in checks.CLAIMS.values():
+        if not claim.grid:  # thm2.3
+            continue
+        tasks, _ = claim.plan()
+        for task in tasks[:1] + [t for t in tasks if t.p is None]:
+            calls.clear()
+            reports = checks.run_task(task)
+            assert [p for p, _ in calls] == [task.p], (claim.id, task.p)
+            assert type(reports) is list and reports is calls[0][1], (claim.id, task.p)
+
+
 # -- CLI ---------------------------------------------------------------------
 
 
@@ -599,9 +620,29 @@ def test_cli_trunc_reduces_to_three_digits_by_default():
     (["greene", "--args", "1/3,2/3", "--p", "7", "--x", "7"], "0 + O(7^inf)\n"),  # exact zero
     # eta(q)^24 = Delta: Ramanujan's tau(1..5)
     (["qexp", "--eta", "1^24", "--truncation", "5"], "1 1\n2 -24\n3 252\n4 -1472\n5 4830\n"),
-], ids=["gfun", "greene-zero", "qexp-eta"])
+    (["qexp", "--form", "gamma", "--truncation", "9"],
+     "1 1\n2 0\n3 -4\n4 0\n5 -2\n6 0\n7 24\n8 0\n9 -11\n"),
+    # a negative fraction or comma list is an argument, not an option
+    (["gamma", "-1/3", "--p", "7"], "141 * 7^0 + O(7^3)\n"),
+    (["trunc", "--args", "1/2,1/2", "-m", "3", "--z", "-1/2"], "1839/2048\n"),
+    (["trunc", "--args", "-1/2,1/2", "-m", "3"], "175/256\n"),
+    (["trunc", "--args", "1/2,1/2", "-m", "3", "--z", "-1e3"], "-97515874\n"),
+], ids=["gfun", "greene-zero", "qexp-eta", "qexp-form-gamma", "gamma-negative-x",
+        "trunc-negative-z", "trunc-negative-args", "trunc-negative-exponent-z"])
 def test_cli_value_commands_print_their_values(argv, stdout):
     assert _main(*argv) == (0, stdout, "")
+
+
+def test_cli_check_parameter_help_names_the_claims_that_take_it():
+    ap = cli.build_parser()
+    (sub,) = [a for a in ap._actions if isinstance(a, argparse._SubParsersAction)]
+    helps = {a.dest: a.help for a in sub.choices["check"]._actions}
+    for name in checks.PARAMS:
+        takers = [c.id for c in checks.CLAIMS.values() if name in c.accepts]
+        assert helps[name] == "taken by " + ", ".join(takers)
+    assert helps["d2"] == "taken by thm2.6"
+    code, out, _ = _main("check", "--help")
+    assert code == 0 and "taken by prop2.2, thm2.3" in out
 
 
 def test_cli_seed_moves_only_the_lemmas_claim():
@@ -720,6 +761,9 @@ def _main(*argv):
     (["gfun", "--args", "1/2", "--p", "7"], "--args needs at least two fractions"),
     (["qexp", "--eta", "0^24"], "eta scale must be a positive integer"),
     (["trunc", "--args", "1/2,1/2", "-m", "-1"], "truncation must be >= 0"),
+    (["gfun", "--args", "-1/2,1/2", "--p", "7"], "argument -1/2 is not strictly inside (0, 1)"),
+    (["trunc", "--args", "1/2,1/2"], "give -m or --p to fix the truncation"),
+    (["qexp", "--truncation", "5"], "give --form or --eta"),
 ])
 def test_cli_usage_errors_exit_2(argv, message):
     with patch.object(checks, "run_config") as run:

@@ -19,7 +19,7 @@ from padichyp.combinatorics import (
     lemma_PQ_expected,
     lemma_Q_sum,
 )
-from padichyp.checks import DEFAULT_SEED, _pq_tuples, check_bin_harmonic_ids
+from padichyp.checks import DEFAULT_SEED, _pq_tuples
 from padichyp.padic import congruent_mod, rational_to_padic
 
 
@@ -62,6 +62,13 @@ def _leading_reports(p, n):
     power sums come first, then lemma P and Q; the Gamma_p suites after them,
     which need p >= 7, are not reached."""
     return checks._evaluate(p, itertools.islice(checks._lemma_rows(p, DEFAULT_SEED), n))
+
+
+def _identity_reports(claim):
+    """The reports of one binomial-harmonic identity, from the rows of the
+    prime-free lemmas task."""
+    return [r for r in checks._evaluate(None, checks._lemma_rows(None, DEFAULT_SEED))
+            if r.claim == claim]
 
 
 def test_power_sums():
@@ -200,7 +207,7 @@ def test_identity_one_matches_oracle_on_the_acceptance_grid():
 
 @pytest.mark.parametrize("seed", [DEFAULT_SEED, 7])
 def test_identity_two_matches_oracle_on_the_acceptance_grid(seed):
-    rng = random.Random(seed)  # the five (c1, c2) pairs of check_bin_harmonic_ids
+    rng = random.Random(seed)  # the five (c1, c2) pairs of the prime-free lemmas task
     extras = [(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
                Fraction(rng.randint(-9, 9), rng.randint(1, 9))) for _ in range(3)]
     pairs = [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))] + extras
@@ -225,18 +232,18 @@ def test_lemma_sums_match_oracle_on_the_acceptance_tuples(p):
 
 
 def test_identity_one_check_fails_with_the_rhs_negated(monkeypatch):
-    rows = [r for r in check_bin_harmonic_ids() if r.claim == "binharm.id1"]
+    rows = _identity_reports("binharm.id1")
     assert len(rows) == 465 and all(r.passed for r in rows)
     monkeypatch.setattr(combinatorics, "_id1_rhs", lambda m, n: -(-1) ** (m + n))
     for m, n in [(1, 1), (7, 3), (30, 30)]:
         assert bin_harmonic_id1(m, n) == 2 * (-1) ** (m + n)
         assert oracles.id1_lhs(m, n) + (-1) ** (m + n) == 2 * (-1) ** (m + n)
-    rows = [r for r in check_bin_harmonic_ids() if r.claim == "binharm.id1"]
+    rows = _identity_reports("binharm.id1")
     assert len(rows) == 465 and not any(r.passed for r in rows)
 
 
 def test_identity_two_check_fails_with_a_doubled_tail_term(monkeypatch):
-    rows = [r for r in check_bin_harmonic_ids() if r.claim == "binharm.id2"]
+    rows = _identity_reports("binharm.id2")
     assert rows and all(r.passed for r in rows)
     tail = combinatorics._tail
 
@@ -245,7 +252,7 @@ def test_identity_two_check_fails_with_a_doubled_tail_term(monkeypatch):
         return D, [(k, 2 * t if k == n + 1 else t) for k, t in terms]
 
     monkeypatch.setattr(combinatorics, "_tail", doubled)
-    new = [r for r in check_bin_harmonic_ids() if r.claim == "binharm.id2"]
+    new = _identity_reports("binharm.id2")
     assert [r.params for r in new] == [r.params for r in rows]
     H = oracles.harmonic
     for r in new:

@@ -20,7 +20,9 @@ from padichyp.padic import (
     PRIME_BOUND,
     check_prime,
     congruent_mod,
+    primes_in,
     rational_to_padic,
+    valuation_of_int,
 )
 
 PRIMES = [3, 5, 7, 13, 97]
@@ -78,6 +80,27 @@ def test_mixed_primes_raise():
         PadicValue(5, 0, 1, 2) + PadicValue(7, 0, 1, 2)
     with pytest.raises(ValueError, match="mixed primes"):
         PadicValue(5, 0, 1, 2) - PadicValue(7, 0, 1, 2)
+    with pytest.raises(ValueError, match="mixed primes"):
+        PadicValue(7, 0, 1, 2) * PadicValue(11, 0, 1, 2)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: valuation_of_int(0, 7), ValueError, "valuation of 0 is undefined"),
+    (lambda: PadicValue(7, None, 1, 3), ValueError, "zero value must have unit 0"),
+    (lambda: PadicValue(7, 0, 1, 0), PrecisionError, "relative precision fell below 1"),
+    (lambda: PadicValue(7, 0, 343, 3), ValueError, "unit out of range for stated precision"),
+    (lambda: PadicValue(7, 0, 14, 3), ValueError, "unit must be coprime to p"),
+    (lambda: PadicValue(7, -1, 1, 2).residue(1), ValueError,
+     "negative valuation has no integer residue"),
+], ids=["valuation-of-0", "zero-unit", "no-digit", "unit-range", "unit-not-coprime",
+        "negative-residue"])
+def test_invalid_values_raise_with_their_message(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
+
+
+def test_primes_in_a_range_below_2_is_empty():
+    assert primes_in(0, 1) == []
 
 
 def test_congruent_mod_reflexive():

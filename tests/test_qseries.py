@@ -113,6 +113,16 @@ def test_negative_exponent_rejected():
         eta_product([(1, -4), (2, 5)], 10)
 
 
+def test_series_rejects_a_window_that_misses_its_truncation():
+    with pytest.raises(ValueError, match="^coefficient window does not match truncation$"):
+        QSeries(1, [1, 2], 5)
+
+
+def test_product_needs_a_positive_truncation():
+    with pytest.raises(ValueError, match="^truncation must be >= 1$"):
+        eta_product([(1, 24)], 0)
+
+
 def test_coefficient_window():
     s = QSeries(2, [5, 6], 3)
     assert s.coefficient(1) == 0

@@ -5,7 +5,10 @@
 - No module imports dataclasses or typing: each costs every process its
   start-up time.
 - Only checks, cli and __init__ import report, so the kernels build no
-  report and checks._evaluate makes every side-pair one.
+  report.
+- Only checks.run_task calls _evaluate, and only _evaluate calls
+  CongruenceReport.from_sides or .exact_rational: every report is made by
+  one call in one function.
 - gamma imports only combinatorics and padic of the package: the section-3
   suites build their sides from residues, not from hyp.
 - Every memo keyed by a prime is registered with padic._per_prime where it
@@ -82,6 +85,23 @@ def _called(node):
     @lru_cache(maxsize=None), _per_prime for @_per_prime."""
     node = node.func if isinstance(node, ast.Call) else node
     return getattr(node, "id", getattr(node, "attr", None))
+
+
+def _calls(node, fn=None):
+    """(name of the innermost def around it, or None at module level; the
+    call) for each call under node; a lambda is part of its def."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            yield fn, child
+        yield from _calls(child, child.name if isinstance(child, ast.FunctionDef) else fn)
+
+
+def test_every_report_is_made_by_one_call_in_one_function():
+    maker = {"_evaluate": "run_task", "from_sides": "_evaluate", "exact_rational": "_evaluate"}
+    calls = [(f"{path.name}:{call.lineno}", fn, _called(call)) for path in MODULES
+             for fn, call in _calls(ast.parse(path.read_text())) if _called(call) in maker]
+    assert [c for c in calls if c[1] != maker[c[2]]] == []
+    assert [c[1:] for c in calls if c[2] == "_evaluate"] == [("run_task", "_evaluate")]
 
 
 def test_memos_keyed_by_a_prime_are_registered_per_prime():
