@@ -11,9 +11,8 @@ from .combinatorics import (
     apery,
     bin_harmonic_id1,
     bin_harmonic_id2,
-    lemma_P_sum,
     lemma_PQ_expected,
-    lemma_Q_sum,
+    lemma_PQ_sums,
 )
 from .gamma import (
     g1,
@@ -36,8 +35,8 @@ __all__ = [
     "PrecisionError", "QSeries", "RunConfig", "apery", "bin_harmonic_id1",
     "bin_harmonic_id2", "characters_for_arguments", "congruent_mod",
     "eta_product", "g1", "g2", "g_function", "gamma_coeffs", "gamma_p",
-    "greene_series_scaled", "lemma_P_sum", "lemma_PQ_expected",
-    "lemma_Q_sum", "lemma_check_gamma_suite", "rational_to_padic", "rep",
+    "greene_series_scaled", "lemma_PQ_expected", "lemma_PQ_sums",
+    "lemma_check_gamma_suite", "rational_to_padic", "rep",
     "rising_factorial", "run_config", "rv_form_coeffs", "s_factor",
     "theorem26_sign", "truncated_hyp", "truncated_hyp_exact",
 ]

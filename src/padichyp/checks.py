@@ -251,7 +251,7 @@ def _lemma_rows(p: int | None, seed: int):
         yield ("eq3.2", {"k": k}, 1, sum(pow(j, k, p) for j in range(1, p)) % p,
                -1 if k % (p - 1) == 0 else 0)
     for a in _pq_tuples(p, seed):
-        for claim, value, expected in zip(("lemmaP", "lemmaQ"), comb._pq_sums(a, p),
+        for claim, value, expected in zip(("lemmaP", "lemmaQ"), comb.lemma_PQ_sums(a, p),
                                           comb.lemma_PQ_expected(a, p)):
             yield claim, {"a": list(a)}, 1, value, expected
     yield from lemma_check_gamma_suite(p)
@@ -271,9 +271,10 @@ def _bin_harmonic_rows(seed: int):
     for l in range(2, 21):
         for m in range((l + 1) // 2, l):
             for n in range((l + 1) // 2, m + 1):
+                x, y = comb.bin_harmonic_id2(l, m, n)
                 for c1, c2 in pairs:
                     yield ("binharm.id2", {"l": l, "m": m, "n": n, "c1": str(c1), "c2": str(c2)},
-                           0, comb.bin_harmonic_id2(l, m, n, c1, c2), 0)
+                           0, c1 * x + c2 * y, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +345,8 @@ class Claim(FrozenRecord):
             raise ValueError(f"prime range {lo}..{hi} exceeds the prime bound {PRIME_BOUND}")
         runs, skipped = [], []
         for q in grid:
-            for p in primes_in(max(lo, 3), hi):
-                if self.admissible(p, q):
+            for p in primes_in(lo, hi):  # every claim needs an odd prime
+                if p > 2 and self.admissible(p, q):
                     runs.append((q, p))
                 else:
                     skipped.append((self.id, q, p))

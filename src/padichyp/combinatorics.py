@@ -3,10 +3,12 @@ binomial-coefficient / harmonic-sum identities.
 
 The kernels run over integers: harmonic prefix sums are scaled by
 L = lcm(1..top index) into integer tables, memoised per (top, order) and
-shared with the gamma lemma suites; the C(k-1, n) and c1/c2 denominators are
-cleared with one lcm each, and every sum is one integer num/den pair.  A
-Fraction is built only at the API boundary (the identity values); congruence
-reduction happens once, at the end, where a caller asks for it.
+shared with the gamma lemma suites; the C(k-1, n) denominators are cleared
+with one lcm, and every sum is one integer num/den pair.  The second identity
+is linear in (c1, c2), so its kernel returns the two coefficients of that
+linear form from one pass.  A Fraction is built only at the API boundary (the
+identity values); congruence reduction happens once, at the end, where a
+caller asks for it.
 """
 
 from __future__ import annotations
@@ -36,8 +38,10 @@ def apery(n: int) -> int:
     return sum(math.comb(n + j, j) ** 2 * math.comb(n, j) ** 2 for j in range(n + 1))
 
 
-def _pq_sums(a, p: int) -> tuple[PadicValue, PadicValue]:
-    """(P, Q) of the lemma sums at a, from one pass over j = 0..p-1, each mod p^2."""
+def lemma_PQ_sums(a, p: int) -> tuple[PadicValue, PadicValue]:
+    """(P, Q), the first- and second-derivative rising-factorial sums at a,
+    from one pass over j = 0..p-1, each mod p^2.  For T = sum(a_i) <= 2(p-1)
+    both are 0 mod p, except (1, -1) exactly at the boundary T = 2(p-1)."""
     a = tuple(int(x) for x in a)
     check_prime(p)
     if any(x < 1 for x in a):
@@ -58,20 +62,6 @@ def _pq_sums(a, p: int) -> tuple[PadicValue, PadicValue]:
         # 2 L^2 * prod (j h1 + j^2/2 (h1^2 - h2))
         Q += prod * (2 * L * j * h1 + j * j * (h1 * h1 - h2))
     return _ratio_to_padic(P, L, p, 2), _ratio_to_padic(Q, 2 * L * L, p, 2)
-
-
-def lemma_P_sum(a, p: int) -> PadicValue:
-    """First-derivative rising-factorial sum over j = 0..p-1, reduced mod p.
-
-    For T = sum(a_i) <= 2(p-1) the value is 0 mod p, except exactly 1 at the
-    boundary T = 2(p-1).
-    """
-    return _pq_sums(a, p)[0]
-
-
-def lemma_Q_sum(a, p: int) -> PadicValue:
-    """Second-derivative companion of :func:`lemma_P_sum`; boundary value -1."""
-    return _pq_sums(a, p)[1]
 
 
 def lemma_PQ_expected(a, p: int) -> tuple[int, int]:
@@ -120,22 +110,23 @@ def bin_harmonic_id1(m: int, n: int) -> Fraction:
     return Fraction(head * D + rest * L - _id1_rhs(m, n) * L * D, L * D)
 
 
-def bin_harmonic_id2(l: int, m: int, n: int, c1, c2) -> Fraction:
-    """LHS of the second identity (which equals 0) for l > m >= n >= l/2."""
+def bin_harmonic_id2(l: int, m: int, n: int) -> tuple[Fraction, Fraction]:
+    """(X, Y) for l > m >= n >= l/2: the LHS of the second identity (which
+    equals 0) at (c1, c2) is c1 X + c2 Y, X its value at (1, 0) and Y at (0, 1)."""
     if not (l > m >= n and 2 * n >= l):
         raise ValueError("need l > m >= n >= l/2")
-    c1, c2 = Fraction(c1), Fraction(c2)
-    B = math.lcm(c1.denominator, c2.denominator)
-    C1, C2 = c1.numerator * (B // c1.denominator), c2.numerator * (B // c2.denominator)
     L, H1 = _scaled_harmonic(2 * m, 1)
     _, H2 = _scaled_harmonic(2 * m, 2)
 
-    def lin(H, k):  # B * scale(H) * (c1 (H_(k+n) - H_(k+l-n-1)) + c2 (H_(k+m) - H_(k+l-m-1)))
-        return (C1 * (H[k + n] - H[k + l - n - 1])
-                + C2 * (H[k + m] - H[k + l - m - 1]))
+    def lin(H, k, s):  # scale(H) * (H_(k+s) - H_(k+l-s-1)), s = n for X and m for Y
+        return H[k + s] - H[k + l - s - 1]
 
-    # w (1 + k h) lin1 - w k lin2, scaled by B L^2
-    head = sum(w * (b * lin(H1, k) - k * lin(H2, k)) for k, w, b in _head(m, n, L, H1))
+    hx = hy = rx = ry = 0
+    for k, w, b in _head(m, n, L, H1):  # w (1 + k h) lin1 - w k lin2, scaled by L^2
+        hx += w * (b * lin(H1, k, n) - k * lin(H2, k, n))
+        hy += w * (b * lin(H1, k, m) - k * lin(H2, k, m))
     D, tail = _tail(m, n)
-    rest = sum(t * lin(H1, k) for k, t in tail)  # scale B L D
-    return Fraction(head * D + rest * L, B * L * L * D)
+    for k, t in tail:  # scale L D
+        rx += t * lin(H1, k, n)
+        ry += t * lin(H1, k, m)
+    return Fraction(hx * D + rx * L, L * L * D), Fraction(hy * D + ry * L, L * L * D)

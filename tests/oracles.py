@@ -124,7 +124,7 @@ def bin_harmonic_id2(l: int, m: int, n: int, c1, c2) -> Fraction:
 
 
 def pq_sum(a, p: int, second_order: bool) -> PadicValue:
-    """lemma_P_sum (first order) or lemma_Q_sum (second order), mod p^2."""
+    """The P (first order) or Q (second order) of lemma_PQ_sums, mod p^2."""
     total = Fraction(0)
     for j in range(p):
         prod = Fraction(1)

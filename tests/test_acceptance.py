@@ -186,14 +186,21 @@ def test_check_all_csv_and_human_match_golden_sha(tmp_path, fmt, sha256):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 
+# SHA-256 of the 70 `skipped ...` lines check-all writes to stderr
+CHECK_ALL_SKIPPED_SHA256 = "c46d26fcca3d5451a416cbdcc9adc129ed3041739ab47288b69bb27d6c877718"
+
+
 # the path the bench times: stdout of a fresh process; at --jobs 2 the
-# reports cross the process pool
+# reports cross the process pool.  The skipped primes on stderr are pinned too
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_check_all_json_on_stdout_matches_golden_sha(jobs):
     r = subprocess.run([sys.executable, "-m", "padichyp.cli", "check-all", "--format", "json",
                         "--jobs", jobs], capture_output=True)
     assert r.returncode == 0, r.stderr
     assert hashlib.sha256(r.stdout).hexdigest() == CHECK_ALL_SHA256
+    lines = r.stderr.decode().splitlines()
+    assert len(lines) == 70 and all(line.startswith("skipped p=") for line in lines)
+    assert hashlib.sha256(r.stderr).hexdigest() == CHECK_ALL_SKIPPED_SHA256
 
 
 @pytest.fixture(scope="module")

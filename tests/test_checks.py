@@ -86,6 +86,12 @@ def test_prime_filter_conj13_skips_five():
     assert skipped == [5]
 
 
+def test_prime_filter_records_two_as_skipped():
+    ok, skipped = _split("beukers", {}, 2, 7)
+    assert ok == [3, 5, 7]
+    assert skipped == [2]  # every claim needs an odd prime: 2 is recorded, not dropped
+
+
 def test_default_args_for_dlists():
     # the prop2.2 default grid: canonical numerators for each d-list shape
     cases = {
@@ -590,6 +596,17 @@ def test_cli_skipped_primes_are_reported():
     assert r.returncode == 0
     assert "skipped p=3" in r.stderr
     assert "skipped p=5" in r.stderr
+
+
+def test_cli_prime_range_holding_two_reports_it_skipped():
+    r = _cli("check", "beukers", "--p-range", "2..7", "--format", "json")
+    assert r.returncode == 0
+    assert [x["p"] for x in json.loads(r.stdout)] == [3, 5, 7]
+    assert r.stderr == "skipped p=2 for beukers (): precondition not met\n"
+    for p_range, message in [("1..2", "no prime in 1..2 satisfies the preconditions of beukers"),
+                             ("2..2", "p=2 is not an odd prime")]:
+        r = _cli("check", "beukers", "--p-range", p_range)
+        assert r.returncode == 2 and message in r.stderr, p_range
 
 
 def test_cli_unknown_claim_is_usage_error():

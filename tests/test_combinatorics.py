@@ -15,9 +15,8 @@ from padichyp.combinatorics import (
     apery,
     bin_harmonic_id1,
     bin_harmonic_id2,
-    lemma_P_sum,
     lemma_PQ_expected,
-    lemma_Q_sum,
+    lemma_PQ_sums,
 )
 from padichyp.checks import DEFAULT_SEED, _pq_tuples
 from padichyp.padic import congruent_mod, rational_to_padic
@@ -109,14 +108,13 @@ def _brute_pq(a, p, second_order):
 
 
 def test_first_order_sum_interior_case():
-    v = lemma_P_sum((1,), 5)
+    v, _ = lemma_PQ_sums((1,), 5)
     assert congruent_mod(v, rational_to_padic(0, 5, 2), 1)
 
 
 def test_boundary_values():
     p = 5
-    vP = lemma_P_sum((4, 4), p)
-    vQ = lemma_Q_sum((4, 4), p)
+    vP, vQ = lemma_PQ_sums((4, 4), p)
     assert lemma_PQ_expected((4, 4), p) == (1, -1)
     assert congruent_mod(vP, rational_to_padic(1, p, 2), 1)
     assert congruent_mod(vQ, rational_to_padic(-1, p, 2), 1)
@@ -138,7 +136,7 @@ def test_random_tuples_match_expectation_and_brute_force():
                 budget -= v
             a = tuple(a) or (1,)
             eP, eQ = lemma_PQ_expected(a, p)
-            vP, vQ = lemma_P_sum(a, p), lemma_Q_sum(a, p)
+            vP, vQ = lemma_PQ_sums(a, p)
             assert congruent_mod(vP, rational_to_padic(eP, p, 2), 1), (p, a)
             assert congruent_mod(vQ, rational_to_padic(eQ, p, 2), 1), (p, a)
             # independent evaluation route
@@ -150,9 +148,9 @@ def test_random_tuples_match_expectation_and_brute_force():
 
 def test_tuple_sum_out_of_range_rejected():
     with pytest.raises(ValueError):
-        lemma_P_sum((5, 4), 5)
+        lemma_PQ_sums((5, 4), 5)
     with pytest.raises(ValueError):
-        lemma_Q_sum((0,), 5)
+        lemma_PQ_sums((0,), 5)
 
 
 def test_identity_one_by_hand_at_1_1():
@@ -171,29 +169,35 @@ def test_identity_one_requires_m_at_least_n():
         bin_harmonic_id1(3, 4)
 
 
+def _id2(l, m, n, c1, c2):
+    """The LHS of the second identity at (c1, c2), from the kernel's linear form."""
+    x, y = bin_harmonic_id2(l, m, n)
+    return c1 * x + c2 * y
+
+
 def test_identity_two_example_and_small_grid():
-    assert bin_harmonic_id2(5, 3, 3, 1, 0) == 0
+    assert bin_harmonic_id2(5, 3, 3) == (0, 0)
     for l in range(2, 11):
         for m in range((l + 1) // 2, l):
             for n in range((l + 1) // 2, m + 1):
                 if 2 * n < l:
                     continue
                 for c1, c2 in [(1, 0), (0, 1), (Fraction(2, 3), Fraction(-1, 5))]:
-                    assert bin_harmonic_id2(l, m, n, c1, c2) == 0, (l, m, n)
+                    assert _id2(l, m, n, c1, c2) == 0, (l, m, n)
 
 
 def test_identity_two_linearity_makes_basis_sufficient():
     l, m, n = 9, 7, 5
     c1, c2 = Fraction(3, 7), Fraction(-5, 2)
-    v = bin_harmonic_id2(l, m, n, c1, c2)
-    b10 = bin_harmonic_id2(l, m, n, 1, 0)
-    b01 = bin_harmonic_id2(l, m, n, 0, 1)
-    assert v == c1 * b10 + c2 * b01 == 0
+    x, y = bin_harmonic_id2(l, m, n)
+    assert (x, y) == (oracles.bin_harmonic_id2(l, m, n, 1, 0),
+                      oracles.bin_harmonic_id2(l, m, n, 0, 1))
+    assert oracles.bin_harmonic_id2(l, m, n, c1, c2) == c1 * x + c2 * y == 0
 
 
 def test_identity_two_precondition():
     with pytest.raises(ValueError):
-        bin_harmonic_id2(10, 9, 4, 1, 1)  # n < l/2
+        bin_harmonic_id2(10, 9, 4)  # n < l/2
 
 
 # -- the integer kernels against the Fraction oracles, on the acceptance grids
@@ -217,15 +221,15 @@ def test_identity_two_matches_oracle_on_the_acceptance_grid(seed):
                 if 2 * n < l:
                     continue
                 for c1, c2 in pairs:
-                    assert (bin_harmonic_id2(l, m, n, c1, c2)
+                    assert (_id2(l, m, n, c1, c2)
                             == oracles.bin_harmonic_id2(l, m, n, c1, c2) == 0), (l, m, n)
 
 
 @pytest.mark.parametrize("p", [7, 11, 13])
 def test_lemma_sums_match_oracle_on_the_acceptance_tuples(p):
     for a in _pq_tuples(p, DEFAULT_SEED):
-        assert lemma_P_sum(a, p) == oracles.pq_sum(a, p, False), a
-        assert lemma_Q_sum(a, p) == oracles.pq_sum(a, p, True), a
+        assert lemma_PQ_sums(a, p) == (oracles.pq_sum(a, p, False),
+                                       oracles.pq_sum(a, p, True)), a
 
 
 # -- negative controls: each check fails when its claim is perturbed
@@ -240,6 +244,19 @@ def test_identity_one_check_fails_with_the_rhs_negated(monkeypatch):
         assert oracles.id1_lhs(m, n) + (-1) ** (m + n) == 2 * (-1) ** (m + n)
     rows = _identity_reports("binharm.id1")
     assert len(rows) == 465 and not any(r.passed for r in rows)
+
+
+def test_identity_two_rows_run_the_kernel_once_per_triple(monkeypatch):
+    calls = []
+    kernel = combinatorics.bin_harmonic_id2
+
+    def counted(l, m, n):
+        calls.append((l, m, n))
+        return kernel(l, m, n)
+
+    monkeypatch.setattr(combinatorics, "bin_harmonic_id2", counted)
+    rows = [r for r in checks._lemma_rows(None, DEFAULT_SEED) if r[0] == "binharm.id2"]
+    assert len(calls) == len(set(calls)) == 385 and len(rows) == 5 * 385
 
 
 def test_identity_two_check_fails_with_a_doubled_tail_term(monkeypatch):
