@@ -18,42 +18,45 @@ partial block:
 
 with K = m // p, s = m % p.  P(kp)/P(0) lies in 1 + pZ_p and
 -P(0) = -(p-1)! = 1 mod p (Wilson), so the complete-block product is
-(-1)^K exp(L(K)) with
+(-1)^K exp(L(K)), L(K) = sum_{k<K} log(-P(kp)).  In falling factorials
+k^(j) = k (k-1) ... (k-j+1), with S(i, j) the Stirling numbers of the second
+kind and sum_{k<K} k^(j) = K^(j+1) / (j+1),
 
-    L(K) = K ell0 + sum_{i>=1} c_i S_i(K),   ell0 = log(-(p-1)!),
-    c_i = lambda_i p^i = (-1)^(i+1) p^i sum_{t<p} t^(-i) / i,
+    log(-P(kp)) = ell0 + sum_{i>=1} c_i k^i = sum_{j>=0} b_j k^(j),
+    ell0 = log(-(p-1)!),   c_i = (-1)^(i+1) p^i sum_{t<p} t^(-i) / i,
+    b_0 = ell0,   b_j = sum_{i>=j} c_i S(i, j),
+    L(K) = sum_{j>=0} b_j / (j+1) * K (K-1) ... (K-j).
 
-where S_i(K) = sum_{k<K} k^i is a Faulhaber polynomial in K.  L(K) lies in
-pZ_p, and each value costs three Horner passes mod p^N: u = L(K)/p,
-exp(p u) = sum_j (p^j/j!) u^j and Q_s(Kp).  _horner_data builds the tables
-once per (p, N), with exact guard digits past N = p - 1:
+L(K) lies in pZ_p.  A value costs three Horner passes mod p^N: u = L(K)/p
+by u = u (K - m) + c, then u K; exp(p u) = sum_j (p^j/j!) u^j; and Q_s(Kp).
+_horner_data builds the tables once per (p, N) from integers alone:
 
-- Log terms.  c_i S_i(K) has valuation >= i - v_p(i), so only i < I count,
+- Log terms.  c_i k^i has valuation >= i - v_p(i), so only i < I count,
   I the least index with i - v_p(i) >= N for every i >= I (no i >= 2N
-  counts, as v_p(i) < i/2).  The sums w_i = i lambda_i come from P's
-  coefficients by Newton's identities, with no division, and c_i is
-  p^(i - v_p(i)) w_i over the unit i / p^v_p(i).  ell0 = log(1 + z),
-  z = -(p-1)! - 1, is summed to the same cutoff.
-- Faulhaber polynomials.  S_i = sum_j C(i+1, j) B_j K^(i+1-j) / (i+1)
-  carries the Bernoulli and 1/(i+1) denominators, at most p^(1 + v_p(i+1))
-  as v_p(B_j) >= -1 (von Staudt-Clausen); p^G clears them all.  Then
-  i - v_p(i) - 1 - v_p(i+1) >= 1 for odd p, except at i = 1 (S_1 has no p
-  in a denominator) and (p, i) = (3, 2) (S_2 has one 3), so every c_i S_i
-  has its coefficients in pZ_p, as ell0 does.  The coefficients of the scaled
-  polynomial p^G L, summed mod p^(N+G), therefore divide exactly by
-  p^(G+1), which gives u mod p^(N-1); that suffices, as exp(p u) mod p^N
-  depends on no more.
+  counts, as v_p(i) < i/2).  The sums w_i = i c_i / p^i come from P's
+  coefficients by Newton's identities, with no division; c_i is
+  p^(i - v_p(i)) w_i over the unit i / p^v_p(i), and ell0 = log(1 + z),
+  z = -(p-1)! - 1, is summed to the same cutoff.  Horner in k turns the c_i
+  into the b_j, as k k^(j) = k^(j+1) + j k^(j) (the Stirling recurrence).
+- Guard digits.  The only divisions are by i, j < I and by p (j+1), so
+  G = max v_p(m) over m <= I digits cover them: the b_j (j >= 1) are exact
+  mod p^(N+G), ell0 mod p^N and each b_j / (p (j+1)) mod p^(N-1), all that
+  exp(p u) mod p^N depends on.  The divisions are exact: ell0 = 0 mod p by
+  Wilson, and for j >= 1 each term of b_j has valuation at least
+  min_{i>=j} (i - v_p(i)) >= 1 + v_p(j+1) (odd p; checked by brute force
+  for p <= 13, j < 5950), so b_j / (j+1) lies in pZ_p.
 - Exp series.  v_p(j!) <= (j-1)/(p-1), so the coefficients p^j/j! are
   p-integral and vanish mod p^N from J on, J the least j with
-  j - (j-1)//(p-1) >= N.
+  j - (j-1)//(p-1) >= N.  Each is p^(j-v) over the unit j!/p^v, with
+  v = v_p(j!) = sum_{k>=1} floor(j/p^k) (Legendre).
 
-For N < p, I = J = N and G = 0.  The table prep is polynomial in (p, N):
-O(p I) for the partial blocks and O(I^2 + J) for the rest.  gamma_residues
-is the one path to a value: it checks the prime, the modulus and the range
-once per batch and computes the residues missing from the value cache in one
-batch; gamma_residue is its one-residue view.  The value cache and the tables
-live for one prime (padic._per_prime).  _as_residue is the one reduction of
-an argument into Z/p^k; rep(x) is its residue mod p, or p for 0.
+For N < p, I = J = N and G = 0.  The table prep takes O(p I) operations for
+the partial blocks, O(I^2) for the log and J factorials for the exp.
+gamma_residues is the one path to a value: it checks the prime, the modulus
+and the range once per batch and computes the residues missing from the
+value cache in one batch; gamma_residue is its one-residue view.  The value
+cache and the tables live for one prime (padic._per_prime).  _as_residue
+reduces an argument into Z/p^k; rep(x) is its residue mod p, or p for 0.
 
 Suites.  Both section-3 suites live here and work on integer residues:
 check_gamma_properties (Props 3.1-3.3 and 3.8, Cors 3.4-3.5) and
@@ -104,22 +107,15 @@ _value_cache: dict[tuple[int, int], dict[int, int]] = _per_prime({})
 @_per_prime
 @lru_cache(maxsize=None)
 def _horner_data(p: int, N: int):
-    """Per-(p, N) tables mod p^N, highest degree first: L(K)/p as one
-    polynomial in K, the exp series in u and the partial-block polynomials."""
+    """Per-(p, N) tables mod p^N, highest degree first: L(K)/p as (m, c) pairs
+    of a falling-factorial Horner pass, the exp series in u and the
+    partial-block polynomials."""
     pN = p**N
     I = 1 + max((i for i in range(1, 2 * N) if i - valuation_of_int(i, p) < N), default=0)
     J = N
     while J - (J - 1) // (p - 1) < N:
         J += 1
-    # Bernoulli numbers B_0..B_(I-1) (B_1 = -1/2): sum_{j<=m} C(m+1, j) B_j = 0
-    bern = [Fraction(1)]
-    for m in range(1, I):
-        bern.append(-sum(math.comb(m + 1, j) * b for j, b in enumerate(bern)) / (m + 1))
-    # S_i(K) = sum_{k<K} k^i: the coefficient of K^(i+1-j) is faul[i-1][j]
-    faul = [[math.comb(i + 1, j) * bern[j] / (i + 1) for j in range(i + 1)]
-            for i in range(1, I)]
-    G = max((valuation_of_int(c.denominator, p) for row in faul for c in row), default=0)
-    M, pG = p ** (N + G), p**G
+    M = p ** (N + max(valuation_of_int(m, p) for m in range(1, I + 1)))  # p^(N+G)
 
     def over(num: int, den: int) -> int:
         """num / den mod p^(N+G), for num divisible by p^v_p(den)."""
@@ -143,25 +139,28 @@ def _horner_data(p: int, N: int):
     w = [0] * I
     for k in range(1, I):
         w[k] = (k * g[k] - sum(g[k - i] * w[i] for i in range(1, k))) % M
-    # p^G L(K): Faulhaber terms, then K ell0 with ell0 = log(1 + z)
-    logpoly = [0] * (I + 1)
-    for i, row in enumerate(faul, 1):
-        c = over(p**i * w[i], i)
-        for j, f in enumerate(row):
-            logpoly[i + 1 - j] += c * over(f.numerator * pG, f.denominator)
-    z, zj = (-e0 - 1) % M, 1
+    # log(-P(kp)) = ell0 + sum_i c_i k^i, ell0 = log(1 + z), c_i = p^i w_i / i
+    z, zj, ell0 = (-e0 - 1) % M, 1, 0
     for j in range(1, I):
         zj = zj * z % M
-        logpoly[1] += (1 if j % 2 else -1) * pG * over(zj, j)
-    logpoly = [a % M // (p * pG) for a in logpoly]
-    expc = [over(p**j, math.factorial(j)) % pN for j in range(J)]
-    return pN, tuple(logpoly[::-1]), tuple(expc[::-1]), tuple(q[N - 1::-1] for q in polys)
+        ell0 += (1 if j % 2 else -1) * over(zj, j)
+    c = [ell0] + [over(p**i * w[i], i) for i in range(1, I)]
+    # b_j = sum_i c_i S(i, j) by Horner in k, as k * k^(j) = k^(j+1) + j k^(j)
+    b = []
+    for ci in reversed(c):
+        b = [ci] + [(x + j * y) % M for j, (x, y) in enumerate(zip(b, b[1:] + [0]), 1)]
+    logpairs = [(j + 1, over(bj, p * (j + 1)) % pN) for j, bj in enumerate(b)]
+    expc = []
+    for j in range(J):
+        v = sum(j // p**k for k in range(1, j.bit_length() + 1))  # v_p(j!), Legendre
+        expc.append(p ** (j - v) * pow(math.factorial(j) // p**v, -1, pN) % pN)
+    return pN, tuple(logpairs[::-1]), tuple(expc[::-1]), tuple(q[N - 1::-1] for q in polys)
 
 
 def _gamma_blocks(rs, p: int, N: int) -> list[int]:
     """Gamma_p(r) mod p^N for each residue r by the block formula: three
     Horner passes per value, for the log, the exp and the partial block."""
-    pN, logpoly, expc, qpolys = _horner_data(p, N)
+    pN, logpairs, expc, qpolys = _horner_data(p, N)
     out = []
     for r in rs:
         if r == 0:
@@ -169,8 +168,9 @@ def _gamma_blocks(rs, p: int, N: int) -> list[int]:
             continue
         K, s = divmod(r - 1, p)
         u = 0
-        for c in logpoly:
-            u = (u * K + c) % pN
+        for m, c in logpairs:
+            u = (u * (K - m) + c) % pN
+        u = u * K % pN
         e = 0
         for c in expc:
             e = (e * u + c) % pN

@@ -10,8 +10,15 @@ denominators, at the claim's working precision, it checks
   against gamma_residue at the same residue, and
 - the G value against oracles.g_function.
 
-It prints one line per prime and exits 1 on the first mismatch.  Run it from
-the repository root:
+First, before the gate's own work raises its memory (a child's max-RSS
+starts from the high-water RSS of the process that spawned it), it runs
+`padichyp gamma 1/2 --p 3 --precision 800` once in a fresh process: its
+stdout must hash to HIGH_PRECISION_SHA256, and it must finish within
+HIGH_PRECISION_WALL_S seconds and HIGH_PRECISION_RSS_MB of max-RSS, which
+holds the table build at small p to a cost polynomial in N of low degree.
+
+It prints the cost, one line per prime, and exits 1 on the first mismatch.
+Run it from the repository root:
 
     PYTHONPATH=src python tests/kernel_gate.py
 
@@ -20,7 +27,10 @@ Its name keeps pytest from collecting it; a full run takes a few seconds.
 
 from __future__ import annotations
 
+import hashlib
 import math
+import os
+import subprocess
 import sys
 import time
 
@@ -30,6 +40,30 @@ from padichyp.gamma import gamma_residue
 from padichyp.gfunction import GArguments, _gamma_columns, g_function
 
 G_CLAIMS = ("prop2.2", "thm2.4", "thm2.5", "thm2.6", "thm2.7", "conj1.3")
+HIGH_PRECISION = ("gamma", "1/2", "--p", "3", "--precision", "800")
+HIGH_PRECISION_SHA256 = "4033005e9398cea56d5630a60a97d1f8e131c4e4dc8c684713055acab98d1832"
+HIGH_PRECISION_WALL_S, HIGH_PRECISION_RSS_MB = 6.0, 40.0
+
+
+def high_precision_cost() -> bool:
+    """Run HIGH_PRECISION in a fresh process; print its wall time and max-RSS
+    and say whether its output and both costs hold."""
+    argv = [sys.executable, "-B", "-m", "padichyp.cli", *HIGH_PRECISION]
+    t0 = time.perf_counter()
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE)
+    out = proc.stdout.read()
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall, rss = time.perf_counter() - t0, usage.ru_maxrss / 1024
+    sha = hashlib.sha256(out).hexdigest()
+    print(f"padichyp {' '.join(HIGH_PRECISION)}: {wall:.2f} s wall, {rss:.1f} MB max-RSS "
+          f"(bounds {HIGH_PRECISION_WALL_S} s, {HIGH_PRECISION_RSS_MB} MB)")
+    if os.waitstatus_to_exitcode(status) != 0 or sha != HIGH_PRECISION_SHA256:
+        print(f"MISMATCH: exit {os.waitstatus_to_exitcode(status)}, stdout SHA-256 {sha}")
+        return False
+    if wall > HIGH_PRECISION_WALL_S or rss > HIGH_PRECISION_RSS_MB:
+        print("FAIL: the high-precision Gamma_p value costs more than its bounds")
+        return False
+    return True
 
 
 def argument_sets() -> list[tuple[tuple, int]]:
@@ -43,6 +77,8 @@ def argument_sets() -> list[tuple[tuple, int]]:
 
 
 def main() -> int:
+    if not high_precision_cost():
+        return 1
     t0 = time.perf_counter()
     sets = argument_sets()
     values = rows = 0

@@ -5,9 +5,11 @@ evaluations that the package replaced by integer num/den kernels for speed,
 the p-adic sum with its own branches for zero operands, which one sum rule
 replaced, the per-entry Greene binomial table (one character sum per entry)
 replaced by one chirp correlation, the one-binomial-at-a-time eta-product expansion
-replaced by Euler's pentagonal series, two evaluations of Gamma_p (the
-defining product, swept once over every residue, and the block formula with
-exact tables and every S_i(K), log and exp term taken separately), the
+replaced by Euler's pentagonal series, three evaluations of Gamma_p (the
+defining product, swept once over every residue, the block formula with
+exact tables and every S_i(K), log and exp term taken separately, and the
+block formula on the Bernoulli/Faulhaber log table that the falling-factorial
+one replaced), the
 section-3 suites evaluated one (x, j) point at a time with Fraction harmonic
 sums (the (m1, m2) split of x, 1 - x by rep included), trial division for
 the prime table, the Teichmuller lift by one power, json.dumps of each report's schema-1 dict, which the row writer
@@ -352,6 +354,68 @@ def gamma_block(r: int, p: int, N: int) -> int:
     K, s = divmod(r - 1, p)
     val = _complete_blocks(K, p, N) * math.prod(range(K * p + 1, K * p + s + 1)) % pN
     return -val % pN if (r + K) % 2 else val
+
+
+@lru_cache(maxsize=None)
+def faulhaber_tables(p: int, N: int):
+    """(p^N, L(K)/p mod p^N as a polynomial in K highest degree first, the exp
+    coefficients p^j/j! mod p^N highest first), with L(K) = K ell0 + sum_i c_i
+    S_i(K) built as the kernel built it before its falling-factorial form:
+    Bernoulli numbers, Faulhaber rows S_i(K) = sum_j C(i+1, j) B_j K^(i+1-j) /
+    (i+1) over Fractions, and G guard digits that clear their p-denominators
+    (at most p^(1 + v_p(i+1)), von Staudt-Clausen).  The c_i come from the
+    coefficients of P(y) = prod_{t<p} (y + t) by Newton's identities."""
+    pN = p**N
+    I = 1 + max((i for i in range(1, 2 * N) if i - valuation_of_int(i, p) < N), default=0)
+    bern = [Fraction(1)]
+    for m in range(1, I):
+        bern.append(-sum(math.comb(m + 1, j) * b for j, b in enumerate(bern)) / (m + 1))
+    faul = [[math.comb(i + 1, j) * bern[j] / (i + 1) for j in range(i + 1)]
+            for i in range(1, I)]
+    G = max((valuation_of_int(c.denominator, p) for row in faul for c in row), default=0)
+    M, pG = p ** (N + G), p**G
+
+    def over(num: int, den: int) -> int:
+        """num / den mod p^(N+G), for num divisible by p^v_p(den)."""
+        v = valuation_of_int(den, p)
+        return num // p**v * pow(den // p**v, -1, M) % M
+
+    P = [1] + [0] * (I - 1)  # prod_{t<p} (y + t) mod (p^(N+G), y^I), low degree first
+    for t in range(1, p):
+        P = [(a * t + b) % M for a, b in zip(P, [0] + P[:-1])]
+    g = [a * pow(P[0], -1, M) % M for a in P]
+    w = [0] * I
+    for k in range(1, I):
+        w[k] = (k * g[k] - sum(g[k - i] * w[i] for i in range(1, k))) % M
+    logpoly = [0] * (I + 1)
+    for i, row in enumerate(faul, 1):
+        c = over(p**i * w[i], i)
+        for j, f in enumerate(row):
+            logpoly[i + 1 - j] += c * over(f.numerator * pG, f.denominator)
+    z, zj = (-P[0] - 1) % M, 1
+    for j in range(1, I):
+        zj = zj * z % M
+        logpoly[1] += (1 if j % 2 else -1) * pG * over(zj, j)
+    logpoly = [a % M // (p * pG) for a in logpoly]
+    expc = [_residue(Fraction(p**j, math.factorial(j)), pN) for j in range(2 * N)]
+    return pN, logpoly[::-1], expc[::-1]
+
+
+def gamma_faulhaber(r: int, p: int, N: int) -> int:
+    """Gamma_p(r) mod p^N from faulhaber_tables: u = L(K)/p and exp(p u) by
+    Horner, times the partial block prod_{t<=s} (Kp + t), for r - 1 = Kp + s."""
+    if r == 0:
+        return 1
+    pN, logpoly, expc = faulhaber_tables(p, N)
+    K, s = divmod(r - 1, p)
+    u = e = 0
+    for c in logpoly:
+        u = (u * K + c) % pN
+    for c in expc:
+        e = (e * u + c) % pN
+    for t in range(K * p + 1, K * p + s + 1):
+        e = e * t % pN
+    return -e % pN if (r + K) % 2 else e
 
 
 # -- the section-3 suites as they were evaluated per (x, j) ------------------

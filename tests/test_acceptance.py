@@ -174,6 +174,27 @@ def test_check_all_json_matches_golden_sha(tmp_path):
     print(f"ACCEPTANCE golden check-all SHA-256: PASS ({time.perf_counter() - t0:.1f}s)")
 
 
+# one pin per claim id: its row count and the SHA-256 of json.dumps(rows of
+# that id, indent=2), the rows in check-all order.  A claim that adds rows adds
+# lines here, and this test shows that no other id moved
+GOLDEN_CLAIMS = Path(__file__).resolve().parent / "golden_claims.json"
+
+
+def test_check_all_rows_match_per_claim_pins(tmp_path):
+    out = tmp_path / "all.json"
+    assert cli.main(["check-all", "--format", "json", "--out", str(out)]) == 0
+    by_claim = {}
+    for row in json.loads(out.read_bytes()):
+        by_claim.setdefault(row["claim"], []).append(row)
+    got = {cid: {"rows": len(rows),
+                 "sha256": hashlib.sha256(json.dumps(rows, indent=2).encode()).hexdigest()}
+           for cid, rows in by_claim.items()}
+    want = json.loads(GOLDEN_CLAIMS.read_text(encoding="utf-8"))
+    assert sorted(got.keys() - want.keys()) == [], "claim ids with no pin"
+    assert sorted(want.keys() - got.keys()) == [], "pinned claim ids with no row"
+    assert [cid for cid in sorted(want) if got[cid] != want[cid]] == [], "claim ids that moved"
+
+
 # the same run through the CSV and human writers, pinned while the JSON
 # writer changes under them
 @pytest.mark.parametrize("fmt, sha256", [

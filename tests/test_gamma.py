@@ -114,6 +114,15 @@ def test_block_kernel_matches_per_value_oracle_at_large_primes():
             assert _gamma_blocks(rs, p, N) == [oracles.gamma_block(r, p, N) for r in rs], (p, N)
 
 
+def test_block_kernel_matches_faulhaber_oracle_at_high_precision():
+    # past every sweep and per-value oracle: the falling-factorial tables
+    # against the Bernoulli/Faulhaber ones, with their own guard digits
+    rng = random.Random(29)
+    for p, N in [(3, 30), (3, 60), (3, 120), (3, 200), (5, 60), (7, 30), (17, 17), (491, 40)]:
+        rs = [rng.randrange(p**N) for _ in range(200)]
+        assert _gamma_blocks(rs, p, N) == [oracles.gamma_faulhaber(r, p, N) for r in rs], (p, N)
+
+
 def test_batched_residues_equal_single_residues(monkeypatch):
     rng = random.Random(5)
     # (3, 4) and (5, 6) have N > p - 1 and carry guard digits
@@ -463,17 +472,17 @@ def test_suite_runs_clean_and_reports_per_point():
 
 
 def test_block_log_series_matches_power_series_oracle():
-    # the folded log table, Horner-evaluated as u = L(K)/p, against the
-    # oracle's L(K) summed from exact Fraction tables and power sums S_i(K)
+    # the falling-factorial log table, Horner-evaluated as u = L(K)/p, against
+    # the oracle's L(K) summed from exact Fraction tables and power sums S_i(K)
     rng = random.Random(17)
     for p, N in [(3, 2), (3, 13), (5, 4), (5, 9), (7, 6), (7, 12), (11, 5),
                  (17, 14), (61, 5), (61, 30), (491, 5), (491, 40)]:
-        pN, logpoly = _horner_data(p, N)[:2]
+        pN, logpairs = _horner_data(p, N)[:2]
         for K in [0, 1, 2, p, p ** (N - 1) - 1] + [rng.randrange(p ** (N - 1)) for _ in range(8)]:
             u = 0
-            for c in logpoly:
-                u = (u * K + c) % pN
-            assert p * u % pN == oracles.block_log(K, p, N), (p, N, K)
+            for m, c in logpairs:
+                u = (u * (K - m) + c) % pN
+            assert p * u * K % pN == oracles.block_log(K, p, N), (p, N, K)
 
 
 # -- the residue-level suites against the per-(x, j) oracles -----------------

@@ -11,6 +11,8 @@
   one call in one function.
 - gamma imports only combinatorics and padic of the package: the section-3
   suites build their sides from residues, not from hyp.
+- The Gamma_p kernel (gamma._horner_data and gamma._gamma_blocks) reads no
+  name Fraction: its tables are built over integers alone.
 - Every memo keyed by a prime is registered with padic._per_prime where it
   is defined: each module-level lru_cache function with a parameter p (as
   the outermost decorator), and the dict gamma._value_cache.
@@ -78,6 +80,15 @@ def test_gamma_imports_only_combinatorics_and_padic():
     package = {path.stem for path in MODULES}
     inner = {n for _, n in _imported(SRC / "gamma.py") if n in package}
     assert inner == {"combinatorics", "padic"}
+
+
+def test_gamma_kernel_builds_no_fraction():
+    kernel = [node for node in ast.parse((SRC / "gamma.py").read_text()).body
+              if isinstance(node, ast.FunctionDef) and node.name in ("_horner_data", "_gamma_blocks")]
+    assert sorted(node.name for node in kernel) == ["_gamma_blocks", "_horner_data"]
+    reads = [f"{node.name}:{n.lineno}" for node in kernel for n in ast.walk(node)
+             if isinstance(n, ast.Name) and n.id == "Fraction"]
+    assert not reads
 
 
 def _called(node):
