@@ -412,15 +412,23 @@ def run_task(task: Task) -> list[CongruenceReport]:
     return _evaluate(task.p, claim.rows(task, claim.args(task.params)))
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the OS has
+    one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_tasks(tasks, jobs: int = 1) -> list[CongruenceReport]:
     """Execute tasks (optionally in a process pool) and return reports in the
     canonical (claim, prime, params) order, independent of the jobs count.
     The tasks run prime by prime, the prime-free task first (a stable sort),
     so in one process and in each pool worker every claim at a prime shares
     its tables until _at_prime drops them.  The pool never outnumbers the
-    tasks or the CPUs."""
+    tasks or the CPUs the process may run on."""
     tasks = sorted(tasks, key=lambda t: -1 if t.p is None else t.p)
-    jobs = min(jobs, len(tasks), os.cpu_count() or 1)
+    jobs = min(jobs, len(tasks), _usable_cpus())
     if jobs <= 1:
         chunks = map(run_task, tasks)
     else:

@@ -28,9 +28,12 @@ because JSON text holds no raw newline inside a string.
 Reports sort by (claim, p, params text), the params text being
 ``json.dumps(params, sort_keys=True, default=str)``, which is also the CSV's
 params column; a flat params dict (as above) is written by the same inline
-path with its keys sorted, any other by that ``json.dumps`` call.  The
-``json.dumps`` writers and sort key these replaced, and the schema-1 dict of
-a report (``to_dict``), are kept as oracles in ``tests/oracles.py``.
+path with its keys sorted, any other by that ``json.dumps`` call.  The sort
+goes group by group: the reports are grouped by (claim, p) and each group is
+sorted by its params texts on its own, so the texts of one group exist at a
+time, never a key for every report.  The ``json.dumps`` writers and sort key
+these replaced, and the schema-1 dict of a report (``to_dict``), are kept as
+oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -85,9 +88,6 @@ class CongruenceReport(Record):
         return cls(claim, 0, dict(params), 0, None, 0, None, 0,
                    None if zero else -(10**9), zero)
 
-    def sort_key(self) -> tuple:
-        return (self.claim, self.p, _params_text(self.params))
-
     def to_csv_row(self) -> list:
         return [SCHEMA_VERSION, self.claim, self.p, _params_text(self.params),
                 self.mod_power, self.lhs_val, self.lhs_unit,
@@ -104,8 +104,19 @@ class CongruenceReport(Record):
 def sort_reports(reports: list) -> list:
     """Sort reports in place into the canonical (claim, prime, params) order,
     which checks.run_tasks returns, and return the list; the writers below
-    keep the order they are given."""
-    reports.sort(key=CongruenceReport.sort_key)
+    keep the order they are given.  The sort goes group by group: one pass
+    groups the reports by (claim, p), then each group, in key order, is
+    sorted by its params texts and written back.  Ties keep their input
+    order."""
+    groups = {}
+    for r in reports:
+        groups.setdefault((r.claim, r.p), []).append(r)
+    i = 0
+    for key in sorted(groups):
+        group = groups.pop(key)
+        group.sort(key=lambda r: _params_text(r.params))
+        reports[i:i + len(group)] = group
+        i += len(group)
     return reports
 
 
@@ -134,8 +145,8 @@ def _flat_entries(params: dict, keys) -> list[str] | None:
 
 
 def _params_text(params) -> str:
-    """json.dumps(params, sort_keys=True, default=str), the sort key's and the
-    CSV column's text."""
+    """json.dumps(params, sort_keys=True, default=str), the text a (claim, p)
+    group sorts by and the CSV column's text."""
     if type(params) is dict and params:
         entries = _flat_entries(params, sorted(params))
         if entries is not None:

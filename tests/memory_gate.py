@@ -9,8 +9,11 @@ range must peak at most RATIO times the half range.  Both ranges share the
 prime bound, so the forms and tables of one prime grow only slightly; the
 tables of every prime kept to the end of the run grow with the range.
 
-It prints the eight peaks and exits 1 if a claim exceeds the ratio.  Run it
-from the repository root:
+It prints the eight peaks and exits 1 if a claim exceeds the ratio.  It also
+prints, with no bound, the peak of `check-all --format json` and of a
+process that only imports `padichyp.cli` (`python -B -c "import
+padichyp.cli"`), so every Python it runs on logs the numbers the README's
+Memory section quotes.  Run it from the repository root:
 
     python tests/memory_gate.py
 
@@ -30,10 +33,9 @@ HALF, FULL = 250, 499
 CLAIMS = (("conj1.3", 3), ("thm2.7", 3), ("prop2.2", 7), ("thm2.4", 7))
 
 
-def peak_mb(claim: str, lo: int, hi: int) -> float:
-    """Max-RSS in MB of one fresh check over lo..hi; exits 1 if it fails."""
-    argv = [sys.executable, "-B", "-m", "padichyp.cli", "check", claim,
-            "--p-range", f"{lo}..{hi}", "--format", "json"]
+def peak_mb(*args: str) -> float:
+    """Max-RSS in MB of one fresh `python -B ARGS`; exits 1 if it fails."""
+    argv = [sys.executable, "-B", *args]
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
     quiet = [(os.POSIX_SPAWN_OPEN, fd, os.devnull, os.O_WRONLY, 0) for fd in (1, 2)]
@@ -45,13 +47,23 @@ def peak_mb(claim: str, lo: int, hi: int) -> float:
     return usage.ru_maxrss / 1024
 
 
+def check_peak_mb(claim: str, lo: int, hi: int) -> float:
+    """Max-RSS in MB of one fresh check over lo..hi."""
+    return peak_mb("-m", "padichyp.cli", "check", claim, "--p-range", f"{lo}..{hi}",
+                   "--format", "json")
+
+
 def main() -> int:
     worst = 0.0
     for claim, lo in CLAIMS:
-        half, full = peak_mb(claim, lo, HALF), peak_mb(claim, lo, FULL)
+        half, full = check_peak_mb(claim, lo, HALF), check_peak_mb(claim, lo, FULL)
         worst = max(worst, full / half)
         print(f"{claim:<8} {lo}..{HALF}: {half:6.2f} MB   {lo}..{FULL}: {full:6.2f} MB"
               f"   ratio {full / half:.3f}")
+    imports = peak_mb("-c", "import padichyp.cli")
+    check_all = peak_mb("-m", "padichyp.cli", "check-all", "--format", "json")
+    print(f"import padichyp.cli: {imports:6.2f} MB   check-all --format json: {check_all:6.2f} MB"
+          f"   difference {check_all - imports:.2f} MB (no bound)")
     if worst > RATIO:
         print(f"FAIL: peak memory grows with the prime range (ratio {worst:.3f} > {RATIO})")
         return 1

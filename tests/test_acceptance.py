@@ -10,6 +10,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -23,6 +24,7 @@ import pytest
 from padichyp import checks, cli
 from padichyp.combinatorics import apery
 from padichyp.qseries import gamma_coeffs
+from padichyp.report import sort_reports
 
 
 def _run(claim, **kw):
@@ -267,6 +269,21 @@ def test_writing_check_all_allocates_under_one_mib(check_all_reports, fmt):
     finally:
         tracemalloc.stop()
     assert peak < 2**20, f"{fmt}: peak {peak} bytes"
+
+
+def test_sorting_check_all_allocates_under_half_a_mib(check_all_reports):
+    # one (claim, p) group's params texts at a time, not all 10,343 keys
+    shuffled = list(check_all_reports)
+    random.Random(28).shuffle(shuffled)
+    want = [id(r) for r in sorted(shuffled, key=oracles.sort_key)]
+    tracemalloc.start()
+    try:
+        assert sort_reports(shuffled) is shuffled
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**19, f"peak {peak} bytes"
+    assert [id(r) for r in shuffled] == want  # ties keep their shuffled order
 
 
 # the bench's reference outputs; read here, never written

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from padichyp import characters, checks, cli, combinatorics, gamma, gfunction, padic, qseries
+from padichyp import characters, checks, cli, combinatorics, gamma, gfunction, padic, qseries, report
 from padichyp.padic import PadicValue, rational_to_padic, valuation_of_int
 from padichyp.qseries import QSeries
 from padichyp.report import CSV_COLUMNS, CongruenceReport, sort_reports, write_reports
@@ -411,7 +411,8 @@ _sortable_reports = st.builds(
                          {"j": True}, {"j": None}, {"j": [2]}, {"j": (10,)},
                          {"j": {"b": 1, "a": 2}}, {2: 1}, {10: 1}, {"j": "é"}, {"j": "z"})])
 def test_sort_order_equals_the_json_dumps_oracle(reports):
-    assert [r.sort_key() for r in reports] == [oracles.sort_key(r) for r in reports]
+    assert all(report._params_text(r.params) == json.dumps(r.params, sort_keys=True, default=str)
+               for r in reports)
     want = [id(r) for r in sorted(reports, key=oracles.sort_key)]
     assert [id(r) for r in sort_reports(list(reports))] == want  # ties keep their order
 
@@ -950,10 +951,25 @@ def test_worker_pool_is_capped_by_tasks_and_cpus(monkeypatch):
     tasks, _ = checks.CLAIMS["thm2.4"].plan(7, 31, {"d": 3})
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     serial = checks.run_tasks(tasks, jobs=1)
-    for cpus, expected in [(64, [len(tasks)]), (2, [2]), (None, [])]:
+    usable_cpus = checks._usable_cpus
+    for cpus, expected in [(64, [len(tasks)]), (2, [2]), (1, [])]:
+        sizes.clear()
+        monkeypatch.setattr(checks, "_usable_cpus", lambda: cpus)
+        assert checks.run_tasks(tasks, jobs=10_000) == serial
+        assert sizes == expected
+    monkeypatch.setattr(checks, "_usable_cpus", usable_cpus)
+    monkeypatch.setattr(checks.os, "cpu_count", lambda: 64)
+    # pinned to one CPU of 64: no pool starts
+    sizes.clear()
+    monkeypatch.setattr(checks.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert checks.run_tasks(tasks, jobs=2) == serial
+    assert sizes == []
+    # without an affinity call the machine's count caps the pool
+    monkeypatch.delattr(checks.os, "sched_getaffinity")
+    for cpus, expected in [(64, [2]), (None, [])]:
         sizes.clear()
         monkeypatch.setattr(checks.os, "cpu_count", lambda: cpus)
-        assert checks.run_tasks(tasks, jobs=10_000) == serial
+        assert checks.run_tasks(tasks, jobs=2) == serial
         assert sizes == expected
 
 
