@@ -25,7 +25,7 @@ from functools import lru_cache
 from . import combinatorics as comb
 from ._record import FrozenRecord, Record
 from .characters import Character, characters_for_arguments, greene_series_scaled
-from .gamma import check_gamma_properties, lemma_check_gamma_suite
+from .gamma import section3_rows
 from .gfunction import GArguments, g_function, s_factor, theorem26_sign
 from .hyp import HypParams, truncated_hyp
 from .padic import (PRIME_BOUND, PadicValue, _at_prime, _per_prime, check_prime, primes_in,
@@ -251,11 +251,11 @@ def _lemma_rows(p: int | None, seed: int):
         yield ("eq3.2", {"k": k}, 1, sum(pow(j, k, p) for j in range(1, p)) % p,
                -1 if k % (p - 1) == 0 else 0)
     for a in _pq_tuples(p, seed):
+        params = {"a": list(a)}
         for claim, value, expected in zip(("lemmaP", "lemmaQ"), comb.lemma_PQ_sums(a, p),
                                           comb.lemma_PQ_expected(a, p)):
-            yield claim, {"a": list(a)}, 1, value, expected
-    yield from lemma_check_gamma_suite(p)
-    yield from check_gamma_properties(p)
+            yield claim, params, 1, value, expected
+    yield from section3_rows(p)
 
 
 def _bin_harmonic_rows(seed: int):
@@ -267,13 +267,14 @@ def _bin_harmonic_rows(seed: int):
     rng = random.Random(seed)
     extras = [(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
                Fraction(rng.randint(-9, 9), rng.randint(1, 9))) for _ in range(3)]
-    pairs = [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))] + extras
+    pairs = [(c1, c2, str(c1), str(c2))
+             for c1, c2 in [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))] + extras]
     for l in range(2, 21):
         for m in range((l + 1) // 2, l):
             for n in range((l + 1) // 2, m + 1):
                 x, y = comb.bin_harmonic_id2(l, m, n)
-                for c1, c2 in pairs:
-                    yield ("binharm.id2", {"l": l, "m": m, "n": n, "c1": str(c1), "c2": str(c2)},
+                for c1, c2, t1, t2 in pairs:
+                    yield ("binharm.id2", {"l": l, "m": m, "n": n, "c1": t1, "c2": t2},
                            0, c1 * x + c2 * y, 0)
 
 
@@ -326,7 +327,8 @@ class Claim(FrozenRecord):
             raise ValueError(f"{self.id} takes {flags} together")
         if not (given or self.grid):
             raise ValueError(f"{self.id} needs {flags}")
-        grid = [{k: given[k] for k in self.accepts}] if given else self.grid
+        # the plan's own copy of each grid dict, which _g_vs_trunc gives its reports
+        grid = [{k: given[k] for k in self.accepts}] if given else [dict(q) for q in self.grid]
         for q in grid:
             self.args(q)
         if mod is None:

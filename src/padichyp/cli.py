@@ -142,9 +142,11 @@ def _check_out(path: str) -> None:
 
 
 def _emit_reports(reports, skipped, ns) -> int:
-    # opened only now, so a failed run leaves no empty file behind
+    # opened only now, so a failed run leaves no empty file behind; newline=""
+    # writes the text as given, as the csv module needs: without it Windows
+    # would write \r\r\n CSV row ends and \r\n in the other formats
     if ns.out is not None:
-        with open(ns.out, "w", encoding="utf-8") as fh:
+        with open(ns.out, "w", encoding="utf-8", newline="") as fh:
             write_reports(reports, ns.format, fh)
     else:
         write_reports(reports, ns.format, sys.stdout)

@@ -64,12 +64,16 @@ lemma_check_gamma_suite (Lemmas 3.9-3.13).  Each yields rows (claim, params,
 k, lhs, rhs), the congruence lhs = rhs mod p^k with each side a PadicValue,
 and builds no report: checks._evaluate turns the rows into reports, as it
 does for every other claim.  They share one per-x preparation
-(_points: the label, the residue a of x mod p^5 and rep(x) = a mod p or p)
-and one p >= 7 check, and go point by point: a point's Gamma_p values at one
-precision come from one gamma_residues batch, its G_1 and G_2 values from
-one call of the batch functions _g1s and _g2s, which return residues mod
-p^M.  The residues of x + j, 1 - x + j and 1 + j are integer sums, and
-Lemmas 3.12-3.13 split x, 1 - x by rep(1 - x) = p + 1 - rep(x).
+(_points: the label, the residue a of x mod p^5, rep(x) = a mod p or p and
+the point's row params {"x": label, "j": j}, j = 0..p) and one p >= 7
+check, and go point by point: a point's Gamma_p values at one precision
+come from one gamma_residues batch, its G_1 and G_2 values from one call of
+the batch functions _g1s and _g2s, which return residues mod p^M.  The
+residues of x + j, 1 - x + j and 1 + j are integer sums, and Lemmas
+3.12-3.13 split x, 1 - x by rep(1 - x) = p + 1 - rep(x).  A point's params
+are built once: its rows share its {"x": label} and each {"x": label,
+"z": z}, and section3_rows, which checks runs, gives both suites one list
+of points, so Lemmas 3.9-3.13 and Prop 3.8 share each {"x", "j"} dict.
 
 Every side is read once from an integer: a Gamma_p or G side is one
 PadicValue.from_residue of an integer expression in the residues, a rational
@@ -312,32 +316,51 @@ def default_x_grid(p: int) -> list[Fraction]:
     return out
 
 
-def _points(p: int, xs=None) -> list[tuple[Fraction, str, int, int]]:
-    """(x, label, residue of x mod p^5, rep(x)) for each x of a suite, by
-    default of default_x_grid(p); both suites use G_1 and G_2 mod p^2, so p
-    must be a prime >= 7."""
+def _points(p: int, xs=None) -> list[tuple[Fraction, str, int, int, list[dict]]]:
+    """(x, label, residue of x mod p^5, rep(x), params) for each x of a suite,
+    by default of default_x_grid(p), params[j] being the point's row params
+    {"x": label, "j": j} for j = 0..p; both suites use G_1 and G_2 mod p^2,
+    so p must be a prime >= 7."""
     _certified(p, 2)
     if xs is None:
         xs = default_x_grid(p)
-    return [(x, str(x), (a := _as_residue(x, p, 5)), a % p or p) for x in map(Fraction, xs)]
+    pts = []
+    for x in map(Fraction, xs):
+        label, a = str(x), _as_residue(x, p, 5)
+        pts.append((x, label, a, a % p or p, [{"x": label, "j": j} for j in range(p + 1)]))
+    return pts
+
+
+def section3_rows(p: int):
+    """The rows of both section-3 suites at p over the default x grid, the
+    lemma families then the properties, from one list of points: the
+    {"x", "j"} params of a point are built once, for both suites."""
+    pts = _points(p)
+    yield from _lemma_families(p, pts)
+    yield from _properties(p, pts)
 
 
 def check_gamma_properties(p: int):
     """The rows (claim, params, k, lhs, rhs) of Props 3.1-3.2, Cors 3.4-3.5,
     the Taylor law and the shift formula, over the standard denominator-grid
     of x values, point by point, each side a PadicValue read from an integer."""
+    yield from _properties(p, _points(p))
+
+
+def _properties(p: int, pts):
+    """check_gamma_properties at the points pts of _points(p)."""
     N, M = 4, 2
-    pts = _points(p)
     pN, half, val = p**N, pow(2, -1, p**3), PadicValue.from_residue
-    for x, label, a, r in pts:
+    for x, label, a, r, xj in pts:
+        xp = {"x": label}
         # Gamma_p at x + j for j = 0..p, then at 1 - x and x + 2p
         g = gamma_residues([(a + j) % pN for j in range(p + 1)]
                            + [(1 - a) % pN, (a + 2 * p) % pN], p, N)
         gx = g[0]
         # functional equation
-        yield "prop3.1.1", {"x": label}, N, val(g[1], p, N), val(-(a if r < p else 1) * gx, p, N)
+        yield "prop3.1.1", xp, N, val(g[1], p, N), val(-(a if r < p else 1) * gx, p, N)
         # reflection
-        yield ("prop3.1.2", {"x": label}, N, val(gx * g[p + 1], p, N),
+        yield ("prop3.1.2", xp, N, val(gx * g[p + 1], p, N),
                _ratio_to_padic((-1) ** r, 1, p, N))
         # continuity: arguments agreeing mod p^n give values agreeing mod p^n
         # (evaluated at higher precision, where the two residues differ)
@@ -347,7 +370,7 @@ def check_gamma_properties(p: int):
             yield "prop3.1.3", {"x": label, "n": n}, n, val(gyn, p, n + 2), val(gxn, p, n + 2)
         # shift formula against direct evaluation
         for j in range(p + 1):
-            yield "prop3.8", {"x": label, "j": j}, N, _shift(a, r, gx, j, p, N), val(g[j], p, N)
+            yield "prop3.8", xj[j], N, _shift(a, r, gx, j, p, N), val(g[j], p, N)
         # G_1 and G_2 at x, x + 1, 1 - x, x + p and x + 2p
         rs = [a, a + 1, 1 - a, a + p, a + 2 * p]
         u1, v1, w1, *z1 = _g1s(rs, p, M)
@@ -356,23 +379,24 @@ def check_gamma_properties(p: int):
         # G1 step
         rhs = _ratio_to_padic(x.denominator, x.numerator, p, M) if unit \
             else PadicValue.zero(p, M)
-        yield "prop3.2.1", {"x": label}, M, val(v1 - u1, p, M), rhs
+        yield "prop3.2.1", xp, M, val(v1 - u1, p, M), rhs
         # (G1^2 - G2) step
         rhs = _ratio_to_padic(x.denominator**2, x.numerator**2, p, M) if unit \
             else PadicValue.zero(p, M)
-        yield "prop3.2.2", {"x": label}, M, val(v1 * v1 - v2 - u1 * u1 + u2, p, M), rhs
+        yield "prop3.2.2", xp, M, val(v1 * v1 - v2 - u1 * u1 + u2, p, M), rhs
         # symmetry and its derivative
-        yield "prop3.2.3", {"x": label}, M, val(u1, p, M), val(w1, p, M)
-        yield "prop3.2.4", {"x": label}, M, val(u1 * u1 - u2, p, M), val(w2 - w1 * w1, p, M)
+        yield "prop3.2.3", xp, M, val(u1, p, M), val(w1, p, M)
+        yield "prop3.2.4", xp, M, val(u1 * u1 - u2, p, M), val(w2 - w1 * w1, p, M)
         for t, zx1, zx2, gz in zip((1, 2), z1, z2, (g[p], g[p + 2])):
             z = t * p
+            xz = {"x": label, "z": str(z)}
             for which, zx, u in (("g1", zx1, u1), ("g2", zx2, u2)):
                 yield ("cor3.4", {"x": label, "z": str(z), "which": which}, 1, val(zx, p, M),
                        val(u, p, M))
-            yield ("cor3.5", {"x": label, "z": str(z)}, 2, val(u1, p, M),
+            yield ("cor3.5", xz, 2, val(u1, p, M),
                    val(zx1 + z * (zx1 * zx1 - zx2), p, M))
             # Taylor law mod p^3
-            yield ("prop3.3.2", {"x": label, "z": str(z)}, 3, val(gz, p, N),
+            yield ("prop3.3.2", xz, 3, val(gz, p, N),
                    val(gx * (1 + z * u1 + z * z * half * u2), p, 3))
 
 
@@ -408,28 +432,32 @@ def lemma_check_gamma_suite(p: int, xs=None):
     - lemma3.13: G_1(x+j) + G_1(1-x+j) - 2 G_1(1+j) against harmonic sums
       (mod p^2) for j < rep(m1).
     """
-    pts = _points(p, xs)
+    yield from _lemma_families(p, _points(p, xs))
+
+
+def _lemma_families(p: int, pts):
+    """lemma_check_gamma_suite at the points pts of _points(p, xs)."""
     H1, H2 = _scaled_harmonic(2 * p - 2, 1), _scaled_harmonic(2 * p - 2, 2)
     S1, t1 = H1
     val = PadicValue.from_residue
     # G_1 and G_2 mod p, and G_1 mod p^2, at 1 + j
     ones = range(1, p + 1)
     lb, lb2, lc = _g1s(ones, p, 1), _g2s(ones, p, 1), _g1s(ones, p, 2)
-    for x, label, a, r in pts:
+    for x, _, a, r, xj in pts:
         g = gamma_residues([(a + j) % p**2 for j in range(p + 1)], p, 2)
         for j in range(p + 1):
-            yield ("lemma3.9", {"x": label, "j": j}, 1, val(g[j], p, 2),
+            yield ("lemma3.9", xj[j], 1, val(g[j], p, 2),
                    _ratio_to_padic(*_factorial_rhs(r, j, p), p, 3))
         la = _g1s([a + j for j in range(p)], p, 1)
         for j in range(p):
             rhs = _harmonic_diff(H1, r - 1 + j, j, p if j > p - r else 0)
-            yield ("lemma3.10", {"x": label, "j": j}, 1, val(la[j] - lb[j], p, 1),
+            yield ("lemma3.10", xj[j], 1, val(la[j] - lb[j], p, 1),
                    _ratio_to_padic(*rhs, p, 3))
         la2 = _g2s([a + j for j in range(p)], p, 1)
         for j in range(p):
             lhs = la[j] * la[j] - la2[j] - lb[j] * lb[j] + lb2[j]
             rhs = _harmonic_diff(H2, r - 1 + j, j, p**2 if j > p - r else 0)
-            yield ("lemma3.11", {"x": label, "j": j}, 1, val(lhs, p, 1),
+            yield ("lemma3.11", xj[j], 1, val(lhs, p, 1),
                    _ratio_to_padic(*rhs, p, 4))
         # r1 - m1 as (dn, dd), r1, r2: m1 of x, 1 - x has the larger rep, x on a tie
         r1 = max(r, p + 1 - r)
@@ -445,7 +473,7 @@ def lemma_check_gamma_suite(p: int, xs=None):
             pole = p if j >= r2 else 0
             hn, hd = _harmonic_diff(H1, r1 - 1 + j, r2 - 1 + j, pole)
             s = (-1) ** j * math.comb(r1 - 1 + j, j) * math.comb(r1 - 1, j)
-            yield ("lemma3.12", {"x": label, "j": j}, 2, val(u, p, 5),
+            yield ("lemma3.12", xj[j], 2, val(u, p, 5),
                    _ratio_to_padic(s * (dd * hd - dn * hn), dd * hd * (pole or 1), p, 5))
         # G_1 mod p^2 at x + j, then at 1 - x + j
         gab = _g1s([b + j for b in (a, 1 - a) for j in range(r1)], p, 2)
@@ -458,5 +486,5 @@ def lemma_check_gamma_suite(p: int, xs=None):
             if j >= r2:
                 an, ad = an * p - S1, S1 * p
             bn, bd = _harmonic_diff(H2, r1 - 1 + j, r2 - 1 + j, p**2 if j >= r2 else 0)
-            yield ("lemma3.13", {"x": label, "j": j}, 2, val(lhs, p, 2),
+            yield ("lemma3.13", xj[j], 2, val(lhs, p, 2),
                    _ratio_to_padic(an * dd * bd + dn * bn * ad, ad * dd * bd, p, 5))

@@ -10,6 +10,12 @@ and mod_power = 0; their pass flag means "identically zero over Q".  Reports
 carry no wall clock: the ms field is always null (reserved in schema 1), so
 identical runs serialize to identical bytes regardless of parallelism.
 
+A report keeps the params dict its row gives it (``from_sides`` and
+``exact_rational`` store it as given, with no copy), so the rows of a task
+that repeat a parameter set share one dict: check-all's 10,343 reports hold
+about 4,900 params dicts.  Params are read-only once a row is made; nothing
+here or in the rows' makers mutates them.
+
 ``write_reports`` writes one row at a time, so a report is never held in
 memory as one string: the JSON and human writers yield their text row by
 row to the file's ``writelines``, and the CSV goes through
@@ -76,16 +82,21 @@ class CongruenceReport(Record):
     @classmethod
     def from_sides(cls, claim: str, p: int, params: dict, k: int,
                    lhs: PadicValue, rhs: PadicValue) -> "CongruenceReport":
+        """The congruence lhs = rhs mod p^k at p.  The report keeps the params
+        dict its row gives it, not a copy: the rows of a task share one dict
+        wherever the content repeats, and nothing mutates a row's params."""
         dv = _diff_valuation(lhs, rhs, k)  # the valuation congruent_mod tests
-        return cls(claim, p, dict(params), k,
+        return cls(claim, p, params, k,
                    lhs.valuation, lhs.unit, rhs.valuation, rhs.unit,
                    dv, dv is None or dv >= k)
 
     @classmethod
     def exact_rational(cls, claim: str, params: dict, difference) -> "CongruenceReport":
-        """A claim of exact equality over Q; difference must be 0 to pass."""
+        """A claim of exact equality over Q; difference must be 0 to pass.  As
+        in from_sides, the report keeps its row's params dict, which rows
+        share and nothing mutates."""
         zero = difference == 0
-        return cls(claim, 0, dict(params), 0, None, 0, None, 0,
+        return cls(claim, 0, params, 0, None, 0, None, 0,
                    None if zero else -(10**9), zero)
 
     def to_csv_row(self) -> list:

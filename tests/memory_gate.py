@@ -10,10 +10,14 @@ prime bound, so the forms and tables of one prime grow only slightly; the
 tables of every prime kept to the end of the run grow with the range.
 
 It prints the eight peaks and exits 1 if a claim exceeds the ratio.  It also
-prints, with no bound, the peak of `check-all --format json` and of a
-process that only imports `padichyp.cli` (`python -B -c "import
-padichyp.cli"`), so every Python it runs on logs the numbers the README's
-Memory section quotes.  Run it from the repository root:
+prints, with no bound, the peak of `check-all --format json`, of
+`check-all --format json --jobs 2` and of a process that only imports
+`padichyp.cli` (`python -B -c "import padichyp.cli"`), so every Python it
+runs on logs the numbers the README's Memory section quotes.  The max-RSS
+os.wait4 gives includes the children the process waited for, so the
+`--jobs 2` peak is the largest of the parent and its pool workers, each of
+which holds the pickled reports of its tasks.  Run it from the repository
+root:
 
     python tests/memory_gate.py
 
@@ -64,6 +68,8 @@ def main() -> int:
     check_all = peak_mb("-m", "padichyp.cli", "check-all", "--format", "json")
     print(f"import padichyp.cli: {imports:6.2f} MB   check-all --format json: {check_all:6.2f} MB"
           f"   difference {check_all - imports:.2f} MB (no bound)")
+    jobs2 = peak_mb("-m", "padichyp.cli", "check-all", "--format", "json", "--jobs", "2")
+    print(f"check-all --format json --jobs 2: {jobs2:6.2f} MB, the process or a worker (no bound)")
     if worst > RATIO:
         print(f"FAIL: peak memory grows with the prime range (ratio {worst:.3f} > {RATIO})")
         return 1

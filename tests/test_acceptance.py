@@ -23,8 +23,9 @@ import pytest
 
 from padichyp import checks, cli
 from padichyp.combinatorics import apery
+from padichyp.padic import PadicValue
 from padichyp.qseries import gamma_coeffs
-from padichyp.report import sort_reports
+from padichyp.report import CongruenceReport, sort_reports
 
 
 def _run(claim, **kw):
@@ -284,6 +285,18 @@ def test_sorting_check_all_allocates_under_half_a_mib(check_all_reports):
         tracemalloc.stop()
     assert peak < 2**19, f"peak {peak} bytes"
     assert [id(r) for r in shuffled] == want  # ties keep their shuffled order
+
+
+def test_check_all_reports_share_params_per_grid_point(check_all_reports):
+    # a report keeps its row's params; the rows share one dict per grid point
+    assert len({id(r.params) for r in check_all_reports}) <= 5000
+    point = [r for r in check_all_reports
+             if r.p == 7 and r.params == {"x": "1/2", "j": 3}]
+    assert {"lemma3.9", "lemma3.10", "lemma3.11", "prop3.8"} <= {r.claim for r in point}
+    assert len({id(r.params) for r in point}) == 1
+    params = {"x": "1/2"}
+    one = PadicValue.from_residue(1, 7, 2)
+    assert CongruenceReport.from_sides("c", 7, params, 1, one, one).params is params
 
 
 # the bench's reference outputs; read here, never written

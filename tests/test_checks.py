@@ -4,6 +4,7 @@ and the CLI surface."""
 import argparse
 import concurrent.futures
 import contextlib
+import copy
 import io
 import json
 import os
@@ -444,6 +445,16 @@ def _held():
             else {k: dict(v) for k, v in m.items()} for m in padic._PRIME_MEMOS]
 
 
+def test_reports_do_not_alias_the_registry_grids():
+    # reports keep their rows' params dicts; a plan gives its tasks its own
+    # copies of the grid dicts, so no report holds one of the registry's
+    grids = {cid: copy.deepcopy(c.grid) for cid, c in checks.CLAIMS.items()}
+    reports, _ = checks.run_config(checks.RunConfig())
+    for r in reports:
+        r.params["written after the run"] = True
+    assert {cid: c.grid for cid, c in checks.CLAIMS.items()} == grids
+
+
 def test_the_per_prime_memos_are_the_five_prime_keyed_tables():
     memos = (gamma._value_cache, gamma._horner_data, characters._dlog_table,
              characters._omega_powers, checks._truncated)
@@ -861,6 +872,33 @@ def test_cli_out_to_a_writable_file_in_an_unwritable_directory(tmp_path):
                                "--format", "json", "--out", str(path))
     assert (code, out, err) == (0, "", "")
     assert json.loads(path.read_text())[0]["claim"] == "thm2.4"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "human"])
+def test_cli_out_file_holds_the_bytes_stdout_gets(tmp_path, fmt):
+    # no newline translation: the CSV's \r\n row ends and the \n of the
+    # others reach the file as the writers give them, on every platform
+    argv = ["check", "thm2.4", "--d", "3", "--p-range", "7..61", "--format", fmt]
+    code, out, err = _main(*argv)
+    assert (code, err) == (0, "")
+    path = tmp_path / f"r.{fmt}"
+    assert _main(*argv, "--out", str(path)) == (0, "", "")
+    assert path.read_bytes() == out.encode("utf-8")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "human"])
+def test_cli_out_is_opened_with_no_newline_translation(tmp_path, monkeypatch, fmt):
+    calls = []
+
+    def recording_open(*args, **kwargs):
+        calls.append(kwargs)
+        return open(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", recording_open, raising=False)
+    path = tmp_path / f"r.{fmt}"
+    assert _main("check", "thm2.4", "--d", "3", "--p", "7", "--format", fmt,
+                 "--out", str(path)) == (0, "", "")
+    assert [kw.get("newline") for kw in calls] == [""]
 
 
 @pytest.mark.parametrize("argv, read", [
