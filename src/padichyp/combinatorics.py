@@ -2,13 +2,13 @@
 binomial-coefficient / harmonic-sum identities.
 
 The kernels run over integers: harmonic prefix sums are scaled by
-L = lcm(1..top index) into integer tables, memoised per (top, order) and
-shared with the gamma lemma suites; the C(k-1, n) denominators are cleared
+L = lcm(1..top index) into integer tables, memoised per (top, order) for one
+prime (a task's prime sets the tops: 3(p-1) for lemma P and Q, 2p-2 for the
+gamma lemma suites, which share them); the C(k-1, n) denominators are cleared
 with one lcm, and every sum is one integer num/den pair.  The second identity
 is linear in (c1, c2), so its kernel returns the two coefficients of that
 linear form from one pass.  A Fraction is built only at the API boundary (the
-identity values); congruence reduction happens once, at the end, where a
-caller asks for it.
+identity values), and congruence reduction happens once, at the end.
 """
 
 from __future__ import annotations
@@ -17,9 +17,10 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .padic import PadicValue, _ratio_to_padic, check_prime
+from .padic import PadicValue, _per_prime, _ratio_to_padic, check_prime
 
 
+@_per_prime
 @lru_cache(maxsize=None)
 def _scaled_harmonic(top: int, i: int) -> tuple[int, tuple[int, ...]]:
     """(S, t): S = lcm(1..top)^i and t[j] = S * H^(i)_j for j <= top, integers,
@@ -48,9 +49,9 @@ def lemma_PQ_sums(a, p: int) -> tuple[PadicValue, PadicValue]:
         raise ValueError("entries must be positive integers")
     if sum(a) > 2 * (p - 1):
         raise ValueError("T out of range")
-    # h1 scaled by L, h2 by L^2; (j+1)_a = (j+a)!/j! is an integer
-    L, H1 = _scaled_harmonic(max(a) + p - 1, 1)
-    _, H2 = _scaled_harmonic(max(a) + p - 1, 2)
+    # h1 scaled by L, h2 by L^2 (tables to 3(p-1) >= max(a)+p-1); (j+1)_a = (j+a)!/j! is an integer
+    L, H1 = _scaled_harmonic(3 * (p - 1), 1)
+    _, H2 = _scaled_harmonic(3 * (p - 1), 2)
     P = Q = 0
     for j in range(p):
         prod = 1

@@ -63,11 +63,13 @@ check_gamma_properties (Props 3.1-3.3 and 3.8, Cors 3.4-3.5) and
 lemma_check_gamma_suite (Lemmas 3.9-3.13).  Each yields rows (claim, params,
 k, lhs, rhs), the congruence lhs = rhs mod p^k with each side a PadicValue,
 and builds no report: checks._evaluate turns the rows into reports, as it
-does for every other claim.  They share one per-x preparation
-(_points: the label, the residue a of x mod p^5, rep(x) = a mod p or p and
-the point's row params {"x": label, "j": j}, j = 0..p) and one p >= 7
-check, and go point by point: a point's Gamma_p values at one precision
-come from one gamma_residues batch, its G_1 and G_2 values from one call of
+does for every other claim.  They share one per-x preparation (_points: the
+label, the residue a of x mod p^5, rep(x) = a mod p or p and the point's row
+params {"x": label, "j": j}, j = 0..p) and one p >= 7 check, and go point by
+point at one precision, p^5, as Lemma 3.12 and G_1, G_2 mod p^2 (_g1s, _g2s
+at M = 2) need: a point's Gamma_p values come from one gamma_residues batch
+per suite, its G_1 and G_2 values (mod p^2 only; Lemmas 3.10-3.11 read them
+mod p, and Lemma 3.13 reuses Lemma 3.10's G_1 list) from one call each of
 the batch functions _g1s and _g2s, which return residues mod p^M.  The
 residues of x + j, 1 - x + j and 1 + j are integer sums, and Lemmas
 3.12-3.13 split x, 1 - x by rep(1 - x) = p + 1 - rep(x).  A point's params
@@ -244,7 +246,7 @@ def _shift(a: int, r: int, g: int, j: int, p: int, N: int) -> PadicValue:
     reaches."""
     for i in range(j):
         if i != p - r:
-            g *= a + i
+            g = g * (a + i) % p**N
     return PadicValue.from_residue(-g if j % 2 else g, p, N)
 
 
@@ -319,8 +321,8 @@ def default_x_grid(p: int) -> list[Fraction]:
 def _points(p: int, xs=None) -> list[tuple[Fraction, str, int, int, list[dict]]]:
     """(x, label, residue of x mod p^5, rep(x), params) for each x of a suite,
     by default of default_x_grid(p), params[j] being the point's row params
-    {"x": label, "j": j} for j = 0..p; both suites use G_1 and G_2 mod p^2,
-    so p must be a prime >= 7."""
+    {"x": label, "j": j} for j = 0..p; both suites read Gamma_p mod p^5 and
+    G_1, G_2 mod p^2, so p must be a prime >= 7."""
     _certified(p, 2)
     if xs is None:
         xs = default_x_grid(p)
@@ -348,14 +350,14 @@ def check_gamma_properties(p: int):
 
 
 def _properties(p: int, pts):
-    """check_gamma_properties at the points pts of _points(p)."""
-    N, M = 4, 2
-    pN, half, val = p**N, pow(2, -1, p**3), PadicValue.from_residue
+    """check_gamma_properties at the points pts of _points(p), each Gamma_p mod p^5."""
+    N, M, p5 = 4, 2, p**5
+    half, val = pow(2, -1, p**3), PadicValue.from_residue
     for x, label, a, r, xj in pts:
         xp = {"x": label}
-        # Gamma_p at x + j for j = 0..p, then at 1 - x and x + 2p
-        g = gamma_residues([(a + j) % pN for j in range(p + 1)]
-                           + [(1 - a) % pN, (a + 2 * p) % pN], p, N)
+        # Gamma_p mod p^5 at x + j for j = 0..p, then at 1 - x, x + 2p, x + p^2, x + p^3
+        g = gamma_residues([(a + j) % p5 for j in range(p + 1)]
+                           + [b % p5 for b in (1 - a, a + 2 * p, a + p**2, a + p**3)], p, 5)
         gx = g[0]
         # functional equation
         yield "prop3.1.1", xp, N, val(g[1], p, N), val(-(a if r < p else 1) * gx, p, N)
@@ -363,11 +365,9 @@ def _properties(p: int, pts):
         yield ("prop3.1.2", xp, N, val(gx * g[p + 1], p, N),
                _ratio_to_padic((-1) ** r, 1, p, N))
         # continuity: arguments agreeing mod p^n give values agreeing mod p^n
-        # (evaluated at higher precision, where the two residues differ)
-        for n in (1, 2, 3):
-            pn = p ** (n + 2)
-            gyn, gxn = gamma_residues([(a + p**n) % pn, a % pn], p, n + 2)
-            yield "prop3.1.3", {"x": label, "n": n}, n, val(gyn, p, n + 2), val(gxn, p, n + 2)
+        # (read mod p^(n+2), past the digits the two arguments share)
+        for n, gy in zip((1, 2, 3), (g[p], g[p + 3], g[p + 4])):
+            yield "prop3.1.3", {"x": label, "n": n}, n, val(gy, p, n + 2), val(gx, p, n + 2)
         # shift formula against direct evaluation
         for j in range(p + 1):
             yield "prop3.8", xj[j], N, _shift(a, r, gx, j, p, N), val(g[j], p, N)
@@ -436,38 +436,39 @@ def lemma_check_gamma_suite(p: int, xs=None):
 
 
 def _lemma_families(p: int, pts):
-    """lemma_check_gamma_suite at the points pts of _points(p, xs)."""
+    """lemma_check_gamma_suite at the points pts of _points(p, xs), each Gamma_p mod p^5."""
     H1, H2 = _scaled_harmonic(2 * p - 2, 1), _scaled_harmonic(2 * p - 2, 2)
     S1, t1 = H1
-    val = PadicValue.from_residue
-    # G_1 and G_2 mod p, and G_1 mod p^2, at 1 + j
+    p5, val = p**5, PadicValue.from_residue
+    # G_1 and G_2 mod p^2 at 1 + j; Lemmas 3.10-3.11 read them mod p
     ones = range(1, p + 1)
-    lb, lb2, lc = _g1s(ones, p, 1), _g2s(ones, p, 1), _g1s(ones, p, 2)
+    lc, lc2 = _g1s(ones, p, 2), _g2s(ones, p, 2)
     for x, _, a, r, xj in pts:
-        g = gamma_residues([(a + j) % p**2 for j in range(p + 1)], p, 2)
-        for j in range(p + 1):
-            yield ("lemma3.9", xj[j], 1, val(g[j], p, 2),
-                   _ratio_to_padic(*_factorial_rhs(r, j, p), p, 3))
-        la = _g1s([a + j for j in range(p)], p, 1)
-        for j in range(p):
-            rhs = _harmonic_diff(H1, r - 1 + j, j, p if j > p - r else 0)
-            yield ("lemma3.10", xj[j], 1, val(la[j] - lb[j], p, 1),
-                   _ratio_to_padic(*rhs, p, 3))
-        la2 = _g2s([a + j for j in range(p)], p, 1)
-        for j in range(p):
-            lhs = la[j] * la[j] - la2[j] - lb[j] * lb[j] + lb2[j]
-            rhs = _harmonic_diff(H2, r - 1 + j, j, p**2 if j > p - r else 0)
-            yield ("lemma3.11", xj[j], 1, val(lhs, p, 1),
-                   _ratio_to_padic(*rhs, p, 4))
         # r1 - m1 as (dn, dd), r1, r2: m1 of x, 1 - x has the larger rep, x on a tie
         r1 = max(r, p + 1 - r)
         r2 = p + 1 - r1
         m1 = x if r1 == r else 1 - x
         dn, dd = r1 * m1.denominator - m1.numerator, m1.denominator
-        g = gamma_residues([(b + j) % p**5 for b in (a, 1 - a) for j in range(r1)], p, 5)
+        g = gamma_residues([(a + j) % p5 for j in range(p + 1)]
+                           + [(1 - a + j) % p5 for j in range(r1)], p, 5)
+        for j in range(p + 1):
+            yield ("lemma3.9", xj[j], 1, val(g[j], p, 2),
+                   _ratio_to_padic(*_factorial_rhs(r, j, p), p, 3))
+        # G_1 mod p^2 at x + j for j < p, then at 1 - x + j for j < r1; G_2 at x + j
+        la = _g1s([a + j for j in range(p)] + [1 - a + j for j in range(r1)], p, 2)
+        la2 = _g2s([a + j for j in range(p)], p, 2)
+        for j in range(p):
+            rhs = _harmonic_diff(H1, r - 1 + j, j, p if j > p - r else 0)
+            yield ("lemma3.10", xj[j], 1, val(la[j] - lc[j], p, 1),
+                   _ratio_to_padic(*rhs, p, 3))
+        for j in range(p):
+            lhs = la[j] * la[j] - la2[j] - lc[j] * lc[j] + lc2[j]
+            rhs = _harmonic_diff(H2, r - 1 + j, j, p**2 if j > p - r else 0)
+            yield ("lemma3.11", xj[j], 1, val(lhs, p, 1),
+                   _ratio_to_padic(*rhs, p, 4))
         for j in range(r1):
             # every factor is a unit for j < p
-            u = g[j] * g[r1 + j] * pow(g[0] * g[r1] * math.factorial(j) ** 2, -1, p**5)
+            u = g[j] * g[p + 1 + j] * pow(g[0] * g[p + 1] * math.factorial(j) ** 2, -1, p5)
             # alpha (1 - (r1 - m1)(H_(r1-1+j) - H_(r2-1+j) - beta)) times the
             # binomials, with alpha = beta = 1/p from j = r2 on
             pole = p if j >= r2 else 0
@@ -475,10 +476,8 @@ def _lemma_families(p: int, pts):
             s = (-1) ** j * math.comb(r1 - 1 + j, j) * math.comb(r1 - 1, j)
             yield ("lemma3.12", xj[j], 2, val(u, p, 5),
                    _ratio_to_padic(s * (dd * hd - dn * hn), dd * hd * (pole or 1), p, 5))
-        # G_1 mod p^2 at x + j, then at 1 - x + j
-        gab = _g1s([b + j for b in (a, 1 - a) for j in range(r1)], p, 2)
         for j in range(r1):
-            lhs = gab[j] + gab[r1 + j] - 2 * lc[j]
+            lhs = la[j] + la[p + j] - 2 * lc[j]
             # H_(r1-1+j) + H_(r1-1-j) - 2H_j - alpha
             #   + (r1 - m1)(H^(2)_(r1-1+j) - H^(2)_(r2-1+j) - beta),
             # with alpha = 1/p and beta = 1/p^2 from j = r2 on

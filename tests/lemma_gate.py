@@ -15,7 +15,7 @@ first mismatch.  Run it from the repository root:
 
     PYTHONPATH=src python tests/lemma_gate.py
 
-Its name keeps pytest from collecting it; a full run takes about twenty-five seconds.
+Its name keeps pytest from collecting it; a full run takes ten to fifteen seconds.
 """
 
 from __future__ import annotations

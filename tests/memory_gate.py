@@ -9,7 +9,10 @@ range must peak at most RATIO times the half range.  Both ranges share the
 prime bound, so the forms and tables of one prime grow only slightly; the
 tables of every prime kept to the end of the run grow with the range.
 
-It prints the eight peaks and exits 1 if a claim exceeds the ratio.  It also
+It prints the eight peaks and exits 1 if a claim exceeds the ratio.  It
+also runs `check lemmas --p 499 --format json` and exits 1 if that peaks
+above LEMMAS_MB: lemma P and Q read one harmonic table per order at a
+prime, and the section-3 suites read Gamma_p at one precision.  It also
 prints, with no bound, the peak of `check-all --format json`, of
 `check-all --format json --jobs 2` and of a process that only imports
 `padichyp.cli` (`python -B -c "import padichyp.cli"`), so every Python it
@@ -23,7 +26,8 @@ root:
 
 It imports nothing of padichyp, since a child's max-RSS starts from the
 high-water RSS of the process that started it.  Its name keeps pytest from
-collecting it; a full run takes a few seconds.
+collecting it; a full run takes about fifteen seconds, most of it the
+lemmas run.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 RATIO = 1.05
 HALF, FULL = 250, 499
 CLAIMS = (("conj1.3", 3), ("thm2.7", 3), ("prop2.2", 7), ("thm2.4", 7))
+LEMMAS_MB = 64.0
 
 
 def peak_mb(*args: str) -> float:
@@ -64,17 +69,25 @@ def main() -> int:
         worst = max(worst, full / half)
         print(f"{claim:<8} {lo}..{HALF}: {half:6.2f} MB   {lo}..{FULL}: {full:6.2f} MB"
               f"   ratio {full / half:.3f}")
+    lemmas = peak_mb("-m", "padichyp.cli", "check", "lemmas", "--p", str(FULL), "--format", "json")
+    print(f"lemmas --p {FULL}: {lemmas:6.2f} MB (bound {LEMMAS_MB:.0f} MB)")
     imports = peak_mb("-c", "import padichyp.cli")
     check_all = peak_mb("-m", "padichyp.cli", "check-all", "--format", "json")
     print(f"import padichyp.cli: {imports:6.2f} MB   check-all --format json: {check_all:6.2f} MB"
           f"   difference {check_all - imports:.2f} MB (no bound)")
     jobs2 = peak_mb("-m", "padichyp.cli", "check-all", "--format", "json", "--jobs", "2")
     print(f"check-all --format json --jobs 2: {jobs2:6.2f} MB, the process or a worker (no bound)")
+    failed = 0
     if worst > RATIO:
         print(f"FAIL: peak memory grows with the prime range (ratio {worst:.3f} > {RATIO})")
-        return 1
-    print(f"peak memory stays flat over the prime range (every ratio <= {RATIO})")
-    return 0
+        failed = 1
+    if lemmas > LEMMAS_MB:
+        print(f"FAIL: check lemmas --p {FULL} peaks above {LEMMAS_MB:.0f} MB")
+        failed = 1
+    if not failed:
+        print(f"peak memory stays flat over the prime range (every ratio <= {RATIO}), and"
+              f" check lemmas --p {FULL} peaks at or below {LEMMAS_MB:.0f} MB")
+    return failed
 
 
 if __name__ == "__main__":

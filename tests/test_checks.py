@@ -455,9 +455,11 @@ def test_reports_do_not_alias_the_registry_grids():
     assert {cid: c.grid for cid, c in checks.CLAIMS.items()} == grids
 
 
-def test_the_per_prime_memos_are_the_five_prime_keyed_tables():
+def test_the_per_prime_memos_are_the_six_prime_scoped_tables():
+    # five keyed by a prime, and the harmonic tables, whose lengths a task's
+    # prime sets
     memos = (gamma._value_cache, gamma._horner_data, characters._dlog_table,
-             characters._omega_powers, checks._truncated)
+             characters._omega_powers, checks._truncated, combinatorics._scaled_harmonic)
     assert sorted(map(id, padic._PRIME_MEMOS)) == sorted(map(id, memos))
 
 

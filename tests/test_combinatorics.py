@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from padichyp import checks, combinatorics
+from padichyp import checks, combinatorics, padic
 from padichyp.combinatorics import (
     _scaled_harmonic,
     apery,
@@ -230,6 +230,18 @@ def test_lemma_sums_match_oracle_on_the_acceptance_tuples(p):
     for a in _pq_tuples(p, DEFAULT_SEED):
         assert lemma_PQ_sums(a, p) == (oracles.pq_sum(a, p, False),
                                        oracles.pq_sum(a, p, True)), a
+
+
+def test_lemma_sums_share_one_harmonic_table_per_order_and_prime():
+    # every tuple at p reads the tables to 3(p - 1); a new prime drops them
+    _scaled_harmonic.cache_clear()
+    for a in _pq_tuples(61, DEFAULT_SEED):
+        lemma_PQ_sums(a, 61)
+    assert _scaled_harmonic.cache_info().currsize == 2
+    checks.run_task(checks.Task("lemmas", {}, 61, None, DEFAULT_SEED, 61))
+    assert _scaled_harmonic.cache_info().currsize == 4  # and the suites' tables to 2(p - 1)
+    padic._at_prime(67)
+    assert _scaled_harmonic.cache_info().currsize == 0
 
 
 # -- negative controls: each check fails when its claim is perturbed

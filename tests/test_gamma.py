@@ -2,6 +2,7 @@
 shift/derivative machinery and the shifted-gamma congruence families (the
 per-(x, j) family functions are the oracles of the residue-level suite)."""
 
+import math
 import random
 import re
 from fractions import Fraction
@@ -9,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from padichyp import gamma
+from padichyp import gamma, padic
 from padichyp.checks import _evaluate
 from padichyp.gamma import (
     _gamma_blocks,
@@ -23,6 +24,7 @@ from padichyp.gamma import (
     gamma_residues,
     lemma_check_gamma_suite,
     rep,
+    section3_rows,
 )
 from oracles import (
     paired_g1_harmonic,
@@ -32,7 +34,8 @@ from oracles import (
     shifted_gamma_factorial,
     split_by_rep,
 )
-from padichyp.padic import PadicValue, PrecisionError, congruent_mod, rational_to_padic
+from padichyp.padic import (PadicValue, PrecisionError, congruent_mod, primes_in,
+                            rational_to_padic)
 
 
 def test_value_at_zero_and_one():
@@ -214,6 +217,35 @@ def test_continuity():
             assert rational_to_padic(y, p, n + 2).unit != \
                 rational_to_padic(x, p, n + 2).unit
             assert congruent_mod(a, b, n)
+
+
+def test_gauss_multiplication_formula_at_every_prime():
+    # prod_{h<m} Gamma_p((y+h)/m) = eps_m m^(1-R) (m^-(p-1))^(y_1) Gamma_p(y) mod p^5,
+    # with R = rep(y), y = R + p y_1 and eps_m = prod_{h<m} Gamma_p(h/m), for
+    # m <= 12 prime to p at two seeded y; two controls, the y_1 factor dropped
+    # and m^(1-R) read as m^-R, must each fail at every point
+    N, rng = 5, random.Random(30)
+    points, failed = 0, [0, 0]
+    padic._at_prime(None)
+    for p in primes_in(5, 499):
+        padic._at_prime(p)
+        pN = p**N
+        for m in range(2, 13):
+            if m % p == 0:
+                continue
+            mi = pow(m, -1, pN)
+            eps = math.prod(gamma_residues([h * mi % pN for h in range(m)], p, N))
+            for y in (rng.randrange(pN), rng.randrange(pN)):
+                R = y % p or p
+                lhs = math.prod(gamma_residues([(y + h) * mi % pN for h in range(m)], p, N)) % pN
+                base = eps * gamma_residue(y, p, N)
+                twist = pow(m, (1 - p) * ((y - R) // p), pN)
+                assert lhs == base * pow(m, 1 - R, pN) * twist % pN, (p, m, y)
+                failed[0] += lhs != base * pow(m, 1 - R, pN) % pN
+                failed[1] += lhs != base * pow(m, -R, pN) * twist % pN
+                points += 1
+    padic._at_prime(None)
+    assert points == 2038 and failed == [points, points]
 
 
 def test_batch_sentinels_and_consistency():
@@ -495,6 +527,26 @@ def test_suites_equal_the_per_point_oracles(p):
                        (check_gamma_properties, oracles.check_gamma_properties)):
         rows = _evaluate(p, fast(p))
         assert rows and rows == slow(p), (fast.__name__, p)
+
+
+def test_section3_suites_evaluate_gamma_p_mod_p5_only(monkeypatch):
+    # one precision for every Gamma_p value of both suites, G_1 and G_2 mod p^2
+    # among them; each prime starts from empty memos
+    evaluated = []
+    blocks = gamma._gamma_blocks
+
+    def counted(rs, p, N):
+        rs = list(rs)
+        evaluated.append((N, len(rs)))
+        return blocks(rs, p, N)
+
+    monkeypatch.setattr(gamma, "_gamma_blocks", counted)
+    padic._at_prime(None)
+    for p in (7, 11, 13):
+        padic._at_prime(p)
+        assert list(section3_rows(p))
+    assert {N for N, _ in evaluated} == {5}
+    assert sum(n for _, n in evaluated) <= 4235
 
 
 def test_suite_takes_any_x_list_like_the_oracle():
