@@ -1,17 +1,19 @@
 """Named, reproducible congruence checks over prime ranges.
 
-Each claim family is one entry of the CLAIMS registry: admissibility (the
-congruence-class preconditions of the theorems), accepted parameters, default
-grid, prime range and modulus, and rows.  Planning, validation, check-all
-and the CLI all read it.  Every result is a congruence at one prime, so a
-Task is one claim on one parameter set at one prime p.  Every claim lists
-its rows (claim, params, k, lhs, rhs): the side-pair claims from a few side
-functions (G, the Greene series, the truncated series + s(p) p, a form
-coefficient), the lemmas tasks from _lemma_rows (at p the power sums, lemma
-P and Q and the section-3 Gamma_p suites of gamma; with no prime the exact
-rational identities).  run_task makes every report, through the one
-function _evaluate.  Every run reports the primes it skipped rather than
-silently narrowing a range; the defaults reproduce the acceptance suite.
+Each claim family is one entry of the CLAIMS registry: accepted parameters,
+default grid, prime range and modulus, rows, and admissibility.  Planning,
+validation, check-all and the CLI all read it.  A claim runs at the primes
+where its own arguments are p-stable (_p_stable), the one rule of every
+claim but prop2.2 (split primes) and lemmas (p >= 7).  Every result is a
+congruence at one prime, so a Task is one claim on one parameter set at one
+prime p.  Every claim lists its rows (claim, params, k, lhs, rhs): the
+side-pair claims from a few side functions (G, the Greene series, the
+truncated series + s(p) p, a form coefficient), the lemmas tasks from
+_lemma_rows (at p the power sums, lemma P and Q and the section-3 Gamma_p
+suites of gamma; with no prime the exact rational identities).  run_task
+makes every report, through the one function _evaluate.  Every run reports
+the primes it skipped rather than silently narrowing a range; the defaults
+reproduce the acceptance suite.
 """
 
 from __future__ import annotations
@@ -42,16 +44,12 @@ GUARD = 1
 PARAMS = ("d", "d2", "r", "args")
 
 
-def _pm1(p: int, d: int) -> bool:
-    return p % d in (1 % d, (d - 1) % d)
-
-
-def _thm27_class_ok(p: int, d: int, r: int) -> bool:
-    if _pm1(p, d):
-        return True
-    if r * r % d in (1 % d, (d - 1) % d):
-        return p % d in (r % d, (d - r) % d)
-    return False
+def _p_stable(p: int, args) -> bool:
+    """p divides no denominator of args, and a -> <p a> permutes the multiset
+    args: the p-local form of "defined over Q" (Beukers-Cohen-Mellit), on
+    which the G-function congruences rest.  The default admissibility."""
+    pairs = sorted((a.numerator, a.denominator) for a in args)
+    return all(d % p for _, d in pairs) and pairs == sorted((m * p % d, d) for m, d in pairs)
 
 
 @lru_cache(maxsize=None)
@@ -292,7 +290,6 @@ q-expansions to."""
 
 class Claim(FrozenRecord):
     """One claim family of the registry:
-    - admissible(p, params): the precondition holds at p;
     - accepts: a subset of PARAMS, which a run gives all of or none of;
     - grid: the parameter sets run when none are given;
     - primes: the default prime range;
@@ -301,16 +298,18 @@ class Claim(FrozenRecord):
       reports;
     - args(params): the G-function arguments of a parameter set, raising
       ValueError on an invalid one;
+    - admissible(p, args): the precondition holds at p for those arguments,
+      by default _p_stable;
     - prime_free: also plan one task with no prime."""
 
-    __slots__ = ("id", "admissible", "accepts", "grid", "primes", "mod", "rows",
-                 "args", "prime_free")
+    __slots__ = ("id", "accepts", "grid", "primes", "mod", "rows", "args", "admissible",
+                 "prime_free")
 
-    def __init__(self, id: str, admissible, accepts: tuple[str, ...], grid: tuple[dict, ...],
+    def __init__(self, id: str, accepts: tuple[str, ...], grid: tuple[dict, ...],
                  primes: tuple[int, int], mod: int | None, rows, args=lambda q: [],
-                 prime_free: bool = False) -> None:
-        for name, value in zip(self.__slots__, (id, admissible, accepts, grid, primes, mod,
-                                                rows, args, prime_free)):
+                 admissible=_p_stable, prime_free: bool = False) -> None:
+        for name, value in zip(self.__slots__, (id, accepts, grid, primes, mod, rows, args,
+                                                admissible, prime_free)):
             object.__setattr__(self, name, value)
 
     def plan(self, lo: int | None = None, hi: int | None = None,
@@ -329,8 +328,7 @@ class Claim(FrozenRecord):
             raise ValueError(f"{self.id} needs {flags}")
         # the plan's own copy of each grid dict, which _g_vs_trunc gives its reports
         grid = [{k: given[k] for k in self.accepts}] if given else [dict(q) for q in self.grid]
-        for q in grid:
-            self.args(q)
+        grid = [(q, self.args(q)) for q in grid]
         if mod is None:
             mod = self.mod
         elif self.mod is None:
@@ -346,9 +344,9 @@ class Claim(FrozenRecord):
         elif hi > PRIME_BOUND:
             raise ValueError(f"prime range {lo}..{hi} exceeds the prime bound {PRIME_BOUND}")
         runs, skipped = [], []
-        for q in grid:
+        for q, args in grid:
             for p in primes_in(lo, hi):  # every claim needs an odd prime
-                if p > 2 and self.admissible(p, q):
+                if p > 2 and self.admissible(p, args):
                     runs.append((q, p))
                 else:
                     skipped.append((self.id, q, p))
@@ -366,43 +364,36 @@ def _g_vs_trunc(t, args) -> list[tuple]:
     return [_g_row(t.claim, t.params, t, args)]
 
 
-def _denominators_split(p: int, q: dict) -> bool:
-    return all(p % a.denominator == 1 for a in parse_args(q["args"]))
-
-
-# p = +-1 (mod d) with d >= 2 already rules out p | d
 CLAIMS = {c.id: c for c in (
-    Claim("prop2.2", _denominators_split, ("args",),
+    Claim("prop2.2", ("args",),
           tuple({"args": a} for a in ("1/2,1/2", "1/3,2/3", "1/2,1/3,2/3",
                                       "1/2,1/2,1/2,1/2", "1/5,2/5,3/5,4/5")),
           (7, 61), 4,
           lambda t, args: [_g_row(
               "prop2.2", {"d": [a.denominator for a in args], "args": ",".join(map(str, args))},
               t, args, _greene)],
-          args=lambda q: parse_args(q["args"])),
-    Claim("thm2.3", _denominators_split, ("args",), (), (7, 61), 2,
+          args=lambda q: parse_args(q["args"]),
+          # Greene's characters of order d exist only at p = 1 mod d
+          admissible=lambda p, args: all(p % a.denominator == 1 for a in args)),
+    Claim("thm2.3", ("args",), (), (7, 61), 2,
           lambda t, args: [_g_row(
               "thm2.3", {"args": ",".join(map(str, args)), "S": str(sum(args))}, t, args)],
           args=_thm23_args),
-    Claim("thm2.4", lambda p, q: _pm1(p, q["d"]), ("d",),
-          ({"d": 3}, {"d": 4}, {"d": 5}, {"d": 6}), (7, 97), 2,
+    Claim("thm2.4", ("d",), ({"d": 3}, {"d": 4}, {"d": 5}, {"d": 6}), (7, 97), 2,
           _g_vs_trunc, args=lambda q: _pair(q["d"])),
-    Claim("thm2.5", lambda p, q: _pm1(p, q["d"]), ("d",),
-          ({"d": 3}, {"d": 4}, {"d": 5}, {"d": 6}), (7, 97), 2,
+    Claim("thm2.5", ("d",), ({"d": 3}, {"d": 4}, {"d": 5}, {"d": 6}), (7, 97), 2,
           _g_vs_trunc, args=lambda q: [Fraction(1, 2), *_pair(q["d"])]),
-    Claim("thm2.6", lambda p, q: _pm1(p, q["d"]) and _pm1(p, q["d2"]), ("d", "d2"),
+    Claim("thm2.6", ("d", "d2"),
           ({"d": 2, "d2": 2}, {"d": 2, "d2": 3}, {"d": 3, "d2": 4}, {"d": 2, "d2": 5}),
           (3, 97), 3, _thm26, args=lambda q: _pair(q["d"]) + _pair(q["d2"])),
-    Claim("thm2.7", lambda p, q: _thm27_class_ok(p, q["d"], q["r"]), ("d", "r"),
-          ({"d": 5, "r": 2}, {"d": 8, "r": 3}, {"d": 12, "r": 5}), (3, 97), 3,
-          _g_vs_trunc, args=_thm27_args),
-    Claim("beukers", lambda p, q: True, (), ({},), (3, 97), 2, _beukers),
-    Claim("ao", lambda p, q: True, (), ({},), (7, 61), None, _ao,
-          args=lambda q: [Fraction(1, 2)] * 4),
-    Claim("conj1.3", lambda p, q: p != 5, (), ({},), (3, 97), 3, _conj13,
+    Claim("thm2.7", ("d", "r"), ({"d": 5, "r": 2}, {"d": 8, "r": 3}, {"d": 12, "r": 5}),
+          (3, 97), 3, _g_vs_trunc, args=_thm27_args),
+    Claim("beukers", (), ({},), (3, 97), 2, _beukers),
+    Claim("ao", (), ({},), (7, 61), None, _ao, args=lambda q: [Fraction(1, 2)] * 4),
+    Claim("conj1.3", (), ({},), (3, 97), 3, _conj13,
           args=lambda q: [Fraction(k, 5) for k in range(1, 5)]),
-    Claim("lemmas", lambda p, q: p >= 7, (), ({},), (7, 13), None,
-          lambda t, _: _lemma_rows(t.p, t.seed), prime_free=True),
+    Claim("lemmas", (), ({},), (7, 13), None, lambda t, _: _lemma_rows(t.p, t.seed),
+          admissible=lambda p, args: p >= 7, prime_free=True),
 )}
 
 

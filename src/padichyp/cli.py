@@ -240,6 +240,11 @@ def _command(ns) -> int:
 
 def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
+    if hasattr(sys, "set_int_max_str_digits"):
+        # CPython >= 3.10.7 converts int <-> str only up to 4300 digits by
+        # default, a guard for untrusted text; this process reads argv alone,
+        # and prints the exact values it computes at any size
+        sys.set_int_max_str_digits(0)
     try:
         code = _command(ns)
         sys.stdout.flush()  # a reader that closed stdout fails here, not at exit

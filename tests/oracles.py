@@ -14,8 +14,10 @@ section-3 suites evaluated one (x, j) point at a time with Fraction harmonic
 sums (the (m1, m2) split of x, 1 - x by rep included), trial division for
 the prime table, the Teichmuller lift by one power, json.dumps of each report's schema-1 dict, which the row writer
 replaced, the one-string CSV and human writers the streamed ones replaced,
-and the report sort key through json.dumps.  They stay here so that every
-fast kernel is compared with an independent exact evaluation of it."""
+the report sort key through json.dumps, and the congruence-class
+admissibility rules of the G-function claims, which the one p-stable rule
+replaced.  They stay here so that every fast kernel is compared with an
+independent exact evaluation of it."""
 
 from __future__ import annotations
 
@@ -731,3 +733,28 @@ def reports_to_human(reports) -> str:
 def sort_key(r: CongruenceReport) -> tuple:
     """The report order: claim, prime, then params through json.dumps."""
     return (r.claim, r.p, json.dumps(r.params, sort_keys=True, default=str))
+
+
+def pm1(p: int, d: int) -> bool:
+    """p = +-1 (mod d); with d >= 2 this rules out p | d."""
+    return p % d in (1 % d, (d - 1) % d)
+
+
+def congruence_class_rule(claim: str, p: int, q: dict) -> bool:
+    """The admissibility each claim stated by hand for its parameters q before
+    the p-stable rule: p = +-1 mod d for thm2.4 and thm2.5, and mod d1 and d2
+    for thm2.6; for thm2.7 p = +-1 mod d, or p = +-r when r^2 = +-1 mod d;
+    p != 5 for conj1.3; every odd prime for ao and beukers."""
+    if claim in ("thm2.4", "thm2.5"):
+        return pm1(p, q["d"])
+    if claim == "thm2.6":
+        return pm1(p, q["d"]) and pm1(p, q["d2"])
+    if claim == "thm2.7":
+        d, r = q["d"], q["r"]
+        if pm1(p, d):
+            return True
+        return r * r % d in (1 % d, (d - 1) % d) and p % d in (r % d, (d - r) % d)
+    if claim == "conj1.3":
+        return p != 5
+    assert claim in ("ao", "beukers"), claim
+    return True

@@ -7,6 +7,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -20,6 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from padichyp import characters, checks, cli, combinatorics, gamma, gfunction, padic, qseries, report
+from padichyp.hyp import HypParams, truncated_hyp_exact
 from padichyp.padic import PadicValue, rational_to_padic, valuation_of_int
 from padichyp.qseries import QSeries
 from padichyp.report import CSV_COLUMNS, CongruenceReport, sort_reports, write_reports
@@ -85,6 +87,80 @@ def test_prime_filter_conj13_skips_five():
     ok, skipped = _split("conj1.3", {}, 3, 20)
     assert ok == [3, 7, 11, 13, 17, 19]
     assert skipped == [5]
+
+
+def test_only_prop22_and_lemmas_override_the_p_stable_rule():
+    # every other claim runs where its own arguments are p-stable: a new
+    # claim states no congruence-class rule of its own
+    assert {c.id for c in checks.CLAIMS.values()
+            if c.admissible is not checks._p_stable} == {"prop2.2", "lemmas"}
+
+
+def test_p_stability_equals_the_congruence_class_rules_it_replaced():
+    sets = [(c, {"d": d}) for c in ("thm2.4", "thm2.5") for d in range(2, 41)]
+    sets += [("thm2.6", {"d": d, "d2": d2}) for d in range(2, 25) for d2 in range(2, 25)]
+    sets += [("thm2.7", {"d": d, "r": r}) for d in range(4, 41) for r in range(2, d - 1)
+             if math.gcd(r, d) == 1]
+    sets += [(c, {}) for c in ("conj1.3", "ao", "beukers")]
+    primes = padic.primes_in(3, 499)
+    differ = []
+    for cid, q in sets:
+        c = checks.CLAIMS[cid]
+        args = c.args(q)
+        differ += [(cid, q, p) for p in primes
+                   if c.admissible(p, args) != oracles.congruence_class_rule(cid, p, q)]
+    assert len(sets) * len(primes) == 96_068
+    assert differ == []
+
+
+def test_g_rows_fail_at_coprime_primes_that_are_not_p_stable():
+    # the rule is needed, not only safe: at the primes it rejects, though p
+    # divides no denominator, the congruence fails in all rows but one
+    sets = [(cid, q) for cid in ("thm2.4", "thm2.5", "thm2.6", "thm2.7")
+            for q in checks.CLAIMS[cid].grid]
+    sets += [(cid, {"d": d}) for cid in ("thm2.4", "thm2.5") for d in (8, 10)]
+    sets += [("thm2.7", {"d": 7, "r": 2})]
+    rows = []
+    for cid, q in sets:
+        c = checks.CLAIMS[cid]
+        args = c.args(q)
+        for _, _, p in c.plan(7, 97, q)[1]:
+            if all(p % a.denominator for a in args):
+                task = checks.Task(cid, dict(q), p, c.mod, checks.DEFAULT_SEED, 97)
+                rows += [r for r in checks.run_task(task) if r.claim == cid]
+    assert len(rows) == 96
+    assert [(r.claim, r.params, r.p) for r in rows if r.passed] == [("thm2.4", {"d": 10}, 7)]
+
+
+# the 14 Rodriguez-Villegas families, then six closed sets of two and three
+CLOSED_SETS = ["1/5,2/5,3/5,4/5", "1/10,3/10,7/10,9/10", "1/2,1/2,1/2,1/2",
+               "1/3,1/3,2/3,2/3", "1/4,1/4,3/4,3/4", "1/6,1/6,5/6,5/6", "1/8,3/8,5/8,7/8",
+               "1/12,5/12,7/12,11/12", "1/2,1/2,1/3,2/3", "1/2,1/2,1/4,3/4",
+               "1/2,1/2,1/6,5/6", "1/3,2/3,1/4,3/4", "1/3,2/3,1/6,5/6", "1/4,3/4,1/6,5/6",
+               "1/2,1/2", "1/3,2/3", "1/4,3/4", "1/6,5/6", "1/2,1/3,2/3", "1/2,1/4,3/4"]
+
+
+@pytest.mark.parametrize("args", CLOSED_SETS)
+def test_thm23_runs_at_every_prime_of_a_closed_set(args):
+    # a set closed under every a -> <k a> is p-stable at every p prime to its
+    # denominators: all 22 primes of 7..97, split or not
+    tasks, skipped = checks.CLAIMS["thm2.3"].plan(7, 97, {"args": args})
+    assert len(tasks) == 22 and skipped == []
+    assert all(r.passed for r in checks.run_tasks(tasks))
+
+
+def test_cli_thm23_skips_only_the_primes_where_its_set_is_not_p_stable():
+    code, out, err = _main("check", "thm2.3", "--args", "1/3,2/3", "--p-range", "7..97",
+                           "--format", "json")
+    assert code == 0 and err == ""
+    assert [row["p"] for row in json.loads(out)] == padic.primes_in(7, 97)
+    # {1/3, 1/2, 5/6} is p-stable only at p = 1 mod 6, the split primes
+    code, out, err = _main("check", "thm2.3", "--args", "1/3,1/2,5/6", "--p-range", "7..97",
+                           "--format", "json")
+    assert code == 0
+    assert [row["p"] for row in json.loads(out)] == [p for p in padic.primes_in(7, 97)
+                                                     if p % 6 == 1]
+    assert len(err.splitlines()) == 11
 
 
 def test_prime_filter_records_two_as_skipped():
@@ -638,6 +714,16 @@ def test_cli_trunc_exact_value():
     r = _cli("trunc", "--args", "1/2,1/2", "-m", "2")
     assert r.returncode == 0
     assert r.stdout.strip() == "89/64"
+
+
+def test_cli_trunc_prints_its_exact_value_past_4300_digits():
+    # CPython caps int -> str at 4300 digits by default; the CLI lifts the
+    # cap for its process, which in-process runs share
+    code, out, err = _main("trunc", "--args", "1/2,1/2,1/2,1/2", "-m", "2500")
+    exact = truncated_hyp_exact(HypParams((Fraction(1, 2),) * 4, (Fraction(1),) * 3,
+                                          Fraction(1), 2500))
+    assert code == 0 and err == ""
+    assert len(str(exact.denominator)) > 4300 and out == f"{exact}\n"
 
 
 def test_cli_trunc_reduces_to_three_digits_by_default():

@@ -21,7 +21,7 @@ def _no_rows(task, args):
     return []
 
 
-def _always(p, q):
+def _always(p, args):
     return True
 
 
@@ -50,10 +50,10 @@ VALUES = {
         "HypParams(top=(Fraction(1, 2),), bottom=(Fraction(1, 1),), z=Fraction(1, 1), "
         "truncation=3)", True),
     "Claim": (
-        lambda: Claim("c", _always, (), (), (3, 7), None, _no_rows),
-        lambda: Claim(id="c", admissible=_always, accepts=(), grid=(), primes=(3, 7),
-                      mod=None, rows=_no_rows, prime_free=False),
-        lambda: Claim("c", _always, (), (), (3, 7), 2, _no_rows),
+        lambda: Claim("c", (), (), (3, 7), None, _no_rows, admissible=_always),
+        lambda: Claim(id="c", accepts=(), grid=(), primes=(3, 7), mod=None, rows=_no_rows,
+                      admissible=_always, prime_free=False),
+        lambda: Claim("c", (), (), (3, 7), 2, _no_rows, admissible=_always),
         None, True),
     "CongruenceReport": (
         lambda: CongruenceReport("c", 7, {"d": 3}, 2, 0, 1, None, 0, 0, False),
