@@ -30,8 +30,8 @@ from .characters import Character, characters_for_arguments, greene_series_scale
 from .gamma import section3_rows
 from .gfunction import GArguments, g_function, s_factor, theorem26_sign
 from .hyp import HypParams, truncated_hyp
-from .padic import (PRIME_BOUND, PadicValue, _at_prime, _per_prime, check_prime, primes_in,
-                    rational_to_padic)
+from .padic import (PRIME_BOUND, PadicValue, _at_prime, _per_prime, _ratio_to_padic,
+                    check_prime, primes_in, rational_to_padic)
 from .qseries import gamma_coeffs, hecke_bound_ok, rv_form_coeffs
 from .report import CongruenceReport, sort_reports
 
@@ -155,8 +155,8 @@ def _evaluate(p: int | None, rows) -> list[CongruenceReport]:
         if p is None:
             out.append(CongruenceReport.exact_rational(claim, params, lhs - rhs))
             continue
-        lhs, rhs = (rational_to_padic(s, p, k + GUARD) if isinstance(s, int) else s
-                    for s in (lhs, rhs))
+        lhs = _ratio_to_padic(lhs, 1, p, k + GUARD) if isinstance(lhs, int) else lhs
+        rhs = _ratio_to_padic(rhs, 1, p, k + GUARD) if isinstance(rhs, int) else rhs
         row = CongruenceReport.from_sides(claim, p, params, k, lhs, rhs)
         row.passed = row.passed and params.get("deligne_ok", True)
         out.append(row)
@@ -265,15 +265,17 @@ def _bin_harmonic_rows(seed: int):
     rng = random.Random(seed)
     extras = [(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
                Fraction(rng.randint(-9, 9), rng.randint(1, 9))) for _ in range(3)]
-    pairs = [(c1, c2, str(c1), str(c2))
+    # a row's value: c1 X + c2 Y over one positive denominator, an integer, 0 iff it holds
+    pairs = [(c1.numerator * c2.denominator, c2.numerator * c1.denominator, str(c1), str(c2))
              for c1, c2 in [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))] + extras]
     for l in range(2, 21):
         for m in range((l + 1) // 2, l):
             for n in range((l + 1) // 2, m + 1):
                 x, y = comb.bin_harmonic_id2(l, m, n)
-                for c1, c2, t1, t2 in pairs:
+                u, w = x.numerator * y.denominator, y.numerator * x.denominator
+                for a1, a2, t1, t2 in pairs:
                     yield ("binharm.id2", {"l": l, "m": m, "n": n, "c1": t1, "c2": t2},
-                           0, c1 * x + c2 * y, 0)
+                           0, a1 * u + a2 * w, 0)
 
 
 # ---------------------------------------------------------------------------

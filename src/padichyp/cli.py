@@ -150,10 +150,11 @@ def _emit_reports(reports, skipped, ns) -> int:
             write_reports(reports, ns.format, fh)
     else:
         write_reports(reports, ns.format, sys.stdout)
+    lines = []
     for kind, q, p in skipped:
         ps = ",".join(f"{k}={v}" for k, v in q.items())
-        print(f"skipped p={p} for {kind} ({ps}): precondition not met",
-              file=sys.stderr)
+        lines.append(f"skipped p={p} for {kind} ({ps}): precondition not met\n")
+    sys.stderr.write("".join(lines))  # one write, not one per line
     failing = sorted({r.claim for r in reports if not r.passed})
     if failing:
         print("FAILING claims: " + " ".join(failing), file=sys.stderr)

@@ -49,19 +49,20 @@ def lemma_PQ_sums(a, p: int) -> tuple[PadicValue, PadicValue]:
         raise ValueError("entries must be positive integers")
     if sum(a) > 2 * (p - 1):
         raise ValueError("T out of range")
-    # h1 scaled by L, h2 by L^2 (tables to 3(p-1) >= max(a)+p-1); (j+1)_a = (j+a)!/j! is an integer
+    # h1 scaled by L, h2 by L^2 (tables to 3(p-1) >= max(a)+p-1); prod is the
+    # integer prod_i (j+1)_(a_i), stepped by (j+2)_a = (j+1)_a (j+1+a)/(j+1)
     L, H1 = _scaled_harmonic(3 * (p - 1), 1)
     _, H2 = _scaled_harmonic(3 * (p - 1), 2)
     P = Q = 0
+    prod = math.prod(map(math.factorial, a))
     for j in range(p):
-        prod = 1
-        for ai in a:
-            prod *= math.perm(j + ai, ai)
         h1 = sum(H1[ai + j] for ai in a) - len(a) * H1[j]
         h2 = sum(H2[ai + j] for ai in a) - len(a) * H2[j]
         P += prod * (L + j * h1)  # L * prod (1 + j h1)
         # 2 L^2 * prod (j h1 + j^2/2 (h1^2 - h2))
         Q += prod * (2 * L * j * h1 + j * j * (h1 * h1 - h2))
+        for ai in a:
+            prod = prod * (j + 1 + ai) // (j + 1)
     return _ratio_to_padic(P, L, p, 2), _ratio_to_padic(Q, 2 * L * L, p, 2)
 
 

@@ -239,15 +239,16 @@ def rep(x, p: int) -> int:
     return _as_residue(x, p, 1) or p
 
 
-def _shift(a: int, r: int, g: int, j: int, p: int, N: int) -> PadicValue:
-    """Gamma_p(x + j) mod p^N, 0 <= j <= p, from the residue a of x mod p^N or
+def _shift(a: int, r: int, g: int, p: int, N: int):
+    """Gamma_p(x + j) mod p^N for j = 0..p, from the residue a of x mod p^N or
     finer, r = rep(x) and the residue g of Gamma_p(x): (-1)^j g (x)_j (Prop
     3.8), less the factor x + p - r of the p-divisible step that j > p - r
-    reaches."""
-    for i in range(j):
-        if i != p - r:
-            g = g * (a + i) % p**N
-    return PadicValue.from_residue(-g if j % 2 else g, p, N)
+    reaches.  One running product: each (x)_j is the one before times a + j - 1."""
+    pN = p**N
+    for j in range(p + 1):
+        yield PadicValue.from_residue(-g if j % 2 else g, p, N)
+        if j != p - r:
+            g = g * (a + j) % pN
 
 
 def _g1s(rs, p: int, M: int) -> list[int]:
@@ -369,8 +370,8 @@ def _properties(p: int, pts):
         for n, gy in zip((1, 2, 3), (g[p], g[p + 3], g[p + 4])):
             yield "prop3.1.3", {"x": label, "n": n}, n, val(gy, p, n + 2), val(gx, p, n + 2)
         # shift formula against direct evaluation
-        for j in range(p + 1):
-            yield "prop3.8", xj[j], N, _shift(a, r, gx, j, p, N), val(g[j], p, N)
+        for j, shifted in enumerate(_shift(a, r, gx, p, N)):
+            yield "prop3.8", xj[j], N, shifted, val(g[j], p, N)
         # G_1 and G_2 at x, x + 1, 1 - x, x + p and x + 2p
         rs = [a, a + 1, 1 - a, a + p, a + 2 * p]
         u1, v1, w1, *z1 = _g1s(rs, p, M)

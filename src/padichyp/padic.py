@@ -216,10 +216,10 @@ def _ratio_to_padic(num: int, den: int, p: int, N: int) -> PadicValue:
     return PadicValue(p, vn - vd, unit, N)
 
 
-def _sum(a: PadicValue, b: PadicValue, sign: int) -> PadicValue:
-    """a + sign*b for sign = 1 or -1, the one sum rule: the digits of the
-    result are computed once, so a - b builds no -b, and a zero operand adds
-    no digit, only its bound.  Mixed primes raise before any precision is read."""
+def _digits(a: PadicValue, b: PadicValue, sign: int) -> tuple:
+    """(v, s, absprec): a + sign*b (sign = 1 or -1) is s p^v, s known mod
+    p^(absprec - v) and 0 when every known digit cancels, the one digit rule of
+    _sum and _diff_valuation.  A zero operand adds no digit, only its bound."""
     if a.prime != b.prime:
         raise ValueError("mixed primes")
     p = a.prime
@@ -227,20 +227,26 @@ def _sum(a: PadicValue, b: PadicValue, sign: int) -> PadicValue:
     va, vb = a.valuation, b.valuation
     if va is None:
         if vb is None:
-            return PadicValue.zero(p, absprec)
+            return 0, 0, absprec
         va = vb  # a's unit is 0: any valuation adds nothing
     elif vb is None:
         vb = va
     v = min(va, vb)
     n = absprec - v  # >= 1 unless a zero's bound lies at or below v
     if n <= 0:
-        return PadicValue.zero(p, absprec)
-    s = (a.unit * p ** (va - v) + sign * b.unit * p ** (vb - v)) % p**n
+        return v, 0, absprec
+    return v, (a.unit * p ** (va - v) + sign * b.unit * p ** (vb - v)) % p**n, absprec
+
+
+def _sum(a: PadicValue, b: PadicValue, sign: int) -> PadicValue:
+    """a + sign*b for sign = 1 or -1, from the digits of _digits: a - b builds no -b."""
+    v, s, absprec = _digits(a, b, sign)
+    p = a.prime
     if s == 0:
         # all known digits cancelled; the sum vanishes to absolute precision
         return PadicValue.zero(p, absprec)
-    t = valuation_of_int(s, p)  # t < n, since 0 < s < p^n
-    return PadicValue(p, v + t, s // p**t, n - t)
+    t = valuation_of_int(s, p)  # t < absprec - v, since 0 < s < p^(absprec - v)
+    return PadicValue(p, v + t, s // p**t, absprec - v - t)
 
 
 def congruent_mod(a: PadicValue, b: PadicValue, k: int) -> bool:
@@ -254,10 +260,11 @@ def congruent_mod(a: PadicValue, b: PadicValue, k: int) -> bool:
 
 
 def _diff_valuation(a: PadicValue, b: PadicValue, k: int) -> int | None:
-    """The valuation of a - b (None if it vanishes to working precision); mixed
+    """The valuation of a - b, None if it vanishes to working precision, read
+    from the digits _digits gives a - b: no difference value is built.  Mixed
     primes raise first, then a PrecisionError if a or b is known below p^k."""
-    d = a - b
-    if a.abs_prec < k or b.abs_prec < k:
+    v, s, absprec = _digits(a, b, -1)
+    if absprec < k:
         raise PrecisionError(f"congruence mod p^{k} requested but operands are only known "
                              f"mod p^{a.abs_prec} and p^{b.abs_prec}")
-    return d.valuation
+    return None if s == 0 else v + valuation_of_int(s, a.prime)

@@ -16,10 +16,10 @@ that repeat a parameter set share one dict: check-all's 10,343 reports hold
 about 4,900 params dicts.  Params are read-only once a row is made; nothing
 here or in the rows' makers mutates them.
 
-``write_reports`` writes one row at a time, so a report is never held in
-memory as one string: the JSON and human writers yield their text row by
-row to the file's ``writelines``, and the CSV goes through
-``csv.writer(fh)``, which writes each row as it formats it.
+``write_reports`` formats the rows one at a time into a buffer that it hands
+the file in blocks of 16 KiB (``BLOCK``), so the reports are never held in
+memory as one string, and a write-through stdout gets about 200 writes for
+check-all, not one per row.
 
 The JSON writer renders each report straight from the fixed schema-1 layout,
 with the bytes of ``json.dumps(rows, indent=2, default=str)`` (each row the
@@ -44,6 +44,7 @@ oracles in ``tests/oracles.py``.
 
 from __future__ import annotations
 
+import io
 import json
 from json.encoder import encode_basestring_ascii as _json_str
 
@@ -51,6 +52,7 @@ from ._record import Record
 from .padic import PadicValue, _diff_valuation
 
 SCHEMA_VERSION = 1
+BLOCK = 16 * 1024  # characters per write of write_reports
 
 CSV_COLUMNS = [
     "schema", "claim", "p", "params", "mod_power",
@@ -222,13 +224,19 @@ def _human_chunks(reports):
 
 def write_reports(reports, fmt: str, fh) -> None:
     """Write the reports to the text file fh in format fmt ("json", "csv" or
-    "human"), one row per write; any other fmt raises KeyError."""
+    "human"), in blocks of BLOCK characters or a row more; any other fmt raises KeyError."""
+    buf = io.StringIO()
     if fmt == "csv":
         import csv
 
-        w = csv.writer(fh)
+        w = csv.writer(buf)
         w.writerow(CSV_COLUMNS)
-        for r in reports:
-            w.writerow(r.to_csv_row())
+        rows = (w.writerow(r.to_csv_row()) for r in reports)
     else:
-        fh.writelines({"json": _json_chunks, "human": _human_chunks}[fmt](reports))
+        rows = map(buf.write, {"json": _json_chunks, "human": _human_chunks}[fmt](reports))
+    for _ in rows:  # each step writes one row into buf
+        if buf.tell() >= BLOCK:
+            fh.write(buf.getvalue())
+            buf.seek(0)
+            buf.truncate()
+    fh.write(buf.getvalue())

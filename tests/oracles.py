@@ -3,7 +3,8 @@
 These are the straightforward per-term Fraction (and truncated-power-series)
 evaluations that the package replaced by integer num/den kernels for speed,
 the p-adic sum with its own branches for zero operands, which one sum rule
-replaced, the per-entry Greene binomial table (one character sum per entry)
+replaced, the valuation of a difference read from the difference value,
+which the digit rule replaced, the per-entry Greene binomial table (one character sum per entry)
 replaced by one chirp correlation, the one-binomial-at-a-time eta-product expansion
 replaced by Euler's pentagonal series, three evaluations of Gamma_p (the
 defining product, swept once over every residue, the block formula with
@@ -31,7 +32,7 @@ from padichyp.characters import Character, _dlog_table, _omega_powers
 from padichyp.gamma import (_as_residue, default_x_grid, gamma_p, gamma_residue, gamma_residues,
                             rep)
 from padichyp.hyp import HypParams
-from padichyp.padic import PadicValue, rational_to_padic, valuation_of_int
+from padichyp.padic import PadicValue, PrecisionError, rational_to_padic, valuation_of_int
 from padichyp.report import CongruenceReport
 
 
@@ -81,6 +82,17 @@ def padic_sum(a: PadicValue, b: PadicValue, sign: int) -> PadicValue:
     if v + t >= absprec:
         return PadicValue.zero(p, absprec)
     return PadicValue(p, v + t, (s // p**t) % p ** (n - t), n - t)
+
+
+def diff_valuation(a: PadicValue, b: PadicValue, k: int) -> int | None:
+    """The valuation of a - b as reports read it before padic._diff_valuation
+    read it from the digits: the difference built as a value (mixed primes
+    raise there), then a PrecisionError if a or b is known below p^k."""
+    d = a - b
+    if a.abs_prec < k or b.abs_prec < k:
+        raise PrecisionError(f"congruence mod p^{k} requested but operands are only known "
+                             f"mod p^{a.abs_prec} and p^{b.abs_prec}")
+    return d.valuation
 
 
 def id1_lhs(m: int, n: int) -> Fraction:

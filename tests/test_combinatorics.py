@@ -244,6 +244,17 @@ def test_lemma_sums_share_one_harmonic_table_per_order_and_prime():
     assert _scaled_harmonic.cache_info().currsize == 0
 
 
+def test_lemma_sums_step_their_rising_factorials_without_math_perm(monkeypatch):
+    # (j+2)_a from (j+1)_a by one exact division, not math.perm per j and entry
+    calls = []
+    perm = math.perm
+    monkeypatch.setattr(math, "perm", lambda *args: calls.append(args) or perm(*args))
+    got = {(p, a): lemma_PQ_sums(a, p) for p in (7, 61) for a in _pq_tuples(p, DEFAULT_SEED)[:12]}
+    assert calls == []
+    assert got == {(p, a): (oracles.pq_sum(a, p, False), oracles.pq_sum(a, p, True))
+                   for p, a in got}
+
+
 # -- negative controls: each check fails when its claim is perturbed
 
 
@@ -293,6 +304,21 @@ def test_identity_two_check_fails_with_a_doubled_tail_term(monkeypatch):
         if not r.passed:
             assert r.diff_valuation is not None and r.diff_valuation < r.mod_power
     assert sum(not r.passed for r in new) > len(new) // 2
+
+
+def test_identity_two_row_values_are_the_linear_form_over_one_denominator(monkeypatch):
+    # each row carries c1 X + c2 Y times the positive denominator of c1 c2 X Y,
+    # one integer; with a doubled tail term most of them are nonzero
+    tail = combinatorics._tail
+    monkeypatch.setattr(combinatorics, "_tail", lambda m, n: (
+        tail(m, n)[0], [(k, 2 * t) for k, t in tail(m, n)[1]]))
+    rows = [r for r in checks._lemma_rows(None, DEFAULT_SEED) if r[0] == "binharm.id2"]
+    for _, q, _, value, _ in rows:
+        x, y = combinatorics.bin_harmonic_id2(q["l"], q["m"], q["n"])
+        c1, c2 = Fraction(q["c1"]), Fraction(q["c2"])
+        den = c1.denominator * c2.denominator * x.denominator * y.denominator
+        assert type(value) is int and value == (c1 * x + c2 * y) * den, q
+    assert sum(value != 0 for *_, value, _ in rows) > len(rows) // 2
 
 
 @pytest.mark.parametrize("p", [7, 11, 13])

@@ -327,7 +327,8 @@ def test_rep_floor_formula():
 
 def _shift(x, j, p, N):
     """Gamma_p(x + j) by the Prop 3.8 shift of check_gamma_properties."""
-    return gamma._shift(gamma._as_residue(x, p, N), rep(x, p), gamma_p(x, p, N).unit, j, p, N)
+    shifts = gamma._shift(gamma._as_residue(x, p, N), rep(x, p), gamma_p(x, p, N).unit, p, N)
+    return list(shifts)[j]
 
 
 def test_shift_formula_matches_direct_evaluation():
@@ -339,6 +340,37 @@ def test_shift_formula_matches_direct_evaluation():
                 assert congruent_mod(
                     _shift(x, j, p, 4), gamma_p(x + j, p, 4), 4), (p, x, j)
                 assert _shift(x, j, p, 4) == oracles.gamma_shift(x, j, p, 4), (p, x, j)
+
+
+class _Factor(int):
+    """A factor a + j of the shift product: multiplying by it is counted."""
+
+    products = 0
+
+    def __mul__(self, other):
+        _Factor.products += 1
+        return int(self) * other
+
+    __rmul__ = __mul__
+
+
+class _CountedResidue(int):
+    """The residue a of x, whose sums a + j are counted factors."""
+
+    def __add__(self, other):
+        return _Factor(int(self) + other)
+
+
+@pytest.mark.parametrize("p", [7, 11, 13, 31])
+def test_shift_rows_take_one_factor_product_per_step(monkeypatch, p):
+    # a running product: at most p products for the p + 1 shifts of a point,
+    # not (x)_j from scratch for every j
+    pts = [(x, label, _CountedResidue(a), r, xj) for x, label, a, r, xj in gamma._points(p)]
+    monkeypatch.setattr(_Factor, "products", 0)
+    rows = [row for row in gamma._properties(p, pts) if row[0] == "prop3.8"]
+    assert len(rows) == len(pts) * (p + 1)
+    assert len(pts) * (p - 1) <= _Factor.products <= len(pts) * p
+    assert all(r.passed for r in _evaluate(p, rows))
 
 
 def test_shift_branches_explicitly():
@@ -682,8 +714,8 @@ def test_every_lemma_family_has_a_negative_control():
 
 
 def _plus_last_digit(shift):
-    return lambda a, r, gx, j, p, N: (
-        shift(a, r, gx, j, p, N) + rational_to_padic(p ** (N - 1), p, N))
+    return lambda a, r, gx, p, N: [
+        s + rational_to_padic(p ** (N - 1), p, N) for s in shift(a, r, gx, p, N)]
 
 
 def _plus_digit_one(derivs):

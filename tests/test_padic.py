@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 
+from padichyp import padic
 from padichyp.characters import Character, greene_series_scaled
 from padichyp.gamma import g1, gamma_p
 from padichyp.gfunction import GArguments
@@ -312,6 +313,60 @@ def test_sum_matches_the_branchwise_oracle(pair):
     assert _fields(a - b) == _fields(oracles.padic_sum(a, b, -1))
     assert _fields(b - a) == _fields(oracles.padic_sum(b, a, -1))
 
+
+
+def _outcome(f, *args):
+    """f(*args), or the type and message of the error it raises."""
+    try:
+        return f(*args)
+    except (ValueError, PrecisionError) as e:
+        return type(e), str(e)
+
+
+@given(padic_pairs(), st.integers(-4, 8))
+@settings(max_examples=400, deadline=None)
+@example((PadicValue.zero(7), PadicValue.zero(7)), 3)
+@example((PadicValue(7, 0, 1, 3), PadicValue(7, 0, 1, 3)), 2)
+@example((PadicValue(7, -2, 3, 2), PadicValue(7, 0, 1, 4)), -1)
+@example((PadicValue(7, 1, 2, 2), PadicValue.zero(7, 1)), 1)
+def test_diff_valuation_matches_the_difference_value(pair, k):
+    # the digit rule against the valuation of the difference value it replaced
+    a, b = pair
+    assert _outcome(padic._diff_valuation, a, b, k) == _outcome(oracles.diff_valuation, a, b, k)
+    assert _outcome(padic._diff_valuation, b, a, k) == _outcome(oracles.diff_valuation, b, a, k)
+
+
+@pytest.mark.parametrize("a, b, k, want", [
+    (PadicValue.zero(7), PadicValue.zero(7), 50, None),  # exact zeros
+    (PadicValue(7, 0, 1, 3), PadicValue(7, 0, 1 + 7**3, 5), 3, None),  # zero to p^3
+    (PadicValue(7, 0, 1, 3), PadicValue(7, 0, 8, 3), 1, 1),
+    (PadicValue(7, -2, 3, 2), PadicValue(7, 0, 1, 4), -2, -2),  # negative valuation
+    (PadicValue(7, -2, 3, 2), PadicValue(7, -2, 3 + 7, 2), -2, -1),
+    (PadicValue(7, 1, 2, 2), PadicValue.zero(7, 1), 1, None),  # n <= 0: a bound at v
+    (PadicValue.zero(7, -1), PadicValue(7, 0, 1, 2), -1, None),  # n < 0
+], ids=["exact-zeros", "finite-zero", "unit", "negative", "negative-cancel", "n-zero",
+        "n-negative"])
+def test_diff_valuation_branches(a, b, k, want):
+    assert padic._diff_valuation(a, b, k) == want == oracles.diff_valuation(a, b, k)
+
+
+def test_diff_valuation_raises_mixed_primes_before_precision():
+    a, b = PadicValue(7, 0, 1, 1), PadicValue(11, 0, 1, 1)
+    with pytest.raises(ValueError, match="mixed primes"):
+        padic._diff_valuation(a, b, 5)  # k past both operands' precision
+    with pytest.raises(PrecisionError, match=r"mod p\^5 requested .* mod p\^1 and p\^3"):
+        padic._diff_valuation(a, PadicValue(7, 0, 1, 3), 5)
+
+
+def test_report_verdict_builds_no_difference_value(monkeypatch):
+    from padichyp.report import CongruenceReport
+    a, b = PadicValue(7, 0, 1, 3), PadicValue(7, 0, 8, 3)
+    made = []
+    init = PadicValue.__init__
+    monkeypatch.setattr(PadicValue, "__init__", lambda self, *args: (
+        made.append(args), init(self, *args))[1])
+    row = CongruenceReport.from_sides("c", 7, {}, 2, a, b)
+    assert (row.diff_valuation, row.passed, made) == (1, False, [])
 
 
 HALF = Fraction(1, 2)
