@@ -31,6 +31,7 @@ the series stays an independent check of the G function.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -158,13 +159,10 @@ def greene_series_scaled(top, bottom, x: int, N: int) -> PadicValue:
     tables = [built[pair] for pair in pairs]
     _, dlog = _dlog_table(p)
     pw = _omega_powers(p, N)
-    total = 0
-    for e in range(order):
-        term = pw[(-e * dlog[x]) % order]
-        for t in tables:
-            term = term * t[e] % pN
-        total += term
-    total = total * pow(order, -1, pN) % pN
+    h = dlog[x]
+    twist = [pw[-e * h % order] for e in range(order)]
+    # one product per term and one reduction, as G's j-sum does
+    total = sum(map(math.prod, zip(twist, *tables))) * pow(order, -1, pN) % pN
     n = len(bottom)
     if n % 2:
         total = -total % pN

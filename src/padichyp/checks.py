@@ -121,7 +121,7 @@ def _thm27_args(q: dict) -> list[Fraction]:
 
 def _g(args, p: int, N: int) -> PadicValue:
     """McCarthy's G(args)_p mod p^N."""
-    return g_function(GArguments(p, tuple(args), N))
+    return g_function(GArguments(p, args, N))
 
 
 def _greene(args, p: int, N: int, x: int = 1) -> PadicValue:
@@ -131,14 +131,14 @@ def _greene(args, p: int, N: int, x: int = 1) -> PadicValue:
     return greene_series_scaled(top, [Character.trivial(p)] * (len(args) - 1), x, N)
 
 
-def _truncated_sp(args, p: int, N: int) -> PadicValue:
+def _truncated_sp(args: tuple, p: int, N: int) -> PadicValue:
     """The Theorem 2.3 side of G(args), shared by Theorems 2.3-2.7 and the
     Rodriguez-Villegas framework row, mod p^N:
 
         truncated series + s(p) p [sum(args) = n - 1],
 
     with s(p) = prod Gamma_p(1 - a) over the arguments, at p."""
-    side = _truncated(tuple(args), p, N)
+    side = _truncated(args, p, N)
     if sum(args) == len(args) - 2:
         side = side + s_factor([1 - a for a in args], p, N) * rational_to_padic(p, p, N)
     return side
@@ -163,50 +163,50 @@ def _evaluate(p: int | None, rows) -> list[CongruenceReport]:
     return out
 
 
-def _g_row(claim: str, params: dict, t, args, side=_truncated_sp) -> tuple:
-    """The row G(args) = side(args) mod p^mod at the task's prime and modulus,
-    the side by default the Theorem 2.3 one."""
+def _g_row(claim: str, params: dict, t, side=_truncated_sp) -> tuple:
+    """The row G(args) = side(args) mod p^mod at the task's arguments, prime
+    and modulus, the side by default the Theorem 2.3 one."""
     N = t.mod + GUARD
-    return (claim, params, t.mod, _g(args, t.p, N), side(args, t.p, N))
+    return (claim, params, t.mod, _g(t.args, t.p, N), side(t.args, t.p, N))
 
 
-def _ao(t, args) -> list[tuple]:
+def _ao(t) -> list[tuple]:
     """thm1.1, truncated 4F3(1/2, 1/2, 1/2, 1/2) = scaled Gaussian series - p
     mod p^2, and thm1.2, that series - p = gamma(p) mod p^4: both integers
     bounded by 2p^(3/2) + p, so agreement mod p^4 certifies equality.  One
     series at 4 + GUARD digits serves both rows."""
     p, N = t.p, 4 + GUARD
-    side = _greene(args, p, N) - rational_to_padic(p, p, N)
+    side = _greene(t.args, p, N) - rational_to_padic(p, p, N)
     form = _form(gamma_coeffs, t.horizon)
     c = form.coefficient(p)
-    return [("thm1.1", {}, 2, _truncated(tuple(args), p, N), side),
+    return [("thm1.1", {}, 2, _truncated(t.args, p, N), side),
             ("thm1.2", {"gamma": c, "deligne_ok": hecke_bound_ok(form, p)}, 4, side, c)]
 
 
-def _beukers(t, _) -> list[tuple]:
+def _beukers(t) -> list[tuple]:
     """The Apery number A((p-1)/2) against gamma(p) of the level-8 form."""
     a, c = comb.apery((t.p - 1) // 2), _form(gamma_coeffs, t.horizon).coefficient(t.p)
     return [("beukers", {"A": str(a), "gamma": c}, t.mod, a, c)]
 
 
-def _conj13(t, args) -> list[tuple]:
+def _conj13(t) -> list[tuple]:
     """Rodriguez-Villegas: the truncated 4F3(1/5, 2/5, 3/5, 4/5) against c(p)
     of the level-25 form, and the framework congruence at those arguments,
     from one truncated series."""
     p, N = t.p, t.mod + GUARD
     c = _form(rv_form_coeffs, t.horizon).coefficient(p)
-    return [("conj1.3", {"c": c}, t.mod, _truncated(tuple(args), p, N), c),
-            _g_row("conj1.3-framework", {"d": 5, "r": 2}, t, args)]
+    return [("conj1.3", {"c": c}, t.mod, _truncated(t.args, p, N), c),
+            _g_row("conj1.3-framework", {"d": 5, "r": 2}, t)]
 
 
-def _thm26(t, args) -> list[tuple]:
+def _thm26(t) -> list[tuple]:
     """Theorem 2.6, and a companion row: the gamma product s(p) is the floor
     sign, at all N digits."""
     p, N, d1, d2 = t.p, t.mod + GUARD, t.params["d"], t.params["d2"]
     sign = theorem26_sign(p, d1, d2)
-    return [_g_row("thm2.6", {"d1": d1, "d2": d2}, t, args),
+    return [_g_row("thm2.6", {"d1": d1, "d2": d2}, t),
             ("thm2.6-sign", {"d1": d1, "d2": d2, "sign": sign}, N,
-             s_factor(args, p, N), rational_to_padic(sign, p, N))]
+             s_factor(t.args, p, N), rational_to_padic(sign, p, N))]
 
 
 # ---------------------------------------------------------------------------
@@ -283,11 +283,13 @@ def _bin_harmonic_rows(seed: int):
 # ---------------------------------------------------------------------------
 
 
-Task = namedtuple("Task", "claim params p mod seed horizon")
+Task = namedtuple("Task", "claim params args p mod seed horizon")
 Task.__doc__ = """One unit of work: a claim's rows on one parameter set at one prime
-p (None only for the prime-free task of a claim).  The horizon is the
-largest prime of the task's plan, the truncation the form rows build their
-q-expansions to."""
+p (None only for the prime-free task of a claim).  args is the tuple of
+G-function arguments the plan derived from params, one object shared by the
+tasks of that parameter set, and () for a claim without arguments and for
+the prime-free task.  The horizon is the largest prime of the task's plan,
+the truncation the form rows build their q-expansions to."""
 
 
 class Claim(FrozenRecord):
@@ -296,10 +298,10 @@ class Claim(FrozenRecord):
     - grid: the parameter sets run when none are given;
     - primes: the default prime range;
     - mod: the default modulus, or None where the rows fix their moduli;
-    - rows(task, args): the rows of a task, which run_task turns into its
-      reports;
+    - rows(task): the rows of a task, which run_task turns into its
+      reports; a task carries its parameters and their arguments;
     - args(params): the G-function arguments of a parameter set, raising
-      ValueError on an invalid one;
+      ValueError on an invalid one; plan calls it once per parameter set;
     - admissible(p, args): the precondition holds at p for those arguments,
       by default _p_stable;
     - prime_free: also plan one task with no prime."""
@@ -330,7 +332,7 @@ class Claim(FrozenRecord):
             raise ValueError(f"{self.id} needs {flags}")
         # the plan's own copy of each grid dict, which _g_vs_trunc gives its reports
         grid = [{k: given[k] for k in self.accepts}] if given else [dict(q) for q in self.grid]
-        grid = [(q, self.args(q)) for q in grid]
+        grid = [(q, tuple(self.args(q))) for q in grid]
         if mod is None:
             mod = self.mod
         elif self.mod is None:
@@ -349,21 +351,21 @@ class Claim(FrozenRecord):
         for q, args in grid:
             for p in primes_in(lo, hi):  # every claim needs an odd prime
                 if p > 2 and self.admissible(p, args):
-                    runs.append((q, p))
+                    runs.append((q, args, p))
                 else:
                     skipped.append((self.id, q, p))
         if not runs:
             raise ValueError(f"no prime in {lo}..{hi} satisfies the preconditions of {self.id}")
-        horizon = max(p for _, p in runs)
-        tasks = [Task(self.id, q, p, mod, seed, horizon) for q, p in runs]
+        horizon = max(p for *_, p in runs)
+        tasks = [Task(self.id, q, args, p, mod, seed, horizon) for q, args, p in runs]
         if self.prime_free:
-            tasks.append(Task(self.id, {}, None, mod, seed, horizon))
+            tasks.append(Task(self.id, {}, (), None, mod, seed, horizon))
         return tasks, skipped
 
 
-def _g_vs_trunc(t, args) -> list[tuple]:
+def _g_vs_trunc(t) -> list[tuple]:
     """The one row of Theorems 2.4, 2.5 and 2.7, labelled with the task's params."""
-    return [_g_row(t.claim, t.params, t, args)]
+    return [_g_row(t.claim, t.params, t)]
 
 
 CLAIMS = {c.id: c for c in (
@@ -371,15 +373,14 @@ CLAIMS = {c.id: c for c in (
           tuple({"args": a} for a in ("1/2,1/2", "1/3,2/3", "1/2,1/3,2/3",
                                       "1/2,1/2,1/2,1/2", "1/5,2/5,3/5,4/5")),
           (7, 61), 4,
-          lambda t, args: [_g_row(
-              "prop2.2", {"d": [a.denominator for a in args], "args": ",".join(map(str, args))},
-              t, args, _greene)],
+          lambda t: [_g_row("prop2.2", {"d": [a.denominator for a in t.args],
+                                        "args": ",".join(map(str, t.args))}, t, _greene)],
           args=lambda q: parse_args(q["args"]),
           # Greene's characters of order d exist only at p = 1 mod d
           admissible=lambda p, args: all(p % a.denominator == 1 for a in args)),
     Claim("thm2.3", ("args",), (), (7, 61), 2,
-          lambda t, args: [_g_row(
-              "thm2.3", {"args": ",".join(map(str, args)), "S": str(sum(args))}, t, args)],
+          lambda t: [_g_row("thm2.3", {"args": ",".join(map(str, t.args)),
+                                       "S": str(sum(t.args))}, t)],
           args=_thm23_args),
     Claim("thm2.4", ("d",), ({"d": 3}, {"d": 4}, {"d": 5}, {"d": 6}), (7, 97), 2,
           _g_vs_trunc, args=lambda q: _pair(q["d"])),
@@ -394,7 +395,7 @@ CLAIMS = {c.id: c for c in (
     Claim("ao", (), ({},), (7, 61), None, _ao, args=lambda q: [Fraction(1, 2)] * 4),
     Claim("conj1.3", (), ({},), (3, 97), 3, _conj13,
           args=lambda q: [Fraction(k, 5) for k in range(1, 5)]),
-    Claim("lemmas", (), ({},), (7, 13), None, lambda t, _: _lemma_rows(t.p, t.seed),
+    Claim("lemmas", (), ({},), (7, 13), None, lambda t: _lemma_rows(t.p, t.seed),
           admissible=lambda p, args: p >= 7, prime_free=True),
 )}
 
@@ -403,8 +404,7 @@ def run_task(task: Task) -> list[CongruenceReport]:
     """The reports of a task, made from its claim's rows by _evaluate once
     _at_prime has scoped the per-prime memos to the task's prime."""
     _at_prime(task.p)
-    claim = CLAIMS[task.claim]
-    return _evaluate(task.p, claim.rows(task, claim.args(task.params)))
+    return _evaluate(task.p, CLAIMS[task.claim].rows(task))
 
 
 def _usable_cpus() -> int:
@@ -415,22 +415,31 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _run_unit(tasks) -> list[CongruenceReport]:
+    """The reports of the tasks of one prime, run in order in one process."""
+    return [r for t in tasks for r in run_task(t)]
+
+
 def run_tasks(tasks, jobs: int = 1) -> list[CongruenceReport]:
     """Execute tasks (optionally in a process pool) and return reports in the
     canonical (claim, prime, params) order, independent of the jobs count.
-    The tasks run prime by prime, the prime-free task first (a stable sort),
-    so in one process and in each pool worker every claim at a prime shares
-    its tables until _at_prime drops them.  The pool never outnumbers the
-    tasks or the CPUs the process may run on."""
-    tasks = sorted(tasks, key=lambda t: -1 if t.p is None else t.p)
-    jobs = min(jobs, len(tasks), _usable_cpus())
+    The tasks are grouped into one unit per prime, the prime-free unit first
+    and then ascending p, each in the plan's order, and every unit runs in
+    one process: there every claim at the prime shares its tables, built once
+    per run, until _at_prime drops them.  The pool never outnumbers the units
+    or the CPUs the process may run on."""
+    units = {}
+    for t in sorted(tasks, key=lambda t: -1 if t.p is None else t.p):
+        units.setdefault(t.p, []).append(t)
+    units = list(units.values())
+    jobs = min(jobs, len(units), _usable_cpus())
     if jobs <= 1:
-        chunks = map(run_task, tasks)
+        chunks = map(_run_unit, units)
     else:
         # imported here: a --jobs 1 run never loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(run_task, tasks, chunksize=1))
+            chunks = list(pool.map(_run_unit, units))
     return sort_reports([r for ch in chunks for r in ch])
 
 

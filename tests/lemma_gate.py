@@ -7,15 +7,18 @@ every claim, and compares them with the reports of their per-(x, j) Fraction
 oracles in tests/oracles.py, row by row (report ==), at every prime 7..61.  At
 each prime it compares the lemma suite on off_grid(p) too: x values off the
 default grid, p/2 and 2p/3 among them, whose numerators p divides (rep(x) =
-p).  It prints one line per prime with its row count.  Then it runs
-`check lemmas --p-range 7..61 --format json` in process and compares the
-SHA-256 of its output with LEMMAS_SHA256, which pins every lemmas row on that
-grid, the power sums (3.2) and lemma P and Q among them.  It exits 1 on the
-first mismatch.  Run it from the repository root:
+p).  It prints one line per prime with its row count.  Then it runs each
+argv of LEMMAS_PINS in process, `check lemmas --p-range 7..61 --format json`
+and `check lemmas --p 499 --format json`, and compares the SHA-256 of its
+output with the pinned one: together they pin every lemmas row from the
+bottom to the top of the prime range, the power sums (3.2) and lemma P and Q
+among them.  It exits 1 on the first mismatch.  Run it from the repository
+root:
 
     PYTHONPATH=src python tests/lemma_gate.py
 
-Its name keeps pytest from collecting it; a full run takes ten to fifteen seconds.
+Its name keeps pytest from collecting it; a full run takes fifteen to thirty
+seconds, six to nine of them at p = 499.
 """
 
 from __future__ import annotations
@@ -42,8 +45,12 @@ def off_grid(p: int) -> list[Fraction]:
             Fraction(p, 2), Fraction(2 * p, 3)]
 
 
-LEMMAS_ARGV = ["check", "lemmas", "--p-range", "7..61", "--format", "json"]
-LEMMAS_SHA256 = "92796505febad86f691a4ee3c55c89464ca3a59ae359c9cf18b10ec3c9a1f4fc"
+LEMMAS_PINS = [
+    (["check", "lemmas", "--p-range", "7..61", "--format", "json"],
+     "92796505febad86f691a4ee3c55c89464ca3a59ae359c9cf18b10ec3c9a1f4fc"),
+    (["check", "lemmas", "--p", "499", "--format", "json"],
+     "f85de3063b30abd27a3df4dbf6480c3d3399c9b484df19bd82689702811f3929"),
+]
 
 
 def main() -> int:
@@ -67,15 +74,17 @@ def main() -> int:
         total += rows
         print(f"p={p:<2} {rows:>5} rows equal")
     print(f"all {total} rows equal in {time.perf_counter() - t0:.1f} s")
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = cli.main(LEMMAS_ARGV)
-    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
-    if code != 0 or digest != LEMMAS_SHA256:
-        print(f"MISMATCH {' '.join(LEMMAS_ARGV)}: exit {code}, sha256 {digest}, "
-              f"want exit 0, sha256 {LEMMAS_SHA256}")
-        return 1
-    print(f"{' '.join(LEMMAS_ARGV)}: sha256 {digest} in {time.perf_counter() - t0:.1f} s")
+    for argv, want in LEMMAS_PINS:
+        t0 = time.perf_counter()
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+        digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+        if code != 0 or digest != want:
+            print(f"MISMATCH {' '.join(argv)}: exit {code}, sha256 {digest}, "
+                  f"want exit 0, sha256 {want}")
+            return 1
+        print(f"{' '.join(argv)}: sha256 {digest} in {time.perf_counter() - t0:.1f} s")
     return 0
 
 

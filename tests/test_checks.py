@@ -5,7 +5,9 @@ import argparse
 import concurrent.futures
 import contextlib
 import copy
+import functools
 import io
+import itertools
 import json
 import math
 import os
@@ -28,10 +30,12 @@ from padichyp.report import CSV_COLUMNS, CongruenceReport, sort_reports, write_r
 
 
 def _task(claim, primes, **params):
-    """Reports of the claim's registry tasks, one per prime, at its default modulus."""
-    mod = checks.CLAIMS[claim].mod
+    """Reports of the claim's registry tasks, one per prime, at its default
+    modulus; the arguments are derived as a plan derives them, once."""
+    c = checks.CLAIMS[claim]
+    args = tuple(c.args(params))
     return [r for p in primes for r in checks.run_task(
-        checks.Task(claim, params, p, mod, checks.DEFAULT_SEED, max(primes)))]
+        checks.Task(claim, params, args, p, c.mod, checks.DEFAULT_SEED, max(primes)))]
 
 
 def _text(reports, fmt):
@@ -123,10 +127,10 @@ def test_g_rows_fail_at_coprime_primes_that_are_not_p_stable():
     rows = []
     for cid, q in sets:
         c = checks.CLAIMS[cid]
-        args = c.args(q)
+        args = tuple(c.args(q))
         for _, _, p in c.plan(7, 97, q)[1]:
             if all(p % a.denominator for a in args):
-                task = checks.Task(cid, dict(q), p, c.mod, checks.DEFAULT_SEED, 97)
+                task = checks.Task(cid, dict(q), args, p, c.mod, checks.DEFAULT_SEED, 97)
                 rows += [r for r in checks.run_task(task) if r.claim == cid]
     assert len(rows) == 96
     assert [(r.claim, r.params, r.p) for r in rows if r.passed] == [("thm2.4", {"d": 10}, 7)]
@@ -161,6 +165,43 @@ def test_cli_thm23_skips_only_the_primes_where_its_set_is_not_p_stable():
     assert [row["p"] for row in json.loads(out)] == [p for p in padic.primes_in(7, 97)
                                                      if p % 6 == 1]
     assert len(err.splitlines()) == 11
+
+
+# every multiset of n + 1 = 2, 3 or 4 fractions with denominators <= 4 and
+# sum >= n - 1, the hypothesis of theorem 2.3
+SMALL_SETS = [s for size in (2, 3, 4) for s in itertools.combinations_with_replacement(
+    [Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(1, 4), Fraction(3, 4)], size)
+    if sum(s) >= size - 2]
+
+
+def _thm23_verdicts(mod):
+    """(sum == n - 1, passed) for every thm2.3 row mod p^mod on SMALL_SETS, at
+    the p-stable primes in 7..31."""
+    tasks = []
+    for args in SMALL_SETS:
+        tasks += checks.CLAIMS["thm2.3"].plan(7, 31, {"args": ",".join(map(str, args))}, mod)[0]
+    # the args text has n commas
+    return [(Fraction(r.params["S"]) == r.params["args"].count(",") - 1, r.passed)
+            for r in checks.run_tasks(tasks)]
+
+
+def test_thm23_negative_controls_on_the_small_sets(monkeypatch):
+    assert len(SMALL_SETS) == 85
+    edge, above = {}, {}
+    for k in (2, 3, 4):
+        verdicts = _thm23_verdicts(k)
+        edge[k] = [ok for at_edge, ok in verdicts if at_edge]
+        above[k] = [ok for at_edge, ok in verdicts if not at_edge]
+    # sum = n - 1: the congruence holds one power more, mod p^3, and not mod p^4
+    assert edge[2] == edge[3] == [True] * 55
+    assert len(edge[4]) == 55 and edge[4].count(False) >= 54
+    # sum > n - 1: p^2 is sharp
+    assert above[2] == [True] * 222
+    assert len(above[3]) == 222 and above[3].count(False) >= 211
+    # sum = n - 1 without s(p) p: every row fails mod p^2
+    monkeypatch.setattr(checks, "s_factor", lambda fracs, p, N: PadicValue.zero(p))
+    dropped = [ok for at_edge, ok in _thm23_verdicts(2) if at_edge]
+    assert len(dropped) == 55 and dropped.count(False) >= 55
 
 
 def test_prime_filter_records_two_as_skipped():
@@ -361,7 +402,7 @@ def test_power_sum_rows_fail_when_the_sum_is_perturbed(monkeypatch):
 
 
 def test_theorem23_precondition():
-    with pytest.raises(ValueError):  # argument sum < n-1, when a task runs
+    with pytest.raises(ValueError):  # argument sum < n-1, when the arguments are derived
         _task("thm2.3", [7], args=",".join(["1/9"] * 6))
     with pytest.raises(ValueError):  # rejected when planned, before any check runs
         checks.CLAIMS["thm2.3"].plan(params={"args": ",".join(["1/9"] * 6)})
@@ -562,6 +603,42 @@ def test_run_tasks_goes_prime_by_prime_with_the_prime_free_task_first(monkeypatc
     assert primes == sorted(primes)
     for p in set(primes):  # stable: the plan's order at each prime
         assert [t for t in seen if t.p == p] == [t for t in tasks if t.p == p]
+
+
+def test_a_pool_runs_all_the_tasks_of_one_prime_in_one_worker(monkeypatch):
+    # one unit per prime, so no two workers build the tables of one prime;
+    # the patched functions reach the workers through fork
+    import multiprocessing
+    tasks, _ = checks.RunConfig().plan()
+    monkeypatch.setattr(checks, "run_task", lambda t: [(t.p, os.getpid())])
+    monkeypatch.setattr(checks, "sort_reports", lambda rows: rows)
+    monkeypatch.setattr(checks, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", functools.partial(
+        concurrent.futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
+    ran = checks.run_tasks(tasks, jobs=2)
+    assert len(ran) == len(tasks) == 416
+    pids = {}
+    for p, pid in ran:
+        pids.setdefault(p, set()).add(pid)
+    assert len(pids) == 25 and all(len(s) == 1 for s in pids.values())
+    assert os.getpid() not in set().union(*pids.values())
+
+
+def test_run_tasks_derives_no_arguments(monkeypatch):
+    # a plan derives each grid point's arguments once, and its tasks carry
+    # them: running the check-all plan calls no claim's args
+    calls = []
+    for cid, c in checks.CLAIMS.items():
+        fields = dict(zip(c.__slots__, c._values()))
+        fields["args"] = lambda q, args=c.args: calls.append(q) or args(q)
+        monkeypatch.setitem(checks.CLAIMS, cid, checks.Claim(**fields))
+    tasks, _ = checks.RunConfig().plan()
+    assert len(calls) == sum(len(c.grid) for c in checks.CLAIMS.values())
+    for q in {id(t.params): t.params for t in tasks}.values():
+        assert len({id(t.args) for t in tasks if t.params is q}) == 1
+    calls.clear()
+    assert len(checks.run_tasks(tasks)) == 10_343
+    assert calls == []
 
 
 @pytest.mark.parametrize("argv", [["check", "thm2.4", "--p-range", "7..13"], ["check-all"]],
@@ -1074,11 +1151,13 @@ def test_worker_pool_is_capped_by_tasks_and_cpus(monkeypatch):
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
-    tasks, _ = checks.CLAIMS["thm2.4"].plan(7, 31, {"d": 3})
+    # 28 tasks at 8 primes: one unit per prime, and no more workers than units
+    tasks, _ = checks.CLAIMS["thm2.4"].plan(7, 31)
+    assert (len(tasks), len({t.p for t in tasks})) == (28, 8)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     serial = checks.run_tasks(tasks, jobs=1)
     usable_cpus = checks._usable_cpus
-    for cpus, expected in [(64, [len(tasks)]), (2, [2]), (1, [])]:
+    for cpus, expected in [(64, [8]), (2, [2]), (1, [])]:
         sizes.clear()
         monkeypatch.setattr(checks, "_usable_cpus", lambda: cpus)
         assert checks.run_tasks(tasks, jobs=10_000) == serial

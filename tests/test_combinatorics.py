@@ -238,7 +238,7 @@ def test_lemma_sums_share_one_harmonic_table_per_order_and_prime():
     for a in _pq_tuples(61, DEFAULT_SEED):
         lemma_PQ_sums(a, 61)
     assert _scaled_harmonic.cache_info().currsize == 2
-    checks.run_task(checks.Task("lemmas", {}, 61, None, DEFAULT_SEED, 61))
+    checks.run_task(checks.Task("lemmas", {}, (), 61, None, DEFAULT_SEED, 61))
     assert _scaled_harmonic.cache_info().currsize == 4  # and the suites' tables to 2(p - 1)
     padic._at_prime(67)
     assert _scaled_harmonic.cache_info().currsize == 0
