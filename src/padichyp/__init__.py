@@ -18,8 +18,8 @@ from .gamma import (
     g1,
     g2,
     gamma_p,
-    lemma_check_gamma_suite,
     rep,
+    section3_rows,
 )
 from .gfunction import GArguments, g_function, s_factor, theorem26_sign
 from .hyp import HypParams, rising_factorial, truncated_hyp, truncated_hyp_exact
@@ -36,7 +36,7 @@ __all__ = [
     "bin_harmonic_id2", "characters_for_arguments", "congruent_mod",
     "eta_product", "g1", "g2", "g_function", "gamma_coeffs", "gamma_p",
     "greene_series_scaled", "lemma_PQ_expected", "lemma_PQ_sums",
-    "lemma_check_gamma_suite", "rational_to_padic", "rep",
-    "rising_factorial", "run_config", "rv_form_coeffs", "s_factor",
-    "theorem26_sign", "truncated_hyp", "truncated_hyp_exact",
+    "rational_to_padic", "rep", "rising_factorial", "run_config",
+    "rv_form_coeffs", "s_factor", "section3_rows", "theorem26_sign",
+    "truncated_hyp", "truncated_hyp_exact",
 ]

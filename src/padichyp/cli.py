@@ -202,9 +202,11 @@ def _command(ns) -> int:
         if ns.precision is not None and ns.p is None:
             raise ValueError("--precision is the digits of the reduction mod p: give --p too")
         params = HypParams(tuple(top), tuple(bottom), _fraction(ns.z, "--z"), m)
-        exact = truncated_hyp_exact(params)
         N = 3 if ns.precision is None else ns.precision
+        # the reduction first: it rejects m past p - 1 and parameters that are
+        # not p-integral before the exact sum, whose cost grows with m
         reduced = truncated_hyp(params, ns.p, N) if ns.p is not None else None
+        exact = truncated_hyp_exact(params)
         print(exact)  # only once both values are valid: no partial output
         if reduced is not None:
             print(_render_value(reduced))

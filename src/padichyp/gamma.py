@@ -58,24 +58,19 @@ value cache in one batch; gamma_residue is its one-residue view.  The value
 cache and the tables live for one prime (padic._per_prime).  _as_residue
 reduces an argument into Z/p^k; rep(x) is its residue mod p, or p for 0.
 
-Suites.  Both section-3 suites live here and work on integer residues:
-check_gamma_properties (Props 3.1-3.3 and 3.8, Cors 3.4-3.5) and
-lemma_check_gamma_suite (Lemmas 3.9-3.13).  Each yields rows (claim, params,
-k, lhs, rhs), the congruence lhs = rhs mod p^k with each side a PadicValue,
-and builds no report: checks._evaluate turns the rows into reports, as it
-does for every other claim.  They share one per-x preparation (_points: the
-label, the residue a of x mod p^5, rep(x) = a mod p or p and the point's row
-params {"x": label, "j": j}, j = 0..p) and one p >= 7 check, and go point by
-point at one precision, p^5, as Lemma 3.12 and G_1, G_2 mod p^2 (_g1s, _g2s
-at M = 2) need: a point's Gamma_p values come from one gamma_residues batch
-per suite, its G_1 and G_2 values (mod p^2 only; Lemmas 3.10-3.11 read them
-mod p, and Lemma 3.13 reuses Lemma 3.10's G_1 list) from one call each of
-the batch functions _g1s and _g2s, which return residues mod p^M.  The
-residues of x + j, 1 - x + j and 1 + j are integer sums, and Lemmas
-3.12-3.13 split x, 1 - x by rep(1 - x) = p + 1 - rep(x).  A point's params
-are built once: its rows share its {"x": label} and each {"x": label,
-"z": z}, and section3_rows, which checks runs, gives both suites one list
-of points, so Lemmas 3.9-3.13 and Prop 3.8 share each {"x", "j"} dict.
+Section 3.  section3_rows(p, xs) yields the rows (claim, params, k, lhs,
+rhs) of the Gamma_p properties (Props 3.1-3.3 and 3.8, Cors 3.4-3.5) and the
+shifted-gamma lemmas (Lemmas 3.9-3.13), the congruence lhs = rhs mod p^k with
+each side a PadicValue, and builds no report: checks._evaluate turns the rows
+into reports, as it does for every other claim.  It goes point by point over
+integer residues: each x is reduced once mod p^5, rep(x) read off that
+residue, its row params {"x": label, "j": j} built once, and its values
+gathered in three batches, one precision for all: Gamma_p mod p^5 (the
+precision Lemma 3.12 and G_1, G_2 mod p^2 need) from one gamma_residues call,
+G_1 and G_2 mod p^2 from one call each of _g1s and _g2s (Lemmas 3.10-3.11 read
+them mod p).  Every side indexes into these lists, the lemmas' and the
+properties' alike.  Lemmas 3.12-3.13 split x, 1 - x by
+rep(1 - x) = p + 1 - rep(x).
 
 Every side is read once from an integer: a Gamma_p or G side is one
 PadicValue.from_residue of an integer expression in the residues, a rational
@@ -87,7 +82,8 @@ product of G values at least M, so each G side is known mod p^M = p^k; the
 Taylor side Gamma_p(x)(1 + z G_1 + (z^2/2) G_2) is known mod p^3, as z G_1
 is.  gamma imports only combinatorics and padic; tests/oracles.py keeps the
 per-(x, j) Fraction evaluation by PadicValue arithmetic, whose reports the
-evaluated rows must equal row for row.
+evaluated rows, the lemmas' and the properties' apart, must equal row for
+row.
 """
 
 from __future__ import annotations
@@ -301,9 +297,9 @@ def g2(x, p: int, M: int) -> PadicValue:
 
 
 # ---------------------------------------------------------------------------
-# The section-3 suites: the Gamma_p properties (Props 3.1-3.3 and 3.8, Cors
-# 3.4-3.5) and the shifted-gamma congruence families (Lemmas 3.9-3.13) over
-# full (x, j) grids.  See the module docstring for how they are evaluated.
+# Section 3: the Gamma_p properties (Props 3.1-3.3 and 3.8, Cors 3.4-3.5) and
+# the shifted-gamma congruence families (Lemmas 3.9-3.13) over full (x, j)
+# grids.  See the module docstring for how they are evaluated.
 # ---------------------------------------------------------------------------
 
 
@@ -317,88 +313,6 @@ def default_x_grid(p: int) -> list[Fraction]:
             if math.gcd(a, b) == 1:
                 out.append(Fraction(a, b))
     return out
-
-
-def _points(p: int, xs=None) -> list[tuple[Fraction, str, int, int, list[dict]]]:
-    """(x, label, residue of x mod p^5, rep(x), params) for each x of a suite,
-    by default of default_x_grid(p), params[j] being the point's row params
-    {"x": label, "j": j} for j = 0..p; both suites read Gamma_p mod p^5 and
-    G_1, G_2 mod p^2, so p must be a prime >= 7."""
-    _certified(p, 2)
-    if xs is None:
-        xs = default_x_grid(p)
-    pts = []
-    for x in map(Fraction, xs):
-        label, a = str(x), _as_residue(x, p, 5)
-        pts.append((x, label, a, a % p or p, [{"x": label, "j": j} for j in range(p + 1)]))
-    return pts
-
-
-def section3_rows(p: int):
-    """The rows of both section-3 suites at p over the default x grid, the
-    lemma families then the properties, from one list of points: the
-    {"x", "j"} params of a point are built once, for both suites."""
-    pts = _points(p)
-    yield from _lemma_families(p, pts)
-    yield from _properties(p, pts)
-
-
-def check_gamma_properties(p: int):
-    """The rows (claim, params, k, lhs, rhs) of Props 3.1-3.2, Cors 3.4-3.5,
-    the Taylor law and the shift formula, over the standard denominator-grid
-    of x values, point by point, each side a PadicValue read from an integer."""
-    yield from _properties(p, _points(p))
-
-
-def _properties(p: int, pts):
-    """check_gamma_properties at the points pts of _points(p), each Gamma_p mod p^5."""
-    N, M, p5 = 4, 2, p**5
-    half, val = pow(2, -1, p**3), PadicValue.from_residue
-    for x, label, a, r, xj in pts:
-        xp = {"x": label}
-        # Gamma_p mod p^5 at x + j for j = 0..p, then at 1 - x, x + 2p, x + p^2, x + p^3
-        g = gamma_residues([(a + j) % p5 for j in range(p + 1)]
-                           + [b % p5 for b in (1 - a, a + 2 * p, a + p**2, a + p**3)], p, 5)
-        gx = g[0]
-        # functional equation
-        yield "prop3.1.1", xp, N, val(g[1], p, N), val(-(a if r < p else 1) * gx, p, N)
-        # reflection
-        yield ("prop3.1.2", xp, N, val(gx * g[p + 1], p, N),
-               _ratio_to_padic((-1) ** r, 1, p, N))
-        # continuity: arguments agreeing mod p^n give values agreeing mod p^n
-        # (read mod p^(n+2), past the digits the two arguments share)
-        for n, gy in zip((1, 2, 3), (g[p], g[p + 3], g[p + 4])):
-            yield "prop3.1.3", {"x": label, "n": n}, n, val(gy, p, n + 2), val(gx, p, n + 2)
-        # shift formula against direct evaluation
-        for j, shifted in enumerate(_shift(a, r, gx, p, N)):
-            yield "prop3.8", xj[j], N, shifted, val(g[j], p, N)
-        # G_1 and G_2 at x, x + 1, 1 - x, x + p and x + 2p
-        rs = [a, a + 1, 1 - a, a + p, a + 2 * p]
-        u1, v1, w1, *z1 = _g1s(rs, p, M)
-        u2, v2, w2, *z2 = _g2s(rs, p, M)
-        unit = x.numerator % p != 0
-        # G1 step
-        rhs = _ratio_to_padic(x.denominator, x.numerator, p, M) if unit \
-            else PadicValue.zero(p, M)
-        yield "prop3.2.1", xp, M, val(v1 - u1, p, M), rhs
-        # (G1^2 - G2) step
-        rhs = _ratio_to_padic(x.denominator**2, x.numerator**2, p, M) if unit \
-            else PadicValue.zero(p, M)
-        yield "prop3.2.2", xp, M, val(v1 * v1 - v2 - u1 * u1 + u2, p, M), rhs
-        # symmetry and its derivative
-        yield "prop3.2.3", xp, M, val(u1, p, M), val(w1, p, M)
-        yield "prop3.2.4", xp, M, val(u1 * u1 - u2, p, M), val(w2 - w1 * w1, p, M)
-        for t, zx1, zx2, gz in zip((1, 2), z1, z2, (g[p], g[p + 2])):
-            z = t * p
-            xz = {"x": label, "z": str(z)}
-            for which, zx, u in (("g1", zx1, u1), ("g2", zx2, u2)):
-                yield ("cor3.4", {"x": label, "z": str(z), "which": which}, 1, val(zx, p, M),
-                       val(u, p, M))
-            yield ("cor3.5", xz, 2, val(u1, p, M),
-                   val(zx1 + z * (zx1 * zx1 - zx2), p, M))
-            # Taylor law mod p^3
-            yield ("prop3.3.2", xz, 3, val(gz, p, N),
-                   val(gx * (1 + z * u1 + z * z * half * u2), p, 3))
 
 
 def _factorial_rhs(r: int, j: int, p: int) -> tuple[int, int]:
@@ -416,11 +330,10 @@ def _harmonic_diff(table, a: int, b: int, pole: int) -> tuple[int, int]:
     return (t[a] - t[b]) * pole - S, S * pole
 
 
-def lemma_check_gamma_suite(p: int, xs=None):
-    """The five shifted-gamma congruence families over full (x, j) grids: one
-    row (claim, {"x", "j"}, k, lhs, rhs) per (family, x, j), point by point
-    and family by family at each point, each side a PadicValue read once from
-    an integer:
+def section3_rows(p: int, xs=None):
+    """The rows (claim, params, k, lhs, rhs) of section 3 at a prime p >= 7,
+    over the points xs (by default default_x_grid(p)), point by point: at each
+    point the lemma families, then the properties.
 
     - lemma3.9: Gamma_p(x+j) = (rep(x)+j-1)! (-1)^(rep(x)+j) delta (mod p)
       for j = 0..p, delta = 1 below the p-divisible step and 1/p from it on;
@@ -431,33 +344,43 @@ def lemma_check_gamma_suite(p: int, xs=None):
     - lemma3.12: Gamma_p(x+j)Gamma_p(1-x+j) / (Gamma_p(x)Gamma_p(1-x) j!^2)
       against the binomial-coefficient form (mod p^2) for j < rep(m1);
     - lemma3.13: G_1(x+j) + G_1(1-x+j) - 2 G_1(1+j) against harmonic sums
-      (mod p^2) for j < rep(m1).
+      (mod p^2) for j < rep(m1);
+    - the properties: Props 3.1-3.2, Cors 3.4-3.5, the Taylor law (3.3.2)
+      and the shift formula (3.8).
     """
-    yield from _lemma_families(p, _points(p, xs))
-
-
-def _lemma_families(p: int, pts):
-    """lemma_check_gamma_suite at the points pts of _points(p, xs), each Gamma_p mod p^5."""
+    _certified(p, 2)
+    if xs is None:
+        xs = default_x_grid(p)
     H1, H2 = _scaled_harmonic(2 * p - 2, 1), _scaled_harmonic(2 * p - 2, 2)
     S1, t1 = H1
-    p5, val = p**5, PadicValue.from_residue
+    N, M, p5 = 4, 2, p**5
+    half, val = pow(2, -1, p**3), PadicValue.from_residue
     # G_1 and G_2 mod p^2 at 1 + j; Lemmas 3.10-3.11 read them mod p
     ones = range(1, p + 1)
-    lc, lc2 = _g1s(ones, p, 2), _g2s(ones, p, 2)
-    for x, _, a, r, xj in pts:
+    lc, lc2 = _g1s(ones, p, M), _g2s(ones, p, M)
+    for x in map(Fraction, xs):
+        label, a = str(x), _as_residue(x, p, 5)
+        r = a % p or p
+        xp, xj = {"x": label}, [{"x": label, "j": j} for j in range(p + 1)]
         # r1 - m1 as (dn, dd), r1, r2: m1 of x, 1 - x has the larger rep, x on a tie
         r1 = max(r, p + 1 - r)
         r2 = p + 1 - r1
         m1 = x if r1 == r else 1 - x
         dn, dd = r1 * m1.denominator - m1.numerator, m1.denominator
+        # Gamma_p mod p^5 at x + j for j = 0..p, 1 - x + j for j < r1, then at
+        # x + 2p, x + p^2 and x + p^3
         g = gamma_residues([(a + j) % p5 for j in range(p + 1)]
-                           + [(1 - a + j) % p5 for j in range(r1)], p, 5)
+                           + [(1 - a + j) % p5 for j in range(r1)]
+                           + [b % p5 for b in (a + 2 * p, a + p**2, a + p**3)], p, 5)
+        gx, g2p, gp2, gp3 = g[0], *g[-3:]
+        # G_1 mod p^2 at x + j for j < p, 1 - x + j for j < r1, x + p and x + 2p;
+        # G_2 at x + j for j < p, 1 - x, x + p and x + 2p
+        la = _g1s([a + j for j in range(p)] + [1 - a + j for j in range(r1)]
+                  + [a + p, a + 2 * p], p, M)
+        la2 = _g2s([a + j for j in range(p)] + [1 - a, a + p, a + 2 * p], p, M)
         for j in range(p + 1):
             yield ("lemma3.9", xj[j], 1, val(g[j], p, 2),
                    _ratio_to_padic(*_factorial_rhs(r, j, p), p, 3))
-        # G_1 mod p^2 at x + j for j < p, then at 1 - x + j for j < r1; G_2 at x + j
-        la = _g1s([a + j for j in range(p)] + [1 - a + j for j in range(r1)], p, 2)
-        la2 = _g2s([a + j for j in range(p)], p, 2)
         for j in range(p):
             rhs = _harmonic_diff(H1, r - 1 + j, j, p if j > p - r else 0)
             yield ("lemma3.10", xj[j], 1, val(la[j] - lc[j], p, 1),
@@ -469,7 +392,7 @@ def _lemma_families(p: int, pts):
                    _ratio_to_padic(*rhs, p, 4))
         for j in range(r1):
             # every factor is a unit for j < p
-            u = g[j] * g[p + 1 + j] * pow(g[0] * g[p + 1] * math.factorial(j) ** 2, -1, p5)
+            u = g[j] * g[p + 1 + j] * pow(gx * g[p + 1] * math.factorial(j) ** 2, -1, p5)
             # alpha (1 - (r1 - m1)(H_(r1-1+j) - H_(r2-1+j) - beta)) times the
             # binomials, with alpha = beta = 1/p from j = r2 on
             pole = p if j >= r2 else 0
@@ -488,3 +411,42 @@ def _lemma_families(p: int, pts):
             bn, bd = _harmonic_diff(H2, r1 - 1 + j, r2 - 1 + j, p**2 if j >= r2 else 0)
             yield ("lemma3.13", xj[j], 2, val(lhs, p, 2),
                    _ratio_to_padic(an * dd * bd + dn * bn * ad, ad * dd * bd, p, 5))
+        # functional equation
+        yield "prop3.1.1", xp, N, val(g[1], p, N), val(-(a if r < p else 1) * gx, p, N)
+        # reflection
+        yield ("prop3.1.2", xp, N, val(gx * g[p + 1], p, N),
+               _ratio_to_padic((-1) ** r, 1, p, N))
+        # continuity: arguments agreeing mod p^n give values agreeing mod p^n
+        # (read mod p^(n+2), past the digits the two arguments share)
+        for n, gy in zip((1, 2, 3), (g[p], gp2, gp3)):
+            yield "prop3.1.3", {"x": label, "n": n}, n, val(gy, p, n + 2), val(gx, p, n + 2)
+        # shift formula against direct evaluation
+        for j, shifted in enumerate(_shift(a, r, gx, p, N)):
+            yield "prop3.8", xj[j], N, shifted, val(g[j], p, N)
+        # G_1 and G_2 at x, x + 1 and 1 - x
+        u1, v1, w1 = la[0], la[1], la[p]
+        u2, v2, w2 = la2[0], la2[1], la2[p]
+        unit = x.numerator % p != 0
+        # G1 step
+        rhs = _ratio_to_padic(x.denominator, x.numerator, p, M) if unit \
+            else PadicValue.zero(p, M)
+        yield "prop3.2.1", xp, M, val(v1 - u1, p, M), rhs
+        # (G1^2 - G2) step
+        rhs = _ratio_to_padic(x.denominator**2, x.numerator**2, p, M) if unit \
+            else PadicValue.zero(p, M)
+        yield "prop3.2.2", xp, M, val(v1 * v1 - v2 - u1 * u1 + u2, p, M), rhs
+        # symmetry and its derivative
+        yield "prop3.2.3", xp, M, val(u1, p, M), val(w1, p, M)
+        yield "prop3.2.4", xp, M, val(u1 * u1 - u2, p, M), val(w2 - w1 * w1, p, M)
+        # G_1, G_2 and Gamma_p at x + z for z = p, 2p
+        for t, zx1, zx2, gz in zip((1, 2), la[-2:], la2[-2:], (g[p], g2p)):
+            z = t * p
+            xz = {"x": label, "z": str(z)}
+            for which, zx, u in (("g1", zx1, u1), ("g2", zx2, u2)):
+                yield ("cor3.4", {"x": label, "z": str(z), "which": which}, 1, val(zx, p, M),
+                       val(u, p, M))
+            yield ("cor3.5", xz, 2, val(u1, p, M),
+                   val(zx1 + z * (zx1 * zx1 - zx2), p, M))
+            # Taylor law mod p^3
+            yield ("prop3.3.2", xz, 3, val(gz, p, N),
+                   val(gx * (1 + z * u1 + z * z * half * u2), p, 3))

@@ -1,19 +1,19 @@
-"""Gate for the section-3 suites: every report row against the per-point oracles.
+"""Gate for section 3: every report row against the per-point oracles.
 
-Turns the rows of lemma_check_gamma_suite (Lemmas 3.9-3.13) and
-check_gamma_properties (Props 3.1-3.3, 3.8, Cors 3.4-3.5), which run over
-integer residues, into reports through checks._evaluate, the one evaluator of
-every claim, and compares them with the reports of their per-(x, j) Fraction
-oracles in tests/oracles.py, row by row (report ==), at every prime 7..61.  At
-each prime it compares the lemma suite on off_grid(p) too: x values off the
-default grid, p/2 and 2p/3 among them, whose numerators p divides (rep(x) =
-p).  It prints one line per prime with its row count.  Then it runs each
-argv of LEMMAS_PINS in process, `check lemmas --p-range 7..61 --format json`
-and `check lemmas --p 499 --format json`, and compares the SHA-256 of its
-output with the pinned one: together they pin every lemmas row from the
-bottom to the top of the prime range, the power sums (3.2) and lemma P and Q
-among them.  It exits 1 on the first mismatch.  Run it from the repository
-root:
+Turns the rows of gamma.section3_rows, which runs over integer residues, into
+reports through checks._evaluate, the one evaluator of every claim, and
+compares them with the reports of the per-(x, j) Fraction oracles in
+tests/oracles.py, row by row (report ==): its lemma rows (Lemmas 3.9-3.13)
+with lemma_check_gamma_suite and its property rows (Props 3.1-3.3, 3.8,
+Cors 3.4-3.5) with check_gamma_properties, at every prime 7..61, on the
+default x grid and on off_grid(p): x values off the default grid, p/2 and
+2p/3 among them, whose numerators p divides (rep(x) = p).  It prints one
+line per prime with its row count.  Then it runs each argv of LEMMAS_PINS in
+process, `check lemmas --p-range 7..61 --format json` and
+`check lemmas --p 499 --format json`, and compares the SHA-256 of its output
+with the pinned one: together they pin every lemmas row from the bottom to
+the top of the prime range, the power sums (3.2) and lemma P and Q among
+them.  It exits 1 on the first mismatch.  Run it from the repository root:
 
     PYTHONPATH=src python tests/lemma_gate.py
 
@@ -33,14 +33,11 @@ from fractions import Fraction
 import oracles
 from padichyp import cli
 from padichyp.checks import _evaluate, primes_in
-from padichyp.gamma import check_gamma_properties, lemma_check_gamma_suite
-
-SUITES = [(lemma_check_gamma_suite, oracles.lemma_check_gamma_suite),
-          (check_gamma_properties, oracles.check_gamma_properties)]
+from padichyp.gamma import section3_rows
 
 
 def off_grid(p: int) -> list[Fraction]:
-    """x values for the lemma suite beyond default_x_grid(p)."""
+    """x values beyond default_x_grid(p)."""
     return [Fraction(1, 3), Fraction(8, 9), Fraction(2), Fraction(-5, 4), Fraction(7, 12),
             Fraction(p, 2), Fraction(2 * p, 3)]
 
@@ -58,11 +55,15 @@ def main() -> int:
     total = 0
     for p in primes_in(7, 61):
         rows = 0
-        xs = off_grid(p)
-        compared = [(fast.__name__, _evaluate(p, fast(p)), slow(p)) for fast, slow in SUITES]
-        compared.append(("lemma_check_gamma_suite off the grid",
-                         _evaluate(p, lemma_check_gamma_suite(p, xs)),
-                         oracles.lemma_check_gamma_suite(p, xs)))
+        compared = []
+        for where, xs in (("on the grid", None), ("off the grid", off_grid(p))):
+            lemmas, properties = [], []
+            for row in section3_rows(p, xs):
+                (lemmas if row[0].startswith("lemma") else properties).append(row)
+            compared += [(f"lemmas {where}", _evaluate(p, lemmas),
+                          oracles.lemma_check_gamma_suite(p, xs)),
+                         (f"properties {where}", _evaluate(p, properties),
+                          oracles.check_gamma_properties(p, xs))]
         for name, got, want in compared:
             if got != want:
                 i = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),

@@ -2,6 +2,7 @@
 
 These are the straightforward per-term Fraction (and truncated-power-series)
 evaluations that the package replaced by integer num/den kernels for speed,
+the Jacobi sums that Gross-Koblitz writes by Gamma_p(k/(p-1)),
 the p-adic sum with its own branches for zero operands, which one sum rule
 replaced, the valuation of a difference read from the difference value,
 which the digit rule replaced, the per-entry Greene binomial table (one character sum per entry)
@@ -201,6 +202,17 @@ def _beta_residue(p: int, ea: int, eb: int, N: int) -> int:
         total += pw[(-ea * dlog[x] + eb * dlog[(1 - x) % p]) % order]
     total = total * pw[(-eb * dlog[p - 1]) % order]
     return total % pN
+
+
+def jacobi_sums(p: int, N: int, pairs, power: int = -1) -> list[int]:
+    """[sum_{x=2}^{p-1} wbar^a(x) wbar^b(1-x) mod p^N for (a, b) in pairs],
+    from the index table and the Teichmuller powers alone, with no Gamma_p;
+    power 1 puts omega in place of wbar (a negative control)."""
+    _, dlog = _dlog_table(p)
+    pw = _omega_powers(p, N)
+    logs = [(dlog[x], dlog[p + 1 - x]) for x in range(2, p)]
+    return [sum(pw[power * (a * u + b * v) % (p - 1)] for u, v in logs) % p**N
+            for a, b in pairs]
 
 
 def char_binomial_scaled(A: Character, B: Character, N: int) -> PadicValue:
@@ -438,8 +450,8 @@ def gamma_faulhaber(r: int, p: int, N: int) -> int:
 # gamma_residue once per Gamma_p value, the sides are combined by PadicValue
 # arithmetic and the right-hand sides are Fraction harmonic sums.
 # lemma_check_gamma_suite and check_gamma_properties here give the report rows
-# that the rows of the residue-level suites of the package, turned into
-# reports by checks._evaluate, must equal.
+# that the lemma and the property rows of the package's gamma.section3_rows,
+# turned into reports by checks._evaluate, must equal.
 
 _harmonic_cache: dict[int, list[Fraction]] = {}
 
@@ -620,12 +632,13 @@ def lemma_check_gamma_suite(p: int, xs=None) -> list[CongruenceReport]:
     return reports
 
 
-def check_gamma_properties(p: int) -> list[CongruenceReport]:
-    """Props 3.1-3.3, 3.8 and Cors 3.4-3.5 over the default x grid, point by
-    point."""
+def check_gamma_properties(p: int, xs=None) -> list[CongruenceReport]:
+    """Props 3.1-3.3, 3.8 and Cors 3.4-3.5 over xs, by default the default x
+    grid, point by point."""
     N, M = 4, 2
     out = []
-    xs = default_x_grid(p)
+    if xs is None:
+        xs = default_x_grid(p)
     one = rational_to_padic(1, p, N)
     for x in xs:
         gx = gamma_p(x, p, N)

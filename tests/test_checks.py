@@ -803,6 +803,20 @@ def test_cli_trunc_prints_its_exact_value_past_4300_digits():
     assert len(str(exact.denominator)) > 4300 and out == f"{exact}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["-m", "600"], "truncation beyond p - 1 is outside the guaranteed range"),
+    (["--z", "1/7"], "parameters must be p-integral"),
+])
+def test_cli_trunc_rejects_its_reduction_before_the_exact_sum(monkeypatch, argv, message):
+    # the reduction's checks come first: a rejected --p costs no exact sum
+    def exact(params):
+        raise AssertionError("the exact sum ran before the reduction was checked")
+
+    monkeypatch.setattr(cli, "truncated_hyp_exact", exact)
+    code, out, err = _main("trunc", "--args", "1/2,1/2", "--p", "7", *argv)
+    assert code == 2 and out == "" and message in err
+
+
 def test_cli_trunc_reduces_to_three_digits_by_default():
     code, out, _ = _main("trunc", "--args", "1/2,1/2", "--p", "7")
     assert code == 0

@@ -15,14 +15,12 @@ from padichyp.checks import _evaluate
 from padichyp.gamma import (
     _gamma_blocks,
     _horner_data,
-    check_gamma_properties,
     default_x_grid,
     g1,
     g2,
     gamma_p,
     gamma_residue,
     gamma_residues,
-    lemma_check_gamma_suite,
     rep,
     section3_rows,
 )
@@ -325,8 +323,19 @@ def test_rep_floor_formula():
             assert rep(Fraction(d - a, d), p) == (p - 1) // d + 1
 
 
+def _lemmas(p, xs=None):
+    """The rows of Lemmas 3.9-3.13 in section3_rows(p, xs), in its order."""
+    return [row for row in section3_rows(p, xs) if row[0].startswith("lemma")]
+
+
+def _properties(p, xs=None):
+    """The rows of Props 3.1-3.3, 3.8 and Cors 3.4-3.5 in section3_rows(p, xs),
+    in its order."""
+    return [row for row in section3_rows(p, xs) if not row[0].startswith("lemma")]
+
+
 def _shift(x, j, p, N):
-    """Gamma_p(x + j) by the Prop 3.8 shift of check_gamma_properties."""
+    """Gamma_p(x + j) by the Prop 3.8 shift of section3_rows."""
     shifts = gamma._shift(gamma._as_residue(x, p, N), rep(x, p), gamma_p(x, p, N).unit, p, N)
     return list(shifts)[j]
 
@@ -365,11 +374,13 @@ class _CountedResidue(int):
 def test_shift_rows_take_one_factor_product_per_step(monkeypatch, p):
     # a running product: at most p products for the p + 1 shifts of a point,
     # not (x)_j from scratch for every j
-    pts = [(x, label, _CountedResidue(a), r, xj) for x, label, a, r, xj in gamma._points(p)]
+    as_residue = gamma._as_residue
+    monkeypatch.setattr(gamma, "_as_residue", lambda x, q, N: _CountedResidue(as_residue(x, q, N)))
     monkeypatch.setattr(_Factor, "products", 0)
-    rows = [row for row in gamma._properties(p, pts) if row[0] == "prop3.8"]
-    assert len(rows) == len(pts) * (p + 1)
-    assert len(pts) * (p - 1) <= _Factor.products <= len(pts) * p
+    rows = [row for row in section3_rows(p) if row[0] == "prop3.8"]
+    points = len(default_x_grid(p))
+    assert len(rows) == points * (p + 1)
+    assert points * (p - 1) <= _Factor.products <= points * p
     assert all(r.passed for r in _evaluate(p, rows))
 
 
@@ -388,6 +399,60 @@ def test_shift_branches_explicitly():
     expect = -(g0 * rational_to_padic(rising_factorial(x, j), p, N)
                * rational_to_padic(x + p - 5, p, N).inverse())
     assert congruent_mod(_shift(x, j, p, N), expect, N)
+
+
+# -- Gross-Koblitz: Jacobi sums against Gamma_p(k/(p-1)) ---------------------
+
+
+def _gross_koblitz(p, N, pairs, pole=True):
+    """[-Gamma_p(a/(p-1)) Gamma_p(b/(p-1)) / Gamma_p(c/(p-1)) mod p^N for (a, b)
+    in pairs], c = (a + b) mod (p - 1), times -p when a + b > p - 1 (pole
+    False drops that factor, a negative control)."""
+    pN = p**N
+    inv = pow(p - 1, -1, pN)
+    col = gamma_residues([k * inv % pN for k in range(p - 1)], p, N)
+    out = []
+    for a, b in pairs:
+        v = -col[a] * col[b] * pow(col[(a + b) % (p - 1)], -1, pN)
+        out.append((v * -p if pole and a + b > p - 1 else v) % pN)
+    return out
+
+
+def _jacobi_pairs(p, ks=None):
+    """The pairs (a, b) of ks (by default 1..p-2) with a + b != 0 mod p - 1."""
+    ks = range(1, p - 1) if ks is None else ks
+    return [(a, b) for a in ks for b in ks if (a + b) % (p - 1)]
+
+
+def _large_prime_ks(p):
+    """The a, b sampled at a large prime: the ends and the middle of 1..p-2."""
+    return sorted({1, 2, 3, (p - 1) // 2, (p + 1) // 2, p - 3, p - 2})
+
+
+def _jacobi_failures(primes, ks=lambda p: None, power=-1, pole=True):
+    """(pairs, pairs whose Jacobi sum differs from Gross-Koblitz mod p^4)."""
+    pairs = failed = 0
+    for p in primes:
+        ab = _jacobi_pairs(p, ks(p))
+        got = oracles.jacobi_sums(p, 4, ab, power)
+        want = _gross_koblitz(p, 4, ab, pole)
+        pairs += len(ab)
+        failed += sum(g != w for g, w in zip(got, want))
+    return pairs, failed
+
+
+def test_jacobi_sums_equal_gross_koblitz():
+    # Gamma_p(k/(p-1)) against character sums: no Gamma_p code on the left
+    assert _jacobi_failures(primes_in(5, 61)) == (18080, 0)
+    assert _jacobi_failures(primes_in(449, 499), _large_prime_ks) == (396, 0)
+
+
+@pytest.mark.parametrize("control, failed", [
+    ({"pole": False}, 9040),   # the -p factor dropped at a + b > p - 1
+    ({"power": 1}, 18080),     # omega in place of wbar
+])
+def test_jacobi_controls_fail(control, failed):
+    assert _jacobi_failures(primes_in(5, 61), **control) == (18080, failed)
 
 
 # -- logarithmic derivatives -------------------------------------------------
@@ -451,8 +516,7 @@ def test_taylor_law_with_independent_derivatives():
 
 def test_derivatives_require_p_at_least_7():
     for call in (lambda: g1(1, 5, 1), lambda: g2(1, 5, 1),
-                 lambda: list(check_gamma_properties(5)),
-                 lambda: list(lemma_check_gamma_suite(5))):
+                 lambda: list(section3_rows(5))):
         with pytest.raises(ValueError, match="require p >= 7"):
             call()
 
@@ -464,9 +528,8 @@ def test_the_prime_is_checked_before_the_argument(p):
         for x in (Fraction(1, 2), Fraction(1, 3)):
             with pytest.raises(ValueError, match=f"p={p} is not an odd prime"):
                 call(x, p, 2)
-    for suite in (check_gamma_properties, lemma_check_gamma_suite):
-        with pytest.raises(ValueError, match=f"p={p} is not an odd prime"):
-            list(suite(p))
+    with pytest.raises(ValueError, match=f"p={p} is not an odd prime"):
+        list(section3_rows(p))
 
 
 # -- shifted-gamma congruence families ---------------------------------------
@@ -526,7 +589,7 @@ def test_second_order_harmonic_family_spot():
 
 
 def test_suite_runs_clean_and_reports_per_point():
-    reports = _evaluate(7, lemma_check_gamma_suite(7, xs=[Fraction(1, 3), Fraction(1, 2)]))
+    reports = _evaluate(7, _lemmas(7, xs=[Fraction(1, 3), Fraction(1, 2)]))
     assert all(r.passed for r in reports)
     claims = {r.claim for r in reports}
     assert claims == {"lemma3.9", "lemma3.10", "lemma3.11", "lemma3.12", "lemma3.13"}
@@ -555,8 +618,8 @@ def test_block_log_series_matches_power_series_oracle():
 @pytest.mark.parametrize("p", [7, 11, 13, 17, 19])
 def test_suites_equal_the_per_point_oracles(p):
     # 7, 11, 13 are the check-all grid; the golden SHA does not reach 17, 19
-    for fast, slow in ((lemma_check_gamma_suite, oracles.lemma_check_gamma_suite),
-                       (check_gamma_properties, oracles.check_gamma_properties)):
+    for fast, slow in ((_lemmas, oracles.lemma_check_gamma_suite),
+                       (_properties, oracles.check_gamma_properties)):
         rows = _evaluate(p, fast(p))
         assert rows and rows == slow(p), (fast.__name__, p)
 
@@ -581,11 +644,28 @@ def test_section3_suites_evaluate_gamma_p_mod_p5_only(monkeypatch):
     assert sum(n for _, n in evaluated) <= 4235
 
 
+def test_section3_rows_gather_each_point_in_three_batches(monkeypatch):
+    # one gamma_residues batch per point each for Gamma_p, G_1 and G_2, the
+    # lemmas' and the properties' values together, and one each for G_1 and
+    # G_2 at 1 + j per prime
+    calls = []
+    residues = gamma.gamma_residues
+
+    def counted(rs, p, N):
+        calls.append(p)
+        return residues(rs, p, N)
+
+    monkeypatch.setattr(gamma, "gamma_residues", counted)
+    for p in (7, 11, 13):
+        assert list(section3_rows(p))
+        assert calls.count(p) == 3 * len(default_x_grid(p)) + 2, p
+
+
 def test_suite_takes_any_x_list_like_the_oracle():
     xs = [Fraction(1, 3), Fraction(8, 9), 2, Fraction(-5, 4), Fraction(7, 12)]
     for p in (7, 11):
-        rows = _evaluate(p, lemma_check_gamma_suite(p, xs))
-        assert rows == oracles.lemma_check_gamma_suite(p, xs)
+        assert _evaluate(p, _lemmas(p, xs)) == oracles.lemma_check_gamma_suite(p, xs)
+        assert _evaluate(p, _properties(p, xs)) == oracles.check_gamma_properties(p, xs)
 
 
 def test_suites_read_every_side_from_an_integer(monkeypatch):
@@ -596,9 +676,8 @@ def test_suites_read_every_side_from_an_integer(monkeypatch):
     for name in ("__add__", "__sub__", "__mul__", "__neg__", "inverse"):
         monkeypatch.setattr(PadicValue, name, no_arithmetic)
     for p in (7, 11, 13):
-        for suite in (lemma_check_gamma_suite, check_gamma_properties):
-            rows = list(suite(p))
-            assert rows and all(isinstance(s, PadicValue) for row in rows for s in row[3:])
+        rows = list(section3_rows(p))
+        assert rows and all(isinstance(s, PadicValue) for row in rows for s in row[3:])
 
 
 def test_derivatives_equal_the_difference_quotient_oracles():
@@ -635,7 +714,7 @@ def _entry_weight(row, p, order, n):
 @pytest.mark.parametrize("order, n", [(1, 9), (1, 10), (2, 12), (2, 5)])
 def test_harmonic_families_fail_with_a_shifted_prefix_entry(monkeypatch, order, n):
     p = 11
-    base = _evaluate(p, lemma_check_gamma_suite(p))
+    base = _evaluate(p, _lemmas(p))
     assert all(r.passed for r in base)
     scaled = gamma._scaled_harmonic
 
@@ -644,7 +723,7 @@ def test_harmonic_families_fail_with_a_shifted_prefix_entry(monkeypatch, order, 
         return (S, t[:n] + (t[n] + 1,) + t[n + 1:]) if i == order else (S, t)
 
     monkeypatch.setattr(gamma, "_scaled_harmonic", shifted)
-    rows = _evaluate(p, lemma_check_gamma_suite(p))
+    rows = _evaluate(p, _lemmas(p))
     assert len(rows) == len(base)
     failed = set()
     for old, new in zip(base, rows):
@@ -672,7 +751,7 @@ def _plus_one(rhs):
 def test_factorial_family_fails_with_its_rhs_plus_one(monkeypatch):
     p = 11
     monkeypatch.setattr(gamma, "_factorial_rhs", _plus_one(gamma._factorial_rhs))
-    rows = [r for r in _evaluate(p, lemma_check_gamma_suite(p)) if r.claim == "lemma3.9"]
+    rows = [r for r in _evaluate(p, _lemmas(p)) if r.claim == "lemma3.9"]
     assert len(rows) == len(default_x_grid(p)) * (p + 1)
     assert all(not r.passed and r.diff_valuation == 0 for r in rows)
 
@@ -697,10 +776,10 @@ _LEMMA_CONTROLS = [
 @pytest.mark.parametrize("name, perturb, failing", _LEMMA_CONTROLS)
 def test_lemma_families_fail_when_perturbed(monkeypatch, name, perturb, failing):
     primes = (7, 11, 13)
-    base = [r for p in primes for r in _evaluate(p, lemma_check_gamma_suite(p))]
+    base = [r for p in primes for r in _evaluate(p, _lemmas(p))]
     assert all(r.passed for r in base)
     monkeypatch.setattr(gamma, name, perturb(getattr(gamma, name)))
-    rows = [r for p in primes for r in _evaluate(p, lemma_check_gamma_suite(p))]
+    rows = [r for p in primes for r in _evaluate(p, _lemmas(p))]
     assert [(r.claim, r.params) for r in rows] == [(r.claim, r.params) for r in base]
     failed = [r for r in rows if not r.passed]
     assert all(r.diff_valuation < r.mod_power for r in failed)
@@ -708,7 +787,7 @@ def test_lemma_families_fail_when_perturbed(monkeypatch, name, perturb, failing)
 
 
 def test_every_lemma_family_has_a_negative_control():
-    claims = {claim for claim, *_ in lemma_check_gamma_suite(7)}
+    claims = {claim for claim, *_ in _lemmas(7)}
     covered = set().union(*_PREFIX_FAILING.values(), *(f for _, _, f in _LEMMA_CONTROLS))
     assert covered == claims
 
@@ -726,8 +805,8 @@ def _plus_digit_one(derivs):
 _DERIVATIVE_FAMILIES = {"prop3.2.1", "prop3.2.2", "prop3.2.3", "prop3.2.4", "prop3.3.2", "cor3.5"}
 # Each row is (function of the gamma module, its perturbation as a function of
 # the original, the families with FAIL rows, the families whose every row
-# fails), at the check-all primes.  Together they cover every family of
-# check_gamma_properties.
+# fails), at the check-all primes.  Together they cover every property family
+# of section3_rows.
 _PROPERTY_CONTROLS = [
     ("_shift", _plus_last_digit, {"prop3.8"}, {"prop3.8"}),
     # the (-1)^r of the definition dropped: Gamma_p(x + 1) and Gamma_p(x + p^n)
@@ -754,10 +833,10 @@ _PROPERTY_CONTROLS = [
 @pytest.mark.parametrize("name, perturb, failing, all_fail", _PROPERTY_CONTROLS)
 def test_property_families_fail_when_perturbed(monkeypatch, name, perturb, failing, all_fail):
     primes = (7, 11, 13)
-    base = [r for p in primes for r in _evaluate(p, check_gamma_properties(p))]
+    base = [r for p in primes for r in _evaluate(p, _properties(p))]
     assert all(r.passed for r in base)
     monkeypatch.setattr(gamma, name, perturb(getattr(gamma, name)))
-    rows = [r for p in primes for r in _evaluate(p, check_gamma_properties(p))]
+    rows = [r for p in primes for r in _evaluate(p, _properties(p))]
     assert [(r.claim, r.params) for r in rows] == [(r.claim, r.params) for r in base]
     failed = [r for r in rows if not r.passed]
     assert all(r.diff_valuation < r.mod_power for r in failed)
@@ -769,6 +848,6 @@ def test_property_families_fail_when_perturbed(monkeypatch, name, perturb, faili
 
 
 def test_every_property_family_has_a_negative_control():
-    claims = {claim for claim, *_ in check_gamma_properties(7)}
+    claims = {claim for claim, *_ in _properties(7)}
     assert set().union(*(failing for _, _, failing, _ in _PROPERTY_CONTROLS)) == claims
 
