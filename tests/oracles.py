@@ -37,6 +37,14 @@ from padichyp.padic import PadicValue, PrecisionError, rational_to_padic, valuat
 from padichyp.report import CongruenceReport
 
 
+# the 14 Rodriguez-Villegas families, as --args strings: the closed sets the
+# tests and tests/kernel_gate.py evaluate G on beside the claims' own
+RV_FAMILIES = ["1/5,2/5,3/5,4/5", "1/10,3/10,7/10,9/10", "1/2,1/2,1/2,1/2", "1/3,1/3,2/3,2/3",
+               "1/4,1/4,3/4,3/4", "1/6,1/6,5/6,5/6", "1/8,3/8,5/8,7/8", "1/12,5/12,7/12,11/12",
+               "1/2,1/2,1/3,2/3", "1/2,1/2,1/4,3/4", "1/2,1/2,1/6,5/6", "1/3,2/3,1/4,3/4",
+               "1/3,2/3,1/6,5/6", "1/4,3/4,1/6,5/6"]
+
+
 def is_odd_prime(p: int) -> bool:
     """Trial division, the oracle of the prime table behind padic.check_prime."""
     if p < 3 or p % 2 == 0:

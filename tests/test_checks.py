@@ -29,6 +29,16 @@ from padichyp.qseries import QSeries
 from padichyp.report import CSV_COLUMNS, CongruenceReport, sort_reports, write_reports
 
 
+@pytest.fixture(autouse=True)
+def _drop_patched_memos(request):
+    """A test that monkeypatches may leave per-prime memos built by the
+    patched code, such as the column-plan rows of gfunction; they are
+    dropped when it ends."""
+    yield
+    if "monkeypatch" in request.fixturenames:
+        padic._at_prime(None)
+
+
 def _task(claim, primes, **params):
     """Reports of the claim's registry tasks, one per prime, at its default
     modulus; the arguments are derived as a plan derives them, once."""
@@ -137,11 +147,8 @@ def test_g_rows_fail_at_coprime_primes_that_are_not_p_stable():
 
 
 # the 14 Rodriguez-Villegas families, then six closed sets of two and three
-CLOSED_SETS = ["1/5,2/5,3/5,4/5", "1/10,3/10,7/10,9/10", "1/2,1/2,1/2,1/2",
-               "1/3,1/3,2/3,2/3", "1/4,1/4,3/4,3/4", "1/6,1/6,5/6,5/6", "1/8,3/8,5/8,7/8",
-               "1/12,5/12,7/12,11/12", "1/2,1/2,1/3,2/3", "1/2,1/2,1/4,3/4",
-               "1/2,1/2,1/6,5/6", "1/3,2/3,1/4,3/4", "1/3,2/3,1/6,5/6", "1/4,3/4,1/6,5/6",
-               "1/2,1/2", "1/3,2/3", "1/4,3/4", "1/6,5/6", "1/2,1/3,2/3", "1/2,1/4,3/4"]
+CLOSED_SETS = oracles.RV_FAMILIES + ["1/2,1/2", "1/3,2/3", "1/4,3/4", "1/6,5/6", "1/2,1/3,2/3",
+                                     "1/2,1/4,3/4"]
 
 
 @pytest.mark.parametrize("args", CLOSED_SETS)
@@ -391,6 +398,22 @@ def test_g_rows_fail_with_the_reflection_sign_flipped(monkeypatch, claim, row_cl
             assert r.passed == (set(r.params["args"].split(",")) == {"1/2"}), r.params
 
 
+def test_g_rows_fail_without_the_teichmuller_twist(monkeypatch):
+    # omega(m)^k read as 1 in every twisted row of the column plan: the closed
+    # sets of thm2.4 and the quintic set of conj1.3-framework fail at all
+    # primes but one or two, and thm2.4's pair (1/5, 4/5), which is not
+    # closed and goes by the index plan, still passes everywhere
+    padic._at_prime(None)
+    monkeypatch.setattr(gfunction, "_teichmuller", lambda m, p, N: 1)
+    rows = _grid_rows("thm2.4", "thm2.4")
+    for d in (3, 4, 6):
+        assert [r.passed for r in rows if r.params["d"] == d].count(False) == 21 == \
+            len(checks.primes_in(7, 97)) - 1, d
+    assert all(r.passed for r in rows if r.params["d"] == 5)
+    rows = _grid_rows("conj1.3", "conj1.3-framework")
+    assert len(rows) == 23 and [r.passed for r in rows].count(False) == 21
+
+
 def test_power_sum_rows_fail_when_the_sum_is_perturbed(monkeypatch):
     rows = [r for r in _task("lemmas", [7, 11]) if r.claim == "eq3.2"]
     assert len(rows) == 2 * (6 + 10) and all(r.passed for r in rows)
@@ -572,11 +595,12 @@ def test_reports_do_not_alias_the_registry_grids():
     assert {cid: c.grid for cid, c in checks.CLAIMS.items()} == grids
 
 
-def test_the_per_prime_memos_are_the_six_prime_scoped_tables():
-    # five keyed by a prime, and the harmonic tables, whose lengths a task's
+def test_the_per_prime_memos_are_the_seven_prime_scoped_tables():
+    # six keyed by a prime, and the harmonic tables, whose lengths a task's
     # prime sets
     memos = (gamma._value_cache, gamma._horner_data, characters._dlog_table,
-             characters._omega_powers, checks._truncated, combinatorics._scaled_harmonic)
+             characters._omega_powers, checks._truncated, combinatorics._scaled_harmonic,
+             gfunction._closed_rows)
     assert sorted(map(id, padic._PRIME_MEMOS)) == sorted(map(id, memos))
 
 

@@ -246,6 +246,31 @@ def test_gauss_multiplication_formula_at_every_prime():
     assert points == 2038 and failed == [points, points]
 
 
+def test_multiplication_formula_factor_at_k_over_p_minus_1_is_a_teichmuller_power():
+    # at y = k/(p-1) the factor m^(1-R) (m^-(p-1))^(y_1) of the formula is
+    # omega(m)^k mod p^5, omega(m) = m^(p^4) the Teichmuller lift: the form the
+    # column plan of gfunction reads, for every k < p - 1, m <= 12 prime to p
+    # and p in 5..97; the control, omega(m) read as m, holds at k = 0 alone
+    N = 5
+    points, failed = 0, []
+    for p in primes_in(5, 97):
+        pN = p**N
+        inv = pow(p - 1, -1, pN)
+        for m in range(2, 13):
+            if m % p == 0:
+                continue
+            w = pow(m, p ** (N - 1), pN)
+            for k in range(p - 1):
+                y = k * inv % pN
+                R = y % p or p
+                factor = pow(m, 1 - R, pN) * pow(m, (1 - p) * ((y - R) // p), pN) % pN
+                assert factor == pow(w, k, pN), (p, m, k)
+                if factor != pow(m, k, pN):
+                    failed.append(k)
+                points += 1
+    assert points == 11_328 and len(failed) == 11_079 and 0 not in failed
+
+
 def test_batch_sentinels_and_consistency():
     assert gamma_residue(0, 7, 3) == 1 and gamma_residue(1, 7, 3) == 7**3 - 1
     rng = random.Random(3)

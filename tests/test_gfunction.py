@@ -9,10 +9,12 @@ from fractions import Fraction
 import oracles
 import pytest
 
+from padichyp import gamma, padic
 from padichyp.characters import Character, characters_for_arguments, greene_series_scaled
-from padichyp.checks import primes_in
+from padichyp.checks import CLAIMS, primes_in
 from padichyp.gamma import gamma_residue, rep
-from padichyp.gfunction import GArguments, _reflection_signs, g_function, s_factor, theorem26_sign
+from padichyp.gfunction import (GArguments, _closed_form, _g_sum, _reflection_signs, g_function,
+                                s_factor, theorem26_sign)
 from padichyp.hyp import HypParams, truncated_hyp
 from padichyp.padic import congruent_mod, rational_to_padic
 
@@ -181,3 +183,59 @@ def test_reflection_rule_and_its_sign():
         signs = _reflection_signs([x % p or p for x in xs])
         got = [s * pow(gamma_residue(x, p, N), -1, pN) % pN for s, x in zip(signs, xs)]
         assert got == [gamma_residue((1 - x) % pN, p, N) for x in xs], p
+
+
+# -- the column plan of closed sets against the index plan
+
+QUINTIC = (F(1, 5), F(2, 5), F(3, 5), F(4, 5))
+
+
+def _closed_sets():
+    """Every closed argument set of the default grids of the claims that
+    evaluate G, the 14 Rodriguez-Villegas families, (1/6, 5/6) and
+    (1/12, 5/12, 7/12, 11/12)."""
+    sets = {tuple(CLAIMS[cid].args(q)) for cid in ("prop2.2", "thm2.4", "thm2.5", "thm2.6",
+                                                    "thm2.7", "conj1.3")
+            for q in CLAIMS[cid].grid}
+    sets = {args for args in sets if _closed_form(args) is not None}
+    sets |= {tuple(map(F, s.split(","))) for s in oracles.RV_FAMILIES}
+    return sorted(sets | {(F(1, 6), F(5, 6)), ORACLE_SETS[6]})
+
+
+def test_closed_forms_and_sets_that_are_not_closed():
+    # the exponents (m, e_m) of the twisted rows: gamma_m for m > 1, and
+    # e_1 = -sum gamma_m
+    assert _closed_form(QUINTIC) == ((1, -1), (5, 1))
+    assert _closed_form(ORACLE_SETS[6]) == ((2, 1), (4, -1), (6, -1), (12, 1))
+    assert _closed_form((F(1, 6), F(5, 6))) == ((1, 1), (2, -1), (3, -1), (6, 1))
+    for args in [(F(1, 5), F(4, 5)), (F(1, 2), F(1, 5), F(4, 5)), (F(1, 3), F(1, 2))]:
+        assert _closed_form(args) is None, args
+
+
+def test_the_column_plan_equals_the_index_plan_on_every_closed_set():
+    sets = _closed_sets()
+    grid = [(p, N) for p in primes_in(5, 97) for N in (1, 4, 7)]
+    grid += [(p, 4) for p in primes_in(449, 499)]
+    cases = 0
+    for args in sets:
+        exponents = _closed_form(args)
+        assert exponents is not None, args
+        for p, N in grid:
+            if _admissible(args, p):
+                ga = GArguments(p, args, N)
+                assert _g_sum(ga, exponents) == _g_sum(ga, None), (p, args, N)
+                cases += 1
+    assert (len(sets), cases) == (21, 1632)
+
+
+def test_g_of_the_quintic_set_reads_column_0_only(monkeypatch):
+    # from empty memos, (p+1)/2 Gamma_p values at p = 499, N = 4, where the
+    # index plan read five columns of them
+    evaluated = []
+    blocks = gamma._gamma_blocks
+    monkeypatch.setattr(gamma, "_gamma_blocks",
+                        lambda rs, p, N: evaluated.extend(rs) or blocks(rs, p, N))
+    padic._at_prime(None)
+    g_function(GArguments(499, QUINTIC, 4))
+    padic._at_prime(None)
+    assert len(evaluated) <= (499 + 1) // 2
